@@ -45,7 +45,6 @@ from .om import (
     OrientedMatroid,
     SignVector,
     chirotope_of,
-    cocircuits_of,
     compose,
     covectors_of,
     om_equal,

@@ -54,8 +54,8 @@ def _load_om_operand(path: str):
     """An arrangement file (JSON array) or an oriented-matroid file."""
     value = _load_json(path)
     if isinstance(value, list):
-        return om_of(parse_arrangement(value)), True
-    return parse_om(value), False
+        return om_of(parse_arrangement(value))
+    return parse_om(value)
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -98,29 +98,10 @@ def _cmd_om_of(args) -> int:
     return 0
 
 
-def _cmd_om_equal(args) -> int:
-    m1, _ = _load_om_operand(args.a)
-    m2, _ = _load_om_operand(args.b)
-    print("true" if om_equal(m1, m2) else "false")
-    return 0
-
-
-def _cmd_om_strong_map(args) -> int:
-    m1, _ = _load_om_operand(args.a)
-    m2, _ = _load_om_operand(args.b)
-    print("true" if strong_map(m1, m2) else "false")
-    return 0
-
-
-def _cmd_om_weak_map(args) -> int:
-    m1, from_arr1 = _load_om_operand(args.a)
-    m2, from_arr2 = _load_om_operand(args.b)
-    if not (from_arr1 and from_arr2):
-        raise SchemaError(
-            "$", "weak-map needs arrangement files (basis signs are not part "
-                 "of the oriented-matroid document)"
-        )
-    print("true" if weak_map(m1, m2) else "false")
+def _cmd_om_compare(args) -> int:
+    m1 = _load_om_operand(args.a)
+    m2 = _load_om_operand(args.b)
+    print("true" if args.test(m1, m2) else "false")
     return 0
 
 
@@ -182,13 +163,11 @@ def _build_parser() -> argparse.ArgumentParser:
     om_of_p.add_argument("--in", dest="input", required=True, help="arrangement JSON")
     om_of_p.add_argument("--out", help="output file (stdout if omitted)")
     om_of_p.set_defaults(func=_cmd_om_of)
-    for name, func in (("equal", _cmd_om_equal),
-                       ("strong-map", _cmd_om_strong_map),
-                       ("weak-map", _cmd_om_weak_map)):
+    for name, test in (("equal", om_equal), ("strong-map", strong_map), ("weak-map", weak_map)):
         p = om_sub.add_parser(name, help=f"{name} test on two inputs")
         p.add_argument("a", help="arrangement or oriented-matroid JSON")
         p.add_argument("b", help="arrangement or oriented-matroid JSON")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_om_compare, test=test)
 
     mu = sub.add_parser("mu", help="oriented matroid of a rational 3-subspace")
     mu.add_argument("--subspace", required=True, help="subspace JSON")

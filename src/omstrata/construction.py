@@ -205,6 +205,8 @@ def extend(family: ConfigurationFamily) -> ConfigurationFamily:
 
 def build(seed: Seed, depth: int) -> ConfigurationFamily:
     """Validate the seed and run ``depth`` extension steps."""
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
     check = validate_seed(seed)
     if not check:
         raise SeedRejected(check.violated or "seed", check.message)
@@ -326,6 +328,8 @@ def certificate(
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if not samples or len(set(samples)) != len(samples) or min(samples) < 1:
+        raise ValueError(f"samples must be distinct positive integers, got {list(samples)}")
     check = validate_seed(seed)
     if not check:
         raise SeedRejected(check.violated or "seed", check.message)

@@ -75,15 +75,44 @@ class Vector3:
 
 ZERO3 = Vector3(0, 0, 0)
 
+IntVec = tuple[int, int, int]
+
+
+def _primitive(x: Fraction, y: Fraction, z: Fraction) -> IntVec:
+    """Positive integer rescaling of (x, y, z) with coprime entries (0 stays 0)."""
+    scale = 1
+    for part in (x, y, z):
+        scale = scale * part.denominator // gcd(scale, part.denominator)
+    ints = (int(x * scale), int(y * scale), int(z * scale))
+    g = gcd(gcd(abs(ints[0]), abs(ints[1])), abs(ints[2])) or 1
+    return (ints[0] // g, ints[1] // g, ints[2] // g)
+
+
+def _cross(u: IntVec, v: IntVec) -> IntVec:
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def _dot(u: IntVec, v: IntVec) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _det3(u: IntVec, v: IntVec, w: IntVec) -> int:
+    return _dot(u, _cross(v, w))
+
 
 def sign_det3(u: Vector3, v: Vector3, w: Vector3) -> int:
-    """Sign of det(u, v, w) as rows, in {-1, 0, +1}, computed exactly."""
-    det = (
-        u.x * (v.y * w.z - v.z * w.y)
-        - u.y * (v.x * w.z - v.z * w.x)
-        + u.z * (v.x * w.y - v.y * w.x)
-    )
-    return (det > 0) - (det < 0)
+    """Sign of det(u, v, w) as rows, in {-1, 0, +1}, computed exactly on
+    primitive integer copies (positive rescaling keeps the sign)."""
+    rows = [_primitive(r.x, r.y, r.z) for r in (u, v, w)]
+    return _sign(_det3(*rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,21 +146,6 @@ class Line2:
         return f"Line2({self.a}x + {self.b}y + {self.c} = 0)"
 
 
-def _canonical_coeffs(a: Fraction, b: Fraction, c: Fraction) -> tuple[int, int, int]:
-    denom_lcm = 1
-    for value in (a, b, c):
-        denom_lcm = denom_lcm * value.denominator // gcd(denom_lcm, value.denominator)
-    ai = int(a * denom_lcm)
-    bi = int(b * denom_lcm)
-    ci = int(c * denom_lcm)
-    g = gcd(gcd(abs(ai), abs(bi)), abs(ci))
-    if g:
-        ai, bi, ci = ai // g, bi // g, ci // g
-    if ai < 0 or (ai == 0 and bi < 0):
-        ai, bi, ci = -ai, -bi, -ci
-    return ai, bi, ci
-
-
 def line_through(p: PlanePoint, q: PlanePoint) -> Line2:
     """The canonical line through two distinct points."""
     if p == q:
@@ -139,7 +153,9 @@ def line_through(p: PlanePoint, q: PlanePoint) -> Line2:
     a = p.y - q.y
     b = q.x - p.x
     c = p.x * q.y - q.x * p.y
-    ai, bi, ci = _canonical_coeffs(a, b, c)
+    ai, bi, ci = _primitive(a, b, c)
+    if ai < 0 or (ai == 0 and bi < 0):
+        ai, bi, ci = -ai, -bi, -ci
     return Line2(ai, bi, ci, p, q)
 
 

@@ -1,13 +1,15 @@
 """Small exact linear-algebra helpers over Fraction.
 
-Everything here is plain fraction-free-enough Gaussian elimination; inputs
-are tiny (3x3 and 6x6 systems, rank checks on short vector lists), so
-clarity wins over pivot heuristics.
+All three routines share one forward Gaussian elimination over Fraction
+with the first non-zero entry as pivot; inputs are tiny (3x3 and 6x6
+systems, rank checks on short vector lists), so clarity wins over pivot
+heuristics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 
@@ -15,65 +17,54 @@ class SingularMatrix(ValueError):
     pass
 
 
+def _eliminate(rows: list[list[Fraction]], cols: int) -> tuple[list[int], int]:
+    """Reduce ``rows`` in place to row-echelon form on the first ``cols``
+    columns.  Returns the pivot columns (pivot r sits in row r) and the
+    number of row swaps made."""
+    pivots: list[int] = []
+    swaps = 0
+    for col in range(cols):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != top:
+            rows[top], rows[pivot] = rows[pivot], rows[top]
+            swaps += 1
+        pv = rows[top][col]
+        for r in range(top + 1, len(rows)):
+            factor = rows[r][col] / pv
+            if factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[top])]
+        pivots.append(col)
+    return pivots, swaps
+
+
 def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
     """Solve M x = b exactly.  Raises SingularMatrix if M is not invertible."""
     n = len(matrix)
     rows = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix(f"no pivot in column {col}")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        pv = rows[col][col]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = rows[r][col] / pv
-            if factor:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return [rows[i][n] / rows[i][i] for i in range(n)]
+    pivots, _ = _eliminate(rows, n)
+    if len(pivots) < n:
+        raise SingularMatrix(f"no pivot in column {min(set(range(n)) - set(pivots))}")
+    x: list[Fraction] = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (rows[i][n] - sum(rows[i][k] * x[k] for k in range(i + 1, n))) / rows[i][i]
+    return x
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Exact rank of a matrix given as a list of rows."""
-    work = [list(r) for r in rows if any(x != 0 for x in r)]
-    if not work:
+    if not rows:
         return 0
-    cols = len(work[0])
-    rank = 0
-    col = 0
-    while rank < len(work) and col < cols:
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        for r in range(rank + 1, len(work)):
-            factor = work[r][col] / pv
-            if factor:
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return len(_eliminate([list(r) for r in rows], len(rows[0]))[0])
 
 
 def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant by elimination."""
     n = len(matrix)
     work = [list(r) for r in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        pv = work[col][col]
-        det *= pv
-        for r in range(col + 1, n):
-            factor = work[r][col] / pv
-            if factor:
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return det
+    pivots, swaps = _eliminate(work, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return prod((work[i][i] for i in range(n)), start=Fraction((-1) ** swaps))

@@ -4,7 +4,8 @@ An arrangement is an ordered list of (label, Vector3) pairs.  Its oriented
 matroid is stored as the cocircuit set: for every pair of independent
 vectors, the plane they span induces the sign vector
 ``k -> sign <v_k, v_i x v_j>`` together with its negation.  Covectors are
-recovered on demand as the composition closure of the cocircuits.
+recovered on demand as the composition closure of the cocircuits, and basis
+signs (the chirotope) by a walk over the cocircuits.
 
 Signs never change under positive per-element rescaling, so all sign
 computations run on primitive integer copies of the vectors; this keeps the
@@ -15,53 +16,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .errors import DomainMismatch, GroundSetMismatch, NotSpanning
-from .geometry import Vector3
+from .geometry import IntVec, Vector3, _cross, _det3, _dot, _primitive, _sign
 from .labels import Label, is_label, label_key, sort_labels
 
 Sign = int  # -1, 0, +1
-IntVec = tuple[int, int, int]
 
 SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
 _CHAR_SIGNS = {"+": 1, "-": -1, "0": 0}
-
-
-def _primitive(v: Vector3) -> IntVec:
-    """Positive integer rescaling of v with coprime entries (0 stays 0)."""
-    if v.is_zero():
-        return (0, 0, 0)
-    scale = 1
-    for part in (v.x, v.y, v.z):
-        scale = scale * part.denominator // gcd(scale, part.denominator)
-    ints = (int(v.x * scale), int(v.y * scale), int(v.z * scale))
-    g = gcd(gcd(abs(ints[0]), abs(ints[1])), abs(ints[2]))
-    return (ints[0] // g, ints[1] // g, ints[2] // g)
-
-
-def _cross(u: IntVec, v: IntVec) -> IntVec:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
-def _dot(u: IntVec, v: IntVec) -> int:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _sign(x: int) -> Sign:
-    return (x > 0) - (x < 0)
-
-
-def _det3(u: IntVec, v: IntVec, w: IntVec) -> int:
-    return _dot(u, _cross(v, w))
 
 
 def _rank3(vectors: Iterable[IntVec]) -> int:
@@ -110,7 +78,7 @@ class LabeledArrangement:
         raise KeyError(label)
 
     def is_spanning(self) -> bool:
-        return _rank3(_primitive(v) for _, v in self.elements) == 3
+        return _rank3(_primitive(v.x, v.y, v.z) for _, v in self.elements) == 3
 
     def sorted_by_label(self) -> "LabeledArrangement":
         return LabeledArrangement(sorted(self.elements, key=lambda e: label_key(e[0])))
@@ -193,9 +161,6 @@ class Chirotope:
     def __getitem__(self, triple: tuple[Label, Label, Label]) -> Sign:
         return self.nonzero.get(triple, 0)
 
-    def triples(self):
-        return combinations(self.ground, 3)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Chirotope):
             return NotImplemented
@@ -210,22 +175,15 @@ class OrientedMatroid:
 
     The ground set is kept in global label order, so equality of two
     oriented matroids on the same label set is plain structural equality of
-    their cocircuit sets.
+    their cocircuit sets.  The basis signs are derived from the cocircuits.
     """
 
-    __slots__ = ("ground", "cocircuits", "loops", "_chirotope", "_vectors")
+    __slots__ = ("ground", "cocircuits", "loops", "_chirotope")
 
-    def __init__(
-        self,
-        ground: tuple[Label, ...],
-        cocircuits: frozenset[SignVector],
-        chirotope: Optional[Chirotope] = None,
-        _vectors: Optional[tuple[IntVec, ...]] = None,
-    ):
+    def __init__(self, ground: tuple[Label, ...], cocircuits: frozenset[SignVector]):
         self.ground = ground
         self.cocircuits = cocircuits
-        self._chirotope = chirotope
-        self._vectors = _vectors
+        self._chirotope = None
         zero_everywhere = list(ground)
         for cc in cocircuits:
             zero_everywhere = [l for l in zero_everywhere if cc[l] == 0]
@@ -235,10 +193,11 @@ class OrientedMatroid:
 
     @property
     def chirotope(self) -> Chirotope:
+        """The basis signs, normalised so the first basis triple in label
+        order is positive; empty in rank 0.  Raises NotSpanning when the
+        cocircuits are not those of a rank-3 (or rank-0) oriented matroid."""
         if self._chirotope is None:
-            if self._vectors is None:
-                raise ValueError("chirotope unavailable: no defining arrangement")
-            self._chirotope = _chirotope_from_ints(self.ground, self._vectors)
+            self._chirotope = _chirotope_from_cocircuits(self)
         return self._chirotope
 
     def cocircuit_strings(self) -> list[str]:
@@ -258,20 +217,12 @@ class OrientedMatroid:
         cocircuits = frozenset(
             SignVector(ground, tuple(cc.signs[i] for i in keep)) for cc in self.cocircuits
         )
-        vectors = tuple(self._vectors[i] for i in keep) if self._vectors else None
-        chi = None
-        if self._chirotope is not None:
-            chi = Chirotope(
-                ground,
-                {t: s for t, s in self._chirotope.nonzero.items() if all(l in ground for l in t)},
-            )
-        return OrientedMatroid(ground, cocircuits, chi, vectors)
+        return OrientedMatroid(ground, cocircuits)
 
     @staticmethod
     def rank_zero(ground: Iterable[Label]) -> "OrientedMatroid":
         """The oriented matroid whose only covector is zero (all loops)."""
-        g = sort_labels(ground)
-        return OrientedMatroid(g, frozenset(), Chirotope(g, {}))
+        return OrientedMatroid(sort_labels(ground), frozenset())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrientedMatroid):
@@ -288,17 +239,16 @@ class OrientedMatroid:
 def _sorted_primitive(arrangement: LabeledArrangement) -> tuple[tuple[Label, ...], tuple[IntVec, ...]]:
     ordered = arrangement.sorted_by_label()
     ground = ordered.labels
-    ints = tuple(_primitive(v) for _, v in ordered.elements)
+    ints = tuple(_primitive(v.x, v.y, v.z) for _, v in ordered.elements)
     return ground, ints
 
 
 def chirotope_of(arrangement: LabeledArrangement) -> Chirotope:
-    """Orientation sign of every sorted label triple of the arrangement."""
+    """Orientation sign of every sorted label triple of the arrangement.
+
+    This is the determinant reference: ``om_of(a).chirotope`` equals it up
+    to one global sign."""
     ground, ints = _sorted_primitive(arrangement)
-    return _chirotope_from_ints(ground, ints)
-
-
-def _chirotope_from_ints(ground: tuple[Label, ...], ints: tuple[IntVec, ...]) -> Chirotope:
     nonzero: dict[tuple[Label, Label, Label], Sign] = {}
     live = [i for i, v in enumerate(ints) if v != (0, 0, 0)]
     for i, j, k in combinations(live, 3):
@@ -325,8 +275,8 @@ def _cocircuit_tuples(ints: tuple[IntVec, ...]) -> set[tuple[Sign, ...]]:
     return out
 
 
-def cocircuits_of(arrangement: LabeledArrangement) -> frozenset[SignVector]:
-    """Cocircuits of a spanning arrangement.
+def om_of(arrangement: LabeledArrangement) -> OrientedMatroid:
+    """The oriented matroid of a spanning arrangement, in canonical form.
 
     Every independent pair spans a plane whose normal induces one cocircuit
     and its negation; duplicates collapse because distinct pairs can span
@@ -335,16 +285,65 @@ def cocircuits_of(arrangement: LabeledArrangement) -> frozenset[SignVector]:
     ground, ints = _sorted_primitive(arrangement)
     if _rank3(ints) != 3:
         raise NotSpanning("arrangement does not span rank 3")
-    return frozenset(SignVector(ground, t) for t in _cocircuit_tuples(ints))
-
-
-def om_of(arrangement: LabeledArrangement) -> OrientedMatroid:
-    """The oriented matroid of a spanning arrangement, in canonical form."""
-    ground, ints = _sorted_primitive(arrangement)
-    if _rank3(ints) != 3:
-        raise NotSpanning("arrangement does not span rank 3")
     cocircuits = frozenset(SignVector(ground, t) for t in _cocircuit_tuples(ints))
-    return OrientedMatroid(ground, cocircuits, None, ints)
+    return OrientedMatroid(ground, cocircuits)
+
+
+def _chirotope_from_cocircuits(matroid: OrientedMatroid) -> Chirotope:
+    """Basis signs from the cocircuit signature (BLSWZ, ch. 3).
+
+    An independent pair {i, j} lies in the zero set of exactly one cocircuit
+    pair +-C_ij, and chi(i, j, k) = s_ij * C_ij(k) for one unknown sign s_ij.
+    Fixing s on the least pair and walking the basis triples fixes every s
+    through chi(i, k, j) = -chi(i, j, k) = -chi(j, k, i).
+    """
+    ground = matroid.ground
+    live = [i for i, label in enumerate(ground) if label not in matroid.loops]
+    zero = (0,) * len(ground)
+    lines: dict[tuple[int, int], list[tuple[Sign, ...]]] = {}
+    for cc in matroid.cocircuits:
+        if cc.signs < zero:  # keep the member of each +- pair that leads with +
+            continue
+        for pair in combinations([i for i in live if cc.signs[i] == 0], 2):
+            lines.setdefault(pair, []).append(cc.signs)
+    # A pair in the zero sets of two cocircuit pairs is a parallel pair.
+    line_of = {pair: signs[0] for pair, signs in lines.items() if len(signs) == 1}
+    if not line_of:
+        if matroid.cocircuits:
+            raise NotSpanning("cocircuits of rank 1 or 2 carry no basis signs")
+        return Chirotope(ground, {})
+
+    # rows[i, j][k] = chi(i, j, k).  The first basis triple in label order
+    # extends the least pair, and that pair's row leads with +.
+    start = min(line_of)
+    rows = {start: line_of[start]}
+    queue = deque([start])
+    while queue and len(rows) < len(line_of):
+        i, j = queue.popleft()
+        for k, v in enumerate(rows[i, j]):
+            if not v:
+                continue
+            for a, b, r, want in ((i, k, j, -v), (j, k, i, v)):
+                if a > b:
+                    a, b, want = b, a, -want
+                if (a, b) in rows:
+                    continue
+                other = line_of.get((a, b))
+                if other is None or not other[r]:
+                    raise NotSpanning(f"cocircuits disagree on {ground[i], ground[j], ground[k]}")
+                rows[a, b] = other if other[r] == want else tuple(-s for s in other)
+                queue.append((a, b))
+    if len(rows) < len(line_of):
+        raise NotSpanning("the basis triples do not connect every independent pair")
+
+    nonzero: dict[tuple[Label, Label, Label], Sign] = {}
+    for (i, j), row in rows.items():
+        for k in range(j + 1, len(ground)):
+            if row[k]:
+                if rows.get((i, k), zero)[j] != -row[k] or rows.get((j, k), zero)[i] != row[k]:
+                    raise NotSpanning(f"cocircuits disagree on {ground[i], ground[j], ground[k]}")
+                nonzero[ground[i], ground[j], ground[k]] = row[k]
+    return Chirotope(ground, nonzero)
 
 
 def covectors_of(matroid: OrientedMatroid) -> frozenset[SignVector]:

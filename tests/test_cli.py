@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from omstrata import build, default_seed
+from omstrata import LabeledArrangement, Vector3, build, default_seed
 from omstrata.cli import main
 from omstrata.serialization import render_arrangement, render_seed
 
@@ -59,6 +59,10 @@ class TestBuild:
         doc = json.loads(capsys.readouterr().out)
         assert doc["depth"] == 0
 
+    def test_negative_depth(self, capsys):
+        assert main(["build", "--depth", "-2"]) == 1
+        assert capsys.readouterr().out == ""
+
 
 class TestOmCommands:
     def test_om_of(self, tmp_path, capsys):
@@ -98,12 +102,24 @@ class TestOmCommands:
         assert main(["om", "weak-map", str(a), str(a)]) == 0
         assert capsys.readouterr().out.strip() == "true"
 
-    def test_om_weak_map_rejects_om_documents(self, tmp_path, capsys):
-        arr = arrangement_file(tmp_path, "a.json", 0)
-        om_file = tmp_path / "om.json"
-        main(["om", "of", "--in", str(arr), "--out", str(om_file)])
+    def test_om_weak_map_om_documents_match_arrangements(self, tmp_path, capsys):
+        # the fourth vector slides onto the plane of the first two: one basis
+        # sign dies, so there is a weak map one way only
+        files = {}
+        for name, fourth in (("generic", (1, 1, 1)), ("degenerate", (1, 1, 0))):
+            vectors = [(1, 0, 0), (0, 1, 0), (0, 0, 1), fourth]
+            arr = tmp_path / f"{name}.json"
+            arr.write_text(json.dumps(render_arrangement(LabeledArrangement(
+                (label, Vector3(*v)) for label, v in enumerate(vectors, 1)))))
+            om_file = tmp_path / f"{name}.om.json"
+            assert main(["om", "of", "--in", str(arr), "--out", str(om_file)]) == 0
+            files[name] = (arr, om_file)
         capsys.readouterr()
-        assert main(["om", "weak-map", str(om_file), str(om_file)]) == 1
+        for a, b, expected in (("generic", "degenerate", "true"),
+                               ("degenerate", "generic", "false")):
+            for kind in (0, 1):
+                assert main(["om", "weak-map", str(files[a][kind]), str(files[b][kind])]) == 0
+                assert capsys.readouterr().out.strip() == expected
 
     def test_ground_set_mismatch_is_input_error(self, tmp_path, capsys):
         a = arrangement_file(tmp_path, "a.json", 0)
@@ -168,3 +184,11 @@ class TestCertificate:
 
     def test_bad_samples(self, capsys):
         assert main(["certificate", "--depth", "1", "--samples", "1,x"]) == 1
+
+    def test_empty_samples(self, capsys):
+        assert main(["certificate", "--depth", "1", "--samples", ","]) == 1
+        assert "samples" in capsys.readouterr().err
+
+    def test_duplicate_samples(self, capsys):
+        assert main(["certificate", "--depth", "1", "--samples", "2,2"]) == 1
+        assert "samples" in capsys.readouterr().err

@@ -14,16 +14,18 @@ from omstrata import (
     Vector3,
     build,
     chirotope_of,
-    cocircuits_of,
     compose,
     covectors_of,
     default_seed,
+    delta_arrangement,
+    limit_arrangement,
     om_equal,
     om_of,
     strong_map,
     underlying_matroid,
     weak_map,
 )
+from omstrata.serialization import parse_om, render_om
 
 from conftest import (
     rand_positive_fraction,
@@ -40,6 +42,24 @@ ONES = Vector3(1, 1, 1)
 BASIS = LabeledArrangement([(1, E1), (2, E2), (3, E3)])
 BASIS4 = LabeledArrangement([(1, E1), (2, E2), (3, E3), (4, ONES)])
 DEGEN4 = LabeledArrangement([(1, E1), (2, E2), (3, E3), (4, Vector3(1, 1, 0))])
+
+
+def rand_degenerate_arrangement(rng: random.Random, size: int) -> LabeledArrangement:
+    """A random spanning arrangement plus parallel and antiparallel copies of
+    some of its elements and one loop, relabeled 1..n in shuffled order."""
+    base = rand_spanning_arrangement(rng, size, span=rng.choice((2, 9)))
+    elements = [v for _, v in base.elements]
+    for v in list(elements):
+        if rng.random() < 0.3:
+            elements.append(v.scaled(rng.choice((-1, 1)) * rand_positive_fraction(rng)))
+    elements.append(Vector3(0, 0, 0))
+    rng.shuffle(elements)
+    return LabeledArrangement((i + 1, v) for i, v in enumerate(elements))
+
+
+def up_to_sign(chi, reference) -> bool:
+    flipped = {t: -s for t, s in reference.nonzero.items()}
+    return chi.ground == reference.ground and dict(chi.nonzero) in (dict(reference.nonzero), flipped)
 
 
 def realized_covectors(arrangement: LabeledArrangement):
@@ -123,7 +143,7 @@ class TestChirotope:
 
 class TestCocircuits:
     def test_basis_has_six(self):
-        cocircuits = cocircuits_of(BASIS)
+        cocircuits = om_of(BASIS).cocircuits
         assert len(cocircuits) == 6
         patterns = {cc.signs for cc in cocircuits}
         assert patterns == {
@@ -131,13 +151,13 @@ class TestCocircuits:
         }
 
     def test_pair_normal_example(self):
-        patterns = {cc.signs for cc in cocircuits_of(BASIS4)}
+        patterns = {cc.signs for cc in om_of(BASIS4).cocircuits}
         assert (0, 0, 1, 1) in patterns and (0, 0, -1, -1) in patterns
 
     def test_not_spanning(self):
         rank2 = LabeledArrangement([(1, E1), (2, E2), (3, Vector3(1, 1, 0))])
         with pytest.raises(NotSpanning):
-            cocircuits_of(rank2)
+            om_of(rank2)
 
     def test_seed_baseline_cocircuit(self):
         # gamma rides the alpha-beta line, so the cocircuit supported by
@@ -157,7 +177,7 @@ class TestCocircuits:
         for _ in range(15):
             arr = rand_spanning_arrangement(rng, rng.randint(3, 6))
             vectors = {label: v for label, v in arr.elements}
-            for cc in cocircuits_of(arr):
+            for cc in om_of(arr).cocircuits:
                 rows = [
                     (vectors[l].x, vectors[l].y, vectors[l].z)
                     for l in cc.zero_set()
@@ -178,7 +198,7 @@ class TestCocircuits:
                     continue
                 for w in (normal, normal.scaled(-1)):
                     from_normals.add(tuple(sign_of(v.dot(w)) for v in vectors))
-            assert {cc.signs for cc in cocircuits_of(arr)} == from_normals
+            assert {cc.signs for cc in om_of(arr).cocircuits} == from_normals
 
 
 class TestCovectors:
@@ -371,3 +391,73 @@ class TestUnderlyingMatroid:
                         assert any(
                             matroid.is_independent(small | {x}) for x in big - small
                         )
+
+
+class TestDerivedChirotope:
+    """``OrientedMatroid.chirotope`` is derived from the cocircuits alone;
+    ``chirotope_of`` (3x3 determinants) is the reference."""
+
+    def test_matches_determinants_with_loops_and_parallels(self):
+        rng = random.Random(59)
+        for _ in range(150):
+            arr = rand_degenerate_arrangement(rng, rng.randint(3, 7))
+            assert up_to_sign(om_of(arr).chirotope, chirotope_of(arr))
+
+    def test_matches_determinants_on_certificate_levels(self):
+        family = build(default_seed(), 10)
+        for i in range(1, 11):
+            marked = delta_arrangement(family, i)
+            for arr in (marked, limit_arrangement(marked)):
+                assert up_to_sign(om_of(arr).chirotope, chirotope_of(arr))
+
+    def test_document_round_trip_keeps_basis_signs(self):
+        rng = random.Random(61)
+        for _ in range(20):
+            arr = rand_degenerate_arrangement(rng, rng.randint(3, 6))
+            # move one element onto the line of two others
+            labels = [l for l, v in arr.elements if not v.is_zero()]
+            l, u, w = (arr.vector(x) for x in rng.sample(labels, 3))
+            moved = LabeledArrangement(
+                (x, Vector3(u.x + w.x, u.y + w.y, u.z + w.z) if v is l else v)
+                for x, v in arr.elements
+            )
+            if not moved.is_spanning():
+                continue
+            direct = (om_of(arr), om_of(moved))
+            parsed = tuple(parse_om(render_om(m)) for m in direct)
+            for d, p in zip(direct, parsed):
+                assert om_equal(d, p)
+                assert d.chirotope == p.chirotope
+                assert underlying_matroid(d) == underlying_matroid(p)
+            assert weak_map(*parsed) == weak_map(*direct)
+            assert weak_map(*parsed[::-1]) == weak_map(*direct[::-1])
+
+    def test_mirrored_copy_has_equal_chirotope(self):
+        rng = random.Random(67)
+        for _ in range(20):
+            arr = rand_degenerate_arrangement(rng, rng.randint(3, 7))
+            mirrored = LabeledArrangement(
+                (label, Vector3(-v.x, v.y, v.z)) for label, v in arr.elements
+            )
+            m1, m2 = om_of(arr), om_of(mirrored)
+            assert om_equal(m1, m2)
+            assert m1.chirotope == m2.chirotope
+            assert chirotope_of(arr) != chirotope_of(mirrored)
+
+    @pytest.mark.parametrize("cocircuits", [
+        ["00+", "00-", "++0", "--0"],  # e1, 2 e1, e2: a parallel pair
+        ["0++", "0--", "+0+", "-0-", "+-0", "-+0"],  # e1, e2, e1 + e2
+    ])
+    def test_rank_two_document_raises(self, cocircuits):
+        matroid = parse_om({"ground_set": [1, 2, 3], "cocircuits": cocircuits})
+        with pytest.raises(NotSpanning):
+            matroid.chirotope
+
+    def test_inconsistent_document_raises(self):
+        # flip the sign of element 4 in the cocircuit pair vanishing on {1, 2}
+        doc = render_om(om_of(BASIS4))
+        doc["cocircuits"] = [
+            {"00++": "00+-", "00--": "00-+"}.get(cc, cc) for cc in doc["cocircuits"]
+        ]
+        with pytest.raises(NotSpanning):
+            parse_om(doc).chirotope
