@@ -44,6 +44,11 @@ from .om import LabeledArrangement, OrientedMatroid, om_equal, om_of, weak_map
 
 SEED_LABELS = ("alpha", "beta", "gamma", "omega", "nu", "a", "b1")
 
+# The certificate's cost grows about as depth**4 (n = 3 * depth + 7 points
+# per level, O(n**3) sign evaluations for each of the depth levels); depth
+# 80 is the largest run it is meant for.  ``build`` has no such bound.
+MAX_CERTIFICATE_DEPTH = 80
+
 
 @dataclass(frozen=True)
 class Seed:
@@ -322,12 +327,13 @@ def certificate(
     arrangements still differ by the cross-ratio invariant while realizing
     that one limit; (f) each level admits a weak map onto its limit.
 
-    Raises SeedRejected when a quantity cannot even be computed (invalid
-    seed, degenerate step, degenerate cross-ratio); otherwise returns a
-    report whose ``passed`` flag aggregates (a)-(f).
+    Raises ValueError for a depth outside 1..MAX_CERTIFICATE_DEPTH or bad
+    samples, and SeedRejected when a quantity cannot even be computed
+    (invalid seed, degenerate step, degenerate cross-ratio); otherwise
+    returns a report whose ``passed`` flag aggregates (a)-(f).
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    if not 1 <= depth <= MAX_CERTIFICATE_DEPTH:
+        raise ValueError(f"depth must be in 1..{MAX_CERTIFICATE_DEPTH}, got {depth}")
     if not samples or len(set(samples)) != len(samples) or min(samples) < 1:
         raise ValueError(f"samples must be distinct positive integers, got {list(samples)}")
     check = validate_seed(seed)

@@ -1,15 +1,18 @@
 """Rank-3 oriented matroids of labeled vector arrangements.
 
 An arrangement is an ordered list of (label, Vector3) pairs.  Its oriented
-matroid is stored as the cocircuit set: for every pair of independent
-vectors, the plane they span induces the sign vector
-``k -> sign <v_k, v_i x v_j>`` together with its negation.  Covectors are
+matroid is stored as the cocircuit set: every line of the configuration
+(the plane spanned by two independent vectors v_i, v_j) induces the sign
+vector ``k -> sign <v_k, v_i x v_j>`` together with its negation.  Each line
+is enumerated once, from the first independent pair on it.  Covectors are
 recovered on demand as the composition closure of the cocircuits, and basis
 signs (the chirotope) by a walk over the cocircuits.
 
 Signs never change under positive per-element rescaling, so all sign
 computations run on primitive integer copies of the vectors; this keeps the
-arithmetic in plain ints and makes fingerprints bit-stable.
+arithmetic in plain ints and makes fingerprints bit-stable.  ``om_of`` is a
+function of the labels and those primitive vectors alone and remembers its
+last result, so the rescaled copies of one arrangement cost one enumeration.
 """
 
 from __future__ import annotations
@@ -18,12 +21,13 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
 
 from .errors import DomainMismatch, GroundSetMismatch, NotSpanning
-from .geometry import IntVec, Vector3, _cross, _det3, _dot, _primitive, _sign
+from .geometry import IntVec, Vector3, _cross, _det3, _primitive, _sign
 from .labels import Label, is_label, label_key, sort_labels
 
 Sign = int  # -1, 0, +1
@@ -259,30 +263,46 @@ def chirotope_of(arrangement: LabeledArrangement) -> Chirotope:
 
 
 def _cocircuit_tuples(ints: tuple[IntVec, ...]) -> set[tuple[Sign, ...]]:
+    """Both sign rows of every line (rank-2 flat) of the arrangement.
+
+    The pairs ``i < j`` of non-zero vectors are walked in order; a pair
+    already in the zero set of a computed row lies on a known line and is
+    skipped, so each line costs one row of ``n`` dot products.
+    """
     out: set[tuple[Sign, ...]] = set()
-    n = len(ints)
-    for i in range(n):
-        vi = ints[i]
-        if vi == (0, 0, 0):
-            continue
-        for j in range(i + 1, n):
-            normal = _cross(vi, ints[j])
-            if normal == (0, 0, 0):
+    live = [i for i, v in enumerate(ints) if v != (0, 0, 0)]
+    covered: set[tuple[int, int]] = set()
+    for a, i in enumerate(live):
+        x1, y1, z1 = ints[i]
+        for j in live[a + 1:]:
+            if (i, j) in covered:
                 continue
-            signs = tuple(_sign(_dot(v, normal)) for v in ints)
+            x2, y2, z2 = ints[j]
+            p, q, r = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+            if not (p or q or r):  # parallel pair: no line of its own
+                continue
+            signs = tuple([(d > 0) - (d < 0) for d in [p * x + q * y + r * z for x, y, z in ints]])
+            covered.update(combinations([k for k in live if not signs[k]], 2))
             out.add(signs)
-            out.add(tuple(-s for s in signs))
+            out.add(tuple([-s for s in signs]))
     return out
 
 
 def om_of(arrangement: LabeledArrangement) -> OrientedMatroid:
     """The oriented matroid of a spanning arrangement, in canonical form.
 
-    Every independent pair spans a plane whose normal induces one cocircuit
-    and its negation; duplicates collapse because distinct pairs can span
-    the same plane.
+    Every line through two independent elements spans a plane whose normal
+    induces one cocircuit and its negation.  The result depends only on the
+    labels and the primitive integer vectors, so a positively rescaled copy
+    reuses the last result (see ``_om_of_primitive``).
     """
-    ground, ints = _sorted_primitive(arrangement)
+    return _om_of_primitive(*_sorted_primitive(arrangement))
+
+
+@lru_cache(maxsize=1)
+def _om_of_primitive(ground: tuple[Label, ...], ints: tuple[IntVec, ...]) -> OrientedMatroid:
+    # One entry: a certificate level is followed by its rescaled samples,
+    # which all hit it; a larger cache would only keep earlier levels alive.
     if _rank3(ints) != 3:
         raise NotSpanning("arrangement does not span rank 3")
     cocircuits = frozenset(SignVector(ground, t) for t in _cocircuit_tuples(ints))

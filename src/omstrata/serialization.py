@@ -31,6 +31,7 @@ from .labels import Label, is_label, sort_labels
 from .om import LabeledArrangement, OrientedMatroid, SignVector
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+_NEGATE = str.maketrans("+-", "-+")
 
 
 def render_rational(value: Fraction) -> str:
@@ -143,6 +144,10 @@ def parse_om(value: Any, path: str = "$") -> OrientedMatroid:
         if any(ch not in "+-0" for ch in text):
             raise SchemaError(here, "sign string may only contain + - 0")
         cocircuits.add(SignVector.from_string(order, "".join(text[j] for j in perm)))
+    present = set(raw)
+    for i, text in enumerate(raw):
+        if text.translate(_NEGATE) not in present:
+            raise SchemaError(f"{path}.cocircuits[{i}]", f"negation of {text!r} is missing")
     return OrientedMatroid(order, frozenset(cocircuits))
 
 

@@ -121,6 +121,17 @@ class TestOmCommands:
                 assert main(["om", "weak-map", str(files[a][kind]), str(files[b][kind])]) == 0
                 assert capsys.readouterr().out.strip() == expected
 
+    def test_cocircuits_not_closed_under_negation_are_input_error(self, tmp_path, capsys):
+        arr = arrangement_file(tmp_path, "a.json", 0)
+        om_file = tmp_path / "om.json"
+        assert main(["om", "of", "--in", str(arr), "--out", str(om_file)]) == 0
+        doc = json.loads(om_file.read_text())
+        doc["cocircuits"] = [cc for cc in doc["cocircuits"] if cc.lstrip("0")[0] == "+"]
+        om_file.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["om", "equal", str(om_file), str(om_file)]) == 1
+        assert "negation" in capsys.readouterr().err
+
     def test_ground_set_mismatch_is_input_error(self, tmp_path, capsys):
         a = arrangement_file(tmp_path, "a.json", 0)
         b = arrangement_file(tmp_path, "b.json", 1)
@@ -188,6 +199,12 @@ class TestCertificate:
     def test_empty_samples(self, capsys):
         assert main(["certificate", "--depth", "1", "--samples", ","]) == 1
         assert "samples" in capsys.readouterr().err
+
+    def test_depth_above_bound(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["certificate", "--depth", "81", "--out", str(out)]) == 1
+        assert "depth" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_duplicate_samples(self, capsys):
         assert main(["certificate", "--depth", "1", "--samples", "2,2"]) == 1

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from omstrata import (
     DegenerateStep,
@@ -23,6 +25,7 @@ from omstrata import (
     validate_seed,
     weak_map,
 )
+from omstrata.construction import MAX_CERTIFICATE_DEPTH
 from omstrata.labels import PERSISTENT, indexed
 
 
@@ -313,3 +316,24 @@ class TestCertificate:
         first = certificate(default_seed(), 3, [1, 4])
         second = certificate(default_seed(), 3, [1, 4])
         assert first == second
+
+    def test_depth_bound(self):
+        with pytest.raises(ValueError, match="depth"):
+            certificate(default_seed(), MAX_CERTIFICATE_DEPTH + 1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.tuples(*[st.integers(-4, 4)] * 4))
+    def test_shifted_seeds_pass_or_are_rejected(self, shift):
+        # nu and a moved by multiples of 1/8, as the benchmark draws its seeds
+        base = default_seed()
+        dx, dy, ex, ey = (F(k, 8) for k in shift)
+        seed = seed_with(
+            nu=PlanePoint(base.nu.x + dx, base.nu.y + dy),
+            a=PlanePoint(base.a.x + ex, base.a.y + ey),
+        )
+        assume(validate_seed(seed))
+        try:
+            report = certificate(seed, 2)
+        except SeedRejected:
+            return
+        assert report.depth == 2 and len(report.records) == 2

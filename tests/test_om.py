@@ -25,6 +25,8 @@ from omstrata import (
     underlying_matroid,
     weak_map,
 )
+from omstrata import om as om_module
+from omstrata.errors import SchemaError
 from omstrata.serialization import parse_om, render_om
 
 from conftest import (
@@ -43,6 +45,8 @@ BASIS = LabeledArrangement([(1, E1), (2, E2), (3, E3)])
 BASIS4 = LabeledArrangement([(1, E1), (2, E2), (3, E3), (4, ONES)])
 DEGEN4 = LabeledArrangement([(1, E1), (2, E2), (3, E3), (4, Vector3(1, 1, 0))])
 
+MEMO = om_module._om_of_primitive
+
 
 def rand_degenerate_arrangement(rng: random.Random, size: int) -> LabeledArrangement:
     """A random spanning arrangement plus parallel and antiparallel copies of
@@ -55,6 +59,38 @@ def rand_degenerate_arrangement(rng: random.Random, size: int) -> LabeledArrange
     elements.append(Vector3(0, 0, 0))
     rng.shuffle(elements)
     return LabeledArrangement((i + 1, v) for i, v in enumerate(elements))
+
+
+def rand_grid_arrangement(rng: random.Random, size: int) -> LabeledArrangement:
+    """Vectors on a small integer grid, so that many triples are coplanar,
+    plus loops and parallel and antiparallel copies, labeled 1..n."""
+    elements = [
+        Vector3(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(0, 2)) for _ in range(size)
+    ]
+    for v in list(elements):
+        if rng.random() < 0.25:
+            elements.append(v.scaled(rng.choice((-1, 1)) * rand_positive_fraction(rng)))
+    if rng.random() < 0.5:
+        elements.append(Vector3(0, 0, 0))
+    rng.shuffle(elements)
+    return LabeledArrangement((i + 1, v) for i, v in enumerate(elements))
+
+
+def all_pairs_cocircuit_tuples(ints):
+    """The reference enumeration: one sign row for every independent pair."""
+    out = set()
+    for u, v in combinations(ints, 2):
+        normal = (
+            u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0],
+        )
+        if normal == (0, 0, 0):
+            continue
+        dots = (w[0] * normal[0] + w[1] * normal[1] + w[2] * normal[2] for w in ints)
+        signs = tuple((d > 0) - (d < 0) for d in dots)
+        out.update((signs, tuple(-s for s in signs)))
+    return out
 
 
 def up_to_sign(chi, reference) -> bool:
@@ -199,6 +235,66 @@ class TestCocircuits:
                 for w in (normal, normal.scaled(-1)):
                     from_normals.add(tuple(sign_of(v.dot(w)) for v in vectors))
             assert {cc.signs for cc in om_of(arr).cocircuits} == from_normals
+
+
+class TestCocircuitKernel:
+    """``_cocircuit_tuples`` computes one sign row per line; the all-pairs
+    loop is the reference."""
+
+    def test_matches_all_pairs_on_grid_arrangements(self):
+        rng = random.Random(71)
+        for _ in range(200):
+            arr = rand_grid_arrangement(rng, rng.randint(3, 10))
+            _, ints = om_module._sorted_primitive(arr)
+            assert om_module._cocircuit_tuples(ints) == all_pairs_cocircuit_tuples(ints)
+
+    def test_matches_all_pairs_on_certificate_levels(self):
+        family = build(default_seed(), 20)
+        for i in range(1, 21):
+            marked = delta_arrangement(family, i)
+            for arr in (marked, limit_arrangement(marked)):
+                _, ints = om_module._sorted_primitive(arr)
+                assert om_module._cocircuit_tuples(ints) == all_pairs_cocircuit_tuples(ints)
+
+
+class TestOmOfMemo:
+    """``om_of`` remembers its last result, keyed on the sorted labels and
+    the primitive integer vectors."""
+
+    def test_rescaled_copy_is_a_hit(self):
+        rng = random.Random(73)
+        arr = rand_degenerate_arrangement(rng, 6)
+        factors = {label: rand_positive_fraction(rng) for label in arr.labels}
+        first = om_of(arr)
+        hits = MEMO.cache_info().hits
+        again = om_of(arr.rescaled(factors))
+        assert MEMO.cache_info().hits == hits + 1
+        MEMO.cache_clear()
+        fresh = om_of(arr.rescaled(factors))
+        assert again == fresh == first
+        assert again.fingerprint() == fresh.fingerprint()
+
+    def test_negated_element_is_a_miss(self):
+        first = om_of(BASIS4)
+        misses = MEMO.cache_info().misses
+        flipped = LabeledArrangement(
+            (label, v.scaled(-1) if label == 4 else v) for label, v in BASIS4.elements
+        )
+        assert not om_equal(first, om_of(flipped))
+        assert MEMO.cache_info().misses == misses + 1
+
+    def test_labels_are_part_of_the_key(self):
+        relabeled = LabeledArrangement((label + 4, v) for label, v in BASIS4.elements)
+        first, second = om_of(BASIS4), om_of(relabeled)
+        assert first.ground == (1, 2, 3, 4)
+        assert second.ground == (5, 6, 7, 8)
+        assert first.cocircuit_strings() == second.cocircuit_strings()
+
+    def test_rank_two_raises_on_every_call(self):
+        rank2 = LabeledArrangement([(1, E1), (2, E2), (3, Vector3(1, 1, 0))])
+        for _ in range(3):
+            with pytest.raises(NotSpanning):
+                om_of(rank2)
 
 
 class TestCovectors:
@@ -452,6 +548,14 @@ class TestDerivedChirotope:
         matroid = parse_om({"ground_set": [1, 2, 3], "cocircuits": cocircuits})
         with pytest.raises(NotSpanning):
             matroid.chirotope
+
+    def test_half_of_each_cocircuit_pair_is_rejected(self):
+        doc = render_om(om_of(BASIS4))
+        half = [cc for cc in doc["cocircuits"] if cc.lstrip("0")[0] == "+"]
+        with pytest.raises(SchemaError) as exc:
+            parse_om({"ground_set": doc["ground_set"], "cocircuits": half})
+        assert exc.value.path == "$.cocircuits[0]"
+        assert repr(half[0]) in str(exc.value)
 
     def test_inconsistent_document_raises(self):
         # flip the sign of element 4 in the cocircuit pair vanishing on {1, 2}
