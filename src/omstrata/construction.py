@@ -16,7 +16,7 @@ cross-ratios that tell the levels apart inside the shared limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -292,10 +292,7 @@ class CertificateChecks:
     weak_maps: bool
 
     def all_pass(self) -> bool:
-        return all(
-            (self.c_distinct, self.cr_distinct, self.stratum_constancy,
-             self.limits_equal, self.separation, self.weak_maps)
-        )
+        return all(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -336,9 +333,6 @@ def certificate(
         raise ValueError(f"depth must be in 1..{MAX_CERTIFICATE_DEPTH}, got {depth}")
     if not samples or len(set(samples)) != len(samples) or min(samples) < 1:
         raise ValueError(f"samples must be distinct positive integers, got {list(samples)}")
-    check = validate_seed(seed)
-    if not check:
-        raise SeedRejected(check.violated or "seed", check.message)
     try:
         family = build(seed, depth)
     except DegenerateStep as exc:
@@ -355,24 +349,18 @@ def certificate(
 
     records: list[LevelRecord] = []
     shared_limits: list[OrientedMatroid] = []
-    all_scaling_ok = True
-    all_weak_ok = True
-    separation_ok = True
     s = seed
     for i in range(1, depth + 1):
         marked = delta_arrangement(family, i)
         level_om = om_of(marked)
-        degeneration = []
-        for n in samples:
-            same = om_equal(om_of(scale_degeneration(marked, n)), level_om)
-            degeneration.append((n, same))
-            all_scaling_ok &= same
+        degeneration = tuple(
+            (n, om_equal(om_of(scale_degeneration(marked, n)), level_om)) for n in samples
+        )
         limit = limit_arrangement(marked)
         limit_om = om_of(limit)
         shared = limit_om.delete_loops()
         shared_limits.append(shared)
         weak_ok = weak_map(level_om, limit_om)
-        all_weak_ok &= weak_ok
         try:
             limit_cr = cross_ratio(
                 s.alpha,
@@ -382,7 +370,6 @@ def certificate(
             )
         except (NotCollinear, DegeneratePoints) as exc:
             raise SeedRejected("separation", f"{type(exc).__name__}: {exc}") from exc
-        separation_ok &= limit_cr == cr_values[i - 1]
         records.append(
             LevelRecord(
                 i=i,
@@ -390,7 +377,7 @@ def certificate(
                 mi_fingerprint=level_om.fingerprint(),
                 limit_fingerprint=shared.fingerprint(),
                 limit_cr=limit_cr,
-                degeneration_ok=tuple(degeneration),
+                degeneration_ok=degeneration,
                 weak_map_ok=weak_ok,
             )
         )
@@ -398,15 +385,13 @@ def certificate(
     limits_equal = all(
         om_equal(shared_limits[0], other) for other in shared_limits[1:]
     )
-    separation_ok &= cr_distinct and limits_equal
-
     checks = CertificateChecks(
         c_distinct=c_distinct,
         cr_distinct=cr_distinct,
-        stratum_constancy=all_scaling_ok,
+        stratum_constancy=all(ok for rec in records for _, ok in rec.degeneration_ok),
         limits_equal=limits_equal,
-        separation=separation_ok,
-        weak_maps=all_weak_ok,
+        separation=cr_distinct and limits_equal and all(rec.limit_cr == rec.cr for rec in records),
+        weak_maps=all(rec.weak_map_ok for rec in records),
     )
     return CertificateReport(
         seed=seed,

@@ -52,14 +52,9 @@ def _construction_lines(points: dict[Label, PlanePoint]) -> list[tuple[Label, La
     return pairs
 
 
-def emit_figure(obj: Figure, style: str = "construction") -> str:
-    """Render a configuration to SVG text.
-
-    ``style`` is ``"construction"`` (points plus the defining lines) or
-    ``"points"``.
-    """
-    if style not in ("construction", "points"):
-        raise ValueError(f"unknown style {style!r}")
+def emit_figure(obj: Figure) -> str:
+    """Render a configuration to SVG text: its points and the lines that
+    define the construction."""
     labeled = _drawable_points(obj)
     if not labeled:
         raise ValueError("nothing to draw")
@@ -84,18 +79,17 @@ def emit_figure(obj: Figure, style: str = "construction") -> str:
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
-    if style == "construction":
-        table = dict(labeled)
-        for u, v in _construction_lines(table):
-            p, q = table[u], table[v]
-            # extend far past both endpoints; the viewport clips the excess
-            ex_p = PlanePoint(p.x + 100 * (p.x - q.x), p.y + 100 * (p.y - q.y))
-            ex_q = PlanePoint(q.x + 100 * (q.x - p.x), q.y + 100 * (q.y - p.y))
-            parts.append(
-                f'<line x1="{sx(ex_p.x)}" y1="{sy(ex_p.y)}" '
-                f'x2="{sx(ex_q.x)}" y2="{sy(ex_q.y)}" '
-                f'stroke="#888888" stroke-width="1"/>'
-            )
+    table = dict(labeled)
+    for u, v in _construction_lines(table):
+        p, q = table[u], table[v]
+        # extend far past both endpoints; the viewport clips the excess
+        ex_p = PlanePoint(p.x + 100 * (p.x - q.x), p.y + 100 * (p.y - q.y))
+        ex_q = PlanePoint(q.x + 100 * (q.x - p.x), q.y + 100 * (q.y - p.y))
+        parts.append(
+            f'<line x1="{sx(ex_p.x)}" y1="{sy(ex_p.y)}" '
+            f'x2="{sx(ex_q.x)}" y2="{sy(ex_q.y)}" '
+            f'stroke="#888888" stroke-width="1"/>'
+        )
     for label, point in labeled:
         parts.append(
             f'<circle cx="{sx(point.x)}" cy="{sy(point.y)}" r="4" fill="black"/>'

@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .errors import NotSpanning, RankDeficient
 from .geometry import Vector3
-from .labels import Label, is_label, label_key
+from .labels import Label, is_label
 from .linalg import matrix_rank, solve_linear
 from .om import LabeledArrangement, Matroid, OrientedMatroid, om_equal, om_of, underlying_matroid
 
@@ -128,7 +128,7 @@ def family_om(family: VectorFamily, subspace: Subspace) -> OrientedMatroid:
     for label, vec in family.elements:
         image = tuple(sum(a * b for a, b in zip(row, vec)) for row in rows)
         elements.append((label, Vector3(*image)))
-    return om_of(LabeledArrangement(sorted(elements, key=lambda e: label_key(e[0]))))
+    return om_of(LabeledArrangement(elements))
 
 
 def same_stratum(v: Subspace, w: Subspace, level: str = "oriented-matroid") -> bool:

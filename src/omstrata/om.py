@@ -5,8 +5,8 @@ matroid is stored as the cocircuit set: every line of the configuration
 (the plane spanned by two independent vectors v_i, v_j) induces the sign
 vector ``k -> sign <v_k, v_i x v_j>`` together with its negation.  Each line
 is enumerated once, from the first independent pair on it.  Covectors are
-recovered on demand as the composition closure of the cocircuits, and basis
-signs (the chirotope) by a walk over the cocircuits.
+recovered on demand as the compositions of cocircuits, one cocircuit at a
+time, and basis signs (the chirotope) by a walk over the cocircuits.
 
 Signs never change under positive per-element rescaling, so all sign
 computations run on primitive integer copies of the vectors; this keeps the
@@ -367,22 +367,16 @@ def _chirotope_from_cocircuits(matroid: OrientedMatroid) -> Chirotope:
 
 
 def covectors_of(matroid: OrientedMatroid) -> frozenset[SignVector]:
-    """All covectors: the composition closure of the cocircuits, plus zero."""
-    ground = matroid.ground
-    current: set[tuple[Sign, ...]] = {cc.signs for cc in matroid.cocircuits}
-    frontier = set(current)
-    while frontier:
-        fresh: set[tuple[Sign, ...]] = set()
-        for x in frontier:
-            for y in current:
-                for a, b in ((x, y), (y, x)):
-                    z = tuple(s if s != 0 else t for s, t in zip(a, b))
-                    if z not in current and z not in fresh:
-                        fresh.add(z)
-        current |= fresh
-        frontier = fresh
-    current.add(tuple(0 for _ in ground))
-    return frozenset(SignVector(ground, t) for t in current)
+    """All covectors: zero and every composition of cocircuits, grown one
+    cocircuit at a time (composition is associative) until a layer adds
+    nothing."""
+    cocircuits = [cc.signs for cc in matroid.cocircuits]
+    layer = {(0,) * len(matroid.ground)}
+    found = set(layer)
+    while layer:
+        layer = {tuple([s or t for s, t in zip(x, y)]) for x in layer for y in cocircuits} - found
+        found |= layer
+    return frozenset(SignVector(matroid.ground, t) for t in found)
 
 
 def om_equal(m1: OrientedMatroid, m2: OrientedMatroid) -> bool:
@@ -393,10 +387,12 @@ def om_equal(m1: OrientedMatroid, m2: OrientedMatroid) -> bool:
 
 
 def strong_map(source: OrientedMatroid, target: OrientedMatroid) -> bool:
-    """True iff every covector of the target is a covector of the source."""
+    """True iff every covector of the target is a covector of the source;
+    the source's are closed under composition, so the target's cocircuits
+    decide."""
     if source.ground != target.ground:
         raise GroundSetMismatch(f"{source.ground} vs {target.ground}")
-    return covectors_of(target) <= covectors_of(source)
+    return target.cocircuits <= covectors_of(source)
 
 
 def weak_map(source: OrientedMatroid, target: OrientedMatroid) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Any
 
@@ -31,6 +31,8 @@ from .labels import Label, is_label, sort_labels
 from .om import LabeledArrangement, OrientedMatroid, SignVector
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+_DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
+_JSON_TYPES = {list: "array", dict: "object", str: "string", bool: "boolean", int: "integer"}
 _NEGATE = str.maketrans("+-", "-+")
 
 
@@ -52,10 +54,36 @@ def parse_rational(value: Any, path: str = "$") -> Fraction:
 
 
 def _expect(value: Any, kind: type, path: str, what: str) -> Any:
-    if kind is list and not isinstance(value, list):
-        raise SchemaError(path, f"expected {what} (a JSON array)")
-    if kind is dict and not isinstance(value, dict):
-        raise SchemaError(path, f"expected {what} (a JSON object)")
+    """``value`` if it is a JSON value of ``kind`` (a boolean is no integer)."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise SchemaError(path, f"expected {what} (a JSON {_JSON_TYPES[kind]})")
+    return value
+
+
+def _fields(value: Any, keys: tuple[str, ...], path: str, what: str) -> dict:
+    """``value`` if it is a JSON object holding every key in ``keys``."""
+    _expect(value, dict, path, what)
+    for key in keys:
+        if key not in value:
+            raise SchemaError(path, f"missing field {key!r}")
+    return value
+
+
+def _integer(value: Any, minimum: int, path: str, what: str) -> int:
+    if _expect(value, int, path, what) < minimum:
+        raise SchemaError(path, f"{what} must be at least {minimum}, got {value}")
+    return value
+
+
+def _pair(value: Any, path: str, what: str) -> list:
+    if len(_expect(value, list, path, what)) != 2:
+        raise SchemaError(path, f"entry must be {what}")
+    return value
+
+
+def _digest(value: Any, path: str) -> str:
+    if not _DIGEST_RE.match(_expect(value, str, path, "a SHA-256 digest")):
+        raise SchemaError(path, f"not a lowercase hex SHA-256 digest: {value!r}")
     return value
 
 
@@ -102,9 +130,7 @@ def parse_arrangement(value: Any, path: str = "$") -> LabeledArrangement:
     seen = set()
     for idx, entry in enumerate(value):
         here = f"{path}[{idx}]"
-        _expect(entry, list, here, "a [label, vector] pair")
-        if len(entry) != 2:
-            raise SchemaError(here, "entry must be a [label, vector] pair")
+        _pair(entry, here, "a [label, vector] pair")
         label = parse_label(entry[0], f"{here}[0]")
         if label in seen:
             raise SchemaError(f"{here}[0]", f"duplicate label {label!r}")
@@ -123,10 +149,7 @@ def render_om(matroid: OrientedMatroid) -> dict:
 
 
 def parse_om(value: Any, path: str = "$") -> OrientedMatroid:
-    _expect(value, dict, path, "an oriented matroid document")
-    for key in ("ground_set", "cocircuits"):
-        if key not in value:
-            raise SchemaError(path, f"missing field {key!r}")
+    _fields(value, ("ground_set", "cocircuits"), path, "an oriented matroid document")
     raw_ground = _expect(value["ground_set"], list, f"{path}.ground_set", "a label array")
     ground = tuple(
         parse_label(lab, f"{path}.ground_set[{i}]") for i, lab in enumerate(raw_ground)
@@ -161,13 +184,8 @@ def render_subspace(subspace: Subspace) -> dict:
 
 
 def parse_subspace(value: Any, path: str = "$") -> Subspace:
-    _expect(value, dict, path, "a subspace document")
-    for key in ("ambient", "basis"):
-        if key not in value:
-            raise SchemaError(path, f"missing field {key!r}")
-    ambient = value["ambient"]
-    if not isinstance(ambient, int) or isinstance(ambient, bool) or ambient < 3:
-        raise SchemaError(f"{path}.ambient", "ambient dimension must be an integer >= 3")
+    _fields(value, ("ambient", "basis"), path, "a subspace document")
+    ambient = _integer(value["ambient"], 3, f"{path}.ambient", "the ambient dimension")
     rows = _expect(value["basis"], list, f"{path}.basis", "an array of 3 rows")
     if len(rows) != 3:
         raise SchemaError(f"{path}.basis", f"need 3 basis rows, got {len(rows)}")
@@ -190,9 +208,7 @@ def parse_vector_family(value: Any, path: str = "$") -> VectorFamily:
     elements = []
     for idx, entry in enumerate(value):
         here = f"{path}[{idx}]"
-        _expect(entry, list, here, "a [label, vector] pair")
-        if len(entry) != 2:
-            raise SchemaError(here, "entry must be a [label, vector] pair")
+        _pair(entry, here, "a [label, vector] pair")
         label = parse_label(entry[0], f"{here}[0]")
         vec = _expect(entry[1], list, f"{here}[1]", "a coordinate array")
         elements.append(
@@ -230,21 +246,14 @@ def render_family(family: ConfigurationFamily) -> dict:
 
 
 def parse_family(value: Any, path: str = "$") -> ConfigurationFamily:
-    _expect(value, dict, path, "a configuration family document")
-    for key in ("depth", "points"):
-        if key not in value:
-            raise SchemaError(path, f"missing field {key!r}")
-    depth = value["depth"]
-    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
-        raise SchemaError(f"{path}.depth", "depth must be a non-negative integer")
+    _fields(value, ("depth", "points"), path, "a configuration family document")
+    depth = _integer(value["depth"], 0, f"{path}.depth", "the depth")
     entries = _expect(value["points"], list, f"{path}.points", "a point array")
     table: dict[Label, PlanePoint] = {}
     ordered: list[tuple[Label, PlanePoint]] = []
     for idx, entry in enumerate(entries):
         here = f"{path}.points[{idx}]"
-        _expect(entry, list, here, "a [label, point] pair")
-        if len(entry) != 2:
-            raise SchemaError(here, "entry must be a [label, point] pair")
+        _pair(entry, here, "a [label, point] pair")
         label = parse_label(entry[0], f"{here}[0]")
         if label in table:
             raise SchemaError(f"{here}[0]", f"duplicate label {label!r}")
@@ -259,6 +268,10 @@ def parse_family(value: Any, path: str = "$") -> ConfigurationFamily:
 
 
 # -- certificate reports ----------------------------------------------------
+
+_CHECK_FIELDS = tuple(f.name for f in fields(CertificateChecks))
+_RECORD_FIELDS = tuple(f.name for f in fields(LevelRecord))
+
 
 def render_report_payload(report: CertificateReport) -> dict:
     return {
@@ -278,53 +291,49 @@ def render_report_payload(report: CertificateReport) -> dict:
             for rec in report.records
         ],
         "limit_fingerprint": report.limit_fingerprint,
-        "checks": {
-            "c_distinct": report.checks.c_distinct,
-            "cr_distinct": report.checks.cr_distinct,
-            "stratum_constancy": report.checks.stratum_constancy,
-            "limits_equal": report.checks.limits_equal,
-            "separation": report.checks.separation,
-            "weak_maps": report.checks.weak_maps,
-        },
+        "checks": {name: getattr(report.checks, name) for name in _CHECK_FIELDS},
         "pass": report.passed,
     }
 
 
-_CHECK_FIELDS = ("c_distinct", "cr_distinct", "stratum_constancy",
-                 "limits_equal", "separation", "weak_maps")
+def _parse_sample_result(value: Any, path: str) -> tuple[int, bool]:
+    n, ok = _pair(value, path, "an [n, ok] pair")
+    return _expect(n, int, f"{path}[0]", "a sample"), _expect(ok, bool, f"{path}[1]", "a verdict")
+
+
+def _parse_record(raw: Any, path: str) -> LevelRecord:
+    _fields(raw, _RECORD_FIELDS, path, "a level record")
+    degeneration = _expect(raw["degeneration_ok"], list, f"{path}.degeneration_ok", "an array")
+    return LevelRecord(
+        i=_integer(raw["i"], 1, f"{path}.i", "the level"),
+        cr=parse_rational(raw["cr"], f"{path}.cr"),
+        mi_fingerprint=_digest(raw["mi_fingerprint"], f"{path}.mi_fingerprint"),
+        limit_fingerprint=_digest(raw["limit_fingerprint"], f"{path}.limit_fingerprint"),
+        limit_cr=parse_rational(raw["limit_cr"], f"{path}.limit_cr"),
+        degeneration_ok=tuple(
+            _parse_sample_result(entry, f"{path}.degeneration_ok[{k}]")
+            for k, entry in enumerate(degeneration)
+        ),
+        weak_map_ok=_expect(raw["weak_map_ok"], bool, f"{path}.weak_map_ok", "a verdict"),
+    )
 
 
 def parse_report_payload(value: Any, path: str = "$") -> CertificateReport:
-    _expect(value, dict, path, "a certificate report")
-    for key in ("seed", "depth", "samples", "records", "limit_fingerprint", "checks", "pass"):
-        if key not in value:
-            raise SchemaError(path, f"missing field {key!r}")
-    seed = parse_seed(value["seed"], f"{path}.seed")
-    records = []
-    for idx, raw in enumerate(_expect(value["records"], list, f"{path}.records", "an array")):
-        here = f"{path}.records[{idx}]"
-        _expect(raw, dict, here, "a level record")
-        records.append(
-            LevelRecord(
-                i=raw["i"],
-                cr=parse_rational(raw["cr"], f"{here}.cr"),
-                mi_fingerprint=raw["mi_fingerprint"],
-                limit_fingerprint=raw["limit_fingerprint"],
-                limit_cr=parse_rational(raw["limit_cr"], f"{here}.limit_cr"),
-                degeneration_ok=tuple((n, ok) for n, ok in raw["degeneration_ok"]),
-                weak_map_ok=raw["weak_map_ok"],
-            )
-        )
-    checks_raw = _expect(value["checks"], dict, f"{path}.checks", "a checks object")
-    checks = CertificateChecks(**{name: bool(checks_raw[name]) for name in _CHECK_FIELDS})
+    _fields(value, ("seed", "depth", "samples", "records", "limit_fingerprint", "checks", "pass"),
+            path, "a certificate report")
+    records = _expect(value["records"], list, f"{path}.records", "an array")
+    samples = _expect(value["samples"], list, f"{path}.samples", "an array")
+    checks = _fields(value["checks"], _CHECK_FIELDS, f"{path}.checks", "a checks object")
+    for name, ok in checks.items():
+        _expect(ok, bool, f"{path}.checks.{name}", "a verdict")
     return CertificateReport(
-        seed=seed,
-        depth=value["depth"],
-        samples=tuple(value["samples"]),
-        records=tuple(records),
-        limit_fingerprint=value["limit_fingerprint"],
-        checks=checks,
-        passed=bool(value["pass"]),
+        seed=parse_seed(value["seed"], f"{path}.seed"),
+        depth=_integer(value["depth"], 1, f"{path}.depth", "the depth"),
+        samples=tuple(_integer(n, 1, f"{path}.samples[{k}]", "a sample") for k, n in enumerate(samples)),
+        records=tuple(_parse_record(raw, f"{path}.records[{k}]") for k, raw in enumerate(records)),
+        limit_fingerprint=_digest(value["limit_fingerprint"], f"{path}.limit_fingerprint"),
+        checks=CertificateChecks(**{name: checks[name] for name in _CHECK_FIELDS}),
+        passed=_expect(value["pass"], bool, f"{path}.pass", "a verdict"),
     )
 
 
@@ -365,20 +374,32 @@ def document_to_json(document: ReportDocument) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
 
 
+_DOCUMENT_FIELDS = ("pass", "tool", "input_digests", "report", "summary")
+
+
 def document_from_json(text: str) -> ReportDocument:
-    value = json.loads(text)
-    _expect(value, dict, "$", "a report document")
-    for key in ("pass", "tool", "input_digests", "report", "summary"):
-        if key not in value:
-            raise SchemaError("$", f"missing field {key!r}")
-    tool = _expect(value["tool"], dict, "$.tool", "a tool object")
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("$", f"not a JSON document: {exc}") from None
+    _fields(value, _DOCUMENT_FIELDS, "$", "a report document")
+    extra = sorted(set(value) - set(_DOCUMENT_FIELDS))
+    if extra:
+        raise SchemaError("$", f"unknown field {extra[0]!r}")
+    tool = _fields(value["tool"], ("name", "version"), "$.tool", "a tool object")
+    digests = _expect(value["input_digests"], dict, "$.input_digests", "a digest object")
+    summary = _expect(value["summary"], list, "$.summary", "an array")
     report = parse_report_payload(value["report"], "$.report")
-    if bool(value["pass"]) != report.passed:
+    if _expect(value["pass"], bool, "$.pass", "a verdict") != report.passed:
         raise SchemaError("$.pass", "top-level pass flag disagrees with the report")
     return ReportDocument(
-        tool_name=tool.get("name", ""),
-        tool_version=tool.get("version", ""),
-        input_digests=tuple(sorted(value["input_digests"].items())),
+        tool_name=_expect(tool["name"], str, "$.tool.name", "a name"),
+        tool_version=_expect(tool["version"], str, "$.tool.version", "a version"),
+        input_digests=tuple(
+            (key, _digest(digests[key], f"$.input_digests.{key}")) for key in sorted(digests)
+        ),
         report=report,
-        summary=tuple(value["summary"]),
+        summary=tuple(
+            _expect(line, str, f"$.summary[{k}]", "a summary line") for k, line in enumerate(summary)
+        ),
     )

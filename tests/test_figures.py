@@ -1,7 +1,5 @@
 import xml.etree.ElementTree as ET
 
-import pytest
-
 from omstrata import build, default_seed, delta_arrangement, emit_figure, limit_arrangement
 
 
@@ -32,19 +30,10 @@ class TestEmitFigure:
     def test_arrangement_input_skips_loops(self):
         family = build(default_seed(), 2)
         limit = limit_arrangement(delta_arrangement(family, 1))
-        svg = emit_figure(limit, style="points")
+        svg = emit_figure(limit)
         # only the eight persistent elements survive at positive height
         assert circles(svg) == 8
-        assert "<line" not in svg
-
-    def test_points_style_draws_no_lines(self):
-        svg = emit_figure(build(default_seed(), 1), style="points")
-        assert "<line" not in svg
 
     def test_construction_style_draws_lines(self):
         svg = emit_figure(build(default_seed(), 1))
         assert svg.count("<line") >= 6
-
-    def test_unknown_style_rejected(self):
-        with pytest.raises(ValueError):
-            emit_figure(build(default_seed(), 0), style="fancy")

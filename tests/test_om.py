@@ -332,6 +332,80 @@ class TestCovectors:
             assert sampled_sign_patterns(arr, rng, 300) <= covectors
 
 
+def fixpoint_closure(matroid: OrientedMatroid) -> frozenset[SignVector]:
+    """The reference covector set: the all-pairs composition closure of the
+    cocircuits (frontier against everything found, in both orders), plus
+    zero."""
+    ground = matroid.ground
+    current = {cc.signs for cc in matroid.cocircuits}
+    frontier = set(current)
+    while frontier:
+        fresh = set()
+        for x in frontier:
+            for y in current:
+                for a, b in ((x, y), (y, x)):
+                    z = tuple(s if s != 0 else t for s, t in zip(a, b))
+                    if z not in current and z not in fresh:
+                        fresh.add(z)
+        current |= fresh
+        frontier = fresh
+    current.add(tuple(0 for _ in ground))
+    return frozenset(SignVector(ground, t) for t in current)
+
+
+def rand_sign_document(rng: random.Random, ground: tuple[int, ...]) -> OrientedMatroid:
+    """A negation-closed sign-vector set on ``ground``, read through
+    ``parse_om``; it need not be an oriented matroid.  One in ten has no
+    cocircuits (rank 0), one in four is the cocircuit set of a rank-2
+    arrangement of integer plane vectors (zero and parallel ones included),
+    the rest are random rows."""
+    kind = rng.random()
+    if kind < 0.1:
+        rows = []
+    elif kind < 0.35:
+        plane = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in ground]
+        rows = [tuple(sign_of(x * v - y * u) for u, v in plane) for x, y in plane if (x, y) != (0, 0)]
+    else:
+        rows = [tuple(rng.choice((-1, 0, 1)) for _ in ground) for _ in range(rng.randint(1, 4))]
+    vectors = [SignVector(ground, r) for r in rows]
+    strings = {v.to_string() for v in vectors} | {(-v).to_string() for v in vectors}
+    return parse_om({"ground_set": list(ground), "cocircuits": sorted(strings)})
+
+
+class TestCovectorsAgainstClosure:
+    """``covectors_of`` grows compositions one cocircuit at a time; the
+    fixpoint closure is the reference, on oriented matroids and on sign
+    sets that are not."""
+
+    def test_arrangements_with_loops_and_parallels(self):
+        rng = random.Random(79)
+        checked = 0
+        while checked < 200:
+            if checked % 2:
+                arr = rand_degenerate_arrangement(rng, rng.randint(3, 5))
+            else:
+                arr = rand_grid_arrangement(rng, rng.randint(3, 6))
+                if not arr.is_spanning():
+                    continue
+            matroid = om_of(arr)
+            assert covectors_of(matroid) == fixpoint_closure(matroid)
+            checked += 1
+
+    def test_sign_sets_and_strong_maps(self):
+        # 40 grounds of 1 to 5 labels, 25 sign sets on each: covector sets
+        # on all 1000, strong maps on every pair that shares a ground.
+        rng = random.Random(83)
+        for g in range(40):
+            ground = tuple(range(10 * g + 1, 10 * g + 1 + rng.randint(1, 5)))
+            sets = [rand_sign_document(rng, ground) for _ in range(25)]
+            reference = [fixpoint_closure(m) for m in sets]
+            for m, expected in zip(sets, reference):
+                assert covectors_of(m) == expected
+            for source, covers in zip(sets, reference):
+                for target, covered in zip(sets, reference):
+                    assert strong_map(source, target) == (covered <= covers)
+
+
 class TestOrientedMatroid:
     def test_basis_om(self):
         matroid = om_of(BASIS)

@@ -222,6 +222,86 @@ class TestReports:
             document_from_json(json.dumps(doc))
 
 
+def _report_json() -> dict:
+    return json.loads(document_to_json(render_report(certificate(default_seed(), 1, [1, 2]))))
+
+
+def _drop_record_level(doc):
+    del doc["report"]["records"][0]["i"]
+
+
+def _drop_check(doc):
+    del doc["report"]["checks"]["weak_maps"]
+
+
+def _set(*keys_and_value):
+    *keys, value = keys_and_value
+
+    def mutate(doc):
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+
+    return mutate
+
+
+class TestReportSchemaErrors:
+    """``document_from_json`` raises SchemaError at the offending JSON path
+    for every departure from schemas/report.v1.schema.json."""
+
+    @pytest.mark.parametrize(
+        "mutate, path",
+        [
+            pytest.param(_drop_record_level, "$.report.records[0]", id="record-without-i"),
+            pytest.param(_drop_check, "$.report.checks", id="checks-without-name"),
+            pytest.param(_set("report", "records", 0, "degeneration_ok", 5),
+                         "$.report.records[0].degeneration_ok", id="degeneration-ok-integer"),
+            pytest.param(_set("report", "records", 0, "degeneration_ok", [[1, 5]]),
+                         "$.report.records[0].degeneration_ok[0][1]", id="degeneration-verdict-integer"),
+            pytest.param(_set("report", "records", 0, "degeneration_ok", [[1]]),
+                         "$.report.records[0].degeneration_ok[0]", id="degeneration-entry-short"),
+            pytest.param(_set("input_digests", ["seed"]), "$.input_digests", id="input-digests-list"),
+            pytest.param(_set("input_digests", "seed", "abc"), "$.input_digests.seed",
+                         id="input-digest-not-hex"),
+            pytest.param(_set("report", "depth", "two"), "$.report.depth", id="depth-string"),
+            pytest.param(_set("report", "depth", 0), "$.report.depth", id="depth-zero"),
+            pytest.param(_set("report", "samples", [1, True]), "$.report.samples[1]",
+                         id="sample-boolean"),
+            pytest.param(_set("report", "records", 0, "i", 0), "$.report.records[0].i", id="level-zero"),
+            pytest.param(_set("report", "records", 0, "mi_fingerprint", 7),
+                         "$.report.records[0].mi_fingerprint", id="mi-fingerprint-integer"),
+            pytest.param(_set("report", "limit_fingerprint", "F" * 64), "$.report.limit_fingerprint",
+                         id="limit-fingerprint-uppercase"),
+            pytest.param(_set("report", "records", 0, "weak_map_ok", 1),
+                         "$.report.records[0].weak_map_ok", id="weak-map-ok-integer"),
+            pytest.param(_set("report", "checks", "separation", "yes"), "$.report.checks.separation",
+                         id="check-string"),
+            pytest.param(_set("report", "pass", 1), "$.report.pass", id="report-pass-integer"),
+            pytest.param(_set("pass", "true"), "$.pass", id="pass-string"),
+            pytest.param(_set("tool", {"name": "omstrata"}), "$.tool", id="tool-without-version"),
+            pytest.param(_set("tool", "version", 1), "$.tool.version", id="tool-version-integer"),
+            pytest.param(_set("summary", ["ok", None]), "$.summary[1]", id="summary-null-line"),
+            pytest.param(_set("extra", 1), "$", id="unknown-top-level-field"),
+        ],
+    )
+    def test_offending_path_is_named(self, mutate, path):
+        doc = _report_json()
+        mutate(doc)
+        with pytest.raises(SchemaError) as exc:
+            document_from_json(json.dumps(doc))
+        assert exc.value.path == path
+
+    def test_text_that_is_not_json(self):
+        with pytest.raises(SchemaError) as exc:
+            document_from_json("{not json")
+        assert exc.value.path == "$"
+
+    def test_untouched_document_parses(self):
+        doc = _report_json()
+        assert document_from_json(json.dumps(doc)).report.depth == 1
+
+
 class TestShippedSchemas:
     """The rendered documents conform to the schema files in schemas/."""
 
