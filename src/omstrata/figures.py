@@ -8,21 +8,18 @@ drawn (zero vectors, non-positive height) are skipped.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .construction import ConfigurationFamily
 from .geometry import PlanePoint, perspective_normalize
 from .labels import Label, display, indexed, label_key
 from .om import LabeledArrangement
 
-Figure = Union[ConfigurationFamily, LabeledArrangement]
-
 _WIDTH = 640
 _HEIGHT = 480
 _MARGIN = 40
 
 
-def _drawable_points(obj: Figure) -> list[tuple[Label, PlanePoint]]:
+def _drawable_points(obj: ConfigurationFamily | LabeledArrangement) -> list[tuple[Label, PlanePoint]]:
     if isinstance(obj, ConfigurationFamily):
         pts = list(obj.points)
     else:
@@ -52,7 +49,7 @@ def _construction_lines(points: dict[Label, PlanePoint]) -> list[tuple[Label, La
     return pairs
 
 
-def emit_figure(obj: Figure) -> str:
+def emit_figure(obj: ConfigurationFamily | LabeledArrangement) -> str:
     """Render a configuration to SVG text: its points and the lines that
     define the construction."""
     labeled = _drawable_points(obj)

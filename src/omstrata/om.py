@@ -369,12 +369,15 @@ def _chirotope_from_cocircuits(matroid: OrientedMatroid) -> Chirotope:
 def covectors_of(matroid: OrientedMatroid) -> frozenset[SignVector]:
     """All covectors: zero and every composition of cocircuits, grown one
     cocircuit at a time (composition is associative) until a layer adds
-    nothing."""
+    nothing.  A covector with no zero composes to itself, so only those with
+    a zero are extended."""
     cocircuits = [cc.signs for cc in matroid.cocircuits]
     layer = {(0,) * len(matroid.ground)}
     found = set(layer)
     while layer:
-        layer = {tuple([s or t for s, t in zip(x, y)]) for x in layer for y in cocircuits} - found
+        layer = {
+            tuple([s or t for s, t in zip(x, y)]) for x in layer if 0 in x for y in cocircuits
+        } - found
         found |= layer
     return frozenset(SignVector(matroid.ground, t) for t in found)
 

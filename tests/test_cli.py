@@ -132,6 +132,17 @@ class TestOmCommands:
         assert main(["om", "equal", str(om_file), str(om_file)]) == 1
         assert "negation" in capsys.readouterr().err
 
+    def test_unknown_field_is_input_error(self, tmp_path, capsys):
+        arr = arrangement_file(tmp_path, "a.json", 0)
+        om_file = tmp_path / "om.json"
+        assert main(["om", "of", "--in", str(arr), "--out", str(om_file)]) == 0
+        doc = json.loads(om_file.read_text())
+        doc["zeta"] = 1
+        om_file.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["om", "equal", str(om_file), str(arr)]) == 1
+        assert "unknown field 'zeta'" in capsys.readouterr().err
+
     def test_ground_set_mismatch_is_input_error(self, tmp_path, capsys):
         a = arrangement_file(tmp_path, "a.json", 0)
         b = arrangement_file(tmp_path, "b.json", 1)
@@ -179,6 +190,16 @@ class TestCertificate:
         path.write_text(json.dumps(doc))
         assert main(["certificate", "--depth", "2", "--seed", str(path)]) == 2
         assert "seed rejected" in capsys.readouterr().err
+
+    def test_unknown_seed_field(self, tmp_path, capsys):
+        doc = render_seed(default_seed())
+        doc["zeta"] = ["1", "2"]
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert main(["certificate", "--depth", "1", "--seed", str(path), "--out", str(out)]) == 1
+        assert "unknown field 'zeta'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failing_certificate_still_writes_report(self, tmp_path, capsys):
         doc = render_seed(default_seed())

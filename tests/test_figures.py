@@ -1,5 +1,11 @@
+import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import omstrata
 from omstrata import build, default_seed, delta_arrangement, emit_figure, limit_arrangement
 
 
@@ -37,3 +43,27 @@ class TestEmitFigure:
     def test_construction_style_draws_lines(self):
         svg = emit_figure(build(default_seed(), 1))
         assert svg.count("<line") >= 6
+
+
+FRESH_IMPORTS = """
+import gc, importlib, json, sys
+counts = []
+for _ in range(4):
+    for name in [k for k in sys.modules if k == "omstrata" or k.startswith("omstrata.")]:
+        del sys.modules[name]
+    importlib.import_module("omstrata")
+    gc.collect()
+    counts.append(sum(1 for obj in gc.get_objects()
+                      if isinstance(obj, type) and obj.__module__.startswith("omstrata")))
+print(json.dumps(counts))
+"""
+
+
+def test_fresh_import_frees_the_previous_one():
+    # typing caches a Union built at module level over the package's classes,
+    # which keeps every earlier import's classes and module globals alive.
+    src = Path(omstrata.__file__).parent.parent
+    done = subprocess.run([sys.executable, "-c", FRESH_IMPORTS], capture_output=True, text=True,
+                          timeout=120, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    counts = json.loads(done.stdout)
+    assert len(set(counts)) == 1, counts

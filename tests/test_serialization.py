@@ -1,8 +1,14 @@
+import copy
 import json
+import subprocess
+import sys
+import tarfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import omstrata
 from omstrata import (
     LabeledArrangement,
     RationalParseError,
@@ -36,6 +42,8 @@ from omstrata.serialization import (
     render_vector_family,
     seed_digest,
 )
+
+SCHEMA_DIR = Path(omstrata.__file__).parent / "schemas"
 
 
 class TestRationals:
@@ -248,7 +256,7 @@ def _set(*keys_and_value):
 
 class TestReportSchemaErrors:
     """``document_from_json`` raises SchemaError at the offending JSON path
-    for every departure from schemas/report.v1.schema.json."""
+    for every departure from omstrata/schemas/report.v1.schema.json."""
 
     @pytest.mark.parametrize(
         "mutate, path",
@@ -303,15 +311,14 @@ class TestReportSchemaErrors:
 
 
 class TestShippedSchemas:
-    """The rendered documents conform to the schema files in schemas/."""
+    """The rendered documents conform to the schema files in omstrata/schemas/."""
 
     @staticmethod
     def _validator(name):
         jsonschema = pytest.importorskip("jsonschema")
-        from pathlib import Path
         from referencing import Registry, Resource
 
-        schema_dir = Path(__file__).parent.parent / "schemas"
+        schema_dir = SCHEMA_DIR
         registry = Registry()
         for path in schema_dir.glob("*.schema.json"):
             resource = Resource.from_contents(json.loads(path.read_text()))
@@ -346,3 +353,136 @@ class TestShippedSchemas:
         report = certificate(default_seed(), 2, [1, 2])
         doc = json.loads(document_to_json(render_report(report)))
         self._validator("report.v1.schema.json").validate(doc)
+
+    def test_vector_family_document(self):
+        family = VectorFamily([(1, (1, 0, F(2, 5))), (2, (0, 1, 0)), ("a", (1, 1, 1))])
+        self._validator("vector-family.v1.schema.json").validate(render_vector_family(family))
+
+    def test_schemas_ship_with_the_package(self, tmp_path):
+        # Build an sdist from a copy of the project: every schema file is in it.
+        root = Path(__file__).parent.parent
+        if not (root / "pyproject.toml").is_file():
+            pytest.skip("not run from a source checkout")
+        (tmp_path / "pyproject.toml").write_bytes((root / "pyproject.toml").read_bytes())
+        package = root / "src" / "omstrata"
+        (tmp_path / "src" / "omstrata" / "schemas").mkdir(parents=True)
+        for path in [*package.glob("*.py"), *package.glob("schemas/*.json")]:
+            (tmp_path / path.relative_to(root)).write_bytes(path.read_bytes())
+        build = "from setuptools import build_meta; print(build_meta.build_sdist('dist'))"
+        done = subprocess.run([sys.executable, "-c", build], cwd=tmp_path, capture_output=True,
+                              text=True, timeout=120, check=True)
+        with tarfile.open(tmp_path / "dist" / done.stdout.split()[-1]) as sdist:
+            shipped = {Path(name).name for name in sdist.getnames() if "/schemas/" in name}
+        assert shipped == {path.name for path in SCHEMA_DIR.glob("*.schema.json")}
+        assert len(shipped) == 8
+
+
+def _documents() -> dict:
+    """One valid document of each type, keyed by kind: its schema file, its
+    parser and the document."""
+    arrangement = build(default_seed(), 1).arrangement()
+    subspace = Subspace(4, [[1, 0, 0, 2], [0, 1, 0, -1], [0, 0, 1, 0]])
+    family = VectorFamily([(1, (1, 0, F(2, 5))), (2, (0, 1, 0)), ("a", (1, 1, 1))])
+    return {
+        "seed": ("seed.v1.schema.json", parse_seed, render_seed(default_seed())),
+        "om": ("oriented-matroid.v1.schema.json", parse_om, render_om(om_of(arrangement))),
+        "family": ("family.v1.schema.json", parse_family, render_family(build(default_seed(), 1))),
+        "subspace": ("subspace.v1.schema.json", parse_subspace, render_subspace(subspace)),
+        "arrangement": ("arrangement.v1.schema.json", parse_arrangement,
+                        render_arrangement(arrangement)),
+        "vector-family": ("vector-family.v1.schema.json", parse_vector_family,
+                          render_vector_family(family)),
+        "report": ("report.v1.schema.json", lambda doc: document_from_json(json.dumps(doc)),
+                   _report_json()),
+    }
+
+
+_REPORT_EXTRAS = [("tool",), ("report",), ("report", "records", 0)]
+
+
+class TestUnknownFields:
+    @pytest.mark.parametrize("kind", ["seed", "om", "family", "subspace"])
+    def test_unknown_field_is_named_at_the_root(self, kind):
+        _, parse, doc = _documents()[kind]
+        doc["zeta"] = 1
+        with pytest.raises(SchemaError) as exc:
+            parse(doc)
+        assert exc.value.path == "$"
+        assert "'zeta'" in str(exc.value)
+
+    @pytest.mark.parametrize("keys", _REPORT_EXTRAS, ids=lambda keys: ".".join(map(str, keys)))
+    def test_extras_the_report_schema_allows(self, keys):
+        doc = _report_json()
+        _set(*keys, "x", 1)(doc)
+        assert document_from_json(json.dumps(doc)) == document_from_json(json.dumps(_report_json()))
+
+    def test_float_is_no_integer(self):
+        # The one departure from Draft 2020-12: documents hold no floats.
+        doc = render_family(build(default_seed(), 1))
+        doc["depth"] = 1.0
+        with pytest.raises(SchemaError) as exc:
+            parse_family(doc)
+        assert exc.value.path == "$.depth"
+        assert TestShippedSchemas._validator("family.v1.schema.json").is_valid(doc)
+
+
+class TestAgainstReferenceValidator:
+    """The parsers reject a document exactly when jsonschema's Draft 2020-12
+    validator rejects it against the same shipped schema file."""
+
+    def test_verdicts_agree(self):
+        (mark,) = TestReportSchemaErrors.test_offending_path_is_named.pytestmark
+        cases = [("report", param.values[0]) for param in mark.args[1]]
+        cases += [("report", _set(*keys, "x", 1)) for keys in _REPORT_EXTRAS]
+        cases += [(kind, _set("zeta", 1)) for kind in ("seed", "om", "family", "subspace")]
+        cases += [
+            ("arrangement", _set(0, 1, 2, 2.5)),
+            ("arrangement", _set(0, 0, "zeta9")),
+            ("arrangement", lambda doc: doc[0].append(["1", "0", "1"])),
+        ]
+        documents = _documents()
+        cases += [(kind, lambda doc: None) for kind in documents]
+        verdicts = []
+        for kind, mutate in cases:
+            schema, parse, doc = documents[kind]
+            doc = copy.deepcopy(doc)
+            mutate(doc)
+            try:
+                parse(doc)
+                rejected = False
+            except SchemaError:
+                rejected = True
+            reference = not TestShippedSchemas._validator(schema).is_valid(doc)
+            verdicts.append((kind, rejected, reference))
+        assert [v for v in verdicts if v[1] != v[2]] == []
+        assert sum(rejected for _, rejected, _ in verdicts) == 21 + 4 + 3
+
+
+def _subschemas(schema):
+    """``schema`` and every schema nested in it."""
+    yield schema
+    for key, value in schema.items():
+        if key in ("properties", "$defs"):
+            children = list(value.values())
+        elif key in ("oneOf", "prefixItems"):
+            children = value
+        elif key == "items" or key == "additionalProperties" and value is not False:
+            children = [value]
+        else:
+            children = []
+        for child in children:
+            yield from _subschemas(child)
+
+
+class TestValidatorCoversSchemas:
+    IMPLEMENTED = {"$ref", "oneOf", "type", "enum", "pattern", "minimum", "required", "properties",
+                   "additionalProperties", "items", "prefixItems", "minItems", "maxItems"}
+    ANNOTATIONS = {"$schema", "$id", "title", "description", "$defs"}
+    TYPES = {"array", "object", "string", "boolean", "integer"}
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCHEMA_DIR.glob("*.schema.json")))
+    def test_only_implemented_keywords(self, name):
+        for schema in _subschemas(json.loads((SCHEMA_DIR / name).read_text())):
+            assert isinstance(schema, dict), f"{name}: boolean schema {schema}"
+            assert set(schema) <= self.IMPLEMENTED | self.ANNOTATIONS, name
+            assert schema.get("type", "object") in self.TYPES, name
