@@ -3,13 +3,18 @@
 All coordinates are ``fractions.Fraction``; every operation is exact, pure,
 and deterministic.  Degenerate inputs raise the typed errors from
 :mod:`omstrata.errors` instead of returning sentinels.
+
+Sign predicates and canonical lines run on primitive integer vectors.
+``_primitive`` is the one normalisation behind them (and behind ``om_of``):
+it clears denominators by their least common multiple and divides by the
+gcd, in integer arithmetic alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Union
 
 from .errors import (
@@ -79,13 +84,17 @@ IntVec = tuple[int, int, int]
 
 
 def _primitive(x: Fraction, y: Fraction, z: Fraction) -> IntVec:
-    """Positive integer rescaling of (x, y, z) with coprime entries (0 stays 0)."""
-    scale = 1
-    for part in (x, y, z):
-        scale = scale * part.denominator // gcd(scale, part.denominator)
-    ints = (int(x * scale), int(y * scale), int(z * scale))
-    g = gcd(gcd(abs(ints[0]), abs(ints[1])), abs(ints[2])) or 1
-    return (ints[0] // g, ints[1] // g, ints[2] // g)
+    """Positive integer rescaling of (x, y, z) with coprime entries (0 stays 0).
+
+    Integer arithmetic only: each numerator times the cofactor of its
+    denominator in their least common multiple, divided by one gcd."""
+    dx, dy, dz = x.denominator, y.denominator, z.denominator
+    scale = lcm(dx, dy, dz)
+    a = x.numerator * (scale // dx)
+    b = y.numerator * (scale // dy)
+    c = z.numerator * (scale // dz)
+    g = gcd(a, b, c) or 1
+    return (a // g, b // g, c // g)
 
 
 def _cross(u: IntVec, v: IntVec) -> IntVec:

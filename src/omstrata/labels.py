@@ -16,7 +16,7 @@ Label = Union[str, int]
 
 NAMED = ("alpha", "beta", "gamma", "omega", "nu", "a", "delta")
 _NAMED_INDEX = {name: i for i, name in enumerate(NAMED)}
-_INDEXED = re.compile(r"^([bcd])([1-9][0-9]*)$")
+_INDEXED = re.compile(r"([bcd])([1-9][0-9]*)")  # whole string: use fullmatch
 _LETTER_RANK = {"b": 0, "c": 1, "d": 2}
 
 # Labels that keep height 1 through the degenerations.
@@ -33,7 +33,7 @@ def is_label(value: object) -> bool:
     if isinstance(value, int):
         return True
     if isinstance(value, str):
-        return value in _NAMED_INDEX or bool(_INDEXED.match(value))
+        return value in _NAMED_INDEX or bool(_INDEXED.fullmatch(value))
     return False
 
 
@@ -42,7 +42,7 @@ def label_key(label: Label) -> tuple:
     if isinstance(label, str):
         if label in _NAMED_INDEX:
             return (0, _NAMED_INDEX[label], 0)
-        m = _INDEXED.match(label)
+        m = _INDEXED.fullmatch(label)
         if m:
             return (1, int(m.group(2)), _LETTER_RANK[m.group(1)])
         raise ValueError(f"not a label: {label!r}")

@@ -1,7 +1,7 @@
 """Small exact linear-algebra helpers over Fraction.
 
-All three routines share one forward Gaussian elimination over Fraction
-with the first non-zero entry as pivot; inputs are tiny (3x3 and 6x6
+Both routines share one forward Gaussian elimination over Fraction with
+the first non-zero entry as pivot; inputs are tiny (3x3 and 6x6
 systems, rank checks on short vector lists), so clarity wins over pivot
 heuristics.
 """
@@ -9,7 +9,6 @@ heuristics.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 from typing import Sequence
 
 
@@ -17,12 +16,10 @@ class SingularMatrix(ValueError):
     pass
 
 
-def _eliminate(rows: list[list[Fraction]], cols: int) -> tuple[list[int], int]:
+def _eliminate(rows: list[list[Fraction]], cols: int) -> list[int]:
     """Reduce ``rows`` in place to row-echelon form on the first ``cols``
-    columns.  Returns the pivot columns (pivot r sits in row r) and the
-    number of row swaps made."""
+    columns.  Returns the pivot columns (pivot r sits in row r)."""
     pivots: list[int] = []
-    swaps = 0
     for col in range(cols):
         top = len(pivots)
         pivot = next((r for r in range(top, len(rows)) if rows[r][col] != 0), None)
@@ -30,21 +27,20 @@ def _eliminate(rows: list[list[Fraction]], cols: int) -> tuple[list[int], int]:
             continue
         if pivot != top:
             rows[top], rows[pivot] = rows[pivot], rows[top]
-            swaps += 1
         pv = rows[top][col]
         for r in range(top + 1, len(rows)):
             factor = rows[r][col] / pv
             if factor:
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[top])]
         pivots.append(col)
-    return pivots, swaps
+    return pivots
 
 
 def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
     """Solve M x = b exactly.  Raises SingularMatrix if M is not invertible."""
     n = len(matrix)
     rows = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    pivots, _ = _eliminate(rows, n)
+    pivots = _eliminate(rows, n)
     if len(pivots) < n:
         raise SingularMatrix(f"no pivot in column {min(set(range(n)) - set(pivots))}")
     x: list[Fraction] = [Fraction(0)] * n
@@ -57,14 +53,5 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Exact rank of a matrix given as a list of rows."""
     if not rows:
         return 0
-    return len(_eliminate([list(r) for r in rows], len(rows[0]))[0])
+    return len(_eliminate([list(r) for r in rows], len(rows[0])))
 
-
-def determinant(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by elimination."""
-    n = len(matrix)
-    work = [list(r) for r in matrix]
-    pivots, swaps = _eliminate(work, n)
-    if len(pivots) < n:
-        return Fraction(0)
-    return prod((work[i][i] for i in range(n)), start=Fraction((-1) ** swaps))

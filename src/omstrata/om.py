@@ -8,6 +8,12 @@ is enumerated once, from the first independent pair on it.  Covectors are
 recovered on demand as the compositions of cocircuits, one cocircuit at a
 time, and basis signs (the chirotope) by a walk over the cocircuits.
 
+Deletion onto a subset of the labels (``OrientedMatroid.restrict``) keeps the
+support-minimal non-zero restrictions of the cocircuits (BLSWZ 3.3).  Every
+non-zero basis sign of a weak-map target lies on its non-loops, so
+``weak_map`` compares the chirotopes of both sides deleted onto those: for a
+certificate level and its eight-point limit, 56 triples, not C(n, 3).
+
 Signs never change under positive per-element rescaling, so all sign
 computations run on primitive integer copies of the vectors; this keeps the
 arithmetic in plain ints and makes fingerprints bit-stable.  ``om_of`` is a
@@ -23,7 +29,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import DomainMismatch, GroundSetMismatch, NotSpanning
@@ -32,8 +39,8 @@ from .labels import Label, is_label, label_key, sort_labels
 
 Sign = int  # -1, 0, +1
 
-SIGN_CHARS = {1: "+", -1: "-", 0: "0"}
 _CHAR_SIGNS = {"+": 1, "-": -1, "0": 0}
+_SIGN_BYTES = bytes.maketrans(b"\x00\x01\x02", b"-0+")  # sign + 1 -> character
 
 
 def _rank3(vectors: Iterable[IntVec]) -> int:
@@ -135,7 +142,7 @@ class SignVector:
         return tuple(l for l, s in zip(self.labels, self.signs) if s == 0)
 
     def to_string(self) -> str:
-        return "".join(SIGN_CHARS[s] for s in self.signs)
+        return bytes([s + 1 for s in self.signs]).translate(_SIGN_BYTES).decode("ascii")
 
     @staticmethod
     def from_string(labels: tuple[Label, ...], text: str) -> "SignVector":
@@ -188,12 +195,13 @@ class OrientedMatroid:
         self.ground = ground
         self.cocircuits = cocircuits
         self._chirotope = None
-        zero_everywhere = list(ground)
+        zero_everywhere = range(len(ground))
         for cc in cocircuits:
-            zero_everywhere = [l for l in zero_everywhere if cc[l] == 0]
+            signs = cc.signs
+            zero_everywhere = [i for i in zero_everywhere if not signs[i]]
             if not zero_everywhere:
                 break
-        self.loops = frozenset(zero_everywhere)
+        self.loops = frozenset(ground[i] for i in zero_everywhere)
 
     @property
     def chirotope(self) -> Chirotope:
@@ -214,14 +222,43 @@ class OrientedMatroid:
     def fingerprint(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("ascii")).hexdigest()
 
+    def restrict(self, labels: Iterable[Label]) -> "OrientedMatroid":
+        """The deletion onto ``labels``, ground order kept; ``self`` when they
+        cover the ground set.
+
+        Its cocircuits are the support-minimal non-zero restrictions of the
+        cocircuits (BLSWZ 3.3), so the deletion of a realization's elements
+        has the oriented matroid of the sub-arrangement.
+        """
+        keep_set = set(labels)
+        missing = keep_set - set(self.ground)
+        if missing:
+            raise KeyError(f"labels not present: {sorted(missing, key=label_key)}")
+        if len(keep_set) == len(self.ground):
+            return self
+        keep = [i for i, l in enumerate(self.ground) if l in keep_set]
+        if len(keep) > 1:
+            pick = itemgetter(*keep)
+        else:  # itemgetter returns a bare entry for one index and needs one
+            pick = lambda signs: tuple(signs[i] for i in keep)  # noqa: E731
+        rows = set(map(pick, [cc.signs for cc in self.cocircuits]))
+        bits = [1 << k for k in range(len(keep))]
+        support = {row: sum(compress(bits, row)) for row in rows}
+        # Smallest supports first: a support is minimal unless it contains
+        # one found before.
+        minimal: set[int] = set()
+        for mask in sorted(set(support.values()) - {0}, key=int.bit_count):
+            if not any(m & mask == m for m in minimal):
+                minimal.add(mask)
+        ground = tuple(self.ground[i] for i in keep)
+        return OrientedMatroid(
+            ground,
+            frozenset(SignVector(ground, row) for row, m in support.items() if m in minimal),
+        )
+
     def delete_loops(self) -> "OrientedMatroid":
         """The same oriented matroid on the non-loop elements."""
-        keep = [i for i, l in enumerate(self.ground) if l not in self.loops]
-        ground = tuple(self.ground[i] for i in keep)
-        cocircuits = frozenset(
-            SignVector(ground, tuple(cc.signs[i] for i in keep)) for cc in self.cocircuits
-        )
-        return OrientedMatroid(ground, cocircuits)
+        return self.restrict(l for l in self.ground if l not in self.loops)
 
     @staticmethod
     def rank_zero(ground: Iterable[Label]) -> "OrientedMatroid":
@@ -398,16 +435,39 @@ def strong_map(source: OrientedMatroid, target: OrientedMatroid) -> bool:
     return target.cocircuits <= covectors_of(source)
 
 
+def _spans_rank_three(matroid: OrientedMatroid) -> bool:
+    """Whether some non-loop lies in the zero sets of two cocircuit pairs, that
+    is on two lines: true in rank 3, false in ranks 0 to 2."""
+    zero_sets = {frozenset(cc.zero_set()) for cc in matroid.cocircuits}
+    return any(
+        sum(label in z for z in zero_sets) > 1
+        for label in matroid.ground
+        if label not in matroid.loops
+    )
+
+
 def weak_map(source: OrientedMatroid, target: OrientedMatroid) -> bool:
     """Rank-preserving weak-map test on chirotopes.
 
     True iff some global sign eps makes every target basis sign either 0 or
-    eps times the source sign; only sign deletions are allowed.
+    eps times the source sign; only sign deletions are allowed.  Every
+    non-zero target sign lies on the target's non-loops S, so both sides are
+    compared after deletion onto S; a source of rank below 3 on S has no
+    non-zero basis sign there and maps onto no target with one.
     """
     if source.ground != target.ground:
         raise GroundSetMismatch(f"{source.ground} vs {target.ground}")
-    chi_s = source.chirotope
+    if not target.cocircuits:
+        return True
+    target = target.delete_loops()
     chi_t = target.chirotope
+    deleted = source.restrict(target.ground)
+    try:
+        chi_s = deleted.chirotope
+    except NotSpanning:
+        if _spans_rank_three(deleted):  # inconsistent, not of low rank
+            raise
+        return False
     eps = 0
     for triple, t_sign in chi_t.nonzero.items():
         s_sign = chi_s[triple]

@@ -51,6 +51,18 @@ def _schema_file(name: str) -> dict:
     return json.loads((_SCHEMA_DIR / name).read_text(encoding="utf-8"))
 
 
+# An escaped character, a character class, or a bare ``$``.
+_DOLLAR = re.compile(r"(\\.|\[(?:\\.|[^]\\])*])|\$")
+
+
+@functools.cache
+def _pattern(source: str) -> re.Pattern:
+    """Compile a schema pattern with each bare ``$`` as ``\\Z``: in ECMA-262
+    it matches only at the end of the string, in Python also before a final
+    newline."""
+    return re.compile(_DOLLAR.sub(lambda m: m[1] or r"\Z", source))
+
+
 def _validate(value: Any, ref: str, path: str) -> None:
     """Check ``value`` against the shipped schema ``ref``: a file name,
     optionally followed by ``#`` and a JSON pointer into the file."""
@@ -65,7 +77,8 @@ def _check(value: Any, schema: dict, path: str, base: str) -> None:
     ``oneOf``, ``type``, ``enum``, ``pattern``, ``minimum``, ``required``,
     ``properties``, ``additionalProperties``, ``items``, ``prefixItems``,
     ``minItems`` and ``maxItems``.  One departure: a float such as ``1.0`` is
-    no integer, since documents hold no floats.
+    no integer, since documents hold no floats.  Patterns keep the draft's
+    ECMA-262 meaning of ``$``, the end of the string (see ``_pattern``).
     """
     if "$ref" in schema:
         name, _, pointer = schema["$ref"].partition("#")
@@ -86,7 +99,7 @@ def _check(value: Any, schema: dict, path: str, base: str) -> None:
     if "enum" in schema and value not in schema["enum"]:
         raise SchemaError(path, f"{reprlib.repr(value)} is not one of {schema['enum']}")
     if kind == "string":
-        if "pattern" in schema and not re.search(schema["pattern"], value):
+        if "pattern" in schema and not _pattern(schema["pattern"]).search(value):
             raise SchemaError(path, f"{reprlib.repr(value)} does not match {schema['pattern']}")
     elif kind == "integer":
         if value < schema.get("minimum", value):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,8 @@ from omstrata import (
     perspective_normalize,
     sign_det3,
 )
-from omstrata.linalg import determinant
+from omstrata.geometry import _primitive
+from omstrata.linalg import matrix_rank
 
 from conftest import rand_point
 
@@ -46,6 +48,43 @@ def vec3s():
 
 def points():
     return st.builds(PlanePoint, fractions, fractions)
+
+
+def fraction_primitive(x: F, y: F, z: F):
+    """The earlier body of ``_primitive``, kept as the reference: scale by the
+    lcm of the denominators with Fraction multiplication, then divide by the
+    gcd of the entries."""
+    scale = 1
+    for part in (x, y, z):
+        scale = scale * part.denominator // gcd(scale, part.denominator)
+    ints = (int(x * scale), int(y * scale), int(z * scale))
+    g = gcd(gcd(abs(ints[0]), abs(ints[1])), abs(ints[2])) or 1
+    return (ints[0] // g, ints[1] // g, ints[2] // g)
+
+
+class TestPrimitive:
+    def test_matches_fraction_reference(self):
+        rng = random.Random(41)
+
+        def entry():
+            kind = rng.random()
+            if kind < 0.2:
+                return F(0)
+            bits = 200 if kind < 0.5 else 8
+            sign = rng.choice((-1, 1))
+            return F(sign * rng.getrandbits(bits), rng.getrandbits(bits) + 1)
+
+        for _ in range(2000):
+            x, y, z = entry(), entry(), entry()
+            if rng.random() < 0.1:  # shared denominators and common factors
+                k = F(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+                x, y, z = x * k, y * k, z * k
+            assert _primitive(x, y, z) == fraction_primitive(x, y, z)
+
+    def test_coprime_and_positively_proportional(self):
+        assert _primitive(F(0), F(0), F(0)) == (0, 0, 0)
+        assert _primitive(F(-2, 3), F(4, 9), F(0)) == (-3, 2, 0)
+        assert _primitive(F(6), F(-10), F(14)) == (3, -5, 7)
 
 
 class TestSignDet3:
@@ -241,7 +280,7 @@ class TestAffineMaps:
             for p in src:
                 system.append([p.x, p.y, F(1), F(0), F(0), F(0)])
                 system.append([F(0), F(0), F(0), p.x, p.y, F(1)])
-            assert determinant(system) != 0
+            assert matrix_rank(system) == 6
 
 
 class TestEmbedding:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -13,6 +13,7 @@ from omstrata import (
     SignVector,
     Vector3,
     build,
+    certificate,
     chirotope_of,
     compose,
     covectors_of,
@@ -26,6 +27,7 @@ from omstrata import (
     weak_map,
 )
 from omstrata import om as om_module
+from omstrata.labels import is_label, label_key
 from omstrata.errors import SchemaError
 from omstrata.serialization import parse_om, render_om
 
@@ -639,3 +641,185 @@ class TestDerivedChirotope:
         ]
         with pytest.raises(NotSpanning):
             parse_om(doc).chirotope
+
+
+class TestSignVectorStrings:
+    def test_round_trip_every_short_vector(self):
+        for n in range(6):
+            labels = tuple(range(1, n + 1))
+            for signs in product((-1, 0, 1), repeat=n):
+                v = SignVector(labels, signs)
+                text = v.to_string()
+                assert text == "".join("-0+"[s + 1] for s in signs)
+                assert SignVector.from_string(labels, text) == v
+
+
+class TestLabels:
+    def test_final_newline_is_no_label(self):
+        assert is_label("b1") and not is_label("b1\n")
+        with pytest.raises(ValueError):
+            label_key("c2\n")
+        with pytest.raises(ValueError):
+            LabeledArrangement([("b1", E1), ("b1\n", E2), ("alpha", E3)])
+
+
+def full_chirotope_weak_map(source: OrientedMatroid, target: OrientedMatroid) -> bool:
+    """The earlier ``weak_map``, kept as the reference: it compares the full
+    derived chirotopes, every target basis sign under one global sign."""
+    if source.ground != target.ground:
+        raise GroundSetMismatch(f"{source.ground} vs {target.ground}")
+    chi_s = source.chirotope
+    eps = 0
+    for triple, t_sign in target.chirotope.nonzero.items():
+        s_sign = chi_s[triple]
+        if s_sign == 0:
+            return False
+        if eps == 0:
+            eps = t_sign * s_sign
+        elif t_sign != eps * s_sign:
+            return False
+    return True
+
+
+def rand_weak_map_pair(rng: random.Random):
+    """A spanning grid arrangement (with loops and parallel and antiparallel
+    copies) and a spanning variant on the same labels, in random order.  In
+    the variant some elements are zeroed, some moved onto the line of two
+    others and some moved anywhere; or the non-zeroed elements are flattened
+    into one plane while the zeroed ones keep it spanning, so that one side
+    has rank below 3 on the non-loops of the other."""
+    while True:
+        arr = rand_grid_arrangement(rng, rng.randint(3, 7))
+        if not arr.is_spanning():
+            continue
+        vectors = dict(arr.elements)
+        variant = dict(vectors)
+        flatten = rng.random() < 0.2
+        for label, v in vectors.items():
+            kind = rng.random()
+            if kind < 0.25:
+                variant[label] = Vector3(0, 0, 0)
+            elif flatten:
+                variant[label] = Vector3(v.x, v.y, 0)
+            elif kind < 0.4:
+                u, w = rng.sample(list(vectors.values()), 2)
+                variant[label] = Vector3(u.x + w.x, u.y + w.y, u.z + w.z)
+            elif kind < 0.5:
+                variant[label] = Vector3(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(0, 2))
+        if flatten:
+            zeroed = [label for label, v in variant.items() if v.is_zero()]
+            if not zeroed:
+                continue
+            variant = {l: (Vector3(v.x, v.y, v.z + 1) if l in zeroed else v)
+                       for l, v in variant.items()}
+        other = LabeledArrangement(variant.items())
+        if other.is_spanning():
+            pair = [om_of(arr), om_of(other)]
+            rng.shuffle(pair)
+            return pair
+
+
+class TestRestrict:
+    """``OrientedMatroid.restrict`` is the deletion onto a label subset."""
+
+    def test_matches_sub_arrangement(self):
+        rng = random.Random(71)
+        checked = 0
+        while checked < 500:
+            arr = rand_grid_arrangement(rng, rng.randint(3, 8))
+            labels = rng.sample(arr.labels, rng.randint(3, len(arr)))
+            sub = arr.restrict(labels)
+            if not (arr.is_spanning() and sub.is_spanning()):
+                continue
+            matroid = om_of(arr)
+            assert matroid.restrict(labels) == om_of(sub)
+            assert matroid.loops == {
+                l for l in matroid.ground if all(cc[l] == 0 for cc in matroid.cocircuits)
+            }
+            checked += 1
+
+    def test_whole_ground_is_self(self):
+        matroid = om_of(BASIS4)
+        assert matroid.restrict([4, 3, 2, 1]) is matroid
+        assert matroid.delete_loops() is matroid
+
+    def test_onto_loops_is_rank_zero(self):
+        with_loops = LabeledArrangement(
+            [(1, E1), (2, E2), (3, E3), (4, Vector3(0, 0, 0)), (5, Vector3(0, 0, 0))]
+        )
+        deleted = om_of(with_loops).restrict([4, 5])
+        assert deleted == OrientedMatroid.rank_zero([4, 5])
+        assert deleted.loops == {4, 5}
+
+    def test_onto_one_label_and_none(self):
+        assert om_of(BASIS).restrict([2]).cocircuit_strings() == ["+", "-"]
+        assert om_of(BASIS).restrict([]) == OrientedMatroid.rank_zero([])
+
+    def test_unknown_label(self):
+        with pytest.raises(KeyError):
+            om_of(BASIS).restrict([1, 4])
+
+
+class TestWeakMapByDeletion:
+    """``weak_map`` compares chirotopes deleted onto the target's non-loops;
+    the full-chirotope comparison is the reference."""
+
+    def test_matches_full_chirotopes_on_random_pairs(self):
+        rng = random.Random(73)
+        answers, low_rank = [], 0
+        for _ in range(1500):
+            source, target = rand_weak_map_pair(rng)
+            if rng.random() < 0.05:
+                target = OrientedMatroid.rank_zero(target.ground)
+            answer = weak_map(source, target)
+            assert answer == full_chirotope_weak_map(source, target)
+            answers.append(answer)
+            # the source has no basis among the target's non-loops
+            nonloops = [l for l in target.ground if l not in target.loops]
+            low_rank += bool(target.cocircuits) and not any(
+                source.chirotope[t] for t in combinations(nonloops, 3)
+            )
+        assert 0.1 < sum(answers) / len(answers) < 0.9
+        assert low_rank > 50
+
+    def test_certificate_levels_up_to_depth_20(self):
+        family = build(default_seed(), 20)
+        for i in range(1, 21):
+            marked = delta_arrangement(family, i)
+            level, limit = om_of(marked), om_of(limit_arrangement(marked))
+            assert weak_map(level, limit) and full_chirotope_weak_map(level, limit)
+            assert not weak_map(limit, level) and not full_chirotope_weak_map(limit, level)
+
+    def test_certificate_builds_no_chirotope_beyond_the_limit(self, monkeypatch):
+        sizes = []
+        derive = om_module._chirotope_from_cocircuits
+
+        def recorded(matroid):
+            sizes.append(len(matroid.ground))
+            return derive(matroid)
+
+        monkeypatch.setattr(om_module, "_chirotope_from_cocircuits", recorded)
+        certificate(default_seed(), 3)
+        assert sizes and max(sizes) == 8
+
+    def test_rank_two_source_document(self):
+        # e1, e2 and e1 + e2 span a plane only: no basis signs at all
+        source = parse_om({"ground_set": [1, 2, 3],
+                           "cocircuits": ["0++", "0--", "+0+", "-0-", "+-0", "-+0"]})
+        assert not weak_map(source, om_of(BASIS))
+        assert weak_map(source, OrientedMatroid.rank_zero([1, 2, 3]))
+
+    def test_inconsistent_source_document(self):
+        # the sign of element 4 flipped in the cocircuit pair vanishing on {1, 2}
+        doc = render_om(om_of(BASIS4))
+        doc["cocircuits"] = [
+            {"00++": "00+-", "00--": "00-+"}.get(cc, cc) for cc in doc["cocircuits"]
+        ]
+        source = parse_om(doc)
+        with pytest.raises(NotSpanning):
+            weak_map(source, om_of(BASIS4))
+        # on the non-loops {1, 2, 3} of this target the document is consistent
+        target = om_of(LabeledArrangement(list(BASIS.elements) + [(4, Vector3(0, 0, 0))]))
+        assert weak_map(source, target)
+        with pytest.raises(NotSpanning):
+            source.chirotope

@@ -457,6 +457,30 @@ class TestAgainstReferenceValidator:
         assert [v for v in verdicts if v[1] != v[2]] == []
         assert sum(rejected for _, rejected, _ in verdicts) == 21 + 4 + 3
 
+    @pytest.mark.parametrize(
+        "kind, mutate, path",
+        [
+            pytest.param("arrangement", _set(0, 0, "b1\n"), "$[0][0]", id="label"),
+            pytest.param("arrangement", _set(0, 1, 0, "1\n"), "$[0][1][0]", id="rational"),
+            pytest.param("report", _set("input_digests", "seed", "0" * 64 + "\n"),
+                         "$.input_digests.seed", id="input-digest"),
+            pytest.param("report", _set("report", "records", 0, "mi_fingerprint", "0" * 64 + "\n"),
+                         "$.report.records[0].mi_fingerprint", id="fingerprint"),
+        ],
+    )
+    def test_final_newline_departure(self, kind, mutate, path):
+        """The second recorded departure, after the float one
+        (``test_float_is_no_integer``): a pattern's ``$`` is the end of the
+        string, as in ECMA-262, the draft's regex dialect.  jsonschema
+        matches with ``re.search``, whose ``$`` also matches before a final
+        newline, so it accepts these documents."""
+        schema, parse, doc = _documents()[kind]
+        mutate(doc)
+        with pytest.raises(SchemaError) as exc:
+            parse(doc)
+        assert exc.value.path == path
+        assert TestShippedSchemas._validator(schema).is_valid(doc)
+
 
 def _subschemas(schema):
     """``schema`` and every schema nested in it."""
