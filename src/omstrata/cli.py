@@ -89,13 +89,15 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _cmd_om_of(args) -> int:
-    arrangement = parse_arrangement(_load_json(args.input))
-    matroid = om_of(arrangement)
-    _write_or_print(_dump(render_om(matroid)), args.out)
-    if args.out:
+def _write_om(matroid, out: str | None) -> int:
+    _write_or_print(_dump(render_om(matroid)), out)
+    if out:
         print(f"fingerprint: {matroid.fingerprint()}")
     return 0
+
+
+def _cmd_om_of(args) -> int:
+    return _write_om(om_of(parse_arrangement(_load_json(args.input))), args.out)
 
 
 def _cmd_om_compare(args) -> int:
@@ -106,12 +108,7 @@ def _cmd_om_compare(args) -> int:
 
 
 def _cmd_mu(args) -> int:
-    subspace = parse_subspace(_load_json(args.subspace))
-    matroid = subspace_om(subspace)
-    _write_or_print(_dump(render_om(matroid)), args.out)
-    if args.out:
-        print(f"fingerprint: {matroid.fingerprint()}")
-    return 0
+    return _write_om(subspace_om(parse_subspace(_load_json(args.subspace))), args.out)
 
 
 def _cmd_certificate(args) -> int:

@@ -39,7 +39,7 @@ from .geometry import (
     line_through,
     perspective_normalize,
 )
-from .labels import PERSISTENT, Label, indexed, label_key
+from .labels import PERSISTENT, Label, indexed
 from .om import LabeledArrangement, OrientedMatroid, om_equal, om_of, weak_map
 
 SEED_LABELS = ("alpha", "beta", "gamma", "omega", "nu", "a", "b1")
@@ -165,11 +165,8 @@ class ConfigurationFamily:
         )
 
     def arrangement(self) -> LabeledArrangement:
-        """All points lifted to height 1, in global label order."""
-        return LabeledArrangement(
-            (lab, embed_affine(pt))
-            for lab, pt in sorted(self.points, key=lambda e: label_key(e[0]))
-        )
+        """All points lifted to height 1."""
+        return LabeledArrangement((lab, embed_affine(pt)) for lab, pt in self.points)
 
 
 def _level_labels(depth: int) -> list[Label]:
@@ -222,20 +219,14 @@ def build(seed: Seed, depth: int) -> ConfigurationFamily:
 
 
 def delta_arrangement(family: ConfigurationFamily, i: int) -> LabeledArrangement:
-    """Level-i arrangement with the point c_i carrying the label ``delta``.
-
-    Ground set in global label order; all points lifted to height 1.
-    """
+    """Level-i arrangement with the point c_i carrying the label ``delta``,
+    all points lifted to height 1."""
     if not 1 <= i <= family.depth:
         raise IndexError(f"i = {i} not in 1..{family.depth}")
     level = family.level(i)
     c_label = indexed("c", i)
-    relabeled = [
-        ("delta" if lab == c_label else lab, pt) for lab, pt in level.points
-    ]
     return LabeledArrangement(
-        (lab, embed_affine(pt))
-        for lab, pt in sorted(relabeled, key=lambda e: label_key(e[0]))
+        ("delta" if lab == c_label else lab, embed_affine(pt)) for lab, pt in level.points
     )
 
 
@@ -360,7 +351,9 @@ def certificate(
         limit_om = om_of(limit)
         shared = limit_om.delete_loops()
         shared_limits.append(shared)
-        weak_ok = weak_map(level_om, limit_om)
+        # The verdict of weak_map(level_om, limit_om), which deletes both onto
+        # the limit's non-loops itself.
+        weak_ok = weak_map(level_om.restrict(shared.ground), shared)
         try:
             limit_cr = cross_ratio(
                 s.alpha,

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .construction import ConfigurationFamily
 from .geometry import PlanePoint, perspective_normalize
-from .labels import Label, display, indexed, label_key
+from .labels import Label, display, indexed
 from .om import LabeledArrangement
 
 _WIDTH = 640
@@ -19,15 +19,8 @@ _HEIGHT = 480
 _MARGIN = 40
 
 
-def _drawable_points(obj: ConfigurationFamily | LabeledArrangement) -> list[tuple[Label, PlanePoint]]:
-    if isinstance(obj, ConfigurationFamily):
-        pts = list(obj.points)
-    else:
-        pts = []
-        for label, vec in obj.elements:
-            if vec.z > 0:
-                pts.append((label, perspective_normalize(vec)))
-    return sorted(pts, key=lambda e: label_key(e[0]))
+def _drawable_points(arrangement: LabeledArrangement) -> list[tuple[Label, PlanePoint]]:
+    return [(label, perspective_normalize(vec)) for label, vec in arrangement.elements if vec.z > 0]
 
 
 def _construction_lines(points: dict[Label, PlanePoint]) -> list[tuple[Label, Label]]:
@@ -51,7 +44,9 @@ def _construction_lines(points: dict[Label, PlanePoint]) -> list[tuple[Label, La
 
 def emit_figure(obj: ConfigurationFamily | LabeledArrangement) -> str:
     """Render a configuration to SVG text: its points and the lines that
-    define the construction."""
+    define the construction.  A family is drawn as its arrangement."""
+    if isinstance(obj, ConfigurationFamily):
+        obj = obj.arrangement()
     labeled = _drawable_points(obj)
     if not labeled:
         raise ValueError("nothing to draw")

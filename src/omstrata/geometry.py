@@ -78,8 +78,6 @@ class Vector3:
         return self.x == 0 and self.y == 0 and self.z == 0
 
 
-ZERO3 = Vector3(0, 0, 0)
-
 IntVec = tuple[int, int, int]
 
 

@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .errors import NotSpanning, RankDeficient
 from .geometry import Vector3
-from .labels import Label, is_label
+from .labels import Label, label_keys
 from .linalg import matrix_rank, solve_linear
 from .om import LabeledArrangement, Matroid, OrientedMatroid, om_equal, om_of, underlying_matroid
 
@@ -65,13 +65,7 @@ class VectorFamily:
         elems = tuple((label, _to_row(vec)) for label, vec in elements)
         if not elems:
             raise ValueError("empty vector family")
-        seen = set()
-        for label, _ in elems:
-            if not is_label(label):
-                raise ValueError(f"invalid label {label!r}")
-            if label in seen:
-                raise ValueError(f"duplicate label {label!r}")
-            seen.add(label)
+        label_keys(label for label, _ in elems)  # checks the labels; the order stays
         ambient = len(elems[0][1])
         if any(len(vec) != ambient for _, vec in elems):
             raise ValueError("vectors of mixed dimension")

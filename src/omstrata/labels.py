@@ -10,7 +10,7 @@ then integers in numeric order.
 from __future__ import annotations
 
 import re
-from typing import Union
+from typing import Iterable, Union
 
 Label = Union[str, int]
 
@@ -26,19 +26,8 @@ _GREEK = {"alpha": "α", "beta": "β", "gamma": "γ",
           "omega": "ω", "nu": "ν", "delta": "δ"}
 
 
-def is_label(value: object) -> bool:
-    """True iff value is a well-formed label."""
-    if isinstance(value, bool):
-        return False
-    if isinstance(value, int):
-        return True
-    if isinstance(value, str):
-        return value in _NAMED_INDEX or bool(_INDEXED.fullmatch(value))
-    return False
-
-
 def label_key(label: Label) -> tuple:
-    """Sort key realizing the global label order."""
+    """Sort key realizing the global label order; ValueError for a non-label."""
     if isinstance(label, str):
         if label in _NAMED_INDEX:
             return (0, _NAMED_INDEX[label], 0)
@@ -49,6 +38,31 @@ def label_key(label: Label) -> tuple:
     if isinstance(label, int) and not isinstance(label, bool):
         return (2, label, 0)
     raise ValueError(f"not a label: {label!r}")
+
+
+def is_label(value: object) -> bool:
+    """True iff value is a well-formed label."""
+    try:
+        label_key(value)
+    except ValueError:
+        return False
+    return True
+
+
+def label_keys(labels: Iterable) -> list[tuple]:
+    """The sort keys of the labels, in the given order.  ValueError names the
+    first label that is invalid or repeats an earlier one."""
+    keys, seen = [], set()
+    for label in labels:
+        try:
+            key = label_key(label)
+        except ValueError:
+            raise ValueError(f"invalid label {label!r}") from None
+        if key in seen:  # label_key is one-to-one
+            raise ValueError(f"duplicate label {label!r}")
+        seen.add(key)
+        keys.append(key)
+    return keys
 
 
 def sort_labels(labels) -> tuple[Label, ...]:

@@ -1,6 +1,7 @@
 """Rank-3 oriented matroids of labeled vector arrangements.
 
-An arrangement is an ordered list of (label, Vector3) pairs.  Its oriented
+An arrangement is a tuple of (label, Vector3) pairs in global label order,
+which is the ground order of everything computed from it.  Its oriented
 matroid is stored as the cocircuit set: every line of the configuration
 (the plane spanned by two independent vectors v_i, v_j) induces the sign
 vector ``k -> sign <v_k, v_i x v_j>`` together with its negation.  Each line
@@ -35,7 +36,7 @@ from typing import Iterable, Mapping
 
 from .errors import DomainMismatch, GroundSetMismatch, NotSpanning
 from .geometry import IntVec, Vector3, _cross, _det3, _primitive, _sign
-from .labels import Label, is_label, label_key, sort_labels
+from .labels import Label, label_key, label_keys, sort_labels
 
 Sign = int  # -1, 0, +1
 
@@ -63,20 +64,15 @@ def _rank3(vectors: Iterable[IntVec]) -> int:
 
 @dataclass(frozen=True)
 class LabeledArrangement:
-    """Ordered, labeled tuple of homogeneous vectors."""
+    """Labeled homogeneous vectors, kept in global label order."""
 
     elements: tuple[tuple[Label, Vector3], ...]
 
     def __init__(self, elements: Iterable[tuple[Label, Vector3]]):
-        elems = tuple((label, vector) for label, vector in elements)
-        seen = set()
-        for label, _ in elems:
-            if not is_label(label):
-                raise ValueError(f"invalid label {label!r}")
-            if label in seen:
-                raise ValueError(f"duplicate label {label!r}")
-            seen.add(label)
-        object.__setattr__(self, "elements", elems)
+        elems = [(label, vector) for label, vector in elements]
+        keys = label_keys(label for label, _ in elems)
+        # The keys are distinct, so the sort never compares two vectors.
+        object.__setattr__(self, "elements", tuple(e for _, e in sorted(zip(keys, elems))))
 
     @property
     def labels(self) -> tuple[Label, ...]:
@@ -88,14 +84,16 @@ class LabeledArrangement:
                 return vec
         raise KeyError(label)
 
-    def is_spanning(self) -> bool:
-        return _rank3(_primitive(v.x, v.y, v.z) for _, v in self.elements) == 3
+    def primitive_vectors(self) -> tuple[IntVec, ...]:
+        """The primitive integer multiples of the vectors, which carry every
+        sign of the arrangement."""
+        return tuple(_primitive(v.x, v.y, v.z) for _, v in self.elements)
 
-    def sorted_by_label(self) -> "LabeledArrangement":
-        return LabeledArrangement(sorted(self.elements, key=lambda e: label_key(e[0])))
+    def is_spanning(self) -> bool:
+        return _rank3(self.primitive_vectors()) == 3
 
     def restrict(self, labels: Iterable[Label]) -> "LabeledArrangement":
-        """Sub-arrangement on the given labels, original order kept."""
+        """Sub-arrangement on the given labels."""
         keep = set(labels)
         missing = keep - set(self.labels)
         if missing:
@@ -131,12 +129,6 @@ class SignVector:
 
     def __neg__(self) -> "SignVector":
         return SignVector(self.labels, tuple(-s for s in self.signs))
-
-    def is_zero(self) -> bool:
-        return all(s == 0 for s in self.signs)
-
-    def support(self) -> tuple[Label, ...]:
-        return tuple(l for l, s in zip(self.labels, self.signs) if s != 0)
 
     def zero_set(self) -> tuple[Label, ...]:
         return tuple(l for l, s in zip(self.labels, self.signs) if s == 0)
@@ -277,19 +269,12 @@ class OrientedMatroid:
         return f"OrientedMatroid(|E|={len(self.ground)}, cocircuits={len(self.cocircuits)})"
 
 
-def _sorted_primitive(arrangement: LabeledArrangement) -> tuple[tuple[Label, ...], tuple[IntVec, ...]]:
-    ordered = arrangement.sorted_by_label()
-    ground = ordered.labels
-    ints = tuple(_primitive(v.x, v.y, v.z) for _, v in ordered.elements)
-    return ground, ints
-
-
 def chirotope_of(arrangement: LabeledArrangement) -> Chirotope:
     """Orientation sign of every sorted label triple of the arrangement.
 
     This is the determinant reference: ``om_of(a).chirotope`` equals it up
     to one global sign."""
-    ground, ints = _sorted_primitive(arrangement)
+    ground, ints = arrangement.labels, arrangement.primitive_vectors()
     nonzero: dict[tuple[Label, Label, Label], Sign] = {}
     live = [i for i, v in enumerate(ints) if v != (0, 0, 0)]
     for i, j, k in combinations(live, 3):
@@ -333,7 +318,7 @@ def om_of(arrangement: LabeledArrangement) -> OrientedMatroid:
     labels and the primitive integer vectors, so a positively rescaled copy
     reuses the last result (see ``_om_of_primitive``).
     """
-    return _om_of_primitive(*_sorted_primitive(arrangement))
+    return _om_of_primitive(arrangement.labels, arrangement.primitive_vectors())
 
 
 @lru_cache(maxsize=1)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from omstrata import LabeledArrangement, PlanePoint, Vector3
+from omstrata import LabeledArrangement, PlanePoint, Vector3, label_key
 
 
 def rand_fraction(rng: random.Random, span: int = 9) -> Fraction:
@@ -48,7 +48,8 @@ def sign_of(value: Fraction) -> int:
 def sampled_sign_patterns(arrangement: LabeledArrangement, rng: random.Random, trials: int):
     """Brute-force oracle: sign patterns of random rational functionals
     against the arrangement in canonical label order."""
-    vectors = [v for _, v in arrangement.sorted_by_label().elements]
+    ordered = sorted(arrangement.elements, key=lambda e: label_key(e[0]))
+    vectors = [v for _, v in ordered]
     patterns = set()
     for _ in range(trials):
         functional = rand_vector3(rng)

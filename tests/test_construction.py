@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from omstrata import (
     DegenerateStep,
+    OrientedMatroid,
     PlanePoint,
     Seed,
     SeedRejected,
@@ -311,6 +312,25 @@ class TestCertificate:
         assert not report.checks.limits_equal
         assert not report.checks.separation
         assert len({rec.limit_fingerprint for rec in report.records}) == 2
+
+    def test_limit_loops_deleted_once_per_level(self, monkeypatch):
+        with_loops = []
+        delete_loops = OrientedMatroid.delete_loops
+        monkeypatch.setattr(OrientedMatroid, "delete_loops",
+                            lambda self: with_loops.append(bool(self.loops)) or delete_loops(self))
+        certificate(default_seed(), 3, [1, 2])
+        assert with_loops.count(True) == 3
+
+    @pytest.mark.parametrize("seed", [default_seed(), WALL_SEED], ids=["default", "wall"])
+    def test_weak_map_on_the_deleted_pair(self, seed):
+        # the certificate passes weak_map the level and limit deleted onto the
+        # limit's non-loops; the verdict is that of the undeleted pair
+        family = build(seed, 6)
+        for i in range(1, 7):
+            marked = delta_arrangement(family, i)
+            level_om, limit_om = om_of(marked), om_of(limit_arrangement(marked))
+            shared = limit_om.delete_loops()
+            assert weak_map(level_om.restrict(shared.ground), shared) == weak_map(level_om, limit_om)
 
     def test_deterministic_reports(self):
         first = certificate(default_seed(), 3, [1, 4])

@@ -24,6 +24,10 @@ class TestEmitFigure:
         for name in ("b2", "c1", "d1"):
             assert f">{name}</text>" in svg
 
+    def test_family_is_drawn_as_its_arrangement(self):
+        family = build(default_seed(), 2)
+        assert emit_figure(family) == emit_figure(family.arrangement())
+
     def test_byte_identical_output(self):
         family = build(default_seed(), 2)
         assert emit_figure(family) == emit_figure(family)

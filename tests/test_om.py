@@ -12,6 +12,7 @@ from omstrata import (
     OrientedMatroid,
     SignVector,
     Vector3,
+    VectorFamily,
     build,
     certificate,
     chirotope_of,
@@ -104,8 +105,8 @@ def realized_covectors(arrangement: LabeledArrangement):
     """Independent oracle: build every covector with an explicit rational
     functional, starting from the pair normals and composing by dominant
     scaling.  Returns {pattern: functional}."""
-    ordered = arrangement.sorted_by_label()
-    vectors = [v for _, v in ordered.elements]
+    ordered = sorted(arrangement.elements, key=lambda e: label_key(e[0]))
+    vectors = [v for _, v in ordered]
 
     def pattern_of(functional: Vector3):
         return tuple(sign_of(v.dot(functional)) for v in vectors)
@@ -227,8 +228,8 @@ class TestCocircuits:
         rng = random.Random(42)
         for _ in range(20):
             arr = rand_spanning_arrangement(rng, rng.randint(3, 6))
-            ordered = arr.sorted_by_label()
-            vectors = [v for _, v in ordered.elements]
+            ordered = sorted(arr.elements, key=lambda e: label_key(e[0]))
+            vectors = [v for _, v in ordered]
             from_normals = set()
             for i, j in combinations(range(len(vectors)), 2):
                 normal = vectors[i].cross(vectors[j])
@@ -247,7 +248,7 @@ class TestCocircuitKernel:
         rng = random.Random(71)
         for _ in range(200):
             arr = rand_grid_arrangement(rng, rng.randint(3, 10))
-            _, ints = om_module._sorted_primitive(arr)
+            ints = arr.primitive_vectors()
             assert om_module._cocircuit_tuples(ints) == all_pairs_cocircuit_tuples(ints)
 
     def test_matches_all_pairs_on_certificate_levels(self):
@@ -255,7 +256,7 @@ class TestCocircuitKernel:
         for i in range(1, 21):
             marked = delta_arrangement(family, i)
             for arr in (marked, limit_arrangement(marked)):
-                _, ints = om_module._sorted_primitive(arr)
+                ints = arr.primitive_vectors()
                 assert om_module._cocircuit_tuples(ints) == all_pairs_cocircuit_tuples(ints)
 
 
@@ -275,6 +276,12 @@ class TestOmOfMemo:
         fresh = om_of(arr.rescaled(factors))
         assert again == fresh == first
         assert again.fingerprint() == fresh.fingerprint()
+
+    def test_shuffled_copy_is_a_memo_hit(self):
+        om_of(BASIS4)
+        hits = MEMO.cache_info().hits
+        om_of(LabeledArrangement(reversed(BASIS4.elements)))
+        assert MEMO.cache_info().hits == hits + 1
 
     def test_negated_element_is_a_miss(self):
         first = om_of(BASIS4)
@@ -661,6 +668,37 @@ class TestLabels:
             label_key("c2\n")
         with pytest.raises(ValueError):
             LabeledArrangement([("b1", E1), ("b1\n", E2), ("alpha", E3)])
+
+    @pytest.mark.parametrize("value, valid", [
+        (True, False), ("b0", False), ("b01", False), ("b1\n", False), (1.0, False),
+        (None, False), ("delta", True), (-3, True),
+    ])
+    def test_is_label_iff_label_key_accepts(self, value, valid):
+        try:
+            label_key(value)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert is_label(value) == accepted == valid
+
+    def test_shuffled_arrangement_is_in_label_order(self):
+        elements = [("b2", E1), (3, E2), ("c1", E3), ("alpha", ONES), ("delta", E1),
+                    ("d1", E2), ("b1", E3), (-1, ONES), ("nu", E2)]
+        ordered = sorted(elements, key=lambda e: label_key(e[0]))
+        rng = random.Random(5)
+        for _ in range(20):
+            rng.shuffle(elements)
+            arrangement = LabeledArrangement(elements)
+            assert arrangement == LabeledArrangement(ordered)
+            assert arrangement.elements == tuple(ordered)
+
+    @pytest.mark.parametrize("build_with", [LabeledArrangement, VectorFamily])
+    def test_error_texts(self, build_with):
+        vec = (1, 0, 0)
+        with pytest.raises(ValueError, match=r"^invalid label 'b0'$"):
+            build_with([("b1", vec), ("b0", vec)])
+        with pytest.raises(ValueError, match=r"^duplicate label 'b1'$"):
+            build_with([("b1", vec), (2, vec), ("b1", vec), ("b0", vec)])
 
 
 def full_chirotope_weak_map(source: OrientedMatroid, target: OrientedMatroid) -> bool:
