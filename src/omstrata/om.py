@@ -9,6 +9,12 @@ is enumerated once, from the first independent pair on it.  Covectors are
 recovered on demand as the compositions of cocircuits, one cocircuit at a
 time, and basis signs (the chirotope) by a walk over the cocircuits.
 
+Covectors are composed as ``(pos, neg)`` integer bitmask pairs, bit k for
+ground position k, so composition is ``(p | cp & free, n | cn & free)`` with
+``free = ~(p | n)``.  Each oriented matroid enumerates its covector masks
+once and keeps them, as it keeps its chirotope; ``covectors_of`` and
+``strong_map`` both read that one set.
+
 Deletion onto a subset of the labels (``OrientedMatroid.restrict``) keeps the
 support-minimal non-zero restrictions of the cocircuits (BLSWZ 3.3).  Every
 non-zero basis sign of a weak-map target lies on its non-loops, so
@@ -181,12 +187,13 @@ class OrientedMatroid:
     their cocircuit sets.  The basis signs are derived from the cocircuits.
     """
 
-    __slots__ = ("ground", "cocircuits", "loops", "_chirotope")
+    __slots__ = ("ground", "cocircuits", "loops", "_chirotope", "_covectors")
 
     def __init__(self, ground: tuple[Label, ...], cocircuits: frozenset[SignVector]):
         self.ground = ground
         self.cocircuits = cocircuits
         self._chirotope = None
+        self._covectors = None
         zero_everywhere = range(len(ground))
         for cc in cocircuits:
             signs = cc.signs
@@ -388,20 +395,56 @@ def _chirotope_from_cocircuits(matroid: OrientedMatroid) -> Chirotope:
     return Chirotope(ground, nonzero)
 
 
-def covectors_of(matroid: OrientedMatroid) -> frozenset[SignVector]:
-    """All covectors: zero and every composition of cocircuits, grown one
-    cocircuit at a time (composition is associative) until a layer adds
-    nothing.  A covector with no zero composes to itself, so only those with
-    a zero are extended."""
-    cocircuits = [cc.signs for cc in matroid.cocircuits]
-    layer = {(0,) * len(matroid.ground)}
+def _masks(signs: Iterable[Sign]) -> tuple[int, int]:
+    """The ``(pos, neg)`` bitmasks of a sign row: bit k is position k."""
+    pos = neg = 0
+    for k, s in enumerate(signs):
+        if s > 0:
+            pos |= 1 << k
+        elif s < 0:
+            neg |= 1 << k
+    return pos, neg
+
+
+def _signs(pos: int, neg: int, width: int) -> tuple[Sign, ...]:
+    """The sign row of width ``width`` with bitmasks ``(pos, neg)``."""
+    return tuple([(pos >> k & 1) - (neg >> k & 1) for k in range(width)])
+
+
+def _covector_masks(width: int, cocircuits: list[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+    """Zero and every composition of the cocircuit masks, grown one cocircuit
+    at a time (composition is associative) until a layer adds nothing.  A
+    covector with no zero composes to itself, so only those with a zero are
+    extended."""
+    full = (1 << width) - 1
+    layer = {(0, 0)}
     found = set(layer)
     while layer:
-        layer = {
-            tuple([s or t for s, t in zip(x, y)]) for x in layer if 0 in x for y in cocircuits
-        } - found
+        fresh = set()
+        for p, n in layer:
+            free = ~(p | n)
+            if free & full:
+                fresh.update([(p | cp & free, n | cn & free) for cp, cn in cocircuits])
+        layer = fresh - found
         found |= layer
-    return frozenset(SignVector(matroid.ground, t) for t in found)
+    return frozenset(found)
+
+
+def _kept_covectors(matroid: OrientedMatroid) -> frozenset[tuple[int, int]]:
+    """The covector masks of ``matroid``, enumerated on first use and kept."""
+    if matroid._covectors is None:
+        cocircuits = [_masks(cc.signs) for cc in matroid.cocircuits]
+        matroid._covectors = _covector_masks(len(matroid.ground), cocircuits)
+    return matroid._covectors
+
+
+def covectors_of(matroid: OrientedMatroid) -> frozenset[SignVector]:
+    """All covectors: zero and every composition of cocircuits.  They are
+    composed as ``(pos, neg)`` masks, once per oriented matroid, and each
+    call builds the sign vectors from the kept masks."""
+    ground, width = matroid.ground, len(matroid.ground)
+    masks = _kept_covectors(matroid)
+    return frozenset(SignVector(ground, _signs(p, n, width)) for p, n in masks)
 
 
 def om_equal(m1: OrientedMatroid, m2: OrientedMatroid) -> bool:
@@ -414,10 +457,12 @@ def om_equal(m1: OrientedMatroid, m2: OrientedMatroid) -> bool:
 def strong_map(source: OrientedMatroid, target: OrientedMatroid) -> bool:
     """True iff every covector of the target is a covector of the source;
     the source's are closed under composition, so the target's cocircuits
-    decide."""
+    decide.  Their masks are looked up in the source's kept covector masks,
+    which are enumerated only if ``covectors_of`` has not done so."""
     if source.ground != target.ground:
         raise GroundSetMismatch(f"{source.ground} vs {target.ground}")
-    return target.cocircuits <= covectors_of(source)
+    covectors = _kept_covectors(source)
+    return all(_masks(cc.signs) in covectors for cc in target.cocircuits)
 
 
 def _spans_rank_three(matroid: OrientedMatroid) -> bool:

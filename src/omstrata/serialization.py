@@ -246,6 +246,7 @@ def render_vector_family(family: VectorFamily) -> list:
 
 def parse_vector_family(value: Any, path: str = "$") -> VectorFamily:
     _validate(value, "vector-family.v1.schema.json", path)
+    _distinct((label for label, _ in value), lambda i: f"{path}[{i}][0]")
     return VectorFamily(
         (label, _rationals(vec, f"{path}[{i}][1]")) for i, (label, vec) in enumerate(value)
     )

@@ -381,6 +381,20 @@ def rand_sign_document(rng: random.Random, ground: tuple[int, ...]) -> OrientedM
     return parse_om({"ground_set": list(ground), "cocircuits": sorted(strings)})
 
 
+def sign_set_groups():
+    """40 grounds of 1 to 5 labels, 25 sign sets from ``rand_sign_document``
+    on each: one list of sign sets per ground."""
+    rng = random.Random(83)
+    for g in range(40):
+        ground = tuple(range(10 * g + 1, 10 * g + 1 + rng.randint(1, 5)))
+        yield [rand_sign_document(rng, ground) for _ in range(25)]
+
+
+def uncached(matroid: OrientedMatroid) -> OrientedMatroid:
+    """An equal oriented matroid that has computed nothing yet."""
+    return OrientedMatroid(matroid.ground, matroid.cocircuits)
+
+
 class TestCovectorsAgainstClosure:
     """``covectors_of`` grows compositions one cocircuit at a time; the
     fixpoint closure is the reference, on oriented matroids and on sign
@@ -401,18 +415,83 @@ class TestCovectorsAgainstClosure:
             checked += 1
 
     def test_sign_sets_and_strong_maps(self):
-        # 40 grounds of 1 to 5 labels, 25 sign sets on each: covector sets
-        # on all 1000, strong maps on every pair that shares a ground.
-        rng = random.Random(83)
-        for g in range(40):
-            ground = tuple(range(10 * g + 1, 10 * g + 1 + rng.randint(1, 5)))
-            sets = [rand_sign_document(rng, ground) for _ in range(25)]
+        # Covector sets on all 1000 sign sets, strong maps on every pair that
+        # shares a ground.
+        for sets in sign_set_groups():
             reference = [fixpoint_closure(m) for m in sets]
             for m, expected in zip(sets, reference):
                 assert covectors_of(m) == expected
             for source, covers in zip(sets, reference):
                 for target, covered in zip(sets, reference):
                     assert strong_map(source, target) == (covered <= covers)
+
+
+class TestCovectorMasks:
+    """Covectors are composed as ``(pos, neg)`` bitmasks and kept on their
+    oriented matroid."""
+
+    def test_round_trip_every_short_sign_row(self):
+        for n in range(6):
+            for signs in product((-1, 0, 1), repeat=n):
+                pos, neg = om_module._masks(signs)
+                assert pos & neg == 0
+                assert om_module._signs(pos, neg, n) == signs
+
+    def test_masks_wider_than_64_bits(self):
+        # 5 points in general position, then loops and parallel and
+        # antiparallel copies up to 70 elements, shuffled; the last assert
+        # shows that signs past bit 64 are exercised.
+        rng = random.Random(89)
+        points = [E1, E2, E3, ONES, Vector3(1, 2, 3)]
+        elements = list(points)
+        while len(elements) < 70:
+            if rng.random() < 0.1:
+                elements.append(Vector3(0, 0, 0))
+            else:
+                v = rng.choice(points)
+                elements.append(v.scaled(rng.choice((-1, 1)) * rand_positive_fraction(rng)))
+        rng.shuffle(elements)
+        matroid = om_of(LabeledArrangement((i + 1, v) for i, v in enumerate(elements)))
+        covectors = covectors_of(matroid)
+        assert covectors == fixpoint_closure(matroid)
+        assert any(cv.signs[64:] != (0,) * 6 for cv in covectors)
+
+    def test_only_covectors_with_a_zero_are_extended(self):
+        # A covector with no zero composes to itself, so the closure passes
+        # over the cocircuits once per covector that has a zero.
+        class Passes(list):
+            count = 0
+
+            def __iter__(self):
+                self.count += 1
+                return super().__iter__()
+
+        matroid = om_of(BASIS4)
+        cocircuits = Passes(om_module._masks(cc.signs) for cc in matroid.cocircuits)
+        masks = om_module._covector_masks(len(matroid.ground), cocircuits)
+        assert cocircuits.count == sum(1 for p, n in masks if p | n != 0b1111)
+        assert cocircuits.count < len(masks)
+
+    def test_strong_maps_match_on_uncached_copies(self):
+        for sets in sign_set_groups():
+            for m in sets:
+                covectors_of(m)
+            for source in sets:
+                for target in sets:
+                    answer = strong_map(source, target)
+                    assert strong_map(uncached(source), uncached(target)) == answer
+
+    def test_kept_covectors_take_no_part_in_equality(self):
+        matroid = om_of(BASIS4)
+        covectors_of(matroid)
+        copy = uncached(matroid)
+        assert matroid._covectors is not None and copy._covectors is None
+        assert matroid == copy
+        assert hash(matroid) == hash(copy)
+
+    def test_repeated_calls_agree(self):
+        matroid = uncached(om_of(DEGEN4))
+        assert covectors_of(matroid) == covectors_of(matroid)
 
 
 class TestOrientedMatroid:

@@ -157,6 +157,11 @@ class TestSubspaceDocuments:
         family = VectorFamily([(1, (1, 0, F(2, 5))), (2, (0, 1, 0)), ("a", (1, 1, 1))])
         assert parse_vector_family(render_vector_family(family)) == family
 
+    def test_vector_family_duplicate_label_carries_path(self):
+        with pytest.raises(SchemaError) as exc:
+            parse_vector_family([[1, ["1"]], [1, ["2"]]])
+        assert exc.value.path == "$[1][0]"
+
 
 class TestSeedAndFamily:
     def test_seed_round_trip(self):
