@@ -7,6 +7,7 @@ seed is rejected or a certificate fails, 1 on malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -133,7 +134,10 @@ def _cmd_certificate(args) -> int:
     return 0 if report.passed else 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as it
+    was."""
     parser = argparse.ArgumentParser(
         prog="omstrata",
         description="Exact certificates for planar configurations and their "

@@ -44,9 +44,11 @@ from .om import LabeledArrangement, OrientedMatroid, om_equal, om_of, weak_map
 
 SEED_LABELS = ("alpha", "beta", "gamma", "omega", "nu", "a", "b1")
 
-# The certificate's cost grows about as depth**4 (n = 3 * depth + 7 points
-# per level, O(n**3) sign evaluations for each of the depth levels); depth
-# 80 is the largest run it is meant for.  ``build`` has no such bound.
+# The certificate enumerates the lines of its deepest level once, O(n**3)
+# Python work for n = 3 * depth + 7 points; every lower level and limit then
+# projects those lines onto its columns, lines * n sign reads done in C per
+# level.  Depth 80 is the largest run it is meant for.  ``build`` has no such
+# bound.
 MAX_CERTIFICATE_DEPTH = 80
 
 
@@ -341,7 +343,9 @@ def certificate(
     records: list[LevelRecord] = []
     shared_limits: list[OrientedMatroid] = []
     s = seed
-    for i in range(1, depth + 1):
+    # Deepest level first: every lower level, and every limit, is a
+    # sub-arrangement of it, so om_of reads their cocircuits off its lines.
+    for i in range(depth, 0, -1):
         marked = delta_arrangement(family, i)
         level_om = om_of(marked)
         degeneration = tuple(
@@ -374,7 +378,12 @@ def certificate(
                 weak_map_ok=weak_ok,
             )
         )
+        # Let this level's cocircuits go before the next level's are built;
+        # the deepest level's lines stay remembered by om_of.
+        del level_om
 
+    records.reverse()
+    shared_limits.reverse()
     limits_equal = all(
         om_equal(shared_limits[0], other) for other in shared_limits[1:]
     )

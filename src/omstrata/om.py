@@ -26,6 +26,14 @@ computations run on primitive integer copies of the vectors; this keeps the
 arithmetic in plain ints and makes fingerprints bit-stable.  ``om_of`` is a
 function of the labels and those primitive vectors alone and remembers its
 last result, so the rescaled copies of one arrangement cost one enumeration.
+
+It also remembers the lines of its last full enumeration.  Every line of a
+sub-arrangement (one whose non-zero vectors all occur among those lines'
+vectors) is one of them: a remembered line whose zero set holds two
+non-parallel vectors of the sub-arrangement.  Such an arrangement reads its
+cocircuits off the remembered rows, restricted to its columns by one
+``itemgetter``, with no new enumeration.  The certificate walks its levels
+deepest first, so one enumeration serves every level and limit.
 """
 
 from __future__ import annotations
@@ -36,8 +44,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations, compress
-from operator import itemgetter
+from itertools import combinations, compress, repeat
+from operator import add, itemgetter
 from typing import Iterable, Mapping
 
 from .errors import DomainMismatch, GroundSetMismatch, NotSpanning
@@ -291,14 +299,85 @@ def chirotope_of(arrangement: LabeledArrangement) -> Chirotope:
     return Chirotope(ground, nonzero)
 
 
-def _cocircuit_tuples(ints: tuple[IntVec, ...]) -> set[tuple[Sign, ...]]:
-    """Both sign rows of every line (rank-2 flat) of the arrangement.
+class _Lines:
+    """The lines of one full enumeration, kept so that a sub-arrangement can
+    read its cocircuits off them.
+
+    ``found`` holds each line's sign row, its negation and the live positions
+    of its zero set, as the kernel computes them.  The first projection turns
+    them into the projection data and drops them: the rows in pairs, the same
+    tuples the enumerated oriented matroid holds, and per row the bitmask of
+    the projective classes in its line's zero set.  Zero vectors read column
+    ``len(vectors)``, a 0 appended to the rows they are read from.
+    """
+
+    __slots__ = ("vectors", "found", "column", "rows", "masks", "class_bits")
+
+    def __init__(self, vectors: tuple[IntVec, ...], found: list):
+        self.vectors = vectors
+        self.found = found
+        self.column: dict[IntVec, int] | None = None
+
+    def columns(self, ints: tuple[IntVec, ...]) -> list[int] | None:
+        """The column of each vector of ``ints``, or None if a non-zero one
+        is missing."""
+        if self.column is None:
+            # a repeated vector keeps one of its columns, which read alike
+            self.column = dict(zip(self.vectors, range(len(self.vectors))))
+            self.column[0, 0, 0] = len(self.vectors)
+        cols = list(map(self.column.get, ints))
+        return None if None in cols else cols
+
+    def _index(self) -> None:
+        """Turn ``found`` into the rows and their class masks."""
+        classes: dict[IntVec, int] = {}
+        bits = [0] * (len(self.vectors) + 1)
+        for k, v in enumerate(self.vectors):
+            if v != (0, 0, 0):
+                # v and -v span one class: key it by its member above zero
+                key = v if v > (0, 0, 0) else (-v[0], -v[1], -v[2])
+                bits[k] = classes.setdefault(key, 1 << len(classes))
+        self.class_bits = bits
+        self.rows, self.masks = [], []
+        for row, negated, zeros in self.found:
+            mask = 0
+            for k in zeros:
+                mask |= bits[k]
+            self.rows += (row, negated)
+            self.masks += (mask, mask)
+        self.found = None
+
+    def project(self, cols: list[int]) -> set[tuple[Sign, ...]]:
+        """Both sign rows, restricted to ``cols``, of every line whose zero
+        set holds two non-parallel vectors of the columns."""
+        if self.found is not None:
+            self._index()
+        sub = 0
+        for k in cols:
+            sub |= self.class_bits[k]
+        if not sub & (sub - 1):  # fewer than two classes: no line
+            return set()
+        on = [(m := mask & sub) & (m - 1) for mask in self.masks]
+        rows = compress(self.rows, on)
+        if len(self.vectors) in cols:
+            rows = map(add, rows, repeat((0,)))
+        return set(map(itemgetter(*cols), rows))
+
+
+# The lines of the last full enumeration (see ``_cocircuit_tuples``).
+_lines: _Lines | None = None
+
+
+def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[set[tuple[Sign, ...]], _Lines]:
+    """Both sign rows of every line (rank-2 flat) of the arrangement, and the
+    lines themselves.
 
     The pairs ``i < j`` of non-zero vectors are walked in order; a pair
     already in the zero set of a computed row lies on a known line and is
     skipped, so each line costs one row of ``n`` dot products.
     """
     out: set[tuple[Sign, ...]] = set()
+    found = []
     live = [i for i, v in enumerate(ints) if v != (0, 0, 0)]
     covered: set[tuple[int, int]] = set()
     for a, i in enumerate(live):
@@ -311,10 +390,32 @@ def _cocircuit_tuples(ints: tuple[IntVec, ...]) -> set[tuple[Sign, ...]]:
             if not (p or q or r):  # parallel pair: no line of its own
                 continue
             signs = tuple([(d > 0) - (d < 0) for d in [p * x + q * y + r * z for x, y, z in ints]])
-            covered.update(combinations([k for k in live if not signs[k]], 2))
+            zeros = [k for k in live if not signs[k]]
+            covered.update(combinations(zeros, 2))
+            negated = tuple([-s for s in signs])
             out.add(signs)
-            out.add(tuple([-s for s in signs]))
-    return out
+            out.add(negated)
+            found.append((signs, negated, zeros))
+    return out, _Lines(ints, found)
+
+
+def _cocircuit_tuples(ints: tuple[IntVec, ...]) -> set[tuple[Sign, ...]]:
+    """Both sign rows of every line (rank-2 flat) of the arrangement.
+
+    The lines of the last full enumeration are remembered.  When every
+    non-zero vector of ``ints`` occurs among their vectors, each line of
+    ``ints`` is one of them: a remembered line is a line of ``ints`` exactly
+    when its zero set holds two non-parallel vectors of ``ints``, and its
+    rows restricted to the columns of ``ints`` are that line's rows.  Any
+    other arrangement is enumerated in full and its lines replace the
+    remembered ones.
+    """
+    global _lines
+    cols = None if _lines is None else _lines.columns(ints)
+    if cols is None:
+        out, _lines = _enumerate_lines(ints)
+        return out
+    return _lines.project(cols)
 
 
 def om_of(arrangement: LabeledArrangement) -> OrientedMatroid:
@@ -492,6 +593,8 @@ def weak_map(source: OrientedMatroid, target: OrientedMatroid) -> bool:
     target = target.delete_loops()
     chi_t = target.chirotope
     deleted = source.restrict(target.ground)
+    if deleted == target:  # equal chirotopes: eps = 1 maps every sign
+        return True
     try:
         chi_s = deleted.chirotope
     except NotSpanning:

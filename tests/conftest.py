@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from omstrata import LabeledArrangement, PlanePoint, Vector3, label_key
 
@@ -55,3 +56,20 @@ def sampled_sign_patterns(arrangement: LabeledArrangement, rng: random.Random, t
         functional = rand_vector3(rng)
         patterns.add(tuple(sign_of(v.dot(functional)) for v in vectors))
     return patterns
+
+
+def all_pairs_cocircuit_tuples(ints):
+    """The reference enumeration: one sign row for every independent pair."""
+    out = set()
+    for u, v in combinations(ints, 2):
+        normal = (
+            u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0],
+        )
+        if normal == (0, 0, 0):
+            continue
+        dots = (w[0] * normal[0] + w[1] * normal[1] + w[2] * normal[2] for w in ints)
+        signs = tuple((d > 0) - (d < 0) for d in dots)
+        out.update((signs, tuple(-s for s in signs)))
+    return out

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from omstrata import LabeledArrangement, Vector3, build, default_seed
-from omstrata.cli import main
+from omstrata.cli import _build_parser, main
 from omstrata.serialization import render_arrangement, render_seed
 
 
@@ -230,3 +230,34 @@ class TestCertificate:
     def test_duplicate_samples(self, capsys):
         assert main(["certificate", "--depth", "1", "--samples", "2,2"]) == 1
         assert "samples" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """The parser is built once per process; every call parses afresh."""
+
+    def test_successive_calls_answer_independently(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["certificate", "--depth", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["depth"] == 1
+        capsys.readouterr()
+        assert main(["build", "--depth", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["depth"] == 1
+        basis = tmp_path / "basis.json"
+        degenerate = tmp_path / "degenerate.json"
+        for path, last in ((basis, Vector3(1, 1, 1)), (degenerate, Vector3(1, 1, 0))):
+            arrangement = LabeledArrangement(
+                [(1, Vector3(1, 0, 0)), (2, Vector3(0, 1, 0)), (3, Vector3(0, 0, 1)), (4, last)]
+            )
+            path.write_text(json.dumps(render_arrangement(arrangement)))
+        assert main(["om", "equal", str(basis), str(basis)]) == 0
+        assert capsys.readouterr().out.strip() == "true"
+        assert main(["om", "equal", str(basis), str(degenerate)]) == 0
+        assert capsys.readouterr().out.strip() == "false"
+        assert _build_parser() is _build_parser()
+
+    def test_version_exits_zero(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("omstrata ")

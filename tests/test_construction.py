@@ -26,8 +26,11 @@ from omstrata import (
     validate_seed,
     weak_map,
 )
+from omstrata import om as om_module
 from omstrata.construction import MAX_CERTIFICATE_DEPTH
 from omstrata.labels import PERSISTENT, indexed
+
+from conftest import all_pairs_cocircuit_tuples
 
 
 def seed_with(**overrides) -> Seed:
@@ -331,6 +334,29 @@ class TestCertificate:
             level_om, limit_om = om_of(marked), om_of(limit_arrangement(marked))
             shared = limit_om.delete_loops()
             assert weak_map(level_om.restrict(shared.ground), shared) == weak_map(level_om, limit_om)
+
+    def test_levels_and_limits_read_the_deepest_lines(self, monkeypatch):
+        # walked deepest first, as the certificate does: one enumeration
+        monkeypatch.setattr(om_module, "_lines", None)
+        family = build(default_seed(), 20)
+        table = None
+        for i in range(20, 0, -1):
+            marked = delta_arrangement(family, i)
+            for arr in (marked, limit_arrangement(marked)):
+                ints = arr.primitive_vectors()
+                assert om_module._cocircuit_tuples(ints) == all_pairs_cocircuit_tuples(ints)
+                table = table or om_module._lines
+                assert om_module._lines is table
+
+    def test_depth_6_enumerates_once(self, monkeypatch):
+        monkeypatch.setattr(om_module, "_lines", None)
+        om_module._om_of_primitive.cache_clear()
+        sizes = []
+        enumerate_lines = om_module._enumerate_lines
+        monkeypatch.setattr(om_module, "_enumerate_lines",
+                            lambda ints: sizes.append(len(ints)) or enumerate_lines(ints))
+        assert certificate(default_seed(), 6).passed
+        assert sizes == [25]
 
     def test_deterministic_reports(self):
         first = certificate(default_seed(), 3, [1, 4])

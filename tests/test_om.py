@@ -33,6 +33,7 @@ from omstrata.errors import SchemaError
 from omstrata.serialization import parse_om, render_om
 
 from conftest import (
+    all_pairs_cocircuit_tuples,
     rand_positive_fraction,
     rand_spanning_arrangement,
     sampled_sign_patterns,
@@ -77,23 +78,6 @@ def rand_grid_arrangement(rng: random.Random, size: int) -> LabeledArrangement:
         elements.append(Vector3(0, 0, 0))
     rng.shuffle(elements)
     return LabeledArrangement((i + 1, v) for i, v in enumerate(elements))
-
-
-def all_pairs_cocircuit_tuples(ints):
-    """The reference enumeration: one sign row for every independent pair."""
-    out = set()
-    for u, v in combinations(ints, 2):
-        normal = (
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        )
-        if normal == (0, 0, 0):
-            continue
-        dots = (w[0] * normal[0] + w[1] * normal[1] + w[2] * normal[2] for w in ints)
-        signs = tuple((d > 0) - (d < 0) for d in dots)
-        out.update((signs, tuple(-s for s in signs)))
-    return out
 
 
 def up_to_sign(chi, reference) -> bool:
@@ -258,6 +242,96 @@ class TestCocircuitKernel:
             for arr in (marked, limit_arrangement(marked)):
                 ints = arr.primitive_vectors()
                 assert om_module._cocircuit_tuples(ints) == all_pairs_cocircuit_tuples(ints)
+
+
+def negated(v):
+    return (-v[0], -v[1], -v[2])
+
+
+def rand_sub_arrangement(rng: random.Random, distinct):
+    """Primitive vectors drawn with repetition from ``distinct``, plus loops:
+    mostly from all of them, sometimes from one plane (rank 2) or one
+    projective class (rank 1), sometimes only loops."""
+    kind = rng.random()
+    if kind < 0.15:
+        u, v = rng.sample(distinct, 2)
+        pool = [w for w in distinct if om_module._rank3([u, v, w]) < 3]
+    elif kind < 0.25:
+        u = rng.choice(distinct)
+        pool = [w for w in (u, negated(u)) if w in distinct]
+    elif kind < 0.3:
+        pool = []
+    else:
+        pool = distinct
+    sub = [rng.choice(pool) for _ in range(rng.randint(0, 10) if pool else 0)]
+    sub += [(0, 0, 0)] * rng.randint(0, 2)
+    rng.shuffle(sub)
+    return tuple(sub)
+
+
+class TestLineProjection:
+    """An arrangement whose non-zero vectors all occur in the last full
+    enumeration reads its cocircuits off the remembered lines; the all-pairs
+    loop is the reference."""
+
+    def prime(self, monkeypatch, ints):
+        monkeypatch.setattr(om_module, "_lines", None)
+        om_module._cocircuit_tuples(ints)
+        return om_module._lines
+
+    def test_sub_arrangements_match_all_pairs(self, monkeypatch):
+        rng = random.Random(79)
+        grid = rand_grid_arrangement(rng, 14).primitive_vectors()
+        # antiparallel copies of some vectors, a repeat and a loop
+        full = grid + tuple(negated(v) for v in grid[:5]) + grid[:2] + ((0, 0, 0),)
+        table = self.prime(monkeypatch, full)
+        distinct = sorted({v for v in full if v != (0, 0, 0)})
+        ranks, antiparallel = set(), 0
+        for _ in range(300):
+            sub = rand_sub_arrangement(rng, distinct)
+            assert om_module._cocircuit_tuples(sub) == all_pairs_cocircuit_tuples(sub)
+            assert om_module._lines is table  # projected, not enumerated
+            ranks.add(om_module._rank3(sub))
+            antiparallel += any(negated(v) in sub for v in sub if v != (0, 0, 0))
+        assert ranks == {0, 1, 2, 3}
+        assert antiparallel > 50
+
+    def test_antiparallel_pair_alone_on_a_line_spans_nothing(self, monkeypatch):
+        # e3 and -e3 lie on the line x = 0 with e2, and on y = 0 with e1; the
+        # sub-arrangement without e2 lies in y = 0, its one line
+        full = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1))
+        table = self.prime(monkeypatch, full)
+        sub = ((0, 0, 1), (1, 0, 0), (0, 0, -1))
+        assert om_module._cocircuit_tuples(sub) == all_pairs_cocircuit_tuples(sub) == {(0, 0, 0)}
+        assert om_module._cocircuit_tuples(((0, 0, 1), (0, 0, -1))) == set()
+        assert om_module._lines is table
+
+    def test_a_vector_outside_the_table_replaces_it(self, monkeypatch):
+        full = BASIS4.primitive_vectors()
+        table = self.prime(monkeypatch, full)
+        for outside in ((1, 2, 3), (-1, -1, -1)):  # a new class, and an antiparallel copy
+            sub = full[:3] + (outside,)
+            assert om_module._cocircuit_tuples(sub) == all_pairs_cocircuit_tuples(sub)
+            assert om_module._lines is not table and om_module._lines.vectors == sub
+            table = om_module._lines
+        assert om_module._cocircuit_tuples(full[:3]) == all_pairs_cocircuit_tuples(full[:3])
+        assert om_module._lines is table
+
+    def test_projected_om_of_equals_a_fresh_enumeration(self, monkeypatch):
+        rng = random.Random(83)
+        full = rand_degenerate_arrangement(rng, 9)
+        om_of(full)
+        for _ in range(30):
+            labels = rng.sample(full.labels, rng.randint(4, len(full)))
+            sub = full.restrict(labels)
+            if not sub.is_spanning():
+                continue
+            projected = om_of(sub)
+            monkeypatch.setattr(om_module, "_lines", None)
+            MEMO.cache_clear()
+            assert om_of(sub) == projected
+            assert om_of(sub).fingerprint() == projected.fingerprint()
+            om_of(full)
 
 
 class TestOmOfMemo:
@@ -918,6 +992,36 @@ class TestWeakMapByDeletion:
         monkeypatch.setattr(om_module, "_chirotope_from_cocircuits", recorded)
         certificate(default_seed(), 3)
         assert sizes and max(sizes) == 8
+
+    def test_equal_pairs_match_full_chirotopes(self):
+        # a source equal to the target on its non-loops answers True without
+        # deriving the source's chirotope
+        rng = random.Random(89)
+        checked = 0
+        while checked < 100:
+            arr = rand_grid_arrangement(rng, rng.randint(3, 7))
+            zeroed = LabeledArrangement(
+                (l, Vector3(0, 0, 0) if rng.random() < 0.3 else v) for l, v in arr.elements
+            )
+            if not (arr.is_spanning() and zeroed.is_spanning()):
+                continue
+            checked += 1
+            full, part = om_of(arr), om_of(zeroed)
+            doc = render_om(full)
+            for source, target in ((full, full), (parse_om(doc), parse_om(doc)),
+                                   (full, parse_om(doc)), (full, part)):
+                assert weak_map(source, target) and full_chirotope_weak_map(source, target)
+            source = parse_om(doc)
+            assert weak_map(source, parse_om(doc))
+            assert source._chirotope is None
+
+    def test_inconsistent_target_equal_to_the_source_raises(self):
+        doc = render_om(om_of(BASIS4))
+        doc["cocircuits"] = [
+            {"00++": "00+-", "00--": "00-+"}.get(cc, cc) for cc in doc["cocircuits"]
+        ]
+        with pytest.raises(NotSpanning):
+            weak_map(parse_om(doc), parse_om(doc))
 
     def test_rank_two_source_document(self):
         # e1, e2 and e1 + e2 span a plane only: no basis signs at all
