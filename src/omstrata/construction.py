@@ -352,11 +352,12 @@ def certificate(
             (n, om_equal(om_of(scale_degeneration(marked, n)), level_om)) for n in samples
         )
         limit = limit_arrangement(marked)
-        limit_om = om_of(limit)
-        shared = limit_om.delete_loops()
+        # The limit's oriented matroid on its non-zero vectors: the deletion
+        # of its loops, read on those columns alone.
+        shared = om_of(LabeledArrangement((l, v) for l, v in limit.elements if not v.is_zero()))
         shared_limits.append(shared)
-        # The verdict of weak_map(level_om, limit_om), which deletes both onto
-        # the limit's non-loops itself.
+        # The verdict of weak_map(level_om, om_of(limit)), which deletes both
+        # onto the limit's non-loops itself.
         weak_ok = weak_map(level_om.restrict(shared.ground), shared)
         try:
             limit_cr = cross_ratio(

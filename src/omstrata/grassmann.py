@@ -22,7 +22,7 @@ from .errors import NotSpanning, RankDeficient
 from .geometry import Vector3
 from .labels import Label, label_keys
 from .linalg import matrix_rank, solve_linear
-from .om import LabeledArrangement, Matroid, OrientedMatroid, om_equal, om_of, underlying_matroid
+from .om import LabeledArrangement, OrientedMatroid, om_equal, om_of
 
 Row = tuple[Fraction, ...]
 
@@ -133,4 +133,6 @@ def same_stratum(v: Subspace, w: Subspace, level: str = "oriented-matroid") -> b
     mw = subspace_om(w)
     if level == "oriented-matroid":
         return om_equal(mv, mw)
-    return underlying_matroid(mv) == underlying_matroid(mw)
+    # Both are of rank 3 (om_of raises otherwise), so their cocircuit
+    # supports determine their matroids (BLSWZ ch. 3).
+    return mv.ground == mw.ground and mv.supports() == mw.supports()

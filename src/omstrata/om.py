@@ -2,18 +2,27 @@
 
 An arrangement is a tuple of (label, Vector3) pairs in global label order,
 which is the ground order of everything computed from it.  Its oriented
-matroid is stored as the cocircuit set: every line of the configuration
-(the plane spanned by two independent vectors v_i, v_j) induces the sign
-vector ``k -> sign <v_k, v_i x v_j>`` together with its negation.  Each line
-is enumerated once, from the first independent pair on it.  Covectors are
-recovered on demand as the compositions of cocircuits, one cocircuit at a
-time, and basis signs (the chirotope) by a walk over the cocircuits.
+matroid is stored as the set of its cocircuit rows: every line of the
+configuration (the plane spanned by two independent vectors v_i, v_j)
+induces the sign vector ``k -> sign <v_k, v_i x v_j>`` together with its
+negation, each kept as a ``-0+`` string with one character per ground
+element.  Each line is enumerated once, from the first independent pair on
+it, and its row is written as a string once.  Covectors are recovered on
+demand as the compositions of cocircuits, one cocircuit at a time, and basis
+signs (the chirotope) by a walk over the cocircuits.
 
-Covectors are composed as ``(pos, neg)`` integer bitmask pairs, bit k for
-ground position k, so composition is ``(p | cp & free, n | cn & free)`` with
-``free = ~(p | n)``.  Each oriented matroid enumerates its covector masks
-once and keeps them, as it keeps its chirotope; ``covectors_of`` and
-``strong_map`` both read that one set.
+A row read as a binary number gives a bitmask: ``row.translate(table)`` to
+``1``/``0`` and then ``int(..., 2)``, so ground position k is bit ``w-1-k``
+of a width-w row.  Supports, zero sets and the ``(pos, neg)`` covector masks
+are all read that way.  Covectors are composed as ``(pos, neg)`` pairs, so
+composition is ``(p | cp & free, n | cn & free)`` with ``free = ~(p | n)``.
+Each oriented matroid enumerates its covector masks once and keeps them, as
+it keeps its chirotope; ``covectors_of`` and ``strong_map`` both read that
+one set.
+
+``SignVector`` is the value type of the sign-vector API (``cocircuits``,
+``covectors_of``, ``compose``): a ``-0+`` string with its labels.  Those
+objects are built from the rows when asked for; nothing stored holds one.
 
 Deletion onto a subset of the labels (``OrientedMatroid.restrict``) keeps the
 support-minimal non-zero restrictions of the cocircuits (BLSWZ 3.3).  Every
@@ -41,12 +50,13 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
+from collections.abc import Set
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from fractions import Fraction
 from itertools import combinations, compress, repeat
-from operator import add, itemgetter
-from typing import Iterable, Mapping
+from operator import add, and_, itemgetter
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainMismatch, GroundSetMismatch, NotSpanning
 from .geometry import IntVec, Vector3, _cross, _det3, _primitive, _sign
@@ -55,7 +65,24 @@ from .labels import Label, label_key, label_keys, sort_labels
 Sign = int  # -1, 0, +1
 
 _CHAR_SIGNS = {"+": 1, "-": -1, "0": 0}
+_FLIP = {"+": "-", "-": "+"}
 _SIGN_BYTES = bytes.maketrans(b"\x00\x01\x02", b"-0+")  # sign + 1 -> character
+_NEGATE = str.maketrans("+-", "-+")
+# A row's characters -> binary digits of one of its bitmasks.
+_SUPPORT = str.maketrans("-0+", "101")
+_ZEROS = str.maketrans("-0+", "010")
+_POSITIVE = str.maketrans("-0+", "001")
+_NEGATIVE = str.maketrans("-0+", "100")
+
+
+def _mask(row: str, digits: dict) -> int:
+    """The bitmask of ``row`` under a ``-0+`` to binary-digit table."""
+    return int(row.translate(digits) or "0", 2)
+
+
+def _project(rows: Iterable[str], cols: list[int]) -> Iterator[str]:
+    """The rows restricted to ``cols`` (at least one), in that order."""
+    return map("".join, map(itemgetter(*cols), rows))
 
 
 def _rank3(vectors: Iterable[IntVec]) -> int:
@@ -127,42 +154,100 @@ class LabeledArrangement:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
 class SignVector:
-    """A function from an ordered ground set to {+, -, 0}."""
+    """A function from an ordered ground set to {+, -, 0}: an immutable
+    value holding its labels and its ``-0+`` string, hashed by the string."""
 
-    labels: tuple[Label, ...]
-    signs: tuple[Sign, ...]
+    __slots__ = ("_labels", "_row")
 
-    def __post_init__(self):
-        if len(self.labels) != len(self.signs):
+    def __init__(self, labels: tuple[Label, ...], signs: Iterable[Sign]):
+        signs = tuple(signs)
+        if len(labels) != len(signs):
             raise ValueError("labels and signs differ in length")
+        if not set(signs) <= {-1, 0, 1}:
+            raise ValueError(f"signs must be -1, 0 or 1, got {signs}")
+        self._labels = labels
+        self._row = bytes([s + 1 for s in signs]).translate(_SIGN_BYTES).decode("ascii")
+
+    @property
+    def labels(self) -> tuple[Label, ...]:
+        return self._labels
+
+    @property
+    def signs(self) -> tuple[Sign, ...]:
+        """The signs as integers, decoded from the string on each access."""
+        return tuple(map(_CHAR_SIGNS.__getitem__, self._row))
 
     def __getitem__(self, label: Label) -> Sign:
-        return self.signs[self.labels.index(label)]
+        return _CHAR_SIGNS[self._row[self._labels.index(label)]]
 
     def __neg__(self) -> "SignVector":
-        return SignVector(self.labels, tuple(-s for s in self.signs))
+        return _sign_vector(self._labels, self._row.translate(_NEGATE))
 
     def zero_set(self) -> tuple[Label, ...]:
-        return tuple(l for l, s in zip(self.labels, self.signs) if s == 0)
+        return tuple(l for l, c in zip(self._labels, self._row) if c == "0")
 
     def to_string(self) -> str:
-        return bytes([s + 1 for s in self.signs]).translate(_SIGN_BYTES).decode("ascii")
+        return self._row
 
     @staticmethod
     def from_string(labels: tuple[Label, ...], text: str) -> "SignVector":
-        return SignVector(labels, tuple(_CHAR_SIGNS[ch] for ch in text))
+        if len(labels) != len(text):
+            raise ValueError("labels and signs differ in length")
+        if not set(text) <= _CHAR_SIGNS.keys():
+            raise ValueError(f"sign string {text!r} holds a character outside -0+")
+        return _sign_vector(labels, text)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SignVector):
+            return NotImplemented
+        return self._row == other._row and self._labels == other._labels
+
+    def __hash__(self) -> int:
+        return hash(self._row)
 
     def __repr__(self) -> str:
-        return f"SignVector({self.to_string()})"
+        return f"SignVector({self._row})"
+
+
+def _sign_vector(labels: tuple[Label, ...], row: str) -> SignVector:
+    """A sign vector from a row already known to be a ``-0+`` string of the
+    labels' length."""
+    vector = object.__new__(SignVector)
+    vector._labels = labels
+    vector._row = row
+    return vector
 
 
 def compose(x: SignVector, y: SignVector) -> SignVector:
     """Componentwise composition: x's sign where non-zero, else y's."""
     if x.labels != y.labels:
         raise DomainMismatch("sign vectors live on different ground tuples")
-    return SignVector(x.labels, tuple(a if a != 0 else b for a, b in zip(x.signs, y.signs)))
+    row = "".join([a if a != "0" else b for a, b in zip(x.to_string(), y.to_string())])
+    return _sign_vector(x.labels, row)
+
+
+class _Cocircuits(Set):
+    """A read-only set view of cocircuit rows as sign vectors: its length
+    and membership tests read the rows, and iteration builds each sign
+    vector as it is reached."""
+
+    __slots__ = ("_ground", "_rows")
+
+    def __init__(self, ground: tuple[Label, ...], rows: frozenset[str]):
+        self._ground = ground
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self) -> Iterator[SignVector]:
+        ground = self._ground
+        return (_sign_vector(ground, row) for row in self._rows)
+
+    def __contains__(self, vector: object) -> bool:
+        return (isinstance(vector, SignVector) and vector.labels == self._ground
+                and vector.to_string() in self._rows)
 
 
 @dataclass(frozen=True)
@@ -188,27 +273,43 @@ class Chirotope:
 
 
 class OrientedMatroid:
-    """A rank <= 3 oriented matroid stored by its cocircuit set.
+    """A rank <= 3 oriented matroid stored by its cocircuit rows.
 
-    The ground set is kept in global label order, so equality of two
-    oriented matroids on the same label set is plain structural equality of
-    their cocircuit sets.  The basis signs are derived from the cocircuits.
+    ``rows`` holds one ``-0+`` string per cocircuit, a character per ground
+    element.  The ground set is kept in global label order, so equality of
+    two oriented matroids on the same label set is plain equality of their
+    row sets.  The basis signs are derived from the cocircuits.
     """
 
-    __slots__ = ("ground", "cocircuits", "loops", "_chirotope", "_covectors")
+    __slots__ = ("ground", "rows", "loops", "_chirotope", "_covectors")
 
-    def __init__(self, ground: tuple[Label, ...], cocircuits: frozenset[SignVector]):
+    def __init__(self, ground: tuple[Label, ...], cocircuits: Iterable[SignVector]):
+        self._set(ground, frozenset([cc.to_string() for cc in cocircuits]))
+
+    @classmethod
+    def _of(cls, ground: tuple[Label, ...], rows: frozenset[str]) -> "OrientedMatroid":
+        """The oriented matroid with these cocircuit rows."""
+        matroid = object.__new__(cls)
+        matroid._set(ground, rows)
+        return matroid
+
+    def _set(self, ground: tuple[Label, ...], rows: frozenset[str]) -> None:
         self.ground = ground
-        self.cocircuits = cocircuits
+        self.rows = rows
         self._chirotope = None
         self._covectors = None
-        zero_everywhere = range(len(ground))
-        for cc in cocircuits:
-            signs = cc.signs
-            zero_everywhere = [i for i in zero_everywhere if not signs[i]]
-            if not zero_everywhere:
+        width = len(ground)
+        zeros = (1 << width) - 1
+        for row in rows:
+            zeros &= _mask(row, _ZEROS)
+            if not zeros:
                 break
-        self.loops = frozenset(ground[i] for i in zero_everywhere)
+        self.loops = frozenset(l for k, l in enumerate(ground) if zeros >> (width - 1 - k) & 1)
+
+    @property
+    def cocircuits(self) -> "_Cocircuits":
+        """The cocircuits as a read-only set of sign vectors over ``rows``."""
+        return _Cocircuits(self.ground, self.rows)
 
     @property
     def chirotope(self) -> Chirotope:
@@ -220,14 +321,24 @@ class OrientedMatroid:
         return self._chirotope
 
     def cocircuit_strings(self) -> list[str]:
-        return sorted(cc.to_string() for cc in self.cocircuits)
+        return sorted(self.rows)
 
     def canonical_json(self) -> str:
-        doc = {"ground_set": list(self.ground), "cocircuits": self.cocircuit_strings()}
-        return json.dumps(doc, separators=(",", ":"), ensure_ascii=True)
+        """The compact JSON of the ground set and the sorted rows.  The rows
+        are ``-0+`` strings and need no escaping, so only the ground set goes
+        through ``json``."""
+        rows = sorted(self.rows)
+        quoted = '"' + '","'.join(rows) + '"' if rows else ""
+        ground = json.dumps(list(self.ground), separators=(",", ":"), ensure_ascii=True)
+        return '{"ground_set":' + ground + ',"cocircuits":[' + quoted + "]}"
 
     def fingerprint(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("ascii")).hexdigest()
+
+    def supports(self) -> frozenset[int]:
+        """The support bitmasks of the cocircuits.  In rank 3 they determine
+        the underlying matroid (BLSWZ ch. 3)."""
+        return frozenset([_mask(row, _SUPPORT) for row in self.rows])
 
     def restrict(self, labels: Iterable[Label]) -> "OrientedMatroid":
         """The deletion onto ``labels``, ground order kept; ``self`` when they
@@ -244,23 +355,18 @@ class OrientedMatroid:
         if len(keep_set) == len(self.ground):
             return self
         keep = [i for i, l in enumerate(self.ground) if l in keep_set]
-        if len(keep) > 1:
-            pick = itemgetter(*keep)
-        else:  # itemgetter returns a bare entry for one index and needs one
-            pick = lambda signs: tuple(signs[i] for i in keep)  # noqa: E731
-        rows = set(map(pick, [cc.signs for cc in self.cocircuits]))
-        bits = [1 << k for k in range(len(keep))]
-        support = {row: sum(compress(bits, row)) for row in rows}
+        ground = tuple(self.ground[i] for i in keep)
+        if not keep:
+            return OrientedMatroid._of(ground, frozenset())
+        support = {row: _mask(row, _SUPPORT) for row in set(_project(self.rows, keep))}
         # Smallest supports first: a support is minimal unless it contains
         # one found before.
         minimal: set[int] = set()
         for mask in sorted(set(support.values()) - {0}, key=int.bit_count):
             if not any(m & mask == m for m in minimal):
                 minimal.add(mask)
-        ground = tuple(self.ground[i] for i in keep)
-        return OrientedMatroid(
-            ground,
-            frozenset(SignVector(ground, row) for row, m in support.items() if m in minimal),
+        return OrientedMatroid._of(
+            ground, frozenset([row for row, m in support.items() if m in minimal])
         )
 
     def delete_loops(self) -> "OrientedMatroid":
@@ -270,18 +376,18 @@ class OrientedMatroid:
     @staticmethod
     def rank_zero(ground: Iterable[Label]) -> "OrientedMatroid":
         """The oriented matroid whose only covector is zero (all loops)."""
-        return OrientedMatroid(sort_labels(ground), frozenset())
+        return OrientedMatroid._of(sort_labels(ground), frozenset())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrientedMatroid):
             return NotImplemented
-        return self.ground == other.ground and self.cocircuits == other.cocircuits
+        return self.ground == other.ground and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.ground, self.cocircuits))
+        return hash((self.ground, self.rows))
 
     def __repr__(self) -> str:
-        return f"OrientedMatroid(|E|={len(self.ground)}, cocircuits={len(self.cocircuits)})"
+        return f"OrientedMatroid(|E|={len(self.ground)}, cocircuits={len(self.rows)})"
 
 
 def chirotope_of(arrangement: LabeledArrangement) -> Chirotope:
@@ -303,12 +409,12 @@ class _Lines:
     """The lines of one full enumeration, kept so that a sub-arrangement can
     read its cocircuits off them.
 
-    ``found`` holds each line's sign row, its negation and the live positions
-    of its zero set, as the kernel computes them.  The first projection turns
+    ``found`` holds each line's row, its negation and the live positions of
+    its zero set, as the kernel computes them.  The first projection turns
     them into the projection data and drops them: the rows in pairs, the same
-    tuples the enumerated oriented matroid holds, and per row the bitmask of
+    strings the enumerated oriented matroid holds, and per row the bitmask of
     the projective classes in its line's zero set.  Zero vectors read column
-    ``len(vectors)``, a 0 appended to the rows they are read from.
+    ``len(vectors)``, a ``0`` appended to the rows they are read from.
     """
 
     __slots__ = ("vectors", "found", "column", "rows", "masks", "class_bits")
@@ -347,9 +453,9 @@ class _Lines:
             self.masks += (mask, mask)
         self.found = None
 
-    def project(self, cols: list[int]) -> set[tuple[Sign, ...]]:
-        """Both sign rows, restricted to ``cols``, of every line whose zero
-        set holds two non-parallel vectors of the columns."""
+    def project(self, cols: list[int]) -> set[str]:
+        """Both rows, restricted to ``cols``, of every line whose zero set
+        holds two non-parallel vectors of the columns."""
         if self.found is not None:
             self._index()
         sub = 0
@@ -360,23 +466,24 @@ class _Lines:
         on = [(m := mask & sub) & (m - 1) for mask in self.masks]
         rows = compress(self.rows, on)
         if len(self.vectors) in cols:
-            rows = map(add, rows, repeat((0,)))
-        return set(map(itemgetter(*cols), rows))
+            rows = map(add, rows, repeat("0"))
+        return set(_project(rows, cols))
 
 
-# The lines of the last full enumeration (see ``_cocircuit_tuples``).
+# The lines of the last full enumeration (see ``_cocircuit_rows``).
 _lines: _Lines | None = None
 
 
-def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[set[tuple[Sign, ...]], _Lines]:
-    """Both sign rows of every line (rank-2 flat) of the arrangement, and the
+def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[set[str], _Lines]:
+    """Both rows of every line (rank-2 flat) of the arrangement, and the
     lines themselves.
 
     The pairs ``i < j`` of non-zero vectors are walked in order; a pair
     already in the zero set of a computed row lies on a known line and is
-    skipped, so each line costs one row of ``n`` dot products.
+    skipped, so each line costs one row of ``n`` dot products, written once
+    as a string: each sign plus one is a byte, translated to ``-0+``.
     """
-    out: set[tuple[Sign, ...]] = set()
+    out: set[str] = set()
     found = []
     live = [i for i, v in enumerate(ints) if v != (0, 0, 0)]
     covered: set[tuple[int, int]] = set()
@@ -389,18 +496,19 @@ def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[set[tuple[Sign, ...]], _
             p, q, r = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
             if not (p or q or r):  # parallel pair: no line of its own
                 continue
-            signs = tuple([(d > 0) - (d < 0) for d in [p * x + q * y + r * z for x, y, z in ints]])
-            zeros = [k for k in live if not signs[k]]
+            dots = [p * x + q * y + r * z for x, y, z in ints]
+            row = bytes([(d >= 0) + (d > 0) for d in dots]).translate(_SIGN_BYTES).decode("ascii")
+            zeros = [k for k in live if not dots[k]]
             covered.update(combinations(zeros, 2))
-            negated = tuple([-s for s in signs])
-            out.add(signs)
+            negated = row.translate(_NEGATE)
+            out.add(row)
             out.add(negated)
-            found.append((signs, negated, zeros))
+            found.append((row, negated, zeros))
     return out, _Lines(ints, found)
 
 
-def _cocircuit_tuples(ints: tuple[IntVec, ...]) -> set[tuple[Sign, ...]]:
-    """Both sign rows of every line (rank-2 flat) of the arrangement.
+def _cocircuit_rows(ints: tuple[IntVec, ...]) -> set[str]:
+    """Both rows of every line (rank-2 flat) of the arrangement.
 
     The lines of the last full enumeration are remembered.  When every
     non-zero vector of ``ints`` occurs among their vectors, each line of
@@ -435,8 +543,7 @@ def _om_of_primitive(ground: tuple[Label, ...], ints: tuple[IntVec, ...]) -> Ori
     # which all hit it; a larger cache would only keep earlier levels alive.
     if _rank3(ints) != 3:
         raise NotSpanning("arrangement does not span rank 3")
-    cocircuits = frozenset(SignVector(ground, t) for t in _cocircuit_tuples(ints))
-    return OrientedMatroid(ground, cocircuits)
+    return OrientedMatroid._of(ground, frozenset(_cocircuit_rows(ints)))
 
 
 def _chirotope_from_cocircuits(matroid: OrientedMatroid) -> Chirotope:
@@ -445,21 +552,21 @@ def _chirotope_from_cocircuits(matroid: OrientedMatroid) -> Chirotope:
     An independent pair {i, j} lies in the zero set of exactly one cocircuit
     pair +-C_ij, and chi(i, j, k) = s_ij * C_ij(k) for one unknown sign s_ij.
     Fixing s on the least pair and walking the basis triples fixes every s
-    through chi(i, k, j) = -chi(i, j, k) = -chi(j, k, i).
+    through chi(i, k, j) = -chi(i, j, k) = -chi(j, k, i).  Signs stay
+    characters of the rows until they are stored.
     """
     ground = matroid.ground
     live = [i for i, label in enumerate(ground) if label not in matroid.loops]
-    zero = (0,) * len(ground)
-    lines: dict[tuple[int, int], list[tuple[Sign, ...]]] = {}
-    for cc in matroid.cocircuits:
-        if cc.signs < zero:  # keep the member of each +- pair that leads with +
+    lines: dict[tuple[int, int], list[str]] = {}
+    for row in matroid.rows:
+        if row.lstrip("0")[:1] == "-":  # keep the member of each +- pair that leads with +
             continue
-        for pair in combinations([i for i in live if cc.signs[i] == 0], 2):
-            lines.setdefault(pair, []).append(cc.signs)
+        for pair in combinations([i for i in live if row[i] == "0"], 2):
+            lines.setdefault(pair, []).append(row)
     # A pair in the zero sets of two cocircuit pairs is a parallel pair.
-    line_of = {pair: signs[0] for pair, signs in lines.items() if len(signs) == 1}
+    line_of = {pair: rows[0] for pair, rows in lines.items() if len(rows) == 1}
     if not line_of:
-        if matroid.cocircuits:
+        if matroid.rows:
             raise NotSpanning("cocircuits of rank 1 or 2 carry no basis signs")
         return Chirotope(ground, {})
 
@@ -471,45 +578,43 @@ def _chirotope_from_cocircuits(matroid: OrientedMatroid) -> Chirotope:
     while queue and len(rows) < len(line_of):
         i, j = queue.popleft()
         for k, v in enumerate(rows[i, j]):
-            if not v:
+            if v == "0":
                 continue
-            for a, b, r, want in ((i, k, j, -v), (j, k, i, v)):
+            for a, b, r, want in ((i, k, j, _FLIP[v]), (j, k, i, v)):
                 if a > b:
-                    a, b, want = b, a, -want
+                    a, b, want = b, a, _FLIP[want]
                 if (a, b) in rows:
                     continue
                 other = line_of.get((a, b))
-                if other is None or not other[r]:
+                if other is None or other[r] == "0":
                     raise NotSpanning(f"cocircuits disagree on {ground[i], ground[j], ground[k]}")
-                rows[a, b] = other if other[r] == want else tuple(-s for s in other)
+                rows[a, b] = other if other[r] == want else other.translate(_NEGATE)
                 queue.append((a, b))
     if len(rows) < len(line_of):
         raise NotSpanning("the basis triples do not connect every independent pair")
 
+    zero = "0" * len(ground)
     nonzero: dict[tuple[Label, Label, Label], Sign] = {}
     for (i, j), row in rows.items():
         for k in range(j + 1, len(ground)):
-            if row[k]:
-                if rows.get((i, k), zero)[j] != -row[k] or rows.get((j, k), zero)[i] != row[k]:
+            s = row[k]
+            if s != "0":
+                if rows.get((i, k), zero)[j] != _FLIP[s] or rows.get((j, k), zero)[i] != s:
                     raise NotSpanning(f"cocircuits disagree on {ground[i], ground[j], ground[k]}")
-                nonzero[ground[i], ground[j], ground[k]] = row[k]
+                nonzero[ground[i], ground[j], ground[k]] = _CHAR_SIGNS[s]
     return Chirotope(ground, nonzero)
 
 
-def _masks(signs: Iterable[Sign]) -> tuple[int, int]:
-    """The ``(pos, neg)`` bitmasks of a sign row: bit k is position k."""
-    pos = neg = 0
-    for k, s in enumerate(signs):
-        if s > 0:
-            pos |= 1 << k
-        elif s < 0:
-            neg |= 1 << k
-    return pos, neg
+def _masks(row: str) -> tuple[int, int]:
+    """The ``(pos, neg)`` bitmasks of a row."""
+    return _mask(row, _POSITIVE), _mask(row, _NEGATIVE)
 
 
-def _signs(pos: int, neg: int, width: int) -> tuple[Sign, ...]:
-    """The sign row of width ``width`` with bitmasks ``(pos, neg)``."""
-    return tuple([(pos >> k & 1) - (neg >> k & 1) for k in range(width)])
+def _row(pos: int, neg: int, width: int) -> str:
+    """The row of width ``width`` with bitmasks ``(pos, neg)``."""
+    top = 1 << width  # a leading 1 keeps the leading zeros, and width 0
+    return "".join(["+" if p == "1" else "-" if n == "1" else "0"
+                    for p, n in zip(f"{pos | top:b}"[1:], f"{neg | top:b}"[1:])])
 
 
 def _covector_masks(width: int, cocircuits: list[tuple[int, int]]) -> frozenset[tuple[int, int]]:
@@ -534,7 +639,7 @@ def _covector_masks(width: int, cocircuits: list[tuple[int, int]]) -> frozenset[
 def _kept_covectors(matroid: OrientedMatroid) -> frozenset[tuple[int, int]]:
     """The covector masks of ``matroid``, enumerated on first use and kept."""
     if matroid._covectors is None:
-        cocircuits = [_masks(cc.signs) for cc in matroid.cocircuits]
+        cocircuits = [_masks(row) for row in matroid.rows]
         matroid._covectors = _covector_masks(len(matroid.ground), cocircuits)
     return matroid._covectors
 
@@ -545,14 +650,14 @@ def covectors_of(matroid: OrientedMatroid) -> frozenset[SignVector]:
     call builds the sign vectors from the kept masks."""
     ground, width = matroid.ground, len(matroid.ground)
     masks = _kept_covectors(matroid)
-    return frozenset(SignVector(ground, _signs(p, n, width)) for p, n in masks)
+    return frozenset([_sign_vector(ground, _row(p, n, width)) for p, n in masks])
 
 
 def om_equal(m1: OrientedMatroid, m2: OrientedMatroid) -> bool:
     """Structural equality of two oriented matroids on the same labels."""
     if m1.ground != m2.ground:
         raise GroundSetMismatch(f"{m1.ground} vs {m2.ground}")
-    return m1.cocircuits == m2.cocircuits
+    return m1.rows == m2.rows
 
 
 def strong_map(source: OrientedMatroid, target: OrientedMatroid) -> bool:
@@ -563,18 +668,17 @@ def strong_map(source: OrientedMatroid, target: OrientedMatroid) -> bool:
     if source.ground != target.ground:
         raise GroundSetMismatch(f"{source.ground} vs {target.ground}")
     covectors = _kept_covectors(source)
-    return all(_masks(cc.signs) in covectors for cc in target.cocircuits)
+    return all(_masks(row) in covectors for row in target.rows)
 
 
 def _spans_rank_three(matroid: OrientedMatroid) -> bool:
     """Whether some non-loop lies in the zero sets of two cocircuit pairs, that
-    is on two lines: true in rank 3, false in ranks 0 to 2."""
-    zero_sets = {frozenset(cc.zero_set()) for cc in matroid.cocircuits}
-    return any(
-        sum(label in z for z in zero_sets) > 1
-        for label in matroid.ground
-        if label not in matroid.loops
-    )
+    is on two lines: true in rank 3, false in ranks 0 to 2.  The loops are
+    the positions zero in every row, so two zero sets share a non-loop when
+    their intersection is more than the loops."""
+    zero_sets = {_mask(row, _ZEROS) for row in matroid.rows}
+    loops = reduce(and_, zero_sets, (1 << len(matroid.ground)) - 1)
+    return any(a & b != loops for a, b in combinations(zero_sets, 2))
 
 
 def weak_map(source: OrientedMatroid, target: OrientedMatroid) -> bool:
@@ -588,7 +692,7 @@ def weak_map(source: OrientedMatroid, target: OrientedMatroid) -> bool:
     """
     if source.ground != target.ground:
         raise GroundSetMismatch(f"{source.ground} vs {target.ground}")
-    if not target.cocircuits:
+    if not target.rows:
         return True
     target = target.delete_loops()
     chi_t = target.chirotope

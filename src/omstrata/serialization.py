@@ -37,11 +37,10 @@ from .errors import RationalParseError, SchemaError
 from .geometry import PlanePoint, Vector3
 from .grassmann import Subspace, VectorFamily
 from .labels import Label, sort_labels
-from .om import LabeledArrangement, OrientedMatroid, SignVector
+from .om import _NEGATE, LabeledArrangement, OrientedMatroid
 
 _SCHEMA_DIR = Path(__file__).parent / "schemas"
 _JSON_TYPES = {list: "array", dict: "object", str: "string", bool: "boolean", int: "integer"}
-_NEGATE = str.maketrans("+-", "-+")
 
 
 # -- schema validation --------------------------------------------------------
@@ -216,9 +215,7 @@ def parse_om(value: Any, path: str = "$") -> OrientedMatroid:
             raise SchemaError(here, "sign string must match the ground-set length")
         if text.translate(_NEGATE) not in present:
             raise SchemaError(here, f"negation of {text!r} is missing")
-    return OrientedMatroid(order, frozenset(
-        SignVector.from_string(order, "".join(text[j] for j in perm)) for text in raw
-    ))
+    return OrientedMatroid._of(order, frozenset(["".join([text[j] for j in perm]) for text in raw]))
 
 
 # -- subspaces and vector families -------------------------------------------

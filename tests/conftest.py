@@ -73,3 +73,12 @@ def all_pairs_cocircuit_tuples(ints):
         signs = tuple((d > 0) - (d < 0) for d in dots)
         out.update((signs, tuple(-s for s in signs)))
     return out
+
+
+def as_row(signs) -> str:
+    """A sign tuple as the ``-0+`` string the library keeps."""
+    return "".join("-0+"[s + 1] for s in signs)
+
+
+def as_rows(sign_tuples) -> set[str]:
+    return {as_row(signs) for signs in sign_tuples}

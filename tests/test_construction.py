@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from omstrata import (
     DegenerateStep,
-    OrientedMatroid,
+    LabeledArrangement,
     PlanePoint,
     Seed,
     SeedRejected,
@@ -30,7 +30,7 @@ from omstrata import om as om_module
 from omstrata.construction import MAX_CERTIFICATE_DEPTH
 from omstrata.labels import PERSISTENT, indexed
 
-from conftest import all_pairs_cocircuit_tuples
+from conftest import all_pairs_cocircuit_tuples, as_rows
 
 
 def seed_with(**overrides) -> Seed:
@@ -316,13 +316,20 @@ class TestCertificate:
         assert not report.checks.separation
         assert len({rec.limit_fingerprint for rec in report.records}) == 2
 
-    def test_limit_loops_deleted_once_per_level(self, monkeypatch):
-        with_loops = []
-        delete_loops = OrientedMatroid.delete_loops
-        monkeypatch.setattr(OrientedMatroid, "delete_loops",
-                            lambda self: with_loops.append(bool(self.loops)) or delete_loops(self))
-        certificate(default_seed(), 3, [1, 2])
-        assert with_loops.count(True) == 3
+    def test_limits_on_their_nonzero_labels_equal_the_deleted_limits(self, monkeypatch):
+        # The certificate reads each limit on its eight non-zero labels; the
+        # reference enumerates the whole limit afresh and deletes its loops.
+        report = certificate(default_seed(), 20, [1])
+        family = build(default_seed(), 20)
+        for rec in reversed(report.records):
+            limit = limit_arrangement(delta_arrangement(family, rec.i))
+            eight = om_of(LabeledArrangement((l, v) for l, v in limit.elements if not v.is_zero()))
+            monkeypatch.setattr(om_module, "_lines", None)
+            om_module._om_of_primitive.cache_clear()
+            deleted = om_of(limit).delete_loops()
+            assert len(eight.ground) == 8 and not eight.loops
+            assert eight == deleted
+            assert rec.limit_fingerprint == deleted.fingerprint()
 
     @pytest.mark.parametrize("seed", [default_seed(), WALL_SEED], ids=["default", "wall"])
     def test_weak_map_on_the_deleted_pair(self, seed):
@@ -344,7 +351,7 @@ class TestCertificate:
             marked = delta_arrangement(family, i)
             for arr in (marked, limit_arrangement(marked)):
                 ints = arr.primitive_vectors()
-                assert om_module._cocircuit_tuples(ints) == all_pairs_cocircuit_tuples(ints)
+                assert om_module._cocircuit_rows(ints) == as_rows(all_pairs_cocircuit_tuples(ints))
                 table = table or om_module._lines
                 assert om_module._lines is table
 

@@ -17,6 +17,7 @@ from omstrata import (
     projection_arrangement,
     same_stratum,
     subspace_om,
+    underlying_matroid,
 )
 
 from conftest import rand_fraction, sign_of
@@ -199,6 +200,33 @@ class TestSameStratum:
             subspace = rand_subspace(rng, 5)
             other = rebased(subspace, rand_basis_change(rng))
             assert same_stratum(subspace, other)
+
+    def test_matroid_level_matches_underlying_matroids(self):
+        # Entries in -1..1; in half of the pairs w is v with columns
+        # negated and one column drawn again, so that equal matroids are
+        # common at every n.
+        rng = random.Random(137)
+        pairs, equal, equal_past_3 = 0, 0, 0
+        while pairs < 2000:
+            n = rng.randint(3, 7)
+            rows = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(3)]
+            if rng.random() < 0.5:
+                flips = [rng.choice((-1, 1)) for _ in range(n)]
+                again = rng.randrange(n)
+                other = [[rng.randint(-1, 1) if i == again else x * f
+                          for i, (x, f) in enumerate(zip(row, flips))] for row in rows]
+            else:
+                other = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(3)]
+            try:
+                v, w = Subspace(n, rows), Subspace(n, other)
+            except RankDeficient:
+                continue
+            same = underlying_matroid(subspace_om(v)) == underlying_matroid(subspace_om(w))
+            assert same_stratum(v, w, level="matroid") == same
+            pairs += 1
+            equal += same
+            equal_past_3 += same and n > 3
+        assert equal >= 200 and equal_past_3 >= 200 and pairs - equal >= 200
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):

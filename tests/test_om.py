@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -34,6 +35,8 @@ from omstrata.serialization import parse_om, render_om
 
 from conftest import (
     all_pairs_cocircuit_tuples,
+    as_row,
+    as_rows,
     rand_positive_fraction,
     rand_spanning_arrangement,
     sampled_sign_patterns,
@@ -225,7 +228,7 @@ class TestCocircuits:
 
 
 class TestCocircuitKernel:
-    """``_cocircuit_tuples`` computes one sign row per line; the all-pairs
+    """``_cocircuit_rows`` computes one sign row per line; the all-pairs
     loop is the reference."""
 
     def test_matches_all_pairs_on_grid_arrangements(self):
@@ -233,7 +236,7 @@ class TestCocircuitKernel:
         for _ in range(200):
             arr = rand_grid_arrangement(rng, rng.randint(3, 10))
             ints = arr.primitive_vectors()
-            assert om_module._cocircuit_tuples(ints) == all_pairs_cocircuit_tuples(ints)
+            assert om_module._cocircuit_rows(ints) == as_rows(all_pairs_cocircuit_tuples(ints))
 
     def test_matches_all_pairs_on_certificate_levels(self):
         family = build(default_seed(), 20)
@@ -241,7 +244,7 @@ class TestCocircuitKernel:
             marked = delta_arrangement(family, i)
             for arr in (marked, limit_arrangement(marked)):
                 ints = arr.primitive_vectors()
-                assert om_module._cocircuit_tuples(ints) == all_pairs_cocircuit_tuples(ints)
+                assert om_module._cocircuit_rows(ints) == as_rows(all_pairs_cocircuit_tuples(ints))
 
 
 def negated(v):
@@ -276,7 +279,7 @@ class TestLineProjection:
 
     def prime(self, monkeypatch, ints):
         monkeypatch.setattr(om_module, "_lines", None)
-        om_module._cocircuit_tuples(ints)
+        om_module._cocircuit_rows(ints)
         return om_module._lines
 
     def test_sub_arrangements_match_all_pairs(self, monkeypatch):
@@ -289,7 +292,7 @@ class TestLineProjection:
         ranks, antiparallel = set(), 0
         for _ in range(300):
             sub = rand_sub_arrangement(rng, distinct)
-            assert om_module._cocircuit_tuples(sub) == all_pairs_cocircuit_tuples(sub)
+            assert om_module._cocircuit_rows(sub) == as_rows(all_pairs_cocircuit_tuples(sub))
             assert om_module._lines is table  # projected, not enumerated
             ranks.add(om_module._rank3(sub))
             antiparallel += any(negated(v) in sub for v in sub if v != (0, 0, 0))
@@ -302,8 +305,8 @@ class TestLineProjection:
         full = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1))
         table = self.prime(monkeypatch, full)
         sub = ((0, 0, 1), (1, 0, 0), (0, 0, -1))
-        assert om_module._cocircuit_tuples(sub) == all_pairs_cocircuit_tuples(sub) == {(0, 0, 0)}
-        assert om_module._cocircuit_tuples(((0, 0, 1), (0, 0, -1))) == set()
+        assert om_module._cocircuit_rows(sub) == as_rows(all_pairs_cocircuit_tuples(sub)) == {"000"}
+        assert om_module._cocircuit_rows(((0, 0, 1), (0, 0, -1))) == set()
         assert om_module._lines is table
 
     def test_a_vector_outside_the_table_replaces_it(self, monkeypatch):
@@ -311,10 +314,10 @@ class TestLineProjection:
         table = self.prime(monkeypatch, full)
         for outside in ((1, 2, 3), (-1, -1, -1)):  # a new class, and an antiparallel copy
             sub = full[:3] + (outside,)
-            assert om_module._cocircuit_tuples(sub) == all_pairs_cocircuit_tuples(sub)
+            assert om_module._cocircuit_rows(sub) == as_rows(all_pairs_cocircuit_tuples(sub))
             assert om_module._lines is not table and om_module._lines.vectors == sub
             table = om_module._lines
-        assert om_module._cocircuit_tuples(full[:3]) == all_pairs_cocircuit_tuples(full[:3])
+        assert om_module._cocircuit_rows(full[:3]) == as_rows(all_pairs_cocircuit_tuples(full[:3]))
         assert om_module._lines is table
 
     def test_projected_om_of_equals_a_fresh_enumeration(self, monkeypatch):
@@ -500,6 +503,12 @@ class TestCovectorsAgainstClosure:
                     assert strong_map(source, target) == (covered <= covers)
 
 
+def mask_signs(pos: int, neg: int, width: int) -> tuple[int, ...]:
+    """The reference decoding of ``(pos, neg)`` bitmasks, one sign at a
+    time: ground position k is bit ``width - 1 - k``."""
+    return tuple((pos >> width - 1 - k & 1) - (neg >> width - 1 - k & 1) for k in range(width))
+
+
 class TestCovectorMasks:
     """Covectors are composed as ``(pos, neg)`` bitmasks and kept on their
     oriented matroid."""
@@ -507,9 +516,21 @@ class TestCovectorMasks:
     def test_round_trip_every_short_sign_row(self):
         for n in range(6):
             for signs in product((-1, 0, 1), repeat=n):
-                pos, neg = om_module._masks(signs)
+                row = SignVector(tuple(range(n)), signs).to_string()
+                pos, neg = om_module._masks(row)
                 assert pos & neg == 0
-                assert om_module._signs(pos, neg, n) == signs
+                assert mask_signs(pos, neg, n) == signs
+                assert om_module._row(pos, neg, n) == row
+
+    def test_covector_strings_match_the_mask_reference(self):
+        rng = random.Random(97)
+        for _ in range(60):
+            matroid = om_of(rand_degenerate_arrangement(rng, rng.randint(3, 6)))
+            width = len(matroid.ground)
+            strings = {cv.to_string() for cv in covectors_of(matroid)}
+            assert strings == as_rows(mask_signs(p, n, width) for p, n in matroid._covectors)
+        for matroid in (OrientedMatroid.rank_zero([]), OrientedMatroid.rank_zero([1, 2])):
+            assert [cv.to_string() for cv in covectors_of(matroid)] == ["0" * len(matroid.ground)]
 
     def test_masks_wider_than_64_bits(self):
         # 5 points in general position, then loops and parallel and
@@ -541,7 +562,7 @@ class TestCovectorMasks:
                 return super().__iter__()
 
         matroid = om_of(BASIS4)
-        cocircuits = Passes(om_module._masks(cc.signs) for cc in matroid.cocircuits)
+        cocircuits = Passes(om_module._masks(row) for row in matroid.rows)
         masks = om_module._covector_masks(len(matroid.ground), cocircuits)
         assert cocircuits.count == sum(1 for p, n in masks if p | n != 0b1111)
         assert cocircuits.count < len(masks)
@@ -1044,3 +1065,118 @@ class TestWeakMapByDeletion:
         assert weak_map(source, target)
         with pytest.raises(NotSpanning):
             source.chirotope
+
+
+def independent_sets(arrangement: LabeledArrangement) -> int:
+    """The reference count of independent sets of size at most 3: subsets
+    whose primitive vectors have full rank."""
+    ints = arrangement.primitive_vectors()
+    return sum(
+        1
+        for size in range(4)
+        for subset in combinations(ints, size)
+        if om_module._rank3(subset) == size
+    )
+
+
+class TestSignVectorApi:
+    """What the benchmark reads from ``omstrata.om``: sign vectors read off
+    ``cocircuits`` and ``covectors_of``, an oriented matroid built from sign
+    vectors and fingerprinted, and the underlying matroid's independent sets."""
+
+    def test_views_constructor_and_matroid_on_random_arrangements(self):
+        rng = random.Random(101)
+        for k in range(120):
+            if k % 2:
+                arr = rand_degenerate_arrangement(rng, rng.randint(3, 6))
+            else:
+                arr = rand_grid_arrangement(rng, rng.randint(3, 8))
+                if not arr.is_spanning():
+                    continue
+            m, ground = om_of(arr), arr.labels
+            tuples = all_pairs_cocircuit_tuples(arr.primitive_vectors())
+            rebuilt = OrientedMatroid(ground, frozenset(SignVector(ground, t) for t in tuples))
+            assert rebuilt == m and rebuilt.fingerprint() == m.fingerprint()
+            assert len(m.cocircuits) == len(m.rows) == len(tuples)
+            assert m.cocircuits == frozenset(rebuilt.cocircuits) == rebuilt.cocircuits
+            assert all(cc in m.cocircuits for cc in rebuilt.cocircuits)
+            relabeled = tuple(label + 100 for label in ground)
+            assert not any(SignVector(relabeled, t) in m.cocircuits for t in tuples)
+            assert {c.signs for c in m.cocircuits} == tuples
+            assert {c.to_string() for c in m.cocircuits} == m.rows
+            assert {c.signs for c in m.cocircuits} <= {c.signs for c in covectors_of(m)}
+            assert len(underlying_matroid(m).independents) == independent_sets(arr)
+
+    def test_from_string_and_constructor_checks(self):
+        labels = (1, 2)
+        for bad in ("+", "+-0", "+x", "+ "):
+            with pytest.raises(ValueError):
+                SignVector.from_string(labels, bad)
+        for bad in ((1,), (1, 0, 0), (1, 2)):
+            with pytest.raises(ValueError):
+                SignVector(labels, bad)
+        assert SignVector.from_string(labels, "+-") == SignVector(labels, (1, -1))
+
+    def test_sign_vectors_are_immutable_values(self):
+        v = SignVector((1, 2, 3), (1, 0, -1))
+        with pytest.raises(AttributeError):
+            v.labels = (4, 5, 6)
+        with pytest.raises(AttributeError):
+            v.extra = 1
+        assert hash(v) == hash(SignVector((1, 2, 3), [1, 0, -1]))
+        assert -v == SignVector((1, 2, 3), (-1, 0, 1)) and -(-v) == v
+        assert v[3] == -1 and v.zero_set() == (2,)
+
+
+def tuple_restrict(matroid: OrientedMatroid, labels) -> set[tuple[int, ...]]:
+    """The reference deletion on sign tuples: the support-minimal non-zero
+    restrictions of the cocircuits, or the cocircuits themselves when the
+    labels cover the ground set."""
+    keep = [i for i, l in enumerate(matroid.ground) if l in set(labels)]
+    if len(keep) == len(matroid.ground):
+        return {cc.signs for cc in matroid.cocircuits}
+    restricted = {tuple(cc.signs[i] for i in keep) for cc in matroid.cocircuits}
+    supports = {r: frozenset(k for k, s in enumerate(r) if s) for r in restricted}
+    nonzero = {s for s in supports.values() if s}
+    return {r for r, s in supports.items() if s in nonzero and not any(o < s for o in nonzero)}
+
+
+class TestStringRowsAgainstTuples:
+    """Rows are projected, restricted and written out as strings; the tuple
+    computations they replaced are the references."""
+
+    def test_projection(self):
+        rng = random.Random(103)
+        for _ in range(300):
+            width = rng.randint(1, 12)
+            tuples = [tuple(rng.choice((-1, 0, 1)) for _ in range(width))
+                      for _ in range(rng.randint(0, 6))]
+            cols = [rng.randrange(width) for _ in range(rng.randint(1, width + 2))]
+            projected = list(om_module._project(map(as_row, tuples), cols))
+            assert projected == [as_row(tuple(t[c] for c in cols)) for t in tuples]
+
+    def test_restrict(self):
+        rng = random.Random(107)
+        matroids = [om_of(rand_degenerate_arrangement(rng, rng.randint(3, 6))) for _ in range(60)]
+        matroids += [m for sets in sign_set_groups() for m in sets[:3]]
+        for m in matroids:
+            for _ in range(4):
+                labels = rng.sample(m.ground, rng.randint(0, len(m.ground)))
+                deleted = m.restrict(labels)
+                assert {cc.signs for cc in deleted.cocircuits} == tuple_restrict(m, labels)
+                assert deleted.ground == tuple(l for l in m.ground if l in labels)
+
+    def test_canonical_json(self):
+        rng = random.Random(109)
+        matroids = [
+            OrientedMatroid.rank_zero([]),
+            OrientedMatroid.rank_zero([3, "b1", "alpha"]),
+            parse_om({"ground_set": [], "cocircuits": [""]}),
+            om_of(build(default_seed(), 2).arrangement()),
+        ]
+        matroids += [om_of(rand_degenerate_arrangement(rng, rng.randint(3, 6))) for _ in range(40)]
+        matroids += [m for sets in sign_set_groups() for m in sets[:3]]
+        assert any(not m.rows for m in matroids)
+        for m in matroids:
+            doc = {"ground_set": list(m.ground), "cocircuits": sorted(cc.to_string() for cc in m.cocircuits)}
+            assert m.canonical_json() == json.dumps(doc, separators=(",", ":"), ensure_ascii=True)
