@@ -30,13 +30,17 @@ from .errors import (
     SeedRejected,
 )
 from .geometry import (
+    IntVec,
     PlanePoint,
     Vector3,
+    _join,
+    _lift,
+    _meet,
+    _point,
+    _spanned,
     collinear,
     cross_ratio,
     embed_affine,
-    line_intersect,
-    line_through,
     perspective_normalize,
 )
 from .labels import PERSISTENT, Label, indexed
@@ -148,7 +152,9 @@ class ConfigurationFamily:
     points: tuple[tuple[Label, PlanePoint], ...]
 
     def point(self, label: Label) -> PlanePoint:
-        for lab, pt in self.points:
+        """The point labelled ``label``, looked for from the end, where the
+        last level's points are."""
+        for lab, pt in reversed(self.points):
             if lab == label:
                 return pt
         raise KeyError(label)
@@ -184,27 +190,58 @@ def initial_family(seed: Seed) -> ConfigurationFamily:
     )
 
 
+class _SeedLifts:
+    """The lifts a level reads from the seed: alpha and a, and the three
+    lines through seed points only, joined once."""
+
+    def __init__(self, seed: Seed):
+        alpha, beta, gamma, omega, a = (
+            _lift(p) for p in (seed.alpha, seed.beta, seed.gamma, seed.omega, seed.a)
+        )
+        self.seed = seed
+        self.alpha = alpha
+        self.a = a
+        self.omega_gamma = _join(omega, gamma)
+        self.omega_beta = _join(omega, beta)
+        self.alpha_beta = _join(alpha, beta)
+
+
+def _level(
+    lifts: _SeedLifts, n: int, b_n: IntVec
+) -> tuple[tuple[tuple[Label, PlanePoint], ...], IntVec]:
+    """The points d_n, b_{n+1}, c_n of level n from the lift of b_n, and the
+    lift of b_{n+1} for the next level.
+
+    Each point is the join of two line vectors and becomes a PlanePoint
+    once.  A vector's sign is never normalised: a meet reads only zero tests
+    and the ratios to z."""
+    s = lifts.seed
+
+    def meet(which: str, seed_line: IntVec, p: PlanePoint, line: IntVec, q: PlanePoint) -> IntVec:
+        try:
+            return _meet(_spanned(seed_line, p), _spanned(line, q))
+        except (Parallel, Identical, CoincidentPoints) as exc:
+            raise DegenerateStep(n, which, str(exc)) from exc
+
+    d_n = meet("omega-gamma / alpha-b_n", lifts.omega_gamma, s.omega,
+               _join(lifts.alpha, b_n), s.alpha)
+    b_next = meet("omega-beta / a-d_n", lifts.omega_beta, s.omega,
+                  _join(lifts.a, d_n), s.a)
+    c_n = meet("alpha-beta / a-b_{n+1}", lifts.alpha_beta, s.alpha,
+               _join(lifts.a, b_next), s.a)
+    added = (
+        (indexed("d", n), _point(d_n)),
+        (indexed("b", n + 1), _point(b_next)),
+        (indexed("c", n), _point(c_n)),
+    )
+    return added, b_next
+
+
 def extend(family: ConfigurationFamily) -> ConfigurationFamily:
     """Append d_n, b_{n+1}, c_n for n = depth + 1; earlier points unchanged."""
     n = family.depth + 1
-    s = family.seed
-    b_n = family.point(indexed("b", n))
-
-    def meet(step_lines: str, p1, p2, q1, q2) -> PlanePoint:
-        try:
-            return line_intersect(line_through(p1, p2), line_through(q1, q2))
-        except (Parallel, Identical, CoincidentPoints) as exc:
-            raise DegenerateStep(n, step_lines, str(exc)) from exc
-
-    d_n = meet("omega-gamma / alpha-b_n", s.omega, s.gamma, s.alpha, b_n)
-    b_next = meet("omega-beta / a-d_n", s.omega, s.beta, s.a, d_n)
-    c_n = meet("alpha-beta / a-b_{n+1}", s.alpha, s.beta, s.a, b_next)
-    added = (
-        (indexed("d", n), d_n),
-        (indexed("b", n + 1), b_next),
-        (indexed("c", n), c_n),
-    )
-    return ConfigurationFamily(s, n, family.points + added)
+    added, _ = _level(_SeedLifts(family.seed), n, _lift(family.point(indexed("b", n))))
+    return ConfigurationFamily(family.seed, n, family.points + added)
 
 
 def build(seed: Seed, depth: int) -> ConfigurationFamily:
@@ -214,10 +251,13 @@ def build(seed: Seed, depth: int) -> ConfigurationFamily:
     check = validate_seed(seed)
     if not check:
         raise SeedRejected(check.violated or "seed", check.message)
-    family = initial_family(seed)
-    for _ in range(depth):
-        family = extend(family)
-    return family
+    lifts = _SeedLifts(seed)
+    points = list(seed.points().items())
+    b_n = _lift(seed.b1)
+    for n in range(1, depth + 1):
+        added, b_n = _level(lifts, n, b_n)
+        points.extend(added)
+    return ConfigurationFamily(seed, depth, tuple(points))
 
 
 def delta_arrangement(family: ConfigurationFamily, i: int) -> LabeledArrangement:
@@ -256,8 +296,9 @@ def limit_arrangement(arrangement: LabeledArrangement) -> LabeledArrangement:
 def cross_ratio_ledger(family: ConfigurationFamily) -> list[tuple[int, Fraction]]:
     """The exact cross-ratio of (alpha, c_i, gamma, beta) for every level i."""
     s = family.seed
+    points = dict(family.points)
     return [
-        (i, cross_ratio(s.alpha, family.point(indexed("c", i)), s.gamma, s.beta))
+        (i, cross_ratio(s.alpha, points[indexed("c", i)], s.gamma, s.beta))
         for i in range(1, family.depth + 1)
     ]
 
@@ -335,7 +376,8 @@ def certificate(
     except (NotCollinear, DegeneratePoints) as exc:
         raise SeedRejected("cross_ratio_ledger", f"{type(exc).__name__}: {exc}") from exc
 
-    c_points = [family.point(indexed("c", i)) for i in range(1, depth + 1)]
+    points = dict(family.points)
+    c_points = [points[indexed("c", i)] for i in range(1, depth + 1)]
     c_distinct = len(set(c_points)) == depth
     cr_values = [value for _, value in ledger]
     cr_distinct = len(set(cr_values)) == depth

@@ -1,13 +1,18 @@
 """Exact rational plane geometry: predicates, lines, cross-ratio, affine maps.
 
-All coordinates are ``fractions.Fraction``; every operation is exact, pure,
-and deterministic.  Degenerate inputs raise the typed errors from
+Points and results are ``fractions.Fraction``; every operation is exact,
+pure, and deterministic.  Degenerate inputs raise the typed errors from
 :mod:`omstrata.errors` instead of returning sentinels.
 
-Sign predicates and canonical lines run on primitive integer vectors.
-``_primitive`` is the one normalisation behind them (and behind ``om_of``):
-it clears denominators by their least common multiple and divides by the
-gcd, in integer arithmetic alone.
+Underneath, points and lines are primitive integer 3-vectors.  ``_primitive``
+is the one normalisation (also behind ``om_of``): it clears denominators by
+their least common multiple and divides by the gcd, in integer arithmetic
+alone.  ``_lift`` takes a plane point to its primitive vector with z > 0.
+``_join`` is the cross product divided by its gcd: by point-line duality it
+gives both the line through two points and the point on two lines, so
+``line_through``, ``line_intersect`` and the construction's steps share it.
+Collinearity is one integer determinant of three lifts, and the cross-ratio
+one quotient of integer products.
 """
 
 from __future__ import annotations
@@ -115,6 +120,58 @@ def _det3(u: IntVec, v: IntVec, w: IntVec) -> int:
     return _dot(u, _cross(v, w))
 
 
+def _lift(p: PlanePoint) -> IntVec:
+    """The primitive integer vector of p, with z > 0."""
+    return _primitive(p.x, p.y, 1)
+
+
+def _join(u: IntVec, v: IntVec) -> IntVec:
+    """The line through two points, or the point on two lines, as a primitive
+    vector; zero when u and v are proportional."""
+    w = _cross(u, v)
+    g = gcd(*w)
+    return (w[0] // g, w[1] // g, w[2] // g) if g > 1 else w
+
+
+def _point(v: IntVec) -> PlanePoint:
+    """The plane point of a vector with z != 0."""
+    return PlanePoint(Fraction(v[0], v[2]), Fraction(v[1], v[2]))
+
+
+def _canonical(line: IntVec) -> IntVec:
+    """The line vector signed so that the first non-zero of (a, b) is
+    positive."""
+    a, b, c = line
+    return (-a, -b, -c) if a < 0 or (a == 0 and b < 0) else line
+
+
+def _line_text(line: IntVec) -> str:
+    a, b, c = _canonical(line)
+    return f"Line2({a}x + {b}y + {c} = 0)"
+
+
+def _spanned(line: IntVec, p: PlanePoint) -> IntVec:
+    """line, the join of p's lift with another point's, checked non-zero.
+
+    Raises CoincidentPoints when the two points coincide."""
+    if line == (0, 0, 0):
+        raise CoincidentPoints(f"cannot span a line with {p} twice")
+    return line
+
+
+def _meet(l1: IntVec, l2: IntVec) -> IntVec:
+    """The point on two non-zero line vectors, with z != 0.
+
+    Raises Identical when the lines coincide and Parallel when they meet
+    only at infinity."""
+    v = _join(l1, l2)
+    if v[2] == 0:
+        if v == (0, 0, 0):
+            raise Identical(f"{_line_text(l1)} and {_line_text(l2)} coincide")
+        raise Parallel(f"{_line_text(l1)} and {_line_text(l2)} are parallel")
+    return v
+
+
 def sign_det3(u: Vector3, v: Vector3, w: Vector3) -> int:
     """Sign of det(u, v, w) as rows, in {-1, 0, +1}, computed exactly on
     primitive integer copies (positive rescaling keeps the sign)."""
@@ -150,20 +207,12 @@ class Line2:
         return self.a * point.x + self.b * point.y + self.c == 0
 
     def __repr__(self) -> str:
-        return f"Line2({self.a}x + {self.b}y + {self.c} = 0)"
+        return _line_text((self.a, self.b, self.c))
 
 
 def line_through(p: PlanePoint, q: PlanePoint) -> Line2:
     """The canonical line through two distinct points."""
-    if p == q:
-        raise CoincidentPoints(f"cannot span a line with {p} twice")
-    a = p.y - q.y
-    b = q.x - p.x
-    c = p.x * q.y - q.x * p.y
-    ai, bi, ci = _primitive(a, b, c)
-    if ai < 0 or (ai == 0 and bi < 0):
-        ai, bi, ci = -ai, -bi, -ci
-    return Line2(ai, bi, ci, p, q)
+    return Line2(*_canonical(_spanned(_join(_lift(p), _lift(q)), p)), p, q)
 
 
 def line_intersect(l1: Line2, l2: Line2) -> PlanePoint:
@@ -172,44 +221,37 @@ def line_intersect(l1: Line2, l2: Line2) -> PlanePoint:
     Raises Parallel when there is none and Identical when there are
     infinitely many.
     """
-    det = l1.a * l2.b - l2.a * l1.b
-    if det == 0:
-        if (l1.a, l1.b, l1.c) == (l2.a, l2.b, l2.c):
-            raise Identical(f"{l1} and {l2} coincide")
-        raise Parallel(f"{l1} and {l2} are parallel")
-    x = Fraction(l1.b * l2.c - l2.b * l1.c, det)
-    y = Fraction(l2.a * l1.c - l1.a * l2.c, det)
-    return PlanePoint(x, y)
+    return _point(_meet((l1.a, l1.b, l1.c), (l2.a, l2.b, l2.c)))
 
 
 def collinear(p: PlanePoint, q: PlanePoint, r: PlanePoint) -> bool:
     """True iff the three points lie on one line (repetitions count)."""
-    return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x) == 0
+    return _det3(_lift(p), _lift(q), _lift(r)) == 0
 
 
 def cross_ratio(a: PlanePoint, b: PlanePoint, c: PlanePoint, d: PlanePoint) -> Fraction:
     """Exact cross-ratio of four pairwise-distinct collinear points.
 
-    Each point is written as a + t * dir along the common line; the value is
-    |t_c - t_a| / |t_c - t_b| * |t_d - t_b| / |t_d - t_a|, which agrees with
-    the distance-quotient definition because all four distances share the
-    direction length as a common factor.
+    The value is |c - a| * |d - b| / (|c - b| * |d - a|) in distances along
+    the common line.  Each difference is read on one coordinate k (x, or y
+    when the line is vertical) of the lifts: c_k - a_k is
+    m(c, a) / (c_z * a_z) with m(u, v) = u_k * v_z - v_k * u_z, the heights
+    cancel in the quotient, and so does the line's direction length.
     """
-    points = (a, b, c, d)
+    lifts = [_lift(p) for p in (a, b, c, d)]
     for i in range(4):
         for j in range(i + 1, 4):
-            if points[i] == points[j]:
+            if lifts[i] == lifts[j]:
                 raise DegeneratePoints(f"points {i} and {j} coincide")
-    if not (collinear(a, b, c) and collinear(a, b, d)):
+    la, lb, lc, ld = lifts
+    if _det3(la, lb, lc) != 0 or _det3(la, lb, ld) != 0:
         raise NotCollinear("cross-ratio needs four collinear points")
-    dx = b.x - a.x
-    dy = b.y - a.y
-    if dx != 0:
-        params = [(p.x - a.x) / dx for p in points]
-    else:
-        params = [(p.y - a.y) / dy for p in points]
-    ta, tb, tc, td = params
-    return abs(tc - ta) / abs(tc - tb) * abs(td - tb) / abs(td - ta)
+    k = 0 if a.x != b.x else 1
+
+    def m(u: IntVec, v: IntVec) -> int:
+        return u[k] * v[2] - v[k] * u[2]
+
+    return Fraction(abs(m(lc, la) * m(ld, lb)), abs(m(lc, lb) * m(ld, la)))
 
 
 @dataclass(frozen=True)

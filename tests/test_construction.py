@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -30,6 +31,7 @@ from omstrata import om as om_module
 from omstrata.construction import MAX_CERTIFICATE_DEPTH
 from omstrata.labels import PERSISTENT, indexed
 
+import fraction_reference as ref
 from conftest import all_pairs_cocircuit_tuples, as_rows
 
 
@@ -139,12 +141,65 @@ class TestBuild:
         with pytest.raises(DegenerateStep) as exc:
             extend(family)
         assert exc.value.step == 1
+        assert exc.value.which == "omega-beta / a-d_n"
+        assert str(exc.value) == (
+            "step 1: lines omega-beta / a-d_n have no unique intersection "
+            "(cannot span a line with PlanePoint(x=Fraction(18, 5), y=Fraction(2, 1)) twice)"
+        )
 
     def test_parallel_step(self):
         # alpha-b1 parallel to omega-gamma: level 1 cannot start
         seed = seed_with(b1=PlanePoint(-1, 5))
-        with pytest.raises(DegenerateStep):
+        with pytest.raises(DegenerateStep) as exc:
             extend(initial_family(seed))
+        assert exc.value.step == 1
+        assert exc.value.which == "omega-gamma / alpha-b_n"
+        assert str(exc.value) == (
+            "step 1: lines omega-gamma / alpha-b_n have no unique intersection "
+            "(Line2(5x + 1y + -20 = 0) and Line2(5x + 1y + 0 = 0) are parallel)"
+        )
+
+    def test_point_lookup(self):
+        family = build(default_seed(), 3)
+        for label, point in family.points:
+            assert family.point(label) is point
+        with pytest.raises(KeyError):
+            family.point("c4")
+
+    def test_extend_continues_build(self):
+        seed = default_seed()
+        for depth in range(6):
+            assert extend(build(seed, depth)) == build(seed, depth + 1)
+
+    def test_matches_fraction_reference(self):
+        # the default seed and seeds with nu, a and b1 moved, as the
+        # benchmark moves nu and a
+        rng = random.Random(5)
+        base = default_seed()
+
+        def moved(p):
+            return PlanePoint(p.x + F(rng.randint(-8, 8), 8), p.y + F(rng.randint(-8, 8), 8))
+
+        seeds = [base]
+        while len(seeds) < 7:
+            t = F(rng.randint(1, 15), 16)
+            seed = seed_with(
+                nu=moved(base.nu),
+                a=moved(base.a),
+                b1=PlanePoint(base.omega.x + t * (base.beta.x - base.omega.x),
+                              base.omega.y + t * (base.beta.y - base.omega.y)),
+            )
+            if validate_seed(seed):
+                seeds.append(seed)
+        for seed in seeds:
+            family = build(seed, 30)
+            points = ref.build_points(seed, 30)
+            assert list(family.points) == points
+            table = dict(points)
+            assert cross_ratio_ledger(family) == [
+                (i, ref.cross_ratio(seed.alpha, table[indexed("c", i)], seed.gamma, seed.beta))
+                for i in range(1, 31)
+            ]
 
 
 class TestCrossRatioLedger:

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction as F
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +30,7 @@ from omstrata import (
 from omstrata.geometry import _primitive
 from omstrata.linalg import matrix_rank
 
+import fraction_reference as ref
 from conftest import rand_point
 
 E1 = Vector3(1, 0, 0)
@@ -50,18 +50,6 @@ def points():
     return st.builds(PlanePoint, fractions, fractions)
 
 
-def fraction_primitive(x: F, y: F, z: F):
-    """The earlier body of ``_primitive``, kept as the reference: scale by the
-    lcm of the denominators with Fraction multiplication, then divide by the
-    gcd of the entries."""
-    scale = 1
-    for part in (x, y, z):
-        scale = scale * part.denominator // gcd(scale, part.denominator)
-    ints = (int(x * scale), int(y * scale), int(z * scale))
-    g = gcd(gcd(abs(ints[0]), abs(ints[1])), abs(ints[2])) or 1
-    return (ints[0] // g, ints[1] // g, ints[2] // g)
-
-
 class TestPrimitive:
     def test_matches_fraction_reference(self):
         rng = random.Random(41)
@@ -79,7 +67,7 @@ class TestPrimitive:
             if rng.random() < 0.1:  # shared denominators and common factors
                 k = F(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
                 x, y, z = x * k, y * k, z * k
-            assert _primitive(x, y, z) == fraction_primitive(x, y, z)
+            assert _primitive(x, y, z) == ref.fraction_primitive(x, y, z)
 
     def test_coprime_and_positively_proportional(self):
         assert _primitive(F(0), F(0), F(0)) == (0, 0, 0)
@@ -119,8 +107,20 @@ class TestLines:
         assert (line.a, line.b, line.c) == (0, 1, -1)
 
     def test_coincident_points_rejected(self):
-        with pytest.raises(CoincidentPoints):
+        with pytest.raises(CoincidentPoints) as exc:
             line_through(PlanePoint(0, 0), PlanePoint(0, 0))
+        assert str(exc.value) == (
+            "cannot span a line with PlanePoint(x=Fraction(0, 1), y=Fraction(0, 1)) twice"
+        )
+
+    @settings(max_examples=200)
+    @given(points(), points())
+    def test_matches_fraction_reference(self, p, q):
+        if p == q:
+            return
+        line = line_through(p, q)
+        assert (line.a, line.b, line.c) == ref.line_through(p, q)
+        assert (line.p, line.q) == (p, q)
 
     def test_canonical_form_ignores_defining_pair(self):
         l1 = line_through(PlanePoint(0, 0), PlanePoint(1, 1))
@@ -136,14 +136,16 @@ class TestLines:
     def test_parallel(self):
         l1 = line_through(PlanePoint(0, 0), PlanePoint(1, 0))
         l2 = line_through(PlanePoint(0, 1), PlanePoint(1, 1))
-        with pytest.raises(Parallel):
+        with pytest.raises(Parallel) as exc:
             line_intersect(l1, l2)
+        assert str(exc.value) == "Line2(0x + 1y + 0 = 0) and Line2(0x + 1y + -1 = 0) are parallel"
 
     def test_identical(self):
         l1 = line_through(PlanePoint(0, 0), PlanePoint(1, 1))
         l2 = line_through(PlanePoint(2, 2), PlanePoint(5, 5))
-        with pytest.raises(Identical):
+        with pytest.raises(Identical) as exc:
             line_intersect(l1, l2)
+        assert str(exc.value) == "Line2(1x + -1y + 0 = 0) and Line2(1x + -1y + 0 = 0) coincide"
 
     def test_seed_first_intersection(self):
         # independently solved 2x2 system: the first appended point of the
@@ -176,6 +178,25 @@ class TestCollinear:
     def test_repeated_point(self):
         assert collinear(PlanePoint(0, 0), PlanePoint(0, 0), PlanePoint(5, 7))
 
+    def test_matches_fraction_reference(self):
+        rng = random.Random(13)
+        seen = {True: 0, False: 0}
+        for _ in range(3000):
+            p, q = rand_point(rng, 4), rand_point(rng, 4)
+            kind = rng.random()
+            if kind < 0.2:  # a repeated point, in any position
+                r = rng.choice((p, q))
+            elif kind < 0.5:  # on the line p-q
+                t = F(rng.randint(-9, 9), rng.randint(1, 9))
+                r = PlanePoint(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
+            else:
+                r = rand_point(rng, 4)
+            triple = rng.sample((p, q, r), 3)
+            expected = ref.collinear(*triple)
+            assert collinear(*triple) == expected
+            seen[expected] += 1
+        assert min(seen.values()) > 500
+
 
 class TestCrossRatio:
     def test_evenly_spaced(self):
@@ -192,14 +213,29 @@ class TestCrossRatio:
         assert cross_ratio(*pts) == F(4, 3)
 
     def test_not_collinear(self):
-        with pytest.raises(NotCollinear):
+        with pytest.raises(NotCollinear) as exc:
             cross_ratio(PlanePoint(0, 0), PlanePoint(1, 0),
                         PlanePoint(2, 0), PlanePoint(2, 1))
+        assert str(exc.value) == "cross-ratio needs four collinear points"
 
     def test_coincidence_rejected(self):
-        with pytest.raises(DegeneratePoints):
+        with pytest.raises(DegeneratePoints) as exc:
             cross_ratio(PlanePoint(0, 0), PlanePoint(1, 0),
                         PlanePoint(1, 0), PlanePoint(3, 0))
+        assert str(exc.value) == "points 1 and 2 coincide"
+
+    @settings(max_examples=200)
+    @given(
+        points(),
+        st.one_of(points(), st.builds(PlanePoint, st.just(0), nonzero_fractions)),
+        st.lists(fractions, min_size=4, max_size=4, unique=True),
+    )
+    def test_matches_parametric_formula(self, base, direction, params):
+        # the second strategy gives vertical lines, where a.x == b.x
+        if (direction.x, direction.y) == (0, 0):
+            return
+        pts = [PlanePoint(base.x + t * direction.x, base.y + t * direction.y) for t in params]
+        assert cross_ratio(*pts) == ref.cross_ratio(*pts)
 
     def test_invariance_under_random_affine_maps(self):
         rng = random.Random(2024)
