@@ -44,7 +44,7 @@ from .geometry import (
     perspective_normalize,
 )
 from .labels import PERSISTENT, Label, indexed
-from .om import LabeledArrangement, OrientedMatroid, om_equal, om_of, weak_map
+from .om import LabeledArrangement, LineTable, OrientedMatroid, om_equal, weak_map
 
 SEED_LABELS = ("alpha", "beta", "gamma", "omega", "nu", "a", "b1")
 
@@ -385,18 +385,19 @@ def certificate(
     records: list[LevelRecord] = []
     shared_limits: list[OrientedMatroid] = []
     s = seed
-    # Deepest level first: every lower level, and every limit, is a
-    # sub-arrangement of it, so om_of reads their cocircuits off its lines.
-    for i in range(depth, 0, -1):
+    # Every level, sample and limit is a sub-arrangement of the deepest level.
+    table = LineTable(delta_arrangement(family, depth))
+    for i in range(1, depth + 1):
         marked = delta_arrangement(family, i)
-        level_om = om_of(marked)
+        level_om = table.om_of(marked)
         degeneration = tuple(
-            (n, om_equal(om_of(scale_degeneration(marked, n)), level_om)) for n in samples
+            (n, om_equal(table.om_of(scale_degeneration(marked, n)), level_om)) for n in samples
         )
         limit = limit_arrangement(marked)
         # The limit's oriented matroid on its non-zero vectors: the deletion
         # of its loops, read on those columns alone.
-        shared = om_of(LabeledArrangement((l, v) for l, v in limit.elements if not v.is_zero()))
+        nonzero = LabeledArrangement((l, v) for l, v in limit.elements if not v.is_zero())
+        shared = table.om_of(nonzero)
         shared_limits.append(shared)
         # The verdict of weak_map(level_om, om_of(limit)), which deletes both
         # onto the limit's non-loops itself.
@@ -421,12 +422,9 @@ def certificate(
                 weak_map_ok=weak_ok,
             )
         )
-        # Let this level's cocircuits go before the next level's are built;
-        # the deepest level's lines stay remembered by om_of.
+        # Let this level's cocircuits go before the next level's are built.
         del level_om
 
-    records.reverse()
-    shared_limits.reverse()
     limits_equal = all(
         om_equal(shared_limits[0], other) for other in shared_limits[1:]
     )

@@ -33,16 +33,16 @@ certificate level and its eight-point limit, 56 triples, not C(n, 3).
 Signs never change under positive per-element rescaling, so all sign
 computations run on primitive integer copies of the vectors; this keeps the
 arithmetic in plain ints and makes fingerprints bit-stable.  ``om_of`` is a
-function of the labels and those primitive vectors alone and remembers its
-last result, so the rescaled copies of one arrangement cost one enumeration.
+function of the labels and those primitive vectors alone, and each call
+enumerates its lines afresh.
 
-It also remembers the lines of its last full enumeration.  Every line of a
-sub-arrangement (one whose non-zero vectors all occur among those lines'
-vectors) is one of them: a remembered line whose zero set holds two
-non-parallel vectors of the sub-arrangement.  Such an arrangement reads its
-cocircuits off the remembered rows, restricted to its columns by one
-``itemgetter``, with no new enumeration.  The certificate walks its levels
-deepest first, so one enumeration serves every level and limit.
+A ``LineTable`` enumerates the lines of one arrangement once and answers
+``om_of`` for every sub-arrangement of it (one whose non-zero vectors all
+occur in the table): each line of the sub-arrangement is a line of the table
+whose zero set holds two non-parallel vectors of the sub-arrangement, and
+its rows are read off the table's rows, restricted to the sub-arrangement's
+columns by one ``itemgetter``.  The certificate builds one table from its
+deepest level, so one enumeration serves every level, sample and limit.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ import json
 from collections import deque
 from collections.abc import Set
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from fractions import Fraction
 from itertools import combinations, compress, repeat
-from operator import add, and_, itemgetter
+from operator import add, and_, itemgetter, or_
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainMismatch, GroundSetMismatch, NotSpanning
@@ -405,86 +405,17 @@ def chirotope_of(arrangement: LabeledArrangement) -> Chirotope:
     return Chirotope(ground, nonzero)
 
 
-class _Lines:
-    """The lines of one full enumeration, kept so that a sub-arrangement can
-    read its cocircuits off them.
-
-    ``found`` holds each line's row, its negation and the live positions of
-    its zero set, as the kernel computes them.  The first projection turns
-    them into the projection data and drops them: the rows in pairs, the same
-    strings the enumerated oriented matroid holds, and per row the bitmask of
-    the projective classes in its line's zero set.  Zero vectors read column
-    ``len(vectors)``, a ``0`` appended to the rows they are read from.
-    """
-
-    __slots__ = ("vectors", "found", "column", "rows", "masks", "class_bits")
-
-    def __init__(self, vectors: tuple[IntVec, ...], found: list):
-        self.vectors = vectors
-        self.found = found
-        self.column: dict[IntVec, int] | None = None
-
-    def columns(self, ints: tuple[IntVec, ...]) -> list[int] | None:
-        """The column of each vector of ``ints``, or None if a non-zero one
-        is missing."""
-        if self.column is None:
-            # a repeated vector keeps one of its columns, which read alike
-            self.column = dict(zip(self.vectors, range(len(self.vectors))))
-            self.column[0, 0, 0] = len(self.vectors)
-        cols = list(map(self.column.get, ints))
-        return None if None in cols else cols
-
-    def _index(self) -> None:
-        """Turn ``found`` into the rows and their class masks."""
-        classes: dict[IntVec, int] = {}
-        bits = [0] * (len(self.vectors) + 1)
-        for k, v in enumerate(self.vectors):
-            if v != (0, 0, 0):
-                # v and -v span one class: key it by its member above zero
-                key = v if v > (0, 0, 0) else (-v[0], -v[1], -v[2])
-                bits[k] = classes.setdefault(key, 1 << len(classes))
-        self.class_bits = bits
-        self.rows, self.masks = [], []
-        for row, negated, zeros in self.found:
-            mask = 0
-            for k in zeros:
-                mask |= bits[k]
-            self.rows += (row, negated)
-            self.masks += (mask, mask)
-        self.found = None
-
-    def project(self, cols: list[int]) -> set[str]:
-        """Both rows, restricted to ``cols``, of every line whose zero set
-        holds two non-parallel vectors of the columns."""
-        if self.found is not None:
-            self._index()
-        sub = 0
-        for k in cols:
-            sub |= self.class_bits[k]
-        if not sub & (sub - 1):  # fewer than two classes: no line
-            return set()
-        on = [(m := mask & sub) & (m - 1) for mask in self.masks]
-        rows = compress(self.rows, on)
-        if len(self.vectors) in cols:
-            rows = map(add, rows, repeat("0"))
-        return set(_project(rows, cols))
-
-
-# The lines of the last full enumeration (see ``_cocircuit_rows``).
-_lines: _Lines | None = None
-
-
-def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[set[str], _Lines]:
-    """Both rows of every line (rank-2 flat) of the arrangement, and the
-    lines themselves.
+def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[list[str], list[list[int]]]:
+    """Both rows of every line (rank-2 flat) of the arrangement, in pairs,
+    and each line's zero set: the positions of its non-zero vectors.
 
     The pairs ``i < j`` of non-zero vectors are walked in order; a pair
     already in the zero set of a computed row lies on a known line and is
     skipped, so each line costs one row of ``n`` dot products, written once
     as a string: each sign plus one is a byte, translated to ``-0+``.
     """
-    out: set[str] = set()
-    found = []
+    rows: list[str] = []
+    zero_sets: list[list[int]] = []
     live = [i for i, v in enumerate(ints) if v != (0, 0, 0)]
     covered: set[tuple[int, int]] = set()
     for a, i in enumerate(live):
@@ -500,50 +431,104 @@ def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[set[str], _Lines]:
             row = bytes([(d >= 0) + (d > 0) for d in dots]).translate(_SIGN_BYTES).decode("ascii")
             zeros = [k for k in live if not dots[k]]
             covered.update(combinations(zeros, 2))
-            negated = row.translate(_NEGATE)
-            out.add(row)
-            out.add(negated)
-            found.append((row, negated, zeros))
-    return out, _Lines(ints, found)
-
-
-def _cocircuit_rows(ints: tuple[IntVec, ...]) -> set[str]:
-    """Both rows of every line (rank-2 flat) of the arrangement.
-
-    The lines of the last full enumeration are remembered.  When every
-    non-zero vector of ``ints`` occurs among their vectors, each line of
-    ``ints`` is one of them: a remembered line is a line of ``ints`` exactly
-    when its zero set holds two non-parallel vectors of ``ints``, and its
-    rows restricted to the columns of ``ints`` are that line's rows.  Any
-    other arrangement is enumerated in full and its lines replace the
-    remembered ones.
-    """
-    global _lines
-    cols = None if _lines is None else _lines.columns(ints)
-    if cols is None:
-        out, _lines = _enumerate_lines(ints)
-        return out
-    return _lines.project(cols)
+            rows += (row, row.translate(_NEGATE))
+            zero_sets.append(zeros)
+    return rows, zero_sets
 
 
 def om_of(arrangement: LabeledArrangement) -> OrientedMatroid:
     """The oriented matroid of a spanning arrangement, in canonical form.
 
     Every line through two independent elements spans a plane whose normal
-    induces one cocircuit and its negation.  The result depends only on the
-    labels and the primitive integer vectors, so a positively rescaled copy
-    reuses the last result (see ``_om_of_primitive``).
+    induces one cocircuit and its negation.  Each call enumerates the lines
+    afresh; the result depends only on the labels and the primitive integer
+    vectors.
     """
-    return _om_of_primitive(arrangement.labels, arrangement.primitive_vectors())
-
-
-@lru_cache(maxsize=1)
-def _om_of_primitive(ground: tuple[Label, ...], ints: tuple[IntVec, ...]) -> OrientedMatroid:
-    # One entry: a certificate level is followed by its rescaled samples,
-    # which all hit it; a larger cache would only keep earlier levels alive.
+    ints = arrangement.primitive_vectors()
     if _rank3(ints) != 3:
         raise NotSpanning("arrangement does not span rank 3")
-    return OrientedMatroid._of(ground, frozenset(_cocircuit_rows(ints)))
+    rows, _ = _enumerate_lines(ints)
+    return OrientedMatroid._of(arrangement.labels, frozenset(rows))
+
+
+class LineTable:
+    """The lines of one arrangement, enumerated once; the oriented matroid
+    of any sub-arrangement is read off them (see the module docstring).
+
+    Per row the table keeps the bitmask of the projective classes in its
+    line's zero set, so a sub-arrangement picks its lines by one ``&`` per
+    row.  A repeated vector keeps one of its columns, which read alike; zero
+    vectors read the column after the last, a ``0`` appended to the rows
+    they are read from.
+    """
+
+    __slots__ = ("_rows", "_masks", "_column", "_class_bits", "_identity", "_last")
+
+    def __init__(self, arrangement: LabeledArrangement):
+        vectors = arrangement.primitive_vectors()
+        width = len(vectors)
+        rows, zero_sets = _enumerate_lines(vectors)
+        self._column = dict(zip(vectors, range(width)))
+        self._column[0, 0, 0] = width
+        classes: dict[IntVec, int] = {}
+        bits = [0] * (width + 1)
+        for k, v in enumerate(vectors):
+            if v != (0, 0, 0):
+                # v and -v span one class: key it by its member above zero
+                key = v if v > (0, 0, 0) else (-v[0], -v[1], -v[2])
+                bits[k] = classes.setdefault(key, 1 << len(classes))
+        self._class_bits = bits
+        self._rows = rows
+        self._masks = []
+        for zeros in zero_sets:
+            mask = reduce(or_, map(bits.__getitem__, zeros))
+            self._masks += (mask, mask)
+        self._identity = tuple(range(width))
+        self._last: tuple[tuple[Label, ...], tuple[int, ...], OrientedMatroid] | None = None
+
+    def om_of(self, arrangement: LabeledArrangement) -> OrientedMatroid:
+        """``om_of(arrangement)``, read off the table's lines.
+
+        Raises ValueError when a non-zero vector of the arrangement is not in
+        the table.  The last answer is returned again when the labels and
+        columns repeat, as they do for a positively rescaled copy.
+        """
+        ground, ints = arrangement.labels, arrangement.primitive_vectors()
+        cols = self._columns(ints)
+        # ``_last`` is read once and replaced whole, so threads sharing a
+        # table see one whole entry or another; nothing else changes.
+        last = self._last
+        if last is not None and last[0] == ground and last[1] == cols:
+            return last[2]
+        if _rank3(ints) != 3:
+            raise NotSpanning("arrangement does not span rank 3")
+        matroid = OrientedMatroid._of(ground, self._rows_of(cols))
+        self._last = ground, cols, matroid
+        return matroid
+
+    def _columns(self, ints: tuple[IntVec, ...]) -> tuple[int, ...]:
+        """The column of each vector of ``ints``."""
+        cols = tuple(map(self._column.get, ints))
+        if None in cols:
+            raise ValueError("the arrangement has a vector outside the line table")
+        return cols
+
+    def _rows_of(self, cols: tuple[int, ...]) -> frozenset[str]:
+        """Both rows, restricted to ``cols``, of every line whose zero set
+        holds two non-parallel vectors of the columns; the rows as enumerated
+        when ``cols`` are all the table's columns in order."""
+        if cols == self._identity:
+            return frozenset(self._rows)
+        sub = 0
+        for k in cols:
+            sub |= self._class_bits[k]
+        if not sub & (sub - 1):  # fewer than two classes: no line
+            return frozenset()
+        on = [(m := mask & sub) & (m - 1) for mask in self._masks]
+        rows = compress(self._rows, on)
+        if self._column[0, 0, 0] in cols:
+            rows = map(add, rows, repeat("0"))
+        return frozenset(_project(rows, cols))
 
 
 def _chirotope_from_cocircuits(matroid: OrientedMatroid) -> Chirotope:

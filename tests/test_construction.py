@@ -1,5 +1,10 @@
+import os
 import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,10 +34,12 @@ from omstrata import (
 )
 from omstrata import om as om_module
 from omstrata.construction import MAX_CERTIFICATE_DEPTH
+from omstrata.om import LineTable
 from omstrata.labels import PERSISTENT, indexed
+from omstrata.serialization import document_to_json, render_report
 
 import fraction_reference as ref
-from conftest import all_pairs_cocircuit_tuples, as_rows
+from conftest import all_pairs_cocircuit_tuples, as_rows, rand_spanning_arrangement
 
 
 def seed_with(**overrides) -> Seed:
@@ -371,7 +378,7 @@ class TestCertificate:
         assert not report.checks.separation
         assert len({rec.limit_fingerprint for rec in report.records}) == 2
 
-    def test_limits_on_their_nonzero_labels_equal_the_deleted_limits(self, monkeypatch):
+    def test_limits_on_their_nonzero_labels_equal_the_deleted_limits(self):
         # The certificate reads each limit on its eight non-zero labels; the
         # reference enumerates the whole limit afresh and deletes its loops.
         report = certificate(default_seed(), 20, [1])
@@ -379,8 +386,6 @@ class TestCertificate:
         for rec in reversed(report.records):
             limit = limit_arrangement(delta_arrangement(family, rec.i))
             eight = om_of(LabeledArrangement((l, v) for l, v in limit.elements if not v.is_zero()))
-            monkeypatch.setattr(om_module, "_lines", None)
-            om_module._om_of_primitive.cache_clear()
             deleted = om_of(limit).delete_loops()
             assert len(eight.ground) == 8 and not eight.loops
             assert eight == deleted
@@ -397,22 +402,16 @@ class TestCertificate:
             shared = limit_om.delete_loops()
             assert weak_map(level_om.restrict(shared.ground), shared) == weak_map(level_om, limit_om)
 
-    def test_levels_and_limits_read_the_deepest_lines(self, monkeypatch):
-        # walked deepest first, as the certificate does: one enumeration
-        monkeypatch.setattr(om_module, "_lines", None)
+    def test_levels_and_limits_read_the_deepest_lines(self):
         family = build(default_seed(), 20)
-        table = None
-        for i in range(20, 0, -1):
+        table = LineTable(delta_arrangement(family, 20))
+        for i in range(1, 21):
             marked = delta_arrangement(family, i)
             for arr in (marked, limit_arrangement(marked)):
                 ints = arr.primitive_vectors()
-                assert om_module._cocircuit_rows(ints) == as_rows(all_pairs_cocircuit_tuples(ints))
-                table = table or om_module._lines
-                assert om_module._lines is table
+                assert table.om_of(arr).rows == as_rows(all_pairs_cocircuit_tuples(ints))
 
     def test_depth_6_enumerates_once(self, monkeypatch):
-        monkeypatch.setattr(om_module, "_lines", None)
-        om_module._om_of_primitive.cache_clear()
         sizes = []
         enumerate_lines = om_module._enumerate_lines
         monkeypatch.setattr(om_module, "_enumerate_lines",
@@ -445,3 +444,86 @@ class TestCertificate:
         except SeedRejected:
             return
         assert report.depth == 2 and len(report.records) == 2
+
+
+def nonzero_part(arrangement: LabeledArrangement) -> LabeledArrangement:
+    return LabeledArrangement((l, v) for l, v in arrangement.elements if not v.is_zero())
+
+
+# The depth-20 report of one seed, rendered by a fresh interpreter.
+FRESH_REPORT = """
+import sys
+from omstrata import PlanePoint, certificate, default_seed
+from omstrata.serialization import document_to_json, render_report
+seed = default_seed()
+if sys.argv[1] == "wall":
+    seed = type(seed)(**{**seed.points(), "nu": PlanePoint(3, 2)})
+print(document_to_json(render_report(certificate(seed, 20))))
+"""
+
+
+class TestHistoryIndependence:
+    """A certificate's result does not depend on what ran before it in the
+    process, nor on what runs beside it."""
+
+    def test_certificates_in_turn_equal_fresh_runs(self):
+        src = Path(__file__).parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        fresh = {
+            name: subprocess.run([sys.executable, "-c", FRESH_REPORT, name], capture_output=True,
+                                 text=True, timeout=120, check=True, env=env).stdout
+            for name in ("default", "wall")
+        }
+        seeds = {"default": default_seed(), "wall": WALL_SEED}
+        reports = {}
+        for name in ("default", "wall", "default"):
+            reports[name] = certificate(seeds[name], 20)
+            assert document_to_json(render_report(reports[name])) + "\n" == fresh[name]
+        for name, report in reports.items():  # the last run of each seed
+            family = build(seeds[name], 20)
+            for rec in report.records:
+                marked = delta_arrangement(family, rec.i)
+                level = om_of(marked)
+                assert rec.mi_fingerprint == level.fingerprint()
+                assert rec.degeneration_ok == tuple(
+                    (n, om_of(scale_degeneration(marked, n)) == level) for n in report.samples
+                )
+                limit = nonzero_part(limit_arrangement(marked))
+                assert rec.limit_fingerprint == om_of(limit).fingerprint()
+
+    @pytest.mark.parametrize("source", ["table", "om_of"])
+    def test_threads_read_the_levels_alike(self, source):
+        # Two threads read the depth-6 levels and limits while a third
+        # enumerates an unrelated 30-point arrangement.
+        family = build(default_seed(), 6)
+        levels = [delta_arrangement(family, i) for i in range(1, 7)]
+        arrangements = levels + [nonzero_part(limit_arrangement(m)) for m in levels]
+        reference = [om_of(arr).fingerprint() for arr in arrangements]
+        read = LineTable(levels[-1]).om_of if source == "table" else om_of
+        other = rand_spanning_arrangement(random.Random(97), 30)
+        other_reference = om_of(other).fingerprint()
+        wrong, errors = [], []
+
+        def run(read, pairs, rounds):
+            try:
+                for _ in range(rounds):
+                    for arr, want in pairs:
+                        if read(arr).fingerprint() != want:
+                            wrong.append(arr.labels)
+            except Exception as exc:  # reported by the assertions below
+                errors.append(exc)
+
+        level_pairs = list(zip(arrangements, reference))
+        threads = [threading.Thread(target=run, args=(read, level_pairs, 25)) for _ in range(2)]
+        threads.append(threading.Thread(target=run, args=(om_of, [(other, other_reference)], 20)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and wrong == []

@@ -29,6 +29,7 @@ from omstrata import (
     weak_map,
 )
 from omstrata import om as om_module
+from omstrata.om import LineTable
 from omstrata.labels import is_label, label_key
 from omstrata.errors import SchemaError
 from omstrata.serialization import parse_om, render_om
@@ -51,8 +52,6 @@ ONES = Vector3(1, 1, 1)
 BASIS = LabeledArrangement([(1, E1), (2, E2), (3, E3)])
 BASIS4 = LabeledArrangement([(1, E1), (2, E2), (3, E3), (4, ONES)])
 DEGEN4 = LabeledArrangement([(1, E1), (2, E2), (3, E3), (4, Vector3(1, 1, 0))])
-
-MEMO = om_module._om_of_primitive
 
 
 def rand_degenerate_arrangement(rng: random.Random, size: int) -> LabeledArrangement:
@@ -228,15 +227,18 @@ class TestCocircuits:
 
 
 class TestCocircuitKernel:
-    """``_cocircuit_rows`` computes one sign row per line; the all-pairs
-    loop is the reference."""
+    """``_enumerate_lines`` computes one sign row per line, and ``om_of``
+    keeps those rows; the all-pairs loop is the reference."""
 
     def test_matches_all_pairs_on_grid_arrangements(self):
         rng = random.Random(71)
         for _ in range(200):
             arr = rand_grid_arrangement(rng, rng.randint(3, 10))
             ints = arr.primitive_vectors()
-            assert om_module._cocircuit_rows(ints) == as_rows(all_pairs_cocircuit_tuples(ints))
+            reference = as_rows(all_pairs_cocircuit_tuples(ints))
+            assert set(om_module._enumerate_lines(ints)[0]) == reference
+            if arr.is_spanning():
+                assert om_of(arr).rows == reference
 
     def test_matches_all_pairs_on_certificate_levels(self):
         family = build(default_seed(), 20)
@@ -244,7 +246,7 @@ class TestCocircuitKernel:
             marked = delta_arrangement(family, i)
             for arr in (marked, limit_arrangement(marked)):
                 ints = arr.primitive_vectors()
-                assert om_module._cocircuit_rows(ints) == as_rows(all_pairs_cocircuit_tuples(ints))
+                assert om_of(arr).rows == as_rows(all_pairs_cocircuit_tuples(ints))
 
 
 def negated(v):
@@ -272,102 +274,100 @@ def rand_sub_arrangement(rng: random.Random, distinct):
     return tuple(sub)
 
 
+def table_rows(table: LineTable, ints) -> frozenset[str]:
+    """The rows a line table reads off for ``ints``, of any rank."""
+    return table._rows_of(table._columns(ints))
+
+
+def arrangement_of(ints) -> LabeledArrangement:
+    return LabeledArrangement(enumerate(Vector3(*v) for v in ints))
+
+
 class TestLineProjection:
-    """An arrangement whose non-zero vectors all occur in the last full
-    enumeration reads its cocircuits off the remembered lines; the all-pairs
-    loop is the reference."""
+    """An arrangement whose non-zero vectors all occur in a line table reads
+    its cocircuits off the table's lines; the all-pairs loop is the
+    reference."""
 
-    def prime(self, monkeypatch, ints):
-        monkeypatch.setattr(om_module, "_lines", None)
-        om_module._cocircuit_rows(ints)
-        return om_module._lines
-
-    def test_sub_arrangements_match_all_pairs(self, monkeypatch):
+    def test_sub_arrangements_match_all_pairs(self):
         rng = random.Random(79)
         grid = rand_grid_arrangement(rng, 14).primitive_vectors()
         # antiparallel copies of some vectors, a repeat and a loop
         full = grid + tuple(negated(v) for v in grid[:5]) + grid[:2] + ((0, 0, 0),)
-        table = self.prime(monkeypatch, full)
+        table = LineTable(arrangement_of(full))
         distinct = sorted({v for v in full if v != (0, 0, 0)})
         ranks, antiparallel = set(), 0
         for _ in range(300):
             sub = rand_sub_arrangement(rng, distinct)
-            assert om_module._cocircuit_rows(sub) == as_rows(all_pairs_cocircuit_tuples(sub))
-            assert om_module._lines is table  # projected, not enumerated
-            ranks.add(om_module._rank3(sub))
+            reference = as_rows(all_pairs_cocircuit_tuples(sub))
+            assert table_rows(table, sub) == reference
+            rank = om_module._rank3(sub)
+            ranks.add(rank)
+            if rank == 3:
+                assert table.om_of(arrangement_of(sub)).rows == reference
             antiparallel += any(negated(v) in sub for v in sub if v != (0, 0, 0))
         assert ranks == {0, 1, 2, 3}
         assert antiparallel > 50
 
-    def test_antiparallel_pair_alone_on_a_line_spans_nothing(self, monkeypatch):
+    def test_antiparallel_pair_alone_on_a_line_spans_nothing(self):
         # e3 and -e3 lie on the line x = 0 with e2, and on y = 0 with e1; the
         # sub-arrangement without e2 lies in y = 0, its one line
-        full = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1))
-        table = self.prime(monkeypatch, full)
+        table = LineTable(arrangement_of(((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1))))
         sub = ((0, 0, 1), (1, 0, 0), (0, 0, -1))
-        assert om_module._cocircuit_rows(sub) == as_rows(all_pairs_cocircuit_tuples(sub)) == {"000"}
-        assert om_module._cocircuit_rows(((0, 0, 1), (0, 0, -1))) == set()
-        assert om_module._lines is table
+        assert table_rows(table, sub) == as_rows(all_pairs_cocircuit_tuples(sub)) == {"000"}
+        assert table_rows(table, ((0, 0, 1), (0, 0, -1))) == set()
 
-    def test_a_vector_outside_the_table_replaces_it(self, monkeypatch):
-        full = BASIS4.primitive_vectors()
-        table = self.prime(monkeypatch, full)
-        for outside in ((1, 2, 3), (-1, -1, -1)):  # a new class, and an antiparallel copy
-            sub = full[:3] + (outside,)
-            assert om_module._cocircuit_rows(sub) == as_rows(all_pairs_cocircuit_tuples(sub))
-            assert om_module._lines is not table and om_module._lines.vectors == sub
-            table = om_module._lines
-        assert om_module._cocircuit_rows(full[:3]) == as_rows(all_pairs_cocircuit_tuples(full[:3]))
-        assert om_module._lines is table
+    def test_a_vector_outside_the_table_raises(self):
+        table = LineTable(BASIS4)
+        for outside in (Vector3(1, 2, 3), ONES.scaled(-1)):  # a new class, and an antiparallel copy
+            with pytest.raises(ValueError, match="outside"):
+                table.om_of(LabeledArrangement(list(BASIS.elements) + [(4, outside)]))
+        assert table.om_of(BASIS) == om_of(BASIS)
 
-    def test_projected_om_of_equals_a_fresh_enumeration(self, monkeypatch):
+    def test_projected_om_of_equals_a_fresh_enumeration(self):
         rng = random.Random(83)
         full = rand_degenerate_arrangement(rng, 9)
-        om_of(full)
+        table = LineTable(full)
+        assert table.om_of(full) == om_of(full)
         for _ in range(30):
             labels = rng.sample(full.labels, rng.randint(4, len(full)))
             sub = full.restrict(labels)
             if not sub.is_spanning():
                 continue
-            projected = om_of(sub)
-            monkeypatch.setattr(om_module, "_lines", None)
-            MEMO.cache_clear()
-            assert om_of(sub) == projected
-            assert om_of(sub).fingerprint() == projected.fingerprint()
-            om_of(full)
+            projected = table.om_of(sub)
+            assert projected == om_of(sub)
+            assert projected.fingerprint() == om_of(sub).fingerprint()
 
 
 class TestOmOfMemo:
-    """``om_of`` remembers its last result, keyed on the sorted labels and
-    the primitive integer vectors."""
+    """``om_of`` depends on the labels and the primitive integer vectors
+    alone; a line table returns its last answer when they repeat."""
 
     def test_rescaled_copy_is_a_hit(self):
         rng = random.Random(73)
         arr = rand_degenerate_arrangement(rng, 6)
         factors = {label: rand_positive_fraction(rng) for label in arr.labels}
-        first = om_of(arr)
-        hits = MEMO.cache_info().hits
-        again = om_of(arr.rescaled(factors))
-        assert MEMO.cache_info().hits == hits + 1
-        MEMO.cache_clear()
+        table = LineTable(arr)
+        first = table.om_of(arr)
+        assert table.om_of(arr.rescaled(factors)) is first
         fresh = om_of(arr.rescaled(factors))
-        assert again == fresh == first
-        assert again.fingerprint() == fresh.fingerprint()
+        assert fresh == first == om_of(arr)
+        assert fresh.fingerprint() == first.fingerprint()
 
     def test_shuffled_copy_is_a_memo_hit(self):
-        om_of(BASIS4)
-        hits = MEMO.cache_info().hits
-        om_of(LabeledArrangement(reversed(BASIS4.elements)))
-        assert MEMO.cache_info().hits == hits + 1
+        table = LineTable(BASIS4)
+        first = table.om_of(BASIS4)
+        shuffled = LabeledArrangement(reversed(BASIS4.elements))
+        assert table.om_of(shuffled) is first
+        assert om_of(shuffled) == first
 
     def test_negated_element_is_a_miss(self):
-        first = om_of(BASIS4)
-        misses = MEMO.cache_info().misses
         flipped = LabeledArrangement(
             (label, v.scaled(-1) if label == 4 else v) for label, v in BASIS4.elements
         )
-        assert not om_equal(first, om_of(flipped))
-        assert MEMO.cache_info().misses == misses + 1
+        table = LineTable(LabeledArrangement(list(BASIS4.elements) + [(5, ONES.scaled(-1))]))
+        first = table.om_of(BASIS4)
+        assert not om_equal(first, table.om_of(flipped))
+        assert table.om_of(flipped) == om_of(flipped)
 
     def test_labels_are_part_of_the_key(self):
         relabeled = LabeledArrangement((label + 4, v) for label, v in BASIS4.elements)
@@ -375,12 +375,18 @@ class TestOmOfMemo:
         assert first.ground == (1, 2, 3, 4)
         assert second.ground == (5, 6, 7, 8)
         assert first.cocircuit_strings() == second.cocircuit_strings()
+        table = LineTable(BASIS4)
+        assert table.om_of(BASIS4) == first
+        assert table.om_of(relabeled) == second
 
     def test_rank_two_raises_on_every_call(self):
         rank2 = LabeledArrangement([(1, E1), (2, E2), (3, Vector3(1, 1, 0))])
+        table = LineTable(rank2)
         for _ in range(3):
             with pytest.raises(NotSpanning):
                 om_of(rank2)
+            with pytest.raises(NotSpanning):
+                table.om_of(rank2)
 
 
 class TestCovectors:
