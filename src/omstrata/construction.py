@@ -353,8 +353,10 @@ def certificate(
 
     (a) the c_i are pairwise distinct; (b) their cross-ratios are pairwise
     distinct; (c) each delta-marked arrangement keeps its oriented matroid
-    under the sampled rescalings; (d) the loop-free parts of all limit
-    oriented matroids coincide (the shared limit); (e) the limit
+    under the sampled rescalings: a sample passes when its primitive integer
+    vectors equal the level's, which is exact, since ``om_of`` reads only the
+    labels (which rescaling keeps) and those vectors; (d) the loop-free parts
+    of all limit oriented matroids coincide (the shared limit); (e) the limit
     arrangements still differ by the cross-ratio invariant while realizing
     that one limit; (f) each level admits a weak map onto its limit.
 
@@ -385,13 +387,14 @@ def certificate(
     records: list[LevelRecord] = []
     shared_limits: list[OrientedMatroid] = []
     s = seed
-    # Every level, sample and limit is a sub-arrangement of the deepest level.
+    # Every level and every limit's non-zero part reads the deepest level's lines.
     table = LineTable(delta_arrangement(family, depth))
     for i in range(1, depth + 1):
         marked = delta_arrangement(family, i)
         level_om = table.om_of(marked)
+        ints = marked.primitive_vectors()
         degeneration = tuple(
-            (n, om_equal(table.om_of(scale_degeneration(marked, n)), level_om)) for n in samples
+            (n, scale_degeneration(marked, n).primitive_vectors() == ints) for n in samples
         )
         limit = limit_arrangement(marked)
         # The limit's oriented matroid on its non-zero vectors: the deletion

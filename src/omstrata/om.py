@@ -37,12 +37,13 @@ function of the labels and those primitive vectors alone, and each call
 enumerates its lines afresh.
 
 A ``LineTable`` enumerates the lines of one arrangement once and answers
-``om_of`` for every sub-arrangement of it (one whose non-zero vectors all
-occur in the table): each line of the sub-arrangement is a line of the table
-whose zero set holds two non-parallel vectors of the sub-arrangement, and
-its rows are read off the table's rows, restricted to the sub-arrangement's
-columns by one ``itemgetter``.  The certificate builds one table from its
-deepest level, so one enumeration serves every level, sample and limit.
+``om_of`` for every sub-arrangement of it (one whose vectors, the zero vector
+included, all occur in the table): each line of the sub-arrangement is a
+line of the table whose zero set holds two non-parallel vectors of the
+sub-arrangement, and its rows are read off the table's rows, restricted to
+the sub-arrangement's columns by one ``itemgetter``.  The certificate builds
+one table from its deepest level, so one enumeration serves every level and
+every limit's non-zero part.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ from collections.abc import Set
 from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
-from itertools import combinations, compress, repeat
-from operator import add, and_, itemgetter, or_
+from itertools import combinations, compress
+from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainMismatch, GroundSetMismatch, NotSpanning
@@ -457,21 +458,21 @@ class LineTable:
 
     Per row the table keeps the bitmask of the projective classes in its
     line's zero set, so a sub-arrangement picks its lines by one ``&`` per
-    row.  A repeated vector keeps one of its columns, which read alike; zero
-    vectors read the column after the last, a ``0`` appended to the rows
-    they are read from.
+    row.  A repeated vector keeps one of its columns, which read alike.
+    Every vector a sub-arrangement reads, the zero vector included, must be
+    a vector of the table; a loop of the table reads its own all-``0``
+    column.  The table does not change after it is built.
     """
 
-    __slots__ = ("_rows", "_masks", "_column", "_class_bits", "_identity", "_last")
+    __slots__ = ("_rows", "_masks", "_column", "_class_bits", "_identity")
 
     def __init__(self, arrangement: LabeledArrangement):
         vectors = arrangement.primitive_vectors()
         width = len(vectors)
         rows, zero_sets = _enumerate_lines(vectors)
         self._column = dict(zip(vectors, range(width)))
-        self._column[0, 0, 0] = width
         classes: dict[IntVec, int] = {}
-        bits = [0] * (width + 1)
+        bits = [0] * width
         for k, v in enumerate(vectors):
             if v != (0, 0, 0):
                 # v and -v span one class: key it by its member above zero
@@ -484,27 +485,18 @@ class LineTable:
             mask = reduce(or_, map(bits.__getitem__, zeros))
             self._masks += (mask, mask)
         self._identity = tuple(range(width))
-        self._last: tuple[tuple[Label, ...], tuple[int, ...], OrientedMatroid] | None = None
 
     def om_of(self, arrangement: LabeledArrangement) -> OrientedMatroid:
         """``om_of(arrangement)``, read off the table's lines.
 
-        Raises ValueError when a non-zero vector of the arrangement is not in
-        the table.  The last answer is returned again when the labels and
-        columns repeat, as they do for a positively rescaled copy.
+        Raises ValueError when a vector of the arrangement, the zero vector
+        included, is not in the table.
         """
-        ground, ints = arrangement.labels, arrangement.primitive_vectors()
+        ints = arrangement.primitive_vectors()
         cols = self._columns(ints)
-        # ``_last`` is read once and replaced whole, so threads sharing a
-        # table see one whole entry or another; nothing else changes.
-        last = self._last
-        if last is not None and last[0] == ground and last[1] == cols:
-            return last[2]
         if _rank3(ints) != 3:
             raise NotSpanning("arrangement does not span rank 3")
-        matroid = OrientedMatroid._of(ground, self._rows_of(cols))
-        self._last = ground, cols, matroid
-        return matroid
+        return OrientedMatroid._of(arrangement.labels, self._rows_of(cols))
 
     def _columns(self, ints: tuple[IntVec, ...]) -> tuple[int, ...]:
         """The column of each vector of ``ints``."""
@@ -525,10 +517,7 @@ class LineTable:
         if not sub & (sub - 1):  # fewer than two classes: no line
             return frozenset()
         on = [(m := mask & sub) & (m - 1) for mask in self._masks]
-        rows = compress(self._rows, on)
-        if self._column[0, 0, 0] in cols:
-            rows = map(add, rows, repeat("0"))
-        return frozenset(_project(rows, cols))
+        return frozenset(_project(compress(self._rows, on), cols))
 
 
 def _chirotope_from_cocircuits(matroid: OrientedMatroid) -> Chirotope:

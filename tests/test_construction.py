@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from omstrata import (
     validate_seed,
     weak_map,
 )
+from omstrata import construction
 from omstrata import om as om_module
 from omstrata.construction import MAX_CERTIFICATE_DEPTH
 from omstrata.om import LineTable
@@ -407,7 +409,7 @@ class TestCertificate:
         table = LineTable(delta_arrangement(family, 20))
         for i in range(1, 21):
             marked = delta_arrangement(family, i)
-            for arr in (marked, limit_arrangement(marked)):
+            for arr in (marked, nonzero_part(limit_arrangement(marked))):
                 ints = arr.primitive_vectors()
                 assert table.om_of(arr).rows == as_rows(all_pairs_cocircuit_tuples(ints))
 
@@ -418,6 +420,26 @@ class TestCertificate:
                             lambda ints: sizes.append(len(ints)) or enumerate_lines(ints))
         assert certificate(default_seed(), 6).passed
         assert sizes == [25]
+
+    def test_a_non_positive_sample_fails_stratum_constancy(self, monkeypatch):
+        # Negating d1 is no positive rescaling: those samples have primitive
+        # vectors other than the level's, and read False instead of raising.
+        d1, scale = indexed("d", 1), construction.scale_degeneration
+
+        def negate_d1(arrangement, n):
+            scaled = scale(arrangement, n)
+            if n == 1:
+                return scaled
+            return LabeledArrangement((l, v.scaled(-1) if l == d1 else v) for l, v in scaled.elements)
+
+        monkeypatch.setattr(construction, "scale_degeneration", negate_d1)
+        report = certificate(default_seed(), 3)
+        assert [rec.i for rec in report.records] == [1, 2, 3]
+        for rec in report.records:
+            assert rec.degeneration_ok == tuple((n, n == 1) for n in report.samples)
+        assert not report.checks.stratum_constancy
+        assert not report.passed
+        assert replace(report.checks, stratum_constancy=True).all_pass()
 
     def test_deterministic_reports(self):
         first = certificate(default_seed(), 3, [1, 4])
