@@ -8,7 +8,6 @@ from .errors import (
     DegenerateSource,
     DegenerateStep,
     DegenerateTarget,
-    DomainMismatch,
     GroundSetMismatch,
     Identical,
     NonPositiveHeight,
@@ -28,7 +27,6 @@ from .geometry import (
     Rational,
     Vector3,
     affine_from_correspondence,
-    apply_affine,
     collinear,
     cross_ratio,
     embed_affine,
@@ -45,7 +43,6 @@ from .om import (
     OrientedMatroid,
     SignVector,
     chirotope_of,
-    compose,
     covectors_of,
     om_equal,
     om_of,

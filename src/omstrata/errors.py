@@ -54,10 +54,6 @@ class GroundSetMismatch(OmstrataError):
     """Two oriented matroids live on different label sets."""
 
 
-class DomainMismatch(OmstrataError):
-    """Two sign vectors live on different label tuples."""
-
-
 # -- subspaces --------------------------------------------------------------
 
 class RankDeficient(OmstrataError):

@@ -203,9 +203,6 @@ class Line2:
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.c))
 
-    def contains(self, point: PlanePoint) -> bool:
-        return self.a * point.x + self.b * point.y + self.c == 0
-
     def __repr__(self) -> str:
         return _line_text((self.a, self.b, self.c))
 
@@ -261,33 +258,15 @@ class AffineMap2:
     linear: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
     translation: tuple[Fraction, Fraction]
 
-    def det(self) -> Fraction:
-        (a, b), (c, d) = self.linear
-        return a * d - b * c
-
     def __call__(self, p: PlanePoint) -> PlanePoint:
         (a, b), (c, d) = self.linear
         tx, ty = self.translation
         return PlanePoint(a * p.x + b * p.y + tx, c * p.x + d * p.y + ty)
 
-    def inverse(self) -> "AffineMap2":
-        (a, b), (c, d) = self.linear
-        tx, ty = self.translation
-        det = self.det()
-        ia, ib, ic, id_ = d / det, -b / det, -c / det, a / det
-        return AffineMap2(
-            ((ia, ib), (ic, id_)),
-            (-(ia * tx + ib * ty), -(ic * tx + id_ * ty)),
-        )
-
     @staticmethod
     def identity() -> "AffineMap2":
         one, zero = Fraction(1), Fraction(0)
         return AffineMap2(((one, zero), (zero, one)), (zero, zero))
-
-
-def apply_affine(f: AffineMap2, p: PlanePoint) -> PlanePoint:
-    return f(p)
 
 
 def affine_from_correspondence(

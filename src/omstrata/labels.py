@@ -40,15 +40,6 @@ def label_key(label: Label) -> tuple:
     raise ValueError(f"not a label: {label!r}")
 
 
-def is_label(value: object) -> bool:
-    """True iff value is a well-formed label."""
-    try:
-        label_key(value)
-    except ValueError:
-        return False
-    return True
-
-
 def label_keys(labels: Iterable) -> list[tuple]:
     """The sort keys of the labels, in the given order.  ValueError names the
     first label that is invalid or repeats an earlier one."""

@@ -20,9 +20,9 @@ Each oriented matroid enumerates its covector masks once and keeps them, as
 it keeps its chirotope; ``covectors_of`` and ``strong_map`` both read that
 one set.
 
-``SignVector`` is the value type of the sign-vector API (``cocircuits``,
-``covectors_of``, ``compose``): a ``-0+`` string with its labels.  Those
-objects are built from the rows when asked for; nothing stored holds one.
+``SignVector`` is the value type of the sign-vector API (``cocircuits`` and
+``covectors_of``): a ``-0+`` string with its labels.  Those objects are
+built from the rows on each access; nothing stored holds one.
 
 Deletion onto a subset of the labels (``OrientedMatroid.restrict``) keeps the
 support-minimal non-zero restrictions of the cocircuits (BLSWZ 3.3).  Every
@@ -51,7 +51,6 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from collections.abc import Set
 from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
@@ -59,7 +58,7 @@ from itertools import combinations, compress
 from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DomainMismatch, GroundSetMismatch, NotSpanning
+from .errors import GroundSetMismatch, NotSpanning
 from .geometry import IntVec, Vector3, _cross, _det3, _primitive, _sign
 from .labels import Label, label_key, label_keys, sort_labels
 
@@ -104,6 +103,15 @@ def _rank3(vectors: Iterable[IntVec]) -> int:
     return 0 if first is None else 1
 
 
+def _present(labels: Iterable[Label], ground: tuple[Label, ...]) -> set[Label]:
+    """The set of ``labels``; KeyError names those that are not in ``ground``."""
+    chosen = set(labels)
+    missing = chosen.difference(ground)
+    if missing:
+        raise KeyError(f"labels not present: {sorted(missing, key=label_key)}")
+    return chosen
+
+
 @dataclass(frozen=True)
 class LabeledArrangement:
     """Labeled homogeneous vectors, kept in global label order."""
@@ -136,14 +144,12 @@ class LabeledArrangement:
 
     def restrict(self, labels: Iterable[Label]) -> "LabeledArrangement":
         """Sub-arrangement on the given labels."""
-        keep = set(labels)
-        missing = keep - set(self.labels)
-        if missing:
-            raise KeyError(f"labels not present: {sorted(missing, key=label_key)}")
+        keep = _present(labels, self.labels)
         return LabeledArrangement((l, v) for l, v in self.elements if l in keep)
 
     def rescaled(self, factors: Mapping[Label, Fraction]) -> "LabeledArrangement":
         """Per-element positive rescaling (signs of all covectors preserved)."""
+        _present(factors, self.labels)
         for label, f in factors.items():
             if f <= 0:
                 raise ValueError(f"scale for {label!r} must be positive, got {f}")
@@ -165,39 +171,18 @@ class SignVector:
         signs = tuple(signs)
         if len(labels) != len(signs):
             raise ValueError("labels and signs differ in length")
-        if not set(signs) <= {-1, 0, 1}:
-            raise ValueError(f"signs must be -1, 0 or 1, got {signs}")
+        if not all(type(s) is int and -1 <= s <= 1 for s in signs):
+            raise ValueError(f"signs must be the ints -1, 0 or 1, got {signs}")
         self._labels = labels
         self._row = bytes([s + 1 for s in signs]).translate(_SIGN_BYTES).decode("ascii")
-
-    @property
-    def labels(self) -> tuple[Label, ...]:
-        return self._labels
 
     @property
     def signs(self) -> tuple[Sign, ...]:
         """The signs as integers, decoded from the string on each access."""
         return tuple(map(_CHAR_SIGNS.__getitem__, self._row))
 
-    def __getitem__(self, label: Label) -> Sign:
-        return _CHAR_SIGNS[self._row[self._labels.index(label)]]
-
-    def __neg__(self) -> "SignVector":
-        return _sign_vector(self._labels, self._row.translate(_NEGATE))
-
-    def zero_set(self) -> tuple[Label, ...]:
-        return tuple(l for l, c in zip(self._labels, self._row) if c == "0")
-
     def to_string(self) -> str:
         return self._row
-
-    @staticmethod
-    def from_string(labels: tuple[Label, ...], text: str) -> "SignVector":
-        if len(labels) != len(text):
-            raise ValueError("labels and signs differ in length")
-        if not set(text) <= _CHAR_SIGNS.keys():
-            raise ValueError(f"sign string {text!r} holds a character outside -0+")
-        return _sign_vector(labels, text)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignVector):
@@ -218,37 +203,6 @@ def _sign_vector(labels: tuple[Label, ...], row: str) -> SignVector:
     vector._labels = labels
     vector._row = row
     return vector
-
-
-def compose(x: SignVector, y: SignVector) -> SignVector:
-    """Componentwise composition: x's sign where non-zero, else y's."""
-    if x.labels != y.labels:
-        raise DomainMismatch("sign vectors live on different ground tuples")
-    row = "".join([a if a != "0" else b for a, b in zip(x.to_string(), y.to_string())])
-    return _sign_vector(x.labels, row)
-
-
-class _Cocircuits(Set):
-    """A read-only set view of cocircuit rows as sign vectors: its length
-    and membership tests read the rows, and iteration builds each sign
-    vector as it is reached."""
-
-    __slots__ = ("_ground", "_rows")
-
-    def __init__(self, ground: tuple[Label, ...], rows: frozenset[str]):
-        self._ground = ground
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __iter__(self) -> Iterator[SignVector]:
-        ground = self._ground
-        return (_sign_vector(ground, row) for row in self._rows)
-
-    def __contains__(self, vector: object) -> bool:
-        return (isinstance(vector, SignVector) and vector.labels == self._ground
-                and vector.to_string() in self._rows)
 
 
 @dataclass(frozen=True)
@@ -308,9 +262,10 @@ class OrientedMatroid:
         self.loops = frozenset(l for k, l in enumerate(ground) if zeros >> (width - 1 - k) & 1)
 
     @property
-    def cocircuits(self) -> "_Cocircuits":
-        """The cocircuits as a read-only set of sign vectors over ``rows``."""
-        return _Cocircuits(self.ground, self.rows)
+    def cocircuits(self) -> frozenset[SignVector]:
+        """The cocircuits as sign vectors, built from ``rows`` on each access."""
+        ground = self.ground
+        return frozenset(_sign_vector(ground, row) for row in self.rows)
 
     @property
     def chirotope(self) -> Chirotope:
@@ -320,9 +275,6 @@ class OrientedMatroid:
         if self._chirotope is None:
             self._chirotope = _chirotope_from_cocircuits(self)
         return self._chirotope
-
-    def cocircuit_strings(self) -> list[str]:
-        return sorted(self.rows)
 
     def canonical_json(self) -> str:
         """The compact JSON of the ground set and the sorted rows.  The rows
@@ -349,10 +301,7 @@ class OrientedMatroid:
         cocircuits (BLSWZ 3.3), so the deletion of a realization's elements
         has the oriented matroid of the sub-arrangement.
         """
-        keep_set = set(labels)
-        missing = keep_set - set(self.ground)
-        if missing:
-            raise KeyError(f"labels not present: {sorted(missing, key=label_key)}")
+        keep_set = _present(labels, self.ground)
         if len(keep_set) == len(self.ground):
             return self
         keep = [i for i, l in enumerate(self.ground) if l in keep_set]
@@ -697,16 +646,6 @@ class Matroid:
 
     ground: tuple[Label, ...]
     independents: frozenset[frozenset[Label]]
-
-    def is_independent(self, subset: Iterable[Label]) -> bool:
-        return frozenset(subset) in self.independents
-
-    def rank(self, subset: Iterable[Label]) -> int:
-        chosen = frozenset(subset)
-        return max((len(i) for i in self.independents if i <= chosen), default=0)
-
-    def full_rank(self) -> int:
-        return self.rank(self.ground)
 
 
 def underlying_matroid(matroid: OrientedMatroid) -> Matroid:

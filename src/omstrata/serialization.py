@@ -8,8 +8,9 @@ checks its document against the schema file of its type, so an unknown
 field is rejected wherever the schema forbids one.  By hand it checks only
 what a schema cannot say: a zero denominator, repeated labels, sign strings
 and basis rows of the wrong length, cocircuits not closed under negation,
-missing seed points and a top-level ``pass`` flag that disagrees with the
-report.  Every violation raises :class:`SchemaError` carrying the JSON path.
+family points whose labels are not those of the family's depth and a
+top-level ``pass`` flag that disagrees with the report.  Every violation
+raises :class:`SchemaError` carrying the JSON path.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .construction import (
     LevelRecord,
     Seed,
     SEED_LABELS,
+    _level_labels,
 )
 from .errors import RationalParseError, SchemaError
 from .geometry import PlanePoint, Vector3
@@ -197,7 +199,7 @@ def parse_arrangement(value: Any, path: str = "$") -> LabeledArrangement:
 def render_om(matroid: OrientedMatroid) -> dict:
     return {
         "ground_set": list(matroid.ground),
-        "cocircuits": matroid.cocircuit_strings(),
+        "cocircuits": sorted(matroid.rows),
     }
 
 
@@ -281,12 +283,13 @@ def parse_family(value: Any, path: str = "$") -> ConfigurationFamily:
         (label, PlanePoint(*_rationals(point, f"{path}.points[{i}][1]")))
         for i, (label, point) in enumerate(value["points"])
     )
-    table = dict(ordered)
-    missing = [name for name in SEED_LABELS if name not in table]
-    if missing:
-        raise SchemaError(f"{path}.points", f"missing seed points {missing}")
+    table, depth = dict(ordered), value["depth"]
+    # The count comes first, so a huge depth never builds its label list.
+    if len(table) != len(SEED_LABELS) + 3 * depth or table.keys() != set(_level_labels(depth)):
+        raise SchemaError(f"{path}.points", f"the labels of {len(table)} points are not "
+                          f"the {len(SEED_LABELS) + 3 * depth} labels of depth {depth}")
     seed = Seed(**{name: table[name] for name in SEED_LABELS})
-    return ConfigurationFamily(seed, value["depth"], ordered)
+    return ConfigurationFamily(seed, depth, ordered)
 
 
 # -- certificate reports ----------------------------------------------------

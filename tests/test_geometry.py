@@ -18,7 +18,6 @@ from omstrata import (
     PlanePoint,
     Vector3,
     affine_from_correspondence,
-    apply_affine,
     collinear,
     cross_ratio,
     embed_affine,
@@ -165,7 +164,7 @@ class TestLines:
             meet = line_intersect(l1, l2)
         except (Parallel, Identical):
             return
-        assert l1.contains(meet) and l2.contains(meet)
+        assert collinear(p1, p2, meet) and collinear(q1, q2, meet)
 
 
 class TestCollinear:
@@ -289,18 +288,12 @@ class TestAffineMaps:
             affine_from_correspondence(self.TRIANGLE, collinear_triple)
 
     def test_identity_fixes_point(self):
-        assert apply_affine(AffineMap2.identity(), PlanePoint(3, 4)) == PlanePoint(3, 4)
+        assert AffineMap2.identity()(PlanePoint(3, 4)) == PlanePoint(3, 4)
 
     def test_translation_moves_origin(self):
         shifted = tuple(PlanePoint(p.x + 1, p.y + 1) for p in self.TRIANGLE)
         mapping = affine_from_correspondence(self.TRIANGLE, shifted)
         assert mapping(PlanePoint(0, 0)) == PlanePoint(1, 1)
-
-    def test_inverse_round_trip(self):
-        rng = random.Random(7)
-        mapping = _random_automorphism(rng)
-        point = PlanePoint(5, -2)
-        assert mapping.inverse()(mapping(point)) == point
 
     def test_correspondence_reproduces_target_and_is_unique(self):
         rng = random.Random(99)

@@ -134,7 +134,7 @@ class TestOmDocuments:
             )
         )
         canonical = json.dumps(
-            {"ground_set": [1, 2, 3], "cocircuits": matroid.cocircuit_strings()},
+            {"ground_set": [1, 2, 3], "cocircuits": sorted(matroid.rows)},
             separators=(",", ":"),
         )
         assert matroid.fingerprint() == hashlib.sha256(canonical.encode()).hexdigest()
@@ -177,6 +177,20 @@ class TestSeedAndFamily:
     def test_family_round_trip(self):
         family = build(default_seed(), 3)
         assert parse_family(render_family(family)) == family
+
+    @pytest.mark.parametrize("built, depth, rename", [
+        pytest.param(0, 2, {}, id="seed-points-at-depth-2"),
+        pytest.param(2, 0, {}, id="depth-2-points-at-depth-0"),
+        pytest.param(1, 1, {"c1": "c2"}, id="foreign-label"),
+    ])
+    def test_family_points_must_match_depth(self, built, depth, rename):
+        doc = render_family(build(default_seed(), built))
+        doc["depth"] = depth
+        doc["points"] = [[rename.get(label, label), point] for label, point in doc["points"]]
+        with pytest.raises(SchemaError) as exc:
+            parse_family(doc)
+        assert exc.value.path == "$.points"
+        assert f"depth {depth}" in str(exc.value)
 
     def test_seed_digest_is_stable(self):
         assert seed_digest(default_seed()) == seed_digest(default_seed())
