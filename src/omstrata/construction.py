@@ -48,11 +48,12 @@ from .om import LabeledArrangement, LineTable, OrientedMatroid, om_equal, weak_m
 
 SEED_LABELS = ("alpha", "beta", "gamma", "omega", "nu", "a", "b1")
 
-# The certificate enumerates the lines of its deepest level once, O(n**3)
-# Python work for n = 3 * depth + 7 points; every lower level and limit then
-# projects those lines onto its columns, lines * n sign reads done in C per
-# level.  Depth 80 is the largest run it is meant for.  ``build`` has no such
-# bound.
+# The certificate enumerates the lines of its deepest level once: at most the
+# C(n, 3) triple signs of its n = 3 * depth + 7 points, each computed once, on
+# coordinates that grow with depth (480 bits at depth 80).  Every lower level
+# and limit then projects those lines onto its columns, lines * n sign reads
+# done in C per level.  Depth 80 is the largest run it is meant for.  ``build``
+# has no such bound.
 MAX_CERTIFICATE_DEPTH = 80
 
 

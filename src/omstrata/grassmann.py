@@ -83,14 +83,18 @@ def projection_arrangement(subspace: Subspace) -> LabeledArrangement:
     """Orthogonal projections of the coordinate vectors, in basis coordinates.
 
     For each i the coefficient vector c_i solves G c_i = B e_i with G the
-    Gram matrix of the basis rows.
+    Gram matrix of the basis rows, so c_i = G^-1 B e_i: G^-1 is solved for
+    once, a column per unit vector, and each c_i is one product with it.
     """
     rows = subspace.basis
     gram = [[sum(a * b for a, b in zip(rows[p], rows[q])) for q in range(3)] for p in range(3)]
+    # G is symmetric, so its inverse is too: column p is also row p.
+    units = [[Fraction(int(p == q)) for q in range(3)] for p in range(3)]
+    inverse = [solve_linear(gram, unit) for unit in units]
     elements = []
     for i in range(subspace.ambient):
-        rhs = [rows[p][i] for p in range(3)]
-        coeff = solve_linear(gram, rhs)
+        column = [rows[q][i] for q in range(3)]
+        coeff = [sum(g * b for g, b in zip(row, column)) for row in inverse]
         elements.append((i + 1, Vector3(coeff[0], coeff[1], coeff[2])))
     return LabeledArrangement(elements)
 

@@ -19,6 +19,7 @@ from omstrata import (
     subspace_om,
     underlying_matroid,
 )
+from omstrata.linalg import solve_linear
 
 from conftest import rand_fraction, sign_of
 
@@ -85,6 +86,21 @@ class TestProjectionArrangement:
         vectors = [v for _, v in arrangement.elements]
         assert vectors[:3] == [Vector3(1, 0, 0), Vector3(0, 1, 0), Vector3(0, 0, 1)]
         assert vectors[3].is_zero() and vectors[4].is_zero()
+
+    def test_matches_one_gram_solve_per_coordinate(self):
+        # the reference: solve G c_i = B e_i afresh for every coordinate i
+        rng = random.Random(103)
+        for ambient in (3, 4, 7, 12):
+            for _ in range(5):
+                subspace = rand_subspace(rng, ambient)
+                rows = subspace.basis
+                gram = [[sum(a * b for a, b in zip(rows[p], rows[q])) for q in range(3)]
+                        for p in range(3)]
+                expected = [
+                    (i + 1, Vector3(*solve_linear(gram, [rows[p][i] for p in range(3)])))
+                    for i in range(ambient)
+                ]
+                assert projection_arrangement(subspace).elements == tuple(expected)
 
     def test_projection_route_agrees_with_direct_route(self):
         # module oracle: the Gram-solve route and the coordinate-pairing

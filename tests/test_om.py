@@ -207,19 +207,85 @@ class TestCocircuits:
             assert {cc.signs for cc in om_of(arr).cocircuits} == from_normals
 
 
+def bits(ints) -> int:
+    """The bit length of the largest coordinate."""
+    return max((abs(c) for v in ints for c in v), default=0).bit_length()
+
+
+def rand_large_map(rng: random.Random, ints):
+    """``ints`` mapped by a random integer 3x3 matrix with entries of up to
+    48 bits and a non-zero determinant, as primitive vectors: every line,
+    parallel pair and loop stays, and so does the set of cocircuit rows."""
+    while True:
+        m = [[rng.randint(-(1 << 48), 1 << 48) for _ in range(3)] for _ in range(3)]
+        if om_module._det3(*m):
+            break
+    return tuple(
+        om_module._primitive(*(row[0] * x + row[1] * y + row[2] * z for row in m))
+        for x, y, z in ints
+    )
+
+
+def assert_loops_agree(ints):
+    """Both line loops return the same rows and zero sets, in the same order."""
+    dots = om_module._lines_by_dot_products(ints)
+    assert om_module._lines_by_shared_signs(ints) == dots
+    assert om_module._enumerate_lines(ints) == dots
+
+
 class TestCocircuitKernel:
     """``_enumerate_lines`` computes one sign row per line, and ``om_of``
-    keeps those rows; the all-pairs loop is the reference."""
+    keeps those rows; the all-pairs loop is the reference, and the
+    dot-product loop the reference of the shared-sign loop."""
 
     def test_matches_all_pairs_on_grid_arrangements(self):
         rng = random.Random(71)
+        kinds = {"mapped": 0, "rank 2": 0, "parallel": 0, "loop": 0}
         for _ in range(200):
             arr = rand_grid_arrangement(rng, rng.randint(3, 10))
             ints = arr.primitive_vectors()
-            reference = as_rows(all_pairs_cocircuit_tuples(ints))
-            assert set(om_module._enumerate_lines(ints)[0]) == reference
-            if arr.is_spanning():
-                assert om_of(arr).rows == reference
+            # its shadow on the plane z = 0, of rank 2 or less
+            flat = tuple(om_module._primitive(x, y, 0) for x, y, _ in ints)
+            for small in (ints, flat):
+                reference = as_rows(all_pairs_cocircuit_tuples(small))
+                large = rand_large_map(rng, small)
+                nonzero = [v for v in small if any(v)]
+                if nonzero:
+                    assert bits(large) > om_module._SHARED_SIGN_BITS
+                    kinds["mapped"] += 1
+                kinds["rank 2"] += om_module._rank3(small) == 2
+                kinds["parallel"] += len({max(v, negated(v)) for v in nonzero}) < len(nonzero)
+                kinds["loop"] += len(nonzero) < len(small)
+                for vectors in (small, large):
+                    assert set(om_module._enumerate_lines(vectors)[0]) == reference
+                    assert_loops_agree(vectors)
+                if small is ints and arr.is_spanning():
+                    assert om_of(arr).rows == reference
+                    assert om_of(arrangement_of(large)).rows == reference
+        assert min(kinds.values()) > 50, kinds
+
+    def test_loops_agree_on_the_deepest_tables(self):
+        for depth in (40, 60):
+            ints = delta_arrangement(build(default_seed(), depth), depth).primitive_vectors()
+            assert bits(ints) > om_module._SHARED_SIGN_BITS
+            assert_loops_agree(ints)
+
+    def test_the_bit_bound_picks_the_loop(self, monkeypatch):
+        rng = random.Random(89)
+        bound = om_module._SHARED_SIGN_BITS
+        for top in (bound, bound + 1):
+            for _ in range(20):
+                ints = rand_grid_arrangement(rng, rng.randint(3, 10)).primitive_vectors()
+                # one coordinate of exactly ``top`` bits, one just below
+                ints += (((1 << top) - 1, 1, 0), (1 << (top - 2), 3, -5))
+                assert bits(ints) == top
+                assert_loops_agree(ints)
+        ran = []
+        monkeypatch.setattr(om_module, "_lines_by_dot_products", lambda ints: ran.append("dots"))
+        monkeypatch.setattr(om_module, "_lines_by_shared_signs", lambda ints: ran.append("shared"))
+        for top in (bound, bound + 1):
+            om_module._enumerate_lines((((1 << top) - 1, 1, 0), (0, 1, 0), (0, 0, 1)))
+        assert ran == ["dots", "shared"]
 
     def test_matches_all_pairs_on_certificate_levels(self):
         family = build(default_seed(), 20)
@@ -1113,6 +1179,15 @@ class TestSignVectorApi:
             with pytest.raises(ValueError):
                 SignVector(labels, bad)
         assert SignVector(labels, (1, -1)).to_string() == "+-"
+
+    @pytest.mark.parametrize("labels", [(1, 2), (7, 8, 9), (1, 3, 2), (1, 2, 3, 4)])
+    def test_matroid_constructor_rejects_foreign_labels(self, labels):
+        ground = (1, 2, 3)
+        fits = SignVector(ground, (1, 0, -1))
+        foreign = SignVector(labels, (1,) + (0,) * (len(labels) - 1))
+        with pytest.raises(ValueError, match="not the ground set"):
+            OrientedMatroid(ground, [fits, foreign])
+        assert OrientedMatroid(ground, [fits]).rows == {"+0-"}
 
     def test_sign_vectors_are_immutable_values(self):
         v = SignVector((1, 2, 3), (1, 0, -1))
