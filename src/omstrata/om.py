@@ -7,15 +7,12 @@ configuration (the plane spanned by two independent vectors v_i, v_j)
 induces the sign vector ``k -> sign <v_k, v_i x v_j>`` together with its
 negation, each kept as a ``-0+`` string with one character per ground
 element.  Each line is enumerated once, from the first independent pair on
-it, and its row is written as a string once.  On coordinates of more than
-``_SHARED_SIGN_BITS`` bits each triple's sign is computed once, C(n, 3)
-determinants in general position: a row reads the signs of the triples it
-shares with the lines before it off their rows, and takes dot products only
-with the vectors after its pair.  On smaller coordinates, where a product
-costs no more than reading a character, each row is ``n`` dot products.
-Covectors are recovered on demand as the compositions of cocircuits, one
-cocircuit at a time, and basis signs (the chirotope) by a walk over the
-cocircuits.
+it, and its row is written as a string once.  Each triple's sign is
+computed once, C(n, 3) determinants in general position: a row reads the
+signs of the triples it shares with the lines before it off their rows, and
+takes dot products only with the vectors after its pair.  Covectors are
+recovered on demand as the compositions of cocircuits, one cocircuit at a
+time, and basis signs (the chirotope) by a walk over the cocircuits.
 
 A row read as a binary number gives a bitmask: ``row.translate(table)`` to
 ``1``/``0`` and then ``int(..., 2)``, so ground position k is bit ``w-1-k``
@@ -60,7 +57,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
-from itertools import chain, combinations, compress
+from itertools import combinations, compress
 from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Mapping
 
@@ -79,15 +76,6 @@ _SUPPORT = str.maketrans("-0+", "101")
 _ZEROS = str.maketrans("-0+", "010")
 _POSITIVE = str.maketrans("-0+", "001")
 _NEGATIVE = str.maketrans("-0+", "100")
-# Coordinates of more bits than this take the shared-sign line loop.  Timed
-# against the dot-product loop on random arrangements of 6 to 40 vectors of
-# 8 to 100 bits: on vectors in general position it takes 1.15-1.3 times as
-# long at 8 bits and n <= 8, and 0.55-1.0 times from 30 bits and n >= 8; on
-# grid arrangements, mostly parallel or collinear, 1.0-1.3 times up to 60
-# bits and 0.8-1.05 times at 100.  On what this library enumerates above
-# the bound (certificate levels, subspace columns and projections) it is the
-# faster loop.
-_SHARED_SIGN_BITS = 30
 
 
 def _mask(row: str, digits: dict) -> int:
@@ -381,100 +369,60 @@ def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[list[str], list[list[int
     and each line's zero set: the positions of its non-zero vectors on it.
 
     The pairs ``i < j`` are walked in order, and the first independent pair
-    on a line makes its row, ``k -> sign det(v_i, v_j, v_k)``.  On small
-    coordinates each row is ``n`` dot products (``_lines_by_dot_products``);
-    above ``_SHARED_SIGN_BITS`` bits, where a product costs more than a
-    string index, each triple's sign is computed once and the rows share
-    them (``_lines_by_shared_signs``).  Both return the same lists.
-    """
-    if max(map(abs, chain.from_iterable(ints)), default=0).bit_length() > _SHARED_SIGN_BITS:
-        return _lines_by_shared_signs(ints)
-    return _lines_by_dot_products(ints)
-
-
-def _lines_by_dot_products(ints: tuple[IntVec, ...]) -> tuple[list[str], list[list[int]]]:
-    """``_enumerate_lines`` by one row of dot products per line.
-
-    The pairs ``i < j`` of non-zero vectors are walked in order; a pair
-    already in the zero set of a computed row lies on a known line and is
-    skipped, so each line costs one row of ``n`` dot products, written once
-    as a string: each sign plus one is a byte, translated to ``-0+``.  A
-    triple's sign is computed on every line through two of its vectors: in
-    general position C(n, 2) * n products, about three times C(n, 3).
-    """
-    rows: list[str] = []
-    zero_sets: list[list[int]] = []
-    live = [i for i, v in enumerate(ints) if v != (0, 0, 0)]
-    covered: set[tuple[int, int]] = set()
-    for a, i in enumerate(live):
-        x1, y1, z1 = ints[i]
-        for j in live[a + 1:]:
-            if (i, j) in covered:
-                continue
-            x2, y2, z2 = ints[j]
-            p, q, r = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
-            if not (p or q or r):  # parallel pair: no line of its own
-                continue
-            dots = [p * x + q * y + r * z for x, y, z in ints]
-            row = bytes([(d >= 0) + (d > 0) for d in dots]).translate(_SIGN_BYTES).decode("ascii")
-            zeros = [k for k in live if not dots[k]]
-            covered.update(combinations(zeros, 2))
-            rows += (row, row.translate(_NEGATE))
-            zero_sets.append(zeros)
-    return rows, zero_sets
-
-
-def _lines_by_shared_signs(ints: tuple[IntVec, ...]) -> tuple[list[str], list[list[int]]]:
-    """``_enumerate_lines`` computing the sign of each triple once.
-
-    Every pair ``a < b`` has the sign string S(a, b) of
+    on a line makes its row, ``k -> sign det(v_i, v_j, v_k)``, so each line
+    is enumerated once.  Every pair ``a < b`` has the sign string S(a, b) of
     ``(v_a x v_b) . v_m`` over every ``m``: the row of the line it makes,
     that row or its negation when it lies on a line made before, or all
     ``0`` when ``v_a`` and ``v_b`` are parallel or either is zero.  The pair
     ``(i, j)`` that makes a line reads its row off the strings of earlier
     pairs, by det(v_i, v_j, v_k) = det(v_k, v_i, v_j) = -det(v_i, v_k, v_j):
     S(k, i)[j] for ``k < i``, the negation of S(i, k)[j] for ``i < k < j``,
-    and dot products only for ``k > j``.
+    and dot products only for ``k > j``.  So each triple's sign is computed
+    once: C(n, 3) products in general position.
 
     A pair on a known line has ``v_a x v_b = t * N`` for the line's normal
     N, so the coordinate where N leads decides both whether ``t`` is zero
     (the pair is parallel) and its sign.  Each line keeps that coordinate
-    and the sign of N there, not N itself.
+    and the sign of N there, not N itself; only a line of three or more
+    vectors has later pairs, so only those are kept.
     """
     n = len(ints)
     zero = "0" * n
     rows: list[str] = []
     zero_sets: list[list[int]] = []
     live = [v != (0, 0, 0) for v in ints]
-    line_of: dict[tuple[int, int], int] = {}  # pair -> the line through it
-    leads: list[tuple[int, bool]] = []  # per line: N's leading coordinate, positive there
+    pair_zeros = 2 + live.count(False)  # the zeros of a row whose line holds just its pair
+    # pair -> the line through it, N's leading coordinate, N positive there
+    line_of: dict[tuple[int, int], tuple[int, int, bool]] = {}
     before: list[list[str]] = [[] for _ in range(n)]  # before[b][a] = S(a, b)
     for i, (x1, y1, z1) in enumerate(ints):
         head, before[i] = before[i], []
         after: list[str] = []  # S(i, k) for i < k < j
-        for j in range(i + 1, n):
-            x2, y2, z2 = ints[j]
-            line = line_of.get((i, j))
-            if line is not None:
-                c, up = leads[line]
+        for j, (x2, y2, z2) in enumerate(ints[i + 1:], i + 1):
+            known = line_of.get((i, j))
+            if known is not None:
+                line, c, up = known
                 t = y1 * z2 - z1 * y2 if c == 0 else z1 * x2 - x1 * z2 if c == 1 else x1 * y2 - y1 * x2
                 row = rows[2 * line + ((t > 0) != up)] if t else zero
             else:
                 p, q, r = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
                 if p or q or r:
                     at = itemgetter(j)
-                    dots = [p * x + q * y + r * z for x, y, z in ints[j + 1:]]
+                    signs = bytes([((d := p * x + q * y + r * z) >= 0) + (d > 0) for x, y, z in ints[j + 1:]])
                     row = ("".join(map(at, head)) + "0"
                            + "".join(map(at, after)).translate(_NEGATE) + "0"
-                           + bytes([(d >= 0) + (d > 0) for d in dots]).translate(_SIGN_BYTES).decode("ascii"))
-                    zeros = []
-                    k = row.find("0")
-                    while k >= 0:
-                        if live[k]:
-                            zeros.append(k)
-                        k = row.find("0", k + 1)
-                    line_of.update(dict.fromkeys(combinations(zeros, 2), len(zero_sets)))
-                    leads.append((0, p > 0) if p else (1, q > 0) if q else (2, r > 0))
+                           + signs.translate(_SIGN_BYTES).decode("ascii"))
+                    if row.count("0") == pair_zeros:
+                        zeros = [i, j]
+                    else:
+                        zeros = []
+                        k = row.find("0")
+                        while k >= 0:
+                            if live[k]:
+                                zeros.append(k)
+                            k = row.find("0", k + 1)
+                        lead = (0, p > 0) if p else (1, q > 0) if q else (2, r > 0)
+                        line_of.update(dict.fromkeys(combinations(zeros, 2), (len(zero_sets),) + lead))
                     rows += (row, row.translate(_NEGATE))
                     zero_sets.append(zeros)
                 else:

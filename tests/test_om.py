@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
+from operator import mul
 
 import pytest
 
@@ -207,11 +208,6 @@ class TestCocircuits:
             assert {cc.signs for cc in om_of(arr).cocircuits} == from_normals
 
 
-def bits(ints) -> int:
-    """The bit length of the largest coordinate."""
-    return max((abs(c) for v in ints for c in v), default=0).bit_length()
-
-
 def rand_large_map(rng: random.Random, ints):
     """``ints`` mapped by a random integer 3x3 matrix with entries of up to
     48 bits and a non-zero determinant, as primitive vectors: every line,
@@ -226,20 +222,33 @@ def rand_large_map(rng: random.Random, ints):
     )
 
 
-def assert_loops_agree(ints):
-    """Both line loops return the same rows and zero sets, in the same order."""
-    dots = om_module._lines_by_dot_products(ints)
-    assert om_module._lines_by_shared_signs(ints) == dots
-    assert om_module._enumerate_lines(ints) == dots
+def lines_in_pair_order(ints):
+    """The reference of ``_enumerate_lines`` as lists: the pairs ``i < j`` of
+    non-zero vectors in order, the first independent pair on each line
+    making its row of ``n`` dot products and its negation."""
+    rows, zero_sets, covered = [], [], set()
+    live = [i for i, v in enumerate(ints) if any(v)]
+    for i, j in combinations(live, 2):
+        (x1, y1, z1), (x2, y2, z2) = ints[i], ints[j]
+        normal = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+        if (i, j) in covered or not any(normal):
+            continue
+        signs = [sign_of(sum(map(mul, normal, v))) for v in ints]
+        zeros = [k for k in live if not signs[k]]
+        covered.update(combinations(zeros, 2))
+        rows += (as_row(signs), as_row([-s for s in signs]))
+        zero_sets.append(zeros)
+    return rows, zero_sets
 
 
 class TestCocircuitKernel:
     """``_enumerate_lines`` computes one sign row per line, and ``om_of``
-    keeps those rows; the all-pairs loop is the reference, and the
-    dot-product loop the reference of the shared-sign loop."""
+    keeps those rows; the all-pairs loop is the reference of the rows, and
+    ``lines_in_pair_order`` the reference of their order."""
 
     def test_matches_all_pairs_on_grid_arrangements(self):
         rng = random.Random(71)
+        maps = random.Random(72)
         kinds = {"mapped": 0, "rank 2": 0, "parallel": 0, "loop": 0}
         for _ in range(200):
             arr = rand_grid_arrangement(rng, rng.randint(3, 10))
@@ -248,44 +257,25 @@ class TestCocircuitKernel:
             flat = tuple(om_module._primitive(x, y, 0) for x, y, _ in ints)
             for small in (ints, flat):
                 reference = as_rows(all_pairs_cocircuit_tuples(small))
-                large = rand_large_map(rng, small)
+                large = rand_large_map(maps, small)
                 nonzero = [v for v in small if any(v)]
-                if nonzero:
-                    assert bits(large) > om_module._SHARED_SIGN_BITS
-                    kinds["mapped"] += 1
+                kinds["mapped"] += bool(nonzero)
                 kinds["rank 2"] += om_module._rank3(small) == 2
                 kinds["parallel"] += len({max(v, negated(v)) for v in nonzero}) < len(nonzero)
                 kinds["loop"] += len(nonzero) < len(small)
                 for vectors in (small, large):
-                    assert set(om_module._enumerate_lines(vectors)[0]) == reference
-                    assert_loops_agree(vectors)
+                    lines = om_module._enumerate_lines(vectors)
+                    assert set(lines[0]) == reference
+                    assert lines == lines_in_pair_order(vectors)
                 if small is ints and arr.is_spanning():
                     assert om_of(arr).rows == reference
                     assert om_of(arrangement_of(large)).rows == reference
         assert min(kinds.values()) > 50, kinds
 
-    def test_loops_agree_on_the_deepest_tables(self):
+    def test_pair_order_on_the_deepest_tables(self):
         for depth in (40, 60):
             ints = delta_arrangement(build(default_seed(), depth), depth).primitive_vectors()
-            assert bits(ints) > om_module._SHARED_SIGN_BITS
-            assert_loops_agree(ints)
-
-    def test_the_bit_bound_picks_the_loop(self, monkeypatch):
-        rng = random.Random(89)
-        bound = om_module._SHARED_SIGN_BITS
-        for top in (bound, bound + 1):
-            for _ in range(20):
-                ints = rand_grid_arrangement(rng, rng.randint(3, 10)).primitive_vectors()
-                # one coordinate of exactly ``top`` bits, one just below
-                ints += (((1 << top) - 1, 1, 0), (1 << (top - 2), 3, -5))
-                assert bits(ints) == top
-                assert_loops_agree(ints)
-        ran = []
-        monkeypatch.setattr(om_module, "_lines_by_dot_products", lambda ints: ran.append("dots"))
-        monkeypatch.setattr(om_module, "_lines_by_shared_signs", lambda ints: ran.append("shared"))
-        for top in (bound, bound + 1):
-            om_module._enumerate_lines((((1 << top) - 1, 1, 0), (0, 1, 0), (0, 0, 1)))
-        assert ran == ["dots", "shared"]
+            assert om_module._enumerate_lines(ints) == lines_in_pair_order(ints)
 
     def test_matches_all_pairs_on_certificate_levels(self):
         family = build(default_seed(), 20)
