@@ -50,10 +50,11 @@ SEED_LABELS = ("alpha", "beta", "gamma", "omega", "nu", "a", "b1")
 
 # The certificate enumerates the lines of its deepest level once: at most the
 # C(n, 3) triple signs of its n = 3 * depth + 7 points, each computed once, on
-# coordinates that grow with depth (480 bits at depth 80).  Every lower level
-# and limit then projects those lines onto its columns, lines * n sign reads
-# done in C per level.  Depth 80 is the largest run it is meant for.  ``build``
-# has no such bound.
+# coordinates that grow with depth (480 bits at depth 80).  A level of m points
+# then looks up the lines through its C(m, 2) pairs of points and projects
+# them onto its columns, lines * m sign reads done in C; a limit does so on
+# its eight persistent points.  Depth 80 is the largest run it is meant for.
+# ``build`` has no such bound.
 MAX_CERTIFICATE_DEPTH = 80
 
 
@@ -246,8 +247,9 @@ def extend(family: ConfigurationFamily) -> ConfigurationFamily:
 
 
 def build(seed: Seed, depth: int) -> ConfigurationFamily:
-    """Validate the seed and run ``depth`` extension steps."""
-    if depth < 0:
+    """Validate the seed and run ``depth`` extension steps.  Raises
+    ValueError for a depth that is not a non-negative int (a bool is not)."""
+    if type(depth) is not int or depth < 0:
         raise ValueError(f"depth must be non-negative, got {depth}")
     check = validate_seed(seed)
     if not check:
@@ -361,14 +363,16 @@ def certificate(
     arrangements still differ by the cross-ratio invariant while realizing
     that one limit; (f) each level admits a weak map onto its limit.
 
-    Raises ValueError for a depth outside 1..MAX_CERTIFICATE_DEPTH or bad
-    samples, and SeedRejected when a quantity cannot even be computed
-    (invalid seed, degenerate step, degenerate cross-ratio); otherwise
-    returns a report whose ``passed`` flag aggregates (a)-(f).
+    Raises ValueError for a depth that is not an int in
+    1..MAX_CERTIFICATE_DEPTH or samples that are not distinct positive ints,
+    and SeedRejected when a quantity cannot even be computed (invalid seed,
+    degenerate step, degenerate cross-ratio); otherwise returns a report
+    whose ``passed`` flag aggregates (a)-(f).
     """
-    if not 1 <= depth <= MAX_CERTIFICATE_DEPTH:
+    if type(depth) is not int or not 1 <= depth <= MAX_CERTIFICATE_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_CERTIFICATE_DEPTH}, got {depth}")
-    if not samples or len(set(samples)) != len(samples) or min(samples) < 1:
+    if (not samples or any(type(n) is not int for n in samples)
+            or len(set(samples)) != len(samples) or min(samples) < 1):
         raise ValueError(f"samples must be distinct positive integers, got {list(samples)}")
     try:
         family = build(seed, depth)
@@ -388,7 +392,7 @@ def certificate(
     records: list[LevelRecord] = []
     shared_limits: list[OrientedMatroid] = []
     s = seed
-    # Every level and every limit's non-zero part reads the deepest level's lines.
+    # Every level and every limit's non-loops read the deepest level's lines.
     table = LineTable(delta_arrangement(family, depth))
     for i in range(1, depth + 1):
         marked = delta_arrangement(family, i)
@@ -397,24 +401,17 @@ def certificate(
         degeneration = tuple(
             (n, scale_degeneration(marked, n).primitive_vectors() == ints) for n in samples
         )
-        limit = limit_arrangement(marked)
-        # The limit's oriented matroid on its non-zero vectors: the deletion
-        # of its loops, read on those columns alone.
-        nonzero = LabeledArrangement((l, v) for l, v in limit.elements if not v.is_zero())
-        shared = table.om_of(nonzero)
+        # The limit's non-loops are the persistent points at height 1, so its
+        # oriented matroid with the loops deleted is that of this part.
+        persistent = marked.restrict(PERSISTENT)
+        shared = table.om_of(persistent)
         shared_limits.append(shared)
         # The verdict of weak_map(level_om, om_of(limit)), which deletes both
         # onto the limit's non-loops itself.
         weak_ok = weak_map(level_om.restrict(shared.ground), shared)
-        try:
-            limit_cr = cross_ratio(
-                s.alpha,
-                perspective_normalize(limit.vector("delta")),
-                s.gamma,
-                s.beta,
-            )
-        except (NotCollinear, DegeneratePoints) as exc:
-            raise SeedRejected("separation", f"{type(exc).__name__}: {exc}") from exc
+        # delta is c_i at height 1: the ledger has computed this cross-ratio.
+        delta = perspective_normalize(persistent.vector("delta"))
+        limit_cr = cross_ratio(s.alpha, delta, s.gamma, s.beta)
         records.append(
             LevelRecord(
                 i=i,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import NotSpanning, RankDeficient
+from .errors import GroundSetMismatch, NotSpanning, RankDeficient
 from .geometry import Vector3
 from .labels import Label, label_keys
 from .linalg import matrix_rank, solve_linear
@@ -130,13 +130,17 @@ def family_om(family: VectorFamily, subspace: Subspace) -> OrientedMatroid:
 
 
 def same_stratum(v: Subspace, w: Subspace, level: str = "oriented-matroid") -> bool:
-    """Whether two subspaces induce the same (oriented) matroid data."""
+    """Whether two subspaces induce the same (oriented) matroid data.
+    Raises GroundSetMismatch at both levels when their ambient dimensions
+    differ."""
     if level not in ("oriented-matroid", "matroid"):
         raise ValueError(f"unknown level {level!r}")
+    if v.ambient != w.ambient:
+        raise GroundSetMismatch(f"subspaces of Q^{v.ambient} and Q^{w.ambient}")
     mv = subspace_om(v)
     mw = subspace_om(w)
     if level == "oriented-matroid":
         return om_equal(mv, mw)
-    # Both are of rank 3 (om_of raises otherwise), so their cocircuit
-    # supports determine their matroids (BLSWZ ch. 3).
-    return mv.ground == mw.ground and mv.supports() == mw.supports()
+    # Both are of rank 3 (om_of raises otherwise) on the ground 1..n, so
+    # their cocircuit supports determine their matroids (BLSWZ ch. 3).
+    return mv.supports() == mw.supports()

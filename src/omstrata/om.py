@@ -41,12 +41,12 @@ enumerates its lines afresh.
 
 A ``LineTable`` enumerates the lines of one arrangement once and answers
 ``om_of`` for every sub-arrangement of it (one whose vectors, the zero vector
-included, all occur in the table): each line of the sub-arrangement is a
-line of the table whose zero set holds two non-parallel vectors of the
-sub-arrangement, and its rows are read off the table's rows, restricted to
-the sub-arrangement's columns by one ``itemgetter``.  The certificate builds
-one table from its deepest level, so one enumeration serves every level and
-every limit's non-zero part.
+included, all occur in the table).  Two vectors that are not parallel lie
+on exactly one line, so the lines of a sub-arrangement are the lines of the
+table through pairs of its projective classes (BLSWZ ch. 3), and their rows
+are read off the table's rows, restricted to the sub-arrangement's columns.
+The certificate builds one table from its deepest level, so one enumeration
+serves every level and every limit's non-loops.
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
-from itertools import combinations, compress
-from operator import and_, itemgetter, or_
-from typing import Iterable, Iterator, Mapping
+from itertools import combinations
+from operator import and_, itemgetter
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import GroundSetMismatch, NotSpanning
 from .geometry import IntVec, Vector3, _cross, _det3, _primitive, _sign
@@ -451,35 +451,36 @@ class LineTable:
     """The lines of one arrangement, enumerated once; the oriented matroid
     of any sub-arrangement is read off them (see the module docstring).
 
-    Per row the table keeps the bitmask of the projective classes in its
-    line's zero set, so a sub-arrangement picks its lines by one ``&`` per
-    row.  A repeated vector keeps one of its columns, which read alike.
-    Every vector a sub-arrangement reads, the zero vector included, must be
-    a vector of the table; a loop of the table reads its own all-``0``
-    column.  The table does not change after it is built.
+    The table maps each pair of projective classes (a vector and its
+    negatives) to the one line through both.  A repeated vector keeps one of
+    its columns, which read alike.  Every vector a sub-arrangement reads,
+    the zero vector included, must be a vector of the table; a loop has no
+    class and reads its own all-``0`` column.  The table does not change
+    after it is built.
     """
 
-    __slots__ = ("_rows", "_masks", "_column", "_class_bits", "_identity")
+    __slots__ = ("_rows", "_column", "_class_of", "_line_of")
 
     def __init__(self, arrangement: LabeledArrangement):
         vectors = arrangement.primitive_vectors()
-        width = len(vectors)
-        rows, zero_sets = _enumerate_lines(vectors)
-        self._column = dict(zip(vectors, range(width)))
+        self._rows, zero_sets = _enumerate_lines(vectors)
+        self._column = dict(zip(vectors, range(len(vectors))))
         classes: dict[IntVec, int] = {}
-        bits = [0] * width
-        for k, v in enumerate(vectors):
-            if v != (0, 0, 0):
+        class_of: list[Optional[int]] = []  # column -> its class; None for a loop
+        for v in vectors:
+            if v == (0, 0, 0):
+                class_of.append(None)
+            else:
                 # v and -v span one class: key it by its member above zero
                 key = v if v > (0, 0, 0) else (-v[0], -v[1], -v[2])
-                bits[k] = classes.setdefault(key, 1 << len(classes))
-        self._class_bits = bits
-        self._rows = rows
-        self._masks = []
-        for zeros in zero_sets:
-            mask = reduce(or_, map(bits.__getitem__, zeros))
-            self._masks += (mask, mask)
-        self._identity = tuple(range(width))
+                class_of.append(classes.setdefault(key, len(classes)))
+        # (class, greater class) -> the line through both, rows 2 * line and 2 * line + 1
+        line_of: dict[tuple[int, int], int] = {}
+        for line, zeros in enumerate(zero_sets):
+            for pair in combinations(sorted({class_of[k] for k in zeros}), 2):
+                line_of[pair] = line
+        self._class_of = class_of
+        self._line_of = line_of
 
     def om_of(self, arrangement: LabeledArrangement) -> OrientedMatroid:
         """``om_of(arrangement)``, read off the table's lines.
@@ -501,18 +502,14 @@ class LineTable:
         return cols
 
     def _rows_of(self, cols: tuple[int, ...]) -> frozenset[str]:
-        """Both rows, restricted to ``cols``, of every line whose zero set
-        holds two non-parallel vectors of the columns; the rows as enumerated
-        when ``cols`` are all the table's columns in order."""
-        if cols == self._identity:
-            return frozenset(self._rows)
-        sub = 0
-        for k in cols:
-            sub |= self._class_bits[k]
-        if not sub & (sub - 1):  # fewer than two classes: no line
+        """Both rows, restricted to ``cols``, of every line through two
+        projective classes of the columns."""
+        classes = sorted(set(map(self._class_of.__getitem__, cols)) - {None})
+        lines = set(map(self._line_of.__getitem__, combinations(classes, 2)))
+        if not lines:  # fewer than two classes; _project needs a column
             return frozenset()
-        on = [(m := mask & sub) & (m - 1) for mask in self._masks]
-        return frozenset(_project(compress(self._rows, on), cols))
+        on = [row for line in lines for row in self._rows[2 * line:2 * line + 2]]
+        return frozenset(_project(on, cols))
 
 
 def _chirotope_from_cocircuits(matroid: OrientedMatroid) -> Chirotope:

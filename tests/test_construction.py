@@ -127,6 +127,11 @@ class TestBuild:
             assert collinear(seed.alpha, seed.beta, c_n)
             assert collinear(seed.a, b_next, c_n)
 
+    @pytest.mark.parametrize("depth", [True, 2.0, -2])
+    def test_a_depth_that_is_not_a_non_negative_int_raises(self, depth):
+        with pytest.raises(ValueError, match="depth must be non-negative"):
+            build(default_seed(), depth)
+
     def test_monotone_containment(self):
         deep = build(default_seed(), 5)
         shallow = build(default_seed(), 4)
@@ -449,6 +454,28 @@ class TestCertificate:
     def test_depth_bound(self):
         with pytest.raises(ValueError, match="depth"):
             certificate(default_seed(), MAX_CERTIFICATE_DEPTH + 1)
+
+    @pytest.mark.parametrize("depth", [True, 2.0])
+    def test_a_depth_that_is_not_an_int_raises(self, depth):
+        with pytest.raises(ValueError, match="depth must be in"):
+            certificate(default_seed(), depth)
+
+    @pytest.mark.parametrize("samples", [[True], [2.0], [1, True], [1, 2.0]])
+    def test_samples_that_are_not_ints_raise(self, samples):
+        with pytest.raises(ValueError, match="samples must be"):
+            certificate(default_seed(), 1, samples)
+
+    @pytest.mark.parametrize("seed", [default_seed(), WALL_SEED], ids=["default", "wall"])
+    def test_persistent_part_is_the_nonzero_part_of_the_limit(self, seed):
+        # The certificate reads each limit's non-loops as the level's
+        # persistent points.
+        family = build(seed, 20)
+        for i in range(1, 21):
+            marked = delta_arrangement(family, i)
+            persistent = marked.restrict(PERSISTENT)
+            nonzero = nonzero_part(limit_arrangement(marked))
+            assert persistent.labels == nonzero.labels
+            assert persistent.elements == nonzero.elements
 
     @settings(max_examples=25, deadline=None)
     @given(st.tuples(*[st.integers(-4, 4)] * 4))

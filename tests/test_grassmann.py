@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from omstrata import (
+    GroundSetMismatch,
     LabeledArrangement,
     NotSpanning,
     RankDeficient,
@@ -244,6 +245,13 @@ class TestSameStratum:
             equal += same
             equal_past_3 += same and n > 3
         assert equal >= 200 and equal_past_3 >= 200 and pairs - equal >= 200
+
+    def test_ambient_mismatch_raises_at_both_levels(self):
+        v = Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+        w = Subspace(5, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]])
+        for level in ("oriented-matroid", "matroid"):
+            with pytest.raises(GroundSetMismatch):
+                same_stratum(v, w, level=level)
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
