@@ -47,6 +47,14 @@ table through pairs of its projective classes (BLSWZ ch. 3), and their rows
 are read off the table's rows, restricted to the sub-arrangement's columns.
 The certificate builds one table from its deepest level, so one enumeration
 serves every level and every limit's non-loops.
+
+Rows are restricted to columns by runs (``_project``): the columns are cut
+once into maximal runs of consecutive ones, and each row is read as one
+slice per run, joined in C.  A certificate level reads at most four runs
+(the named columns, c_i's column as delta, and the indexed columns before
+and after it), a limit at most three, and the table's own arrangement one
+slice, the whole row.  The deletion ``OrientedMatroid.restrict`` projects
+the same way.
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ from functools import reduce
 from fractions import Fraction
 from itertools import combinations
 from operator import and_, itemgetter
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import GroundSetMismatch, NotSpanning
 from .geometry import IntVec, Vector3, _cross, _det3, _primitive, _sign
@@ -83,9 +91,23 @@ def _mask(row: str, digits: dict) -> int:
     return int(row.translate(digits) or "0", 2)
 
 
-def _project(rows: Iterable[str], cols: list[int]) -> Iterator[str]:
-    """The rows restricted to ``cols`` (at least one), in that order."""
-    return map("".join, map(itemgetter(*cols), rows))
+def _project(rows: Iterable[str], cols: Sequence[int]) -> Iterator[str]:
+    """The rows restricted to ``cols`` (at least one), in that order.
+
+    ``cols`` is cut once into maximal runs of consecutive columns; a column
+    that repeats or goes back starts a new run.  Each row is then read in C:
+    one slice when there is one run, else its runs' slices joined."""
+    runs = []
+    start = end = cols[0]
+    for col in cols[1:]:
+        if col != end + 1:
+            runs.append(slice(start, end + 1))
+            start = col
+        end = col
+    runs.append(slice(start, end + 1))
+    if len(runs) == 1:
+        return map(itemgetter(runs[0]), rows)
+    return map("".join, map(itemgetter(*runs), rows))
 
 
 def _rank3(vectors: Iterable[IntVec]) -> int:
@@ -127,6 +149,15 @@ class LabeledArrangement:
         # The keys are distinct, so the sort never compares two vectors.
         object.__setattr__(self, "elements", tuple(e for _, e in sorted(zip(keys, elems))))
 
+    @classmethod
+    def _of(cls, elements: tuple[tuple[Label, Vector3], ...]) -> "LabeledArrangement":
+        """The arrangement of ``elements``, whose labels are already valid,
+        distinct and in label order: a restriction or rescaling of an
+        arrangement keeps its order and needs no sort."""
+        arrangement = object.__new__(cls)
+        object.__setattr__(arrangement, "elements", elements)
+        return arrangement
+
     @property
     def labels(self) -> tuple[Label, ...]:
         return tuple(label for label, _ in self.elements)
@@ -148,16 +179,18 @@ class LabeledArrangement:
     def restrict(self, labels: Iterable[Label]) -> "LabeledArrangement":
         """Sub-arrangement on the given labels."""
         keep = _present(labels, self.labels)
-        return LabeledArrangement((l, v) for l, v in self.elements if l in keep)
+        return LabeledArrangement._of(tuple((l, v) for l, v in self.elements if l in keep))
 
     def rescaled(self, factors: Mapping[Label, Fraction]) -> "LabeledArrangement":
-        """Per-element positive rescaling (signs of all covectors preserved)."""
+        """Per-element positive rescaling (signs of all covectors preserved).
+        Raises ValueError for a factor that is not a positive int or Fraction
+        (a bool or a float is not)."""
         _present(factors, self.labels)
         for label, f in factors.items():
-            if f <= 0:
-                raise ValueError(f"scale for {label!r} must be positive, got {f}")
-        return LabeledArrangement(
-            (l, v.scaled(factors[l]) if l in factors else v) for l, v in self.elements
+            if type(f) not in (int, Fraction) or f <= 0:
+                raise ValueError(f"scale for {label!r} must be a positive int or Fraction, got {f!r}")
+        return LabeledArrangement._of(
+            tuple((l, v.scaled(factors[l]) if l in factors else v) for l, v in self.elements)
         )
 
     def __len__(self) -> int:
@@ -488,11 +521,16 @@ class LineTable:
         Raises ValueError when a vector of the arrangement, the zero vector
         included, is not in the table.
         """
-        ints = arrangement.primitive_vectors()
+        return self.om_of_vectors(arrangement.labels, arrangement.primitive_vectors())
+
+    def om_of_vectors(self, labels: tuple[Label, ...], ints: tuple[IntVec, ...]) -> OrientedMatroid:
+        """``om_of`` of the arrangement with these labels and these primitive
+        integer vectors (its ``primitive_vectors()``), for a caller that has
+        them already; raises as ``om_of`` does."""
         cols = self._columns(ints)
         if _rank3(ints) != 3:
             raise NotSpanning("arrangement does not span rank 3")
-        return OrientedMatroid._of(arrangement.labels, self._rows_of(cols))
+        return OrientedMatroid._of(labels, self._rows_of(cols))
 
     def _columns(self, ints: tuple[IntVec, ...]) -> tuple[int, ...]:
         """The column of each vector of ``ints``."""

@@ -41,7 +41,12 @@ from omstrata.labels import PERSISTENT, indexed
 from omstrata.serialization import document_to_json, render_report
 
 import fraction_reference as ref
-from conftest import all_pairs_cocircuit_tuples, as_rows, rand_spanning_arrangement
+from conftest import (
+    all_pairs_cocircuit_tuples,
+    as_rows,
+    rand_positive_fraction,
+    rand_spanning_arrangement,
+)
 
 
 def seed_with(**overrides) -> Seed:
@@ -290,6 +295,12 @@ class TestDegenerations:
             else:
                 assert vector == marked.vector(label).scaled(F(1, 8))
 
+    @pytest.mark.parametrize("n", [True, 2.0, F(2), 0, -1])
+    def test_an_n_that_is_not_a_positive_int_raises(self, n):
+        marked = delta_arrangement(build(default_seed(), 2), 2)
+        with pytest.raises(ValueError, match="n must be a positive int"):
+            scale_degeneration(marked, n)
+
     def test_oriented_matroid_constant_along_family(self):
         family = build(default_seed(), 3)
         for i in (1, 3):
@@ -509,6 +520,35 @@ if sys.argv[1] == "wall":
     seed = type(seed)(**{**seed.points(), "nu": PlanePoint(3, 2)})
 print(document_to_json(render_report(certificate(seed, 20))))
 """
+
+
+class TestArrangementsBuiltInOrder:
+    """Restricting, rescaling and the limit keep the elements in label
+    order, so their arrangements are built without a sort: the sorting
+    constructor on the same elements is the reference, and for the samples
+    so is the rescaling by ``Vector3.scaled``."""
+
+    @pytest.mark.parametrize("seed", [default_seed(), WALL_SEED], ids=["default", "wall"])
+    def test_every_level_to_depth_20(self, seed):
+        rng = random.Random(137)
+        family = build(seed, 20)
+        for i in range(1, 21):
+            marked = delta_arrangement(family, i)
+            built = [
+                limit_arrangement(marked),
+                marked.restrict(PERSISTENT),
+                marked.restrict(rng.sample(marked.labels, rng.randint(0, len(marked)))),
+                marked.rescaled({l: rand_positive_fraction(rng) for l in rng.sample(marked.labels, 5)}),
+            ]
+            for n in (1, 2, 4, 1024, 3 ** 40):
+                scaled = scale_degeneration(marked, n)
+                assert scaled == LabeledArrangement(
+                    (l, v if l in PERSISTENT else v.scaled(F(1, n))) for l, v in marked.elements
+                )
+                built.append(scaled)
+            for arr in [marked] + built:
+                assert arr == LabeledArrangement(reversed(arr.elements))
+                assert all(type(c) is F for _, v in arr.elements for c in (v.x, v.y, v.z))
 
 
 class TestHistoryIndependence:

@@ -2,7 +2,7 @@ import json
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
-from operator import mul
+from operator import itemgetter, mul
 
 import pytest
 
@@ -660,6 +660,18 @@ class TestOrientedMatroid:
         with pytest.raises(KeyError, match=r"labels not present: \[3\]"):
             LabeledArrangement([(1, E1), (2, E2)]).rescaled({3: F(2)})
 
+    @pytest.mark.parametrize("factor", [True, 0.1, 2.0, "2", F(0), -1])
+    def test_a_factor_that_is_not_a_positive_int_or_fraction_raises(self, factor):
+        # a float would become a binary fraction: 0.1 is 3602879701896397/2**55
+        with pytest.raises(ValueError, match="must be a positive int or Fraction"):
+            BASIS.rescaled({1: factor})
+
+    def test_rescaling_by_ints_and_fractions_is_exact(self):
+        scaled = BASIS.rescaled({1: 3, 2: F(1, 10)})
+        assert scaled.vector(1) == E1.scaled(3)
+        assert scaled.vector(2).y == F(1, 10)
+        assert scaled == LabeledArrangement(scaled.elements)
+
     def test_not_spanning(self):
         rank2 = LabeledArrangement([(1, E1), (2, E2), (3, Vector3(2, 3, 0))])
         with pytest.raises(NotSpanning):
@@ -1201,6 +1213,60 @@ def tuple_restrict(matroid: OrientedMatroid, labels) -> set[tuple[int, ...]]:
     supports = {r: frozenset(k for k, s in enumerate(r) if s) for r in restricted}
     nonzero = {s for s in supports.values() if s}
     return {r for r, s in supports.items() if s in nonzero and not any(o < s for o in nonzero)}
+
+
+def itemgetter_projection(rows, cols) -> list[str]:
+    """The rows restricted to ``cols`` by one ``itemgetter`` over every
+    column: the reference for ``_project``."""
+    return list(map("".join, map(itemgetter(*cols), rows)))
+
+
+class TestRunProjection:
+    """``_project`` reads each row by runs of consecutive columns; the
+    ``itemgetter`` projection over all of them is the reference."""
+
+    @staticmethod
+    def rows(rng, width, count):
+        return ["".join(rng.choice("-0+") for _ in range(width)) for _ in range(count)]
+
+    def check(self, rows, cols):
+        projected = list(om_module._project(iter(rows), cols))
+        assert projected == itemgetter_projection(rows, cols)
+        assert all(len(row) == len(cols) for row in projected)
+
+    def test_random_column_subsets(self):
+        rng = random.Random(113)
+        kinds = {"repeat": 0, "backwards": 0}
+        for _ in range(400):
+            width = rng.randint(1, 40)
+            rows = self.rows(rng, width, rng.randint(0, 8))
+            cols = [rng.randrange(width) for _ in range(rng.randint(1, width + 3))]
+            kinds["repeat"] += len(set(cols)) < len(cols)
+            kinds["backwards"] += any(b < a for a, b in zip(cols, cols[1:]))
+            self.check(rows, cols)
+            self.check(rows, sorted(set(cols)))
+        assert min(kinds.values()) > 100
+
+    def test_runs_of_every_shape(self):
+        rng = random.Random(127)
+        for width in (1, 2, 7, 25, 64):
+            rows = self.rows(rng, width, 12)
+            self.check(rows, list(range(width)))  # the full width: one run
+            self.check(rows, tuple(range(width)))
+            for col in range(width):
+                self.check(rows, [col])
+                self.check(rows, [col, col])
+                self.check(rows, [col] + list(range(width)))
+            for start in range(width):
+                for stop in range(start + 1, width + 1, 3):
+                    self.check(rows, list(range(start, stop)))  # one run
+                    self.check(rows, list(range(stop - 1, start - 1, -1)))  # backwards
+                    # a level's shape: a head, one column moved forward, the rest
+                    self.check(rows, [0, stop - 1] + list(range(start, stop - 1)))
+
+    def test_the_full_width_reads_each_row_whole(self):
+        rows = self.rows(random.Random(131), 30, 10)
+        assert list(om_module._project(rows, range(30))) == rows
 
 
 class TestStringRowsAgainstTuples:
