@@ -338,6 +338,19 @@ class CertificateChecks:
         return all(getattr(self, f.name) for f in fields(self))
 
 
+def _record_checks(records: Sequence[LevelRecord], limits_equal: bool) -> dict[str, bool]:
+    """The checks the level records decide once (d) ``limits_equal`` is
+    known: (b) ``cr_distinct``, (c) ``stratum_constancy``, (e)
+    ``separation`` and (f) ``weak_maps``."""
+    cr_distinct = len({rec.cr for rec in records}) == len(records)
+    return {
+        "cr_distinct": cr_distinct,
+        "stratum_constancy": all(ok for rec in records for _, ok in rec.degeneration_ok),
+        "separation": cr_distinct and limits_equal and all(rec.limit_cr == rec.cr for rec in records),
+        "weak_maps": all(rec.weak_map_ok for rec in records),
+    }
+
+
 @dataclass(frozen=True)
 class CertificateReport:
     """Exact witnesses and verdicts of one certificate run.
@@ -393,7 +406,6 @@ def certificate(
     c_points = [points[indexed("c", i)] for i in range(1, depth + 1)]
     c_distinct = len(set(c_points)) == depth
     cr_values = [value for _, value in ledger]
-    cr_distinct = len(set(cr_values)) == depth
 
     records: list[LevelRecord] = []
     shared_limits: list[OrientedMatroid] = []
@@ -402,10 +414,10 @@ def certificate(
     table = LineTable(delta_arrangement(family, depth))
     for i in range(1, depth + 1):
         marked = delta_arrangement(family, i)
-        ints = marked.primitive_vectors()
-        level_om = table.om_of_vectors(marked.labels, ints)
+        ints = marked.primitive_vectors
+        level_om = table.om_of(marked)
         degeneration = tuple(
-            (n, scale_degeneration(marked, n).primitive_vectors() == ints) for n in samples
+            (n, scale_degeneration(marked, n).primitive_vectors == ints) for n in samples
         )
         # The limit's non-loops are the persistent points at height 1, so its
         # oriented matroid with the loops deleted is that of this part.
@@ -438,12 +450,7 @@ def certificate(
         om_equal(shared_limits[0], other) for other in shared_limits[1:]
     )
     checks = CertificateChecks(
-        c_distinct=c_distinct,
-        cr_distinct=cr_distinct,
-        stratum_constancy=all(ok for rec in records for _, ok in rec.degeneration_ok),
-        limits_equal=limits_equal,
-        separation=cr_distinct and limits_equal and all(rec.limit_cr == rec.cr for rec in records),
-        weak_maps=all(rec.weak_map_ok for rec in records),
+        c_distinct=c_distinct, limits_equal=limits_equal, **_record_checks(records, limits_equal)
     )
     return CertificateReport(
         seed=seed,

@@ -179,29 +179,17 @@ def sign_det3(u: Vector3, v: Vector3, w: Vector3) -> int:
     return _sign(_det3(*rows))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Line2:
     """Oriented line a*x + b*y + c = 0 with canonical integer coefficients.
 
     Canonical form: gcd(a, b, c) = 1 and the first non-zero of (a, b) is
     positive, so two Line2 values are equal iff they carry the same point set.
-    The defining point pair is kept for diagnostics only and does not take
-    part in equality.
     """
 
     a: int
     b: int
     c: int
-    p: PlanePoint
-    q: PlanePoint
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Line2):
-            return NotImplemented
-        return (self.a, self.b, self.c) == (other.a, other.b, other.c)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c))
 
     def __repr__(self) -> str:
         return _line_text((self.a, self.b, self.c))
@@ -209,7 +197,7 @@ class Line2:
 
 def line_through(p: PlanePoint, q: PlanePoint) -> Line2:
     """The canonical line through two distinct points."""
-    return Line2(*_canonical(_spanned(_join(_lift(p), _lift(q)), p)), p, q)
+    return Line2(*_canonical(_spanned(_join(_lift(p), _lift(q)), p)))
 
 
 def line_intersect(l1: Line2, l2: Line2) -> PlanePoint:

@@ -35,9 +35,11 @@ certificate level and its eight-point limit, 56 triples, not C(n, 3).
 
 Signs never change under positive per-element rescaling, so all sign
 computations run on primitive integer copies of the vectors; this keeps the
-arithmetic in plain ints and makes fingerprints bit-stable.  ``om_of`` is a
-function of the labels and those primitive vectors alone, and each call
-enumerates its lines afresh.
+arithmetic in plain ints and makes fingerprints bit-stable.  An arrangement
+computes those copies once and keeps them (``primitive_vectors``), so
+``om_of``, ``chirotope_of``, ``is_spanning`` and a line table share one pass.
+``om_of`` is a function of the labels and those primitive vectors alone, and
+each call enumerates its lines afresh.
 
 A ``LineTable`` enumerates the lines of one arrangement once and answers
 ``om_of`` for every sub-arrangement of it (one whose vectors, the zero vector
@@ -45,8 +47,10 @@ included, all occur in the table).  Two vectors that are not parallel lie
 on exactly one line, so the lines of a sub-arrangement are the lines of the
 table through pairs of its projective classes (BLSWZ ch. 3), and their rows
 are read off the table's rows, restricted to the sub-arrangement's columns.
-The certificate builds one table from its deepest level, so one enumeration
-serves every level and every limit's non-loops.
+Those lines also decide the rank: a sub-arrangement spans rank 3 exactly
+when it lies on two lines or more.  The certificate builds one table from
+its deepest level, so one enumeration serves every level and every limit's
+non-loops.
 
 Rows are restricted to columns by runs (``_project``): the columns are cut
 once into maximal runs of consecutive ones, and each row is read as one
@@ -63,7 +67,7 @@ import hashlib
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import combinations
 from operator import and_, itemgetter
@@ -168,13 +172,18 @@ class LabeledArrangement:
                 return vec
         raise KeyError(label)
 
+    @cached_property
     def primitive_vectors(self) -> tuple[IntVec, ...]:
         """The primitive integer multiples of the vectors, which carry every
-        sign of the arrangement."""
+        sign of the arrangement: computed on first use and kept, outside
+        ``==``, ``hash``, ``repr``, copies and pickles."""
         return tuple(_primitive(v.x, v.y, v.z) for _, v in self.elements)
 
+    def __getstate__(self) -> dict:
+        return {"elements": self.elements}
+
     def is_spanning(self) -> bool:
-        return _rank3(self.primitive_vectors()) == 3
+        return _rank3(self.primitive_vectors) == 3
 
     def restrict(self, labels: Iterable[Label]) -> "LabeledArrangement":
         """Sub-arrangement on the given labels."""
@@ -387,7 +396,7 @@ def chirotope_of(arrangement: LabeledArrangement) -> Chirotope:
 
     This is the determinant reference: ``om_of(a).chirotope`` equals it up
     to one global sign."""
-    ground, ints = arrangement.labels, arrangement.primitive_vectors()
+    ground, ints = arrangement.labels, arrangement.primitive_vectors
     nonzero: dict[tuple[Label, Label, Label], Sign] = {}
     live = [i for i, v in enumerate(ints) if v != (0, 0, 0)]
     for i, j, k in combinations(live, 3):
@@ -473,7 +482,7 @@ def om_of(arrangement: LabeledArrangement) -> OrientedMatroid:
     afresh; the result depends only on the labels and the primitive integer
     vectors.
     """
-    ints = arrangement.primitive_vectors()
+    ints = arrangement.primitive_vectors
     if _rank3(ints) != 3:
         raise NotSpanning("arrangement does not span rank 3")
     rows, _ = _enumerate_lines(ints)
@@ -482,7 +491,8 @@ def om_of(arrangement: LabeledArrangement) -> OrientedMatroid:
 
 class LineTable:
     """The lines of one arrangement, enumerated once; the oriented matroid
-    of any sub-arrangement is read off them (see the module docstring).
+    of any sub-arrangement, and whether it spans, is read off them in one
+    pass (``om_of``; see the module docstring).
 
     The table maps each pair of projective classes (a vector and its
     negatives) to the one line through both.  A repeated vector keeps one of
@@ -495,7 +505,7 @@ class LineTable:
     __slots__ = ("_rows", "_column", "_class_of", "_line_of")
 
     def __init__(self, arrangement: LabeledArrangement):
-        vectors = arrangement.primitive_vectors()
+        vectors = arrangement.primitive_vectors
         self._rows, zero_sets = _enumerate_lines(vectors)
         self._column = dict(zip(vectors, range(len(vectors))))
         classes: dict[IntVec, int] = {}
@@ -516,38 +526,24 @@ class LineTable:
         self._line_of = line_of
 
     def om_of(self, arrangement: LabeledArrangement) -> OrientedMatroid:
-        """``om_of(arrangement)``, read off the table's lines.
+        """``om_of(arrangement)``: both rows, restricted to the arrangement's
+        columns, of every line through two of its projective classes.
 
-        Raises ValueError when a vector of the arrangement, the zero vector
-        included, is not in the table.
+        Those lines decide the rank: a set of rank 3 lies on at least three,
+        one of rank 2 on one, and one of rank 1 or 0 on none.  Raises
+        ValueError when a vector of the arrangement, the zero vector
+        included, is not in the table, and NotSpanning when the arrangement
+        lies on fewer than two lines.
         """
-        return self.om_of_vectors(arrangement.labels, arrangement.primitive_vectors())
-
-    def om_of_vectors(self, labels: tuple[Label, ...], ints: tuple[IntVec, ...]) -> OrientedMatroid:
-        """``om_of`` of the arrangement with these labels and these primitive
-        integer vectors (its ``primitive_vectors()``), for a caller that has
-        them already; raises as ``om_of`` does."""
-        cols = self._columns(ints)
-        if _rank3(ints) != 3:
-            raise NotSpanning("arrangement does not span rank 3")
-        return OrientedMatroid._of(labels, self._rows_of(cols))
-
-    def _columns(self, ints: tuple[IntVec, ...]) -> tuple[int, ...]:
-        """The column of each vector of ``ints``."""
-        cols = tuple(map(self._column.get, ints))
+        cols = tuple(map(self._column.get, arrangement.primitive_vectors))
         if None in cols:
             raise ValueError("the arrangement has a vector outside the line table")
-        return cols
-
-    def _rows_of(self, cols: tuple[int, ...]) -> frozenset[str]:
-        """Both rows, restricted to ``cols``, of every line through two
-        projective classes of the columns."""
         classes = sorted(set(map(self._class_of.__getitem__, cols)) - {None})
         lines = set(map(self._line_of.__getitem__, combinations(classes, 2)))
-        if not lines:  # fewer than two classes; _project needs a column
-            return frozenset()
+        if len(lines) < 2:
+            raise NotSpanning("arrangement does not span rank 3")
         on = [row for line in lines for row in self._rows[2 * line:2 * line + 2]]
-        return frozenset(_project(on, cols))
+        return OrientedMatroid._of(arrangement.labels, frozenset(_project(on, cols)))
 
 
 def _chirotope_from_cocircuits(matroid: OrientedMatroid) -> Chirotope:

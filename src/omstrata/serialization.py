@@ -8,9 +8,10 @@ checks its document against the schema file of its type, so an unknown
 field is rejected wherever the schema forbids one.  By hand it checks only
 what a schema cannot say: a zero denominator, repeated labels, sign strings
 and basis rows of the wrong length, cocircuits not closed under negation,
-family points whose labels are not those of the family's depth and a
-top-level ``pass`` flag that disagrees with the report.  Every violation
-raises :class:`SchemaError` carrying the JSON path.
+family points whose labels are not those of the family's depth, and a
+report whose verdicts, summary or seed digest contradict its own evidence
+(``_check_report``).  Every violation raises :class:`SchemaError` carrying
+the JSON path.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .construction import (
     Seed,
     SEED_LABELS,
     _level_labels,
+    _record_checks,
 )
 from .errors import RationalParseError, SchemaError
 from .geometry import PlanePoint, Vector3
@@ -387,8 +389,7 @@ def document_from_json(text: str) -> ReportDocument:
         checks=CertificateChecks(**{name: payload["checks"][name] for name in _CHECK_FIELDS}),
         passed=payload["pass"],
     )
-    if value["pass"] != report.passed:
-        raise SchemaError("$.pass", "top-level pass flag disagrees with the report")
+    _check_report(value, report)
     return ReportDocument(
         tool_name=value["tool"]["name"],
         tool_version=value["tool"]["version"],
@@ -396,3 +397,37 @@ def document_from_json(text: str) -> ReportDocument:
         report=report,
         summary=tuple(value["summary"]),
     )
+
+
+def _check_report(value: dict, report: CertificateReport) -> None:
+    """Raise :class:`SchemaError` where the report document ``value``, parsed
+    as ``report``, contradicts itself: records that do not run i = 1..depth
+    over the samples in order, pass flags that are not the conjunction of the
+    checks, checks that disagree with the records, a limit fingerprint that
+    is not the first level's, and a summary or seed digest other than the
+    ones ``render_report`` gives."""
+    records, checks = report.records, report.checks
+    if len(records) != report.depth:
+        raise SchemaError("$.report.records", f"{len(records)} level records for depth {report.depth}")
+    for k, rec in enumerate(records):
+        if rec.i != k + 1:
+            raise SchemaError(f"$.report.records[{k}].i", f"level {rec.i} where level {k + 1} belongs")
+        if tuple(n for n, _ in rec.degeneration_ok) != report.samples:
+            raise SchemaError(f"$.report.records[{k}].degeneration_ok",
+                              f"samples are not the report's samples {list(report.samples)}")
+    if report.passed != checks.all_pass():
+        raise SchemaError("$.report.pass", "pass flag is not the conjunction of the checks")
+    if value["pass"] != report.passed:
+        raise SchemaError("$.pass", "top-level pass flag disagrees with the report")
+    # Two limits are equal exactly when their fingerprints are.
+    limits_equal = len({rec.limit_fingerprint for rec in records}) == 1
+    evidence = {"limits_equal": limits_equal, **_record_checks(records, limits_equal)}
+    for name, verdict in evidence.items():
+        if getattr(checks, name) != verdict:
+            raise SchemaError(f"$.report.checks.{name}", "disagrees with the level records")
+    if report.limit_fingerprint != records[0].limit_fingerprint:
+        raise SchemaError("$.report.limit_fingerprint", "is not the first level's limit fingerprint")
+    if tuple(value["summary"]) != render_report(report).summary:
+        raise SchemaError("$.summary", "is not the summary of the report")
+    if value["input_digests"]["seed"] != seed_digest(report.seed):
+        raise SchemaError("$.input_digests.seed", "is not the digest of the report's seed")

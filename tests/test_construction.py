@@ -426,7 +426,7 @@ class TestCertificate:
         for i in range(1, 21):
             marked = delta_arrangement(family, i)
             for arr in (marked, nonzero_part(limit_arrangement(marked))):
-                ints = arr.primitive_vectors()
+                ints = arr.primitive_vectors
                 assert table.om_of(arr).rows == as_rows(all_pairs_cocircuit_tuples(ints))
 
     def test_depth_6_enumerates_once(self, monkeypatch):

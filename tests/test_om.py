@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -23,6 +25,7 @@ from omstrata import (
     limit_arrangement,
     om_equal,
     om_of,
+    scale_degeneration,
     strong_map,
     underlying_matroid,
     weak_map,
@@ -252,7 +255,7 @@ class TestCocircuitKernel:
         kinds = {"mapped": 0, "rank 2": 0, "parallel": 0, "loop": 0}
         for _ in range(200):
             arr = rand_grid_arrangement(rng, rng.randint(3, 10))
-            ints = arr.primitive_vectors()
+            ints = arr.primitive_vectors
             # its shadow on the plane z = 0, of rank 2 or less
             flat = tuple(om_module._primitive(x, y, 0) for x, y, _ in ints)
             for small in (ints, flat):
@@ -274,7 +277,7 @@ class TestCocircuitKernel:
 
     def test_pair_order_on_the_deepest_tables(self):
         for depth in (40, 60):
-            ints = delta_arrangement(build(default_seed(), depth), depth).primitive_vectors()
+            ints = delta_arrangement(build(default_seed(), depth), depth).primitive_vectors
             assert om_module._enumerate_lines(ints) == lines_in_pair_order(ints)
 
     def test_matches_all_pairs_on_certificate_levels(self):
@@ -282,7 +285,7 @@ class TestCocircuitKernel:
         for i in range(1, 21):
             marked = delta_arrangement(family, i)
             for arr in (marked, limit_arrangement(marked)):
-                ints = arr.primitive_vectors()
+                ints = arr.primitive_vectors
                 assert om_of(arr).rows == as_rows(all_pairs_cocircuit_tuples(ints))
 
 
@@ -311,23 +314,18 @@ def rand_sub_arrangement(rng: random.Random, distinct):
     return tuple(sub)
 
 
-def table_rows(table: LineTable, ints) -> frozenset[str]:
-    """The rows a line table reads off for ``ints``, of any rank."""
-    return table._rows_of(table._columns(ints))
-
-
 def arrangement_of(ints) -> LabeledArrangement:
     return LabeledArrangement(enumerate(Vector3(*v) for v in ints))
 
 
 class TestLineProjection:
     """An arrangement whose non-zero vectors all occur in a line table reads
-    its cocircuits off the table's lines; the all-pairs loop is the
-    reference."""
+    its cocircuits off the table's lines, and raises NotSpanning when it
+    lies on fewer than two of them; the all-pairs loop is the reference."""
 
     def test_sub_arrangements_match_all_pairs(self):
         rng = random.Random(79)
-        grid = rand_grid_arrangement(rng, 14).primitive_vectors()
+        grid = rand_grid_arrangement(rng, 14).primitive_vectors
         # antiparallel copies of some vectors, a repeat and a loop
         full = grid + tuple(negated(v) for v in grid[:5]) + grid[:2] + ((0, 0, 0),)
         table = LineTable(arrangement_of(full))
@@ -335,12 +333,14 @@ class TestLineProjection:
         ranks, antiparallel = set(), 0
         for _ in range(300):
             sub = rand_sub_arrangement(rng, distinct)
-            reference = as_rows(all_pairs_cocircuit_tuples(sub))
-            assert table_rows(table, sub) == reference
             rank = om_module._rank3(sub)
             ranks.add(rank)
             if rank == 3:
+                reference = as_rows(all_pairs_cocircuit_tuples(sub))
                 assert table.om_of(arrangement_of(sub)).rows == reference
+            else:
+                with pytest.raises(NotSpanning):
+                    table.om_of(arrangement_of(sub))
             antiparallel += any(negated(v) in sub for v in sub if v != (0, 0, 0))
         assert ranks == {0, 1, 2, 3}
         assert antiparallel > 50
@@ -350,8 +350,10 @@ class TestLineProjection:
         # sub-arrangement without e2 lies in y = 0, its one line
         table = LineTable(arrangement_of(((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1))))
         sub = ((0, 0, 1), (1, 0, 0), (0, 0, -1))
-        assert table_rows(table, sub) == as_rows(all_pairs_cocircuit_tuples(sub)) == {"000"}
-        assert table_rows(table, ((0, 0, 1), (0, 0, -1))) == set()
+        assert as_rows(all_pairs_cocircuit_tuples(sub)) == {"000"}
+        for spans_nothing in (sub, ((0, 0, 1), (0, 0, -1))):
+            with pytest.raises(NotSpanning):
+                table.om_of(arrangement_of(spans_nothing))
 
     def test_a_vector_outside_the_table_raises(self):
         table = LineTable(BASIS4)
@@ -359,6 +361,9 @@ class TestLineProjection:
         for outside in (Vector3(1, 2, 3), ONES.scaled(-1), Vector3(0, 0, 0)):
             with pytest.raises(ValueError, match="outside"):
                 table.om_of(LabeledArrangement(list(BASIS.elements) + [(4, outside)]))
+        # before NotSpanning, on an arrangement of rank 2
+        with pytest.raises(ValueError, match="outside"):
+            table.om_of(LabeledArrangement([(1, E1), (2, Vector3(1, 2, 3))]))
         assert table.om_of(BASIS) == om_of(BASIS)
 
     def test_projected_om_of_equals_a_fresh_enumeration(self):
@@ -416,6 +421,29 @@ class TestOmOfReadsPrimitiveVectors:
         table = LineTable(BASIS4)
         assert table.om_of(BASIS4) == first
         assert table.om_of(relabeled) == second
+
+    def test_vectors_are_kept_outside_equality_and_state(self):
+        marked = delta_arrangement(build(default_seed(), 3), 3)
+        # each constructor, called anew so that every arrangement starts unread
+        makers = {
+            "__init__": lambda: LabeledArrangement(reversed(DEGEN4.elements)),
+            "_of": lambda: LabeledArrangement._of(DEGEN4.elements),
+            "restrict": lambda: DEGEN4.restrict([1, 2, 4]),
+            "rescaled": lambda: DEGEN4.rescaled({1: F(3, 2), 4: 5}),
+            "scale_degeneration": lambda: scale_degeneration(marked, 7),
+            "limit_arrangement": lambda: limit_arrangement(marked),
+        }
+        for name, make in makers.items():
+            arr, twin = make(), make()
+            pickled = pickle.dumps(arr)
+            kept = arr.primitive_vectors
+            assert kept == tuple(om_module._primitive(v.x, v.y, v.z) for _, v in arr.elements), name
+            assert arr.primitive_vectors is kept, name
+            assert arr == twin and hash(arr) == hash(twin) and repr(arr) == repr(twin), name
+            assert pickle.dumps(arr) == pickled, name
+            for copied in (copy.copy(arr), copy.deepcopy(arr), pickle.loads(pickled)):
+                assert copied == arr and vars(copied) == vars(twin), name
+                assert copied.primitive_vectors == kept, name
 
     def test_rank_two_raises_on_every_call(self):
         rank2 = LabeledArrangement([(1, E1), (2, E2), (3, Vector3(1, 1, 0))])
@@ -650,7 +678,7 @@ class TestOrientedMatroid:
         for _ in range(25):
             arr = rand_spanning_arrangement(rng, rng.randint(3, 7))
             factors = {label: rand_positive_fraction(rng) for label in arr.labels}
-            assert arr.rescaled(factors).primitive_vectors() == arr.primitive_vectors()
+            assert arr.rescaled(factors).primitive_vectors == arr.primitive_vectors
             assert om_equal(om_of(arr), om_of(arr.rescaled(factors)))
 
     def test_rescaling_an_absent_label_raises(self):
@@ -1135,7 +1163,7 @@ class TestWeakMapByDeletion:
 def independent_sets(arrangement: LabeledArrangement) -> int:
     """The reference count of independent sets of size at most 3: subsets
     whose primitive vectors have full rank."""
-    ints = arrangement.primitive_vectors()
+    ints = arrangement.primitive_vectors
     return sum(
         1
         for size in range(4)
@@ -1159,7 +1187,7 @@ class TestSignVectorApi:
                 if not arr.is_spanning():
                     continue
             m, ground = om_of(arr), arr.labels
-            tuples = all_pairs_cocircuit_tuples(arr.primitive_vectors())
+            tuples = all_pairs_cocircuit_tuples(arr.primitive_vectors)
             rebuilt = OrientedMatroid(ground, frozenset(SignVector(ground, t) for t in tuples))
             assert rebuilt == m and rebuilt.fingerprint() == m.fingerprint()
             assert len(m.cocircuits) == len(m.rows) == len(tuples)

@@ -249,8 +249,8 @@ class TestReports:
             document_from_json(json.dumps(doc))
 
 
-def _report_json() -> dict:
-    return json.loads(document_to_json(render_report(certificate(default_seed(), 1, [1, 2]))))
+def _report_json(depth: int = 1) -> dict:
+    return json.loads(document_to_json(render_report(certificate(default_seed(), depth, [1, 2]))))
 
 
 def _drop_record_level(doc):
@@ -291,6 +291,7 @@ class TestReportSchemaErrors:
             pytest.param(_set("input_digests", ["seed"]), "$.input_digests", id="input-digests-list"),
             pytest.param(_set("input_digests", "seed", "abc"), "$.input_digests.seed",
                          id="input-digest-not-hex"),
+            pytest.param(_set("input_digests", {}), "$.input_digests", id="input-digests-without-seed"),
             pytest.param(_set("report", "depth", "two"), "$.report.depth", id="depth-string"),
             pytest.param(_set("report", "depth", 0), "$.report.depth", id="depth-zero"),
             pytest.param(_set("report", "samples", [1, True]), "$.report.samples[1]",
@@ -327,6 +328,55 @@ class TestReportSchemaErrors:
     def test_untouched_document_parses(self):
         doc = _report_json()
         assert document_from_json(json.dumps(doc)).report.depth == 1
+
+
+def _relevel(doc):
+    for record, i in zip(doc["report"]["records"], (7, 9)):
+        record["i"] = i
+
+
+def _fail_both_pass_flags(doc):
+    doc["pass"] = doc["report"]["pass"] = False
+
+
+class TestReportContradictions:
+    """``document_from_json`` rejects a report whose verdicts, summary or
+    seed digest contradict its own evidence, at the path of the
+    contradiction; every edit here passes the schema."""
+
+    @pytest.mark.parametrize(
+        "mutate, path",
+        [
+            pytest.param(_set("report", "checks", "weak_maps", False), "$.report.pass",
+                         id="pass-over-a-failed-check"),
+            pytest.param(_set("report", "records", 1, "weak_map_ok", False),
+                         "$.report.checks.weak_maps", id="weak-maps-over-a-failed-record"),
+            pytest.param(_set("report", "records", 1, "limit_fingerprint", "0" * 64),
+                         "$.report.checks.limits_equal", id="limits-equal-over-two-limits"),
+            pytest.param(_set("report", "depth", 5), "$.report.records", id="depth-5-with-2-records"),
+            pytest.param(_relevel, "$.report.records[0].i", id="levels-7-and-9"),
+            pytest.param(_set("report", "records", 0, "degeneration_ok", [[3, True]]),
+                         "$.report.records[0].degeneration_ok", id="record-samples-3"),
+            pytest.param(_fail_both_pass_flags, "$.report.pass", id="fail-over-passing-checks"),
+            pytest.param(_set("summary", -1, "overall: FAIL"), "$.summary", id="summary-ends-fail"),
+            pytest.param(_set("input_digests", "seed", "0" * 64), "$.input_digests.seed",
+                         id="zero-seed-digest"),
+        ],
+    )
+    def test_contradiction_is_named(self, mutate, path):
+        doc = _report_json(2)
+        mutate(doc)
+        with pytest.raises(SchemaError) as exc:
+            document_from_json(json.dumps(doc))
+        assert exc.value.path == path
+
+    def test_consistent_reports_parse(self):
+        from test_construction import WALL_SEED
+        flagship = (Path(__file__).parent / "fixtures" / "flagship_report.json").read_text(encoding="utf-8")
+        rendered = [document_to_json(render_report(certificate(seed, depth)))
+                    for seed, depth in ((WALL_SEED, 5), (default_seed(), 2), (default_seed(), 20))]
+        for text in [flagship] + rendered:
+            assert document_to_json(document_from_json(text)) == text
 
 
 class TestShippedSchemas:
@@ -474,7 +524,7 @@ class TestAgainstReferenceValidator:
             reference = not TestShippedSchemas._validator(schema).is_valid(doc)
             verdicts.append((kind, rejected, reference))
         assert [v for v in verdicts if v[1] != v[2]] == []
-        assert sum(rejected for _, rejected, _ in verdicts) == 21 + 4 + 3
+        assert sum(rejected for _, rejected, _ in verdicts) == 22 + 4 + 3
 
     @pytest.mark.parametrize(
         "kind, mutate, path",
