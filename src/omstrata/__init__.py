@@ -21,9 +21,9 @@ from .errors import (
     SeedRejected,
 )
 from .geometry import (
-    AffineMap2,
     Line2,
     PlanePoint,
+    Projectivity,
     Rational,
     Vector3,
     affine_from_correspondence,

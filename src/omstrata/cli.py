@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success (certificate passed, query answered), 2 when a
-seed is rejected or a certificate fails, 1 on malformed input.
+seed is rejected or a certificate fails, 1 on malformed input or an output
+that cannot be written.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def _cmd_mu(args) -> int:
 def _cmd_certificate(args) -> int:
     seed = _load_seed(args.seed)
     try:
-        samples = [int(part) for part in args.samples.split(",") if part.strip()]
+        samples = [int(part) for part in args.samples.split(",")]
     except ValueError:
         raise SchemaError("--samples", f"not a comma-separated integer list: {args.samples!r}")
     report = certificate(seed, args.depth, samples)
@@ -195,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"seed rejected: {exc}", file=sys.stderr)
         print(PERTURB_ADVICE, file=sys.stderr)
         return 2
-    except (SchemaError, OmstrataError, ValueError) as exc:
+    except (OmstrataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

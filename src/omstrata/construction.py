@@ -99,12 +99,8 @@ def default_seed() -> Seed:
 
 
 def _strictly_between(p: PlanePoint, q: PlanePoint, r: PlanePoint) -> bool:
-    """True iff q lies strictly inside the segment p-r (assumes collinear)."""
-    if p.x != r.x:
-        t = (q.x - p.x) / (r.x - p.x)
-    else:
-        t = (q.y - p.y) / (r.y - p.y)
-    return 0 < t < 1
+    """True iff q lies strictly inside the segment p-r (assumes collinear, p != r)."""
+    return (q.x - p.x) * (r.x - q.x) + (q.y - p.y) * (r.y - q.y) > 0
 
 
 def validate_seed(seed: Seed) -> SeedValidation:

@@ -1,4 +1,4 @@
-"""Exact rational plane geometry: predicates, lines, cross-ratio, affine maps.
+"""Exact rational plane geometry: predicates, lines, cross-ratio, projectivities.
 
 Points and results are ``fractions.Fraction``; every operation is exact,
 pure, and deterministic.  Degenerate inputs raise the typed errors from
@@ -32,7 +32,6 @@ from .errors import (
     NotCollinear,
     Parallel,
 )
-from .linalg import SingularMatrix, solve_linear
 
 Rational = Fraction
 RationalLike = Union[Fraction, int]
@@ -240,47 +239,54 @@ def cross_ratio(a: PlanePoint, b: PlanePoint, c: PlanePoint, d: PlanePoint) -> F
 
 
 @dataclass(frozen=True)
-class AffineMap2:
-    """Affine automorphism p -> L p + t of the plane, det(L) != 0."""
+class Projectivity:
+    """Projective automorphism x -> M x of the lifts, M an invertible integer 3x3
+    matrix kept primitive with its first non-zero entry positive: equal maps are equal."""
 
-    linear: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
-    translation: tuple[Fraction, Fraction]
+    matrix: tuple[IntVec, IntVec, IntVec]
+
+    def __init__(self, matrix: tuple[IntVec, IntVec, IntVec]):
+        entries = [e for row in matrix for e in row]
+        if [len(row) for row in matrix] != [3, 3, 3] or any(type(e) is not int for e in entries):
+            raise ValueError(f"not a 3x3 matrix of ints: {matrix!r}")
+        if _det3(*matrix) == 0:
+            raise ValueError(f"singular matrix: {matrix!r}")
+        g = gcd(*entries) * _sign(next(e for e in entries if e))
+        object.__setattr__(self, "matrix", tuple(tuple(e // g for e in row) for row in matrix))
 
     def __call__(self, p: PlanePoint) -> PlanePoint:
-        (a, b), (c, d) = self.linear
-        tx, ty = self.translation
-        return PlanePoint(a * p.x + b * p.y + tx, c * p.x + d * p.y + ty)
+        """The image of p; raises NonPositiveHeight when it is at infinity."""
+        lift = _lift(p)
+        image = tuple(_dot(row, lift) for row in self.matrix)
+        if image[2] == 0:
+            raise NonPositiveHeight(f"{p} is sent to the line at infinity")
+        return _point(image)
 
     @staticmethod
-    def identity() -> "AffineMap2":
-        one, zero = Fraction(1), Fraction(0)
-        return AffineMap2(((one, zero), (zero, one)), (zero, zero))
+    def identity() -> "Projectivity":
+        return Projectivity(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def affine_from_correspondence(
     src: tuple[PlanePoint, PlanePoint, PlanePoint],
     dst: tuple[PlanePoint, PlanePoint, PlanePoint],
-) -> AffineMap2:
-    """The unique affine automorphism sending src_i to dst_i for i = 1..3.
+) -> Projectivity:
+    """The unique affine map (last row (0, 0, d)) sending src_i to dst_i, i = 1..3.
 
     The source triple must be non-collinear for the map to exist and be
     unique; the target triple must be non-collinear for the map to be
-    invertible.
+    invertible.  M = sum_i u_i r_i, from cofactors: r_i is the cross product of
+    the other two source lifts, u_i the lift of dst_i at height h(src_i) * lcm(h(dst)).
     """
     if collinear(*src):
         raise DegenerateSource("source triple is collinear")
     if collinear(*dst):
         raise DegenerateTarget("target triple is collinear")
-    matrix = [[p.x, p.y, Fraction(1)] for p in src]
-    try:
-        row_x = solve_linear(matrix, [p.x for p in dst])
-        row_y = solve_linear(matrix, [p.y for p in dst])
-    except SingularMatrix as exc:  # unreachable after the collinearity check
-        raise DegenerateSource(str(exc)) from exc
-    return AffineMap2(
-        ((row_x[0], row_x[1]), (row_y[0], row_y[1])),
-        (row_x[2], row_y[2]),
-    )
+    s, t = [_lift(p) for p in src], [_lift(q) for q in dst]
+    k = lcm(*(v[2] for v in t))
+    u = [[c * si[2] * (k // ti[2]) for c in ti] for si, ti in zip(s, t)]
+    r = (_cross(s[1], s[2]), _cross(s[2], s[0]), _cross(s[0], s[1]))
+    return Projectivity([[_dot(row, col) for col in zip(*r)] for row in zip(*u)])
 
 
 def embed_affine(p: PlanePoint) -> Vector3:

@@ -8,8 +8,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
-from omstrata import LabeledArrangement, PlanePoint, Vector3, label_key
+from omstrata import LabeledArrangement, PlanePoint, Projectivity, Vector3, label_key
+from omstrata.linalg import matrix_rank
 
 
 def rand_fraction(rng: random.Random, span: int = 9) -> Fraction:
@@ -28,6 +30,25 @@ def rand_vector3(rng: random.Random, span: int = 9) -> Vector3:
 
 def rand_point(rng: random.Random, span: int = 9) -> PlanePoint:
     return PlanePoint(rand_fraction(rng, span), rand_fraction(rng, span))
+
+
+def affine_projectivity(linear, translation) -> Projectivity:
+    """The affine map p -> L p + t, its Fraction entries cleared by their
+    denominators' lcm d into an integer matrix with last row (0, 0, d)."""
+    (a, b), (c, e) = linear
+    tx, ty = translation
+    d = lcm(*(Fraction(v).denominator for v in (a, b, c, e, tx, ty)))
+    rows = ((a, b, tx), (c, e, ty))
+    return Projectivity(tuple(tuple(int(v * d) for v in row) for row in rows) + ((0, 0, d),))
+
+
+def rand_projectivity(rng: random.Random, span: int = 9) -> Projectivity:
+    """A random invertible integer 3x3 matrix whose last row is not (0, 0, d):
+    a projectivity that moves the line at infinity."""
+    while True:
+        rows = tuple(tuple(rng.randint(-span, span) for _ in range(3)) for _ in range(3))
+        if rows[2][:2] != (0, 0) and matrix_rank([[Fraction(e) for e in row] for row in rows]) == 3:
+            return Projectivity(rows)
 
 
 def rand_spanning_arrangement(

@@ -14,11 +14,12 @@ from pathlib import Path
 import pytest
 
 from omstrata import (
-    AffineMap2,
     DegenerateSource,
     DegenerateTarget,
+    NonPositiveHeight,
     OrientedMatroid,
     PlanePoint,
+    Projectivity,
     affine_from_correspondence,
     build,
     certificate,
@@ -38,9 +39,11 @@ from omstrata import (
 from omstrata.serialization import document_to_json, render_report
 
 from conftest import (
+    affine_projectivity,
     rand_fraction,
     rand_point,
     rand_positive_fraction,
+    rand_projectivity,
     rand_spanning_arrangement,
     sampled_sign_patterns,
 )
@@ -135,7 +138,9 @@ def test_criterion_5_projection_coherence():
 def test_criterion_6_cross_ratio_invariance():
     with criterion("6 (cross-ratio invariance + unique automorphism)"):
         rng = random.Random(601)
-        quadruples = 0
+        # a second stream, so the affine maps and triples stay those of rng
+        projective_rng = random.Random(602)
+        quadruples = projected = at_infinity = 0
         while quadruples < 100:
             base = rand_point(rng)
             direction = rand_point(rng)
@@ -152,7 +157,17 @@ def test_criterion_6_cross_ratio_invariance():
             for _ in range(20):
                 mapping = _random_automorphism(rng)
                 assert cross_ratio(*(mapping(p) for p in points)) == value
+            for _ in range(20):
+                mapping = rand_projectivity(projective_rng)
+                try:
+                    images = [mapping(p) for p in points]
+                except NonPositiveHeight:  # a point sent to infinity
+                    at_infinity += 1
+                    continue
+                assert cross_ratio(*images) == value
+                projected += 1
             quadruples += 1
+        assert projected > 1000 and at_infinity > 0
         reconstructed = 0
         while reconstructed < 100:
             src = tuple(rand_point(rng) for _ in range(3))
@@ -170,12 +185,12 @@ def test_criterion_6_cross_ratio_invariance():
             affine_from_correspondence(triangle, collinear_triple)
 
 
-def _random_automorphism(rng: random.Random) -> AffineMap2:
+def _random_automorphism(rng: random.Random) -> Projectivity:
     while True:
         entries = [rand_fraction(rng) for _ in range(4)]
         if entries[0] * entries[3] - entries[1] * entries[2] != 0:
             break
-    return AffineMap2(
+    return affine_projectivity(
         ((entries[0], entries[1]), (entries[2], entries[3])),
         (rand_fraction(rng), rand_fraction(rng)),
     )

@@ -217,6 +217,16 @@ class TestCertificate:
     def test_bad_samples(self, capsys):
         assert main(["certificate", "--depth", "1", "--samples", "1,x"]) == 1
 
+    @pytest.mark.parametrize("samples", ["1,,2", "1,", ",1", " , "])
+    def test_empty_sample_item(self, samples, capsys):
+        assert main(["certificate", "--depth", "1", "--samples", samples]) == 1
+        assert "samples" in capsys.readouterr().err
+
+    def test_samples_with_spaces(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["certificate", "--depth", "1", "--samples", " 1 , 2 ", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["samples"] == [1, 2]
+
     def test_empty_samples(self, capsys):
         assert main(["certificate", "--depth", "1", "--samples", ","]) == 1
         assert "samples" in capsys.readouterr().err
@@ -230,6 +240,38 @@ class TestCertificate:
     def test_duplicate_samples(self, capsys):
         assert main(["certificate", "--depth", "1", "--samples", "2,2"]) == 1
         assert "samples" in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written is an error line and exit 1."""
+
+    @pytest.mark.parametrize("command", ["build", "om of", "mu", "certificate"])
+    def test_out_in_missing_directory(self, command, tmp_path, capsys):
+        subspace = tmp_path / "subspace.json"
+        subspace.write_text(json.dumps({
+            "ambient": 4,
+            "basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"]],
+        }))
+        args = {
+            "build": ["build", "--depth", "1"],
+            "om of": ["om", "of", "--in", str(arrangement_file(tmp_path, "arr.json", 0))],
+            "mu": ["mu", "--subspace", str(subspace)],
+            "certificate": ["certificate", "--depth", "1"],
+        }[command]
+        out = tmp_path / "missing" / "out.json"
+        assert main(args + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(out) in captured.err
+        assert captured.out == ""
+        assert not out.parent.exists()
+
+    def test_svg_dir_naming_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "figs"
+        taken.write_text("not a directory")
+        out = tmp_path / "report.json"
+        assert main(["certificate", "--depth", "1", "--out", str(out), "--svg-dir", str(taken)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert taken.read_text() == "not a directory"
 
 
 class TestParserReuse:

@@ -21,6 +21,7 @@ from omstrata import (
     build,
     certificate,
     collinear,
+    cross_ratio,
     cross_ratio_ledger,
     default_seed,
     delta_arrangement,
@@ -237,6 +238,31 @@ class TestCrossRatioLedger:
         assert len({value for _, value in ledger}) == 20
 
 
+class TestStepMap:
+    """On the default seed the step b_n -> b_{n+1} is a projectivity of line
+    omega-beta fixing omega and p = (-30, 60), where that line meets line
+    alpha-a.  Its multiplier 62/51 is positive, so along each carrier the
+    points move monotonically and label order is affine order."""
+
+    DEPTH = 80
+
+    def test_step_has_constant_cross_ratio(self):
+        seed = default_seed()
+        points = dict(build(seed, self.DEPTH).points)
+        p = PlanePoint(-30, 60)
+        assert collinear(seed.omega, seed.beta, p)
+        assert collinear(seed.alpha, seed.a, p)
+        b = [points[indexed("b", n)] for n in range(1, self.DEPTH + 2)]
+        for n in range(self.DEPTH):
+            assert cross_ratio(seed.omega, p, b[n], b[n + 1]) == F(62, 51)
+
+    def test_carrier_points_move_monotonically(self):
+        points = dict(build(default_seed(), self.DEPTH).points)
+        for letter in "bcd":
+            xs = [points[indexed(letter, n)].x for n in range(1, self.DEPTH + 1)]
+            assert all(x > y for x, y in zip(xs, xs[1:])), letter
+
+
 class TestDeltaArrangement:
     def test_delta_replaces_c_i(self):
         family = build(default_seed(), 2)
@@ -344,11 +370,11 @@ class TestDegenerations:
         # members of the scaled family share the persistent points, so the
         # affine map matching (omega, a, beta) across members is the
         # identity and fixes alpha and b1
-        from omstrata import AffineMap2, affine_from_correspondence
+        from omstrata import Projectivity, affine_from_correspondence
         seed = default_seed()
         triple = (seed.omega, seed.a, seed.beta)
         mapping = affine_from_correspondence(triple, triple)
-        assert mapping == AffineMap2.identity()
+        assert mapping == Projectivity.identity()
         assert mapping(seed.alpha) == seed.alpha
         assert mapping(seed.b1) == seed.b1
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omstrata import (
-    AffineMap2,
     CoincidentPoints,
     DegeneratePoints,
     DegenerateSource,
@@ -16,6 +15,7 @@ from omstrata import (
     NotCollinear,
     Parallel,
     PlanePoint,
+    Projectivity,
     Vector3,
     affine_from_correspondence,
     collinear,
@@ -30,7 +30,7 @@ from omstrata.geometry import _primitive
 from omstrata.linalg import matrix_rank
 
 import fraction_reference as ref
-from conftest import rand_point
+from conftest import affine_projectivity, rand_point, rand_projectivity
 
 E1 = Vector3(1, 0, 0)
 E2 = Vector3(0, 1, 0)
@@ -254,13 +254,13 @@ class TestCrossRatio:
             assert cross_ratio(*(mapping(p) for p in pts)) == value
 
 
-def _random_automorphism(rng: random.Random) -> AffineMap2:
+def _random_automorphism(rng: random.Random) -> Projectivity:
     while True:
         entries = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
         if entries[0] * entries[3] - entries[1] * entries[2] != 0:
             break
     translation = (F(rng.randint(-9, 9)), F(rng.randint(-9, 9)))
-    return AffineMap2(((entries[0], entries[1]), (entries[2], entries[3])), translation)
+    return affine_projectivity(((entries[0], entries[1]), (entries[2], entries[3])), translation)
 
 
 class TestAffineMaps:
@@ -268,13 +268,12 @@ class TestAffineMaps:
 
     def test_identity_from_correspondence(self):
         mapping = affine_from_correspondence(self.TRIANGLE, self.TRIANGLE)
-        assert mapping == AffineMap2.identity()
+        assert mapping == Projectivity.identity()
 
     def test_translation_from_correspondence(self):
         shifted = tuple(PlanePoint(p.x + 1, p.y + 1) for p in self.TRIANGLE)
         mapping = affine_from_correspondence(self.TRIANGLE, shifted)
-        assert mapping.linear == ((F(1), F(0)), (F(0), F(1)))
-        assert mapping.translation == (F(1), F(1))
+        assert mapping == Projectivity(((1, 0, 1), (0, 1, 1), (0, 0, 1)))
 
     def test_degenerate_source(self):
         collinear_triple = (PlanePoint(0, 0), PlanePoint(1, 1), PlanePoint(2, 2))
@@ -287,7 +286,7 @@ class TestAffineMaps:
             affine_from_correspondence(self.TRIANGLE, collinear_triple)
 
     def test_identity_fixes_point(self):
-        assert AffineMap2.identity()(PlanePoint(3, 4)) == PlanePoint(3, 4)
+        assert Projectivity.identity()(PlanePoint(3, 4)) == PlanePoint(3, 4)
 
     def test_translation_moves_origin(self):
         shifted = tuple(PlanePoint(p.x + 1, p.y + 1) for p in self.TRIANGLE)
@@ -309,6 +308,67 @@ class TestAffineMaps:
                 system.append([p.x, p.y, F(1), F(0), F(0), F(0)])
                 system.append([F(0), F(0), F(0), p.x, p.y, F(1)])
             assert matrix_rank(system) == 6
+
+
+class TestProjectivity:
+    MATRIX = ((2, -1, 3), (0, 4, 1), (1, 1, 5))
+
+    @pytest.mark.parametrize("factor", [1, 2, 7, -1, -3])
+    def test_multiples_are_one_map(self, factor):
+        scaled = Projectivity(tuple(tuple(factor * e for e in row) for row in self.MATRIX))
+        assert scaled == Projectivity(self.MATRIX)
+        assert hash(scaled) == hash(Projectivity(self.MATRIX))
+        assert scaled.matrix == self.MATRIX
+
+    def test_canonical_form_is_primitive_with_first_entry_positive(self):
+        assert Projectivity(((0, -6, 0), (4, 0, 0), (0, 0, -2))).matrix == (
+            (0, 3, 0), (-2, 0, 0), (0, 0, 1)
+        )
+
+    @pytest.mark.parametrize("entry", [F(1), F(1, 2), 1.0, True, False])
+    def test_entries_that_are_not_ints_raise(self, entry):
+        with pytest.raises(ValueError):
+            Projectivity(((entry, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+    @pytest.mark.parametrize("matrix", [
+        ((1, 2, 3), (2, 4, 6), (0, 0, 1)),
+        ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
+        ((1, 0, 0), (0, 1, 0), (1, 1, 0)),
+    ])
+    def test_singular_matrix_raises(self, matrix):
+        with pytest.raises(ValueError):
+            Projectivity(matrix)
+
+    def test_matrix_that_is_not_3x3_raises(self):
+        with pytest.raises(ValueError):
+            Projectivity(((1, 0), (0, 1)))
+
+    def test_point_sent_to_infinity_raises(self):
+        mapping = Projectivity(((1, 0, 0), (0, 1, 0), (1, 0, 1)))
+        with pytest.raises(NonPositiveHeight):
+            mapping(PlanePoint(-1, 5))
+        assert mapping(PlanePoint(-2, 5)) == PlanePoint(2, -5)
+
+    def test_matches_fraction_formula(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            mapping = rand_projectivity(rng)
+            p = rand_point(rng)
+            (a, b, c), (d, e, f), (g, h, i) = mapping.matrix
+            z = g * p.x + h * p.y + i
+            if z == 0:
+                continue
+            assert mapping(p) == PlanePoint((a * p.x + b * p.y + c) / z, (d * p.x + e * p.y + f) / z)
+
+    def test_correspondence_is_affine(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            src = tuple(rand_point(rng) for _ in range(3))
+            dst = tuple(rand_point(rng) for _ in range(3))
+            if collinear(*src) or collinear(*dst):
+                continue
+            last = affine_from_correspondence(src, dst).matrix[2]
+            assert last[:2] == (0, 0) and last[2] != 0
 
 
 class TestEmbedding:
