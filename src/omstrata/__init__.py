@@ -70,8 +70,6 @@ from .construction import (
     cross_ratio_ledger,
     default_seed,
     delta_arrangement,
-    extend,
-    initial_family,
     limit_arrangement,
     scale_degeneration,
     validate_seed,

@@ -21,6 +21,7 @@ from .grassmann import subspace_om
 from .om import om_equal, om_of, strong_map, weak_map
 from .serialization import (
     document_to_json,
+    dump_json,
     parse_arrangement,
     parse_om,
     parse_seed,
@@ -67,10 +68,6 @@ def _write_or_print(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=True) + "\n"
-
-
 def _cmd_seed_validate(args) -> int:
     seed = _load_seed(args.file)
     verdict = validate_seed(seed)
@@ -85,14 +82,14 @@ def _cmd_seed_validate(args) -> int:
 def _cmd_build(args) -> int:
     seed = _load_seed(args.seed)
     family = build(seed, args.depth)
-    _write_or_print(_dump(render_family(family)), args.out)
+    _write_or_print(dump_json(render_family(family)), args.out)
     if args.out:
         print(f"wrote depth-{family.depth} family to {args.out}")
     return 0
 
 
 def _write_om(matroid, out: str | None) -> int:
-    _write_or_print(_dump(render_om(matroid)), out)
+    _write_or_print(dump_json(render_om(matroid)), out)
     if out:
         print(f"fingerprint: {matroid.fingerprint()}")
     return 0

@@ -54,8 +54,9 @@ SEED_LABELS = ("alpha", "beta", "gamma", "omega", "nu", "a", "b1")
 # then looks up the lines through its C(m, 2) pairs of points and projects
 # them onto its columns, one slice per run of consecutive columns, done in C;
 # a limit does so on its eight persistent points.  Depth 80 is the largest run
-# it is meant for: 7.1-8.6 s and 79.4 MiB peak RSS in four single runs on a
-# 2-vCPU shared host under CPython 3.11.7.  ``build`` has no such bound.
+# it is meant for: 5.1-7.7 s and at most 79.0 MiB peak RSS in three single
+# runs on a 2-vCPU shared host under CPython 3.11.7.  ``build`` has no such
+# bound.
 MAX_CERTIFICATE_DEPTH = 80
 
 
@@ -144,32 +145,20 @@ def validate_seed(seed: Seed) -> SeedValidation:
 
 @dataclass(frozen=True)
 class ConfigurationFamily:
-    """Seed plus depth levels of appended points, all incidences exact."""
+    """Seed plus depth levels of appended points, all incidences exact.
+
+    The points are in construction order: the seven seed points in
+    ``SEED_LABELS`` order, then d_n, b_{n+1}, c_n for n = 1..depth."""
 
     seed: Seed
     depth: int
     points: tuple[tuple[Label, PlanePoint], ...]
 
-    def point(self, label: Label) -> PlanePoint:
-        """The point labelled ``label``, looked for from the end, where the
-        last level's points are."""
-        for lab, pt in reversed(self.points):
-            if lab == label:
-                return pt
-        raise KeyError(label)
-
-    @property
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(lab for lab, _ in self.points)
-
     def level(self, i: int) -> "ConfigurationFamily":
-        """The sub-family of depth i (the first construction levels only)."""
+        """The sub-family of depth i, a prefix of the points."""
         if not 0 <= i <= self.depth:
             raise IndexError(f"level {i} not in 0..{self.depth}")
-        keep = set(_level_labels(i))
-        return ConfigurationFamily(
-            self.seed, i, tuple((l, p) for l, p in self.points if l in keep)
-        )
+        return ConfigurationFamily(self.seed, i, self.points[:len(SEED_LABELS) + 3 * i])
 
     def arrangement(self) -> LabeledArrangement:
         """All points lifted to height 1."""
@@ -181,12 +170,6 @@ def _level_labels(depth: int) -> list[Label]:
     for n in range(1, depth + 1):
         labels.extend((indexed("d", n), indexed("b", n + 1), indexed("c", n)))
     return labels
-
-
-def initial_family(seed: Seed) -> ConfigurationFamily:
-    return ConfigurationFamily(
-        seed, 0, tuple((name, pt) for name, pt in seed.points().items())
-    )
 
 
 class _SeedLifts:
@@ -236,15 +219,8 @@ def _level(
     return added, b_next
 
 
-def extend(family: ConfigurationFamily) -> ConfigurationFamily:
-    """Append d_n, b_{n+1}, c_n for n = depth + 1; earlier points unchanged."""
-    n = family.depth + 1
-    added, _ = _level(_SeedLifts(family.seed), n, _lift(family.point(indexed("b", n))))
-    return ConfigurationFamily(family.seed, n, family.points + added)
-
-
 def build(seed: Seed, depth: int) -> ConfigurationFamily:
-    """Validate the seed and run ``depth`` extension steps.  Raises
+    """Validate the seed and run ``depth`` construction levels.  Raises
     ValueError for a depth that is not a non-negative int (a bool is not)."""
     if type(depth) is not int or depth < 0:
         raise ValueError(f"depth must be non-negative, got {depth}")

@@ -1,9 +1,10 @@
 """Small exact linear-algebra helpers over Fraction.
 
-Both routines share one forward Gaussian elimination over Fraction with
-the first non-zero entry as pivot; inputs are tiny (3x3 and 6x6
-systems, rank checks on short vector lists), so clarity wins over pivot
-heuristics.
+Both routines take ``int`` or ``Fraction`` entries and share one forward
+Gaussian elimination with the first non-zero entry as pivot.  Every
+division is by a pivot made a Fraction, so it is exact on ``int`` entries
+too.  Inputs are tiny (3x3 and 6x6 systems, rank checks on short vector
+lists), so clarity wins over pivot heuristics.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ class SingularMatrix(ValueError):
     pass
 
 
-def _eliminate(rows: list[list[Fraction]], cols: int) -> list[int]:
+def _eliminate(rows: list[list[int | Fraction]], cols: int) -> list[int]:
     """Reduce ``rows`` in place to row-echelon form on the first ``cols``
     columns.  Returns the pivot columns (pivot r sits in row r)."""
     pivots: list[int] = []
@@ -27,7 +28,7 @@ def _eliminate(rows: list[list[Fraction]], cols: int) -> list[int]:
             continue
         if pivot != top:
             rows[top], rows[pivot] = rows[pivot], rows[top]
-        pv = rows[top][col]
+        pv = Fraction(rows[top][col])
         for r in range(top + 1, len(rows)):
             factor = rows[r][col] / pv
             if factor:
@@ -36,7 +37,9 @@ def _eliminate(rows: list[list[Fraction]], cols: int) -> list[int]:
     return pivots
 
 
-def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
+def solve_linear(
+    matrix: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]
+) -> list[Fraction]:
     """Solve M x = b exactly.  Raises SingularMatrix if M is not invertible."""
     n = len(matrix)
     rows = [list(matrix[i]) + [rhs[i]] for i in range(n)]
@@ -45,11 +48,11 @@ def solve_linear(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) 
         raise SingularMatrix(f"no pivot in column {min(set(range(n)) - set(pivots))}")
     x: list[Fraction] = [Fraction(0)] * n
     for i in reversed(range(n)):
-        x[i] = (rows[i][n] - sum(rows[i][k] * x[k] for k in range(i + 1, n))) / rows[i][i]
+        x[i] = (rows[i][n] - sum(rows[i][k] * x[k] for k in range(i + 1, n))) / Fraction(rows[i][i])
     return x
 
 
-def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+def matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     """Exact rank of a matrix given as a list of rows."""
     if not rows:
         return 0

@@ -281,17 +281,24 @@ def render_family(family: ConfigurationFamily) -> dict:
 def parse_family(value: Any, path: str = "$") -> ConfigurationFamily:
     _validate(value, "family.v1.schema.json", path)
     _distinct((label for label, _ in value["points"]), lambda i: f"{path}.points[{i}][0]")
-    ordered = tuple(
-        (label, PlanePoint(*_rationals(point, f"{path}.points[{i}][1]")))
+    table = {
+        label: PlanePoint(*_rationals(point, f"{path}.points[{i}][1]"))
         for i, (label, point) in enumerate(value["points"])
-    )
-    table, depth = dict(ordered), value["depth"]
+    }
+    depth = value["depth"]
     # The count comes first, so a huge depth never builds its label list.
-    if len(table) != len(SEED_LABELS) + 3 * depth or table.keys() != set(_level_labels(depth)):
+    if (len(table) != len(SEED_LABELS) + 3 * depth
+            or table.keys() != set(labels := _level_labels(depth))):
         raise SchemaError(f"{path}.points", f"the labels of {len(table)} points are not "
                           f"the {len(SEED_LABELS) + 3 * depth} labels of depth {depth}")
     seed = Seed(**{name: table[name] for name in SEED_LABELS})
-    return ConfigurationFamily(seed, depth, ordered)
+    return ConfigurationFamily(seed, depth, tuple((label, table[label]) for label in labels))
+
+
+def dump_json(value: Any) -> str:
+    """The written form of every document: indented by two spaces, ASCII
+    only, with a final newline."""
+    return json.dumps(value, indent=2, ensure_ascii=True) + "\n"
 
 
 # -- certificate reports ----------------------------------------------------
@@ -368,7 +375,7 @@ def document_to_json(document: ReportDocument) -> str:
         "report": render_report_payload(document.report),
         "summary": list(document.summary),
     }
-    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+    return dump_json(doc)
 
 
 def document_from_json(text: str) -> ReportDocument:

@@ -47,7 +47,7 @@ def rand_projectivity(rng: random.Random, span: int = 9) -> Projectivity:
     a projectivity that moves the line at infinity."""
     while True:
         rows = tuple(tuple(rng.randint(-span, span) for _ in range(3)) for _ in range(3))
-        if rows[2][:2] != (0, 0) and matrix_rank([[Fraction(e) for e in row] for row in rows]) == 3:
+        if rows[2][:2] != (0, 0) and matrix_rank(rows) == 3:
             return Projectivity(rows)
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from omstrata import LabeledArrangement, Vector3, build, default_seed
-from omstrata.cli import _build_parser, main
+from omstrata.cli import PERTURB_ADVICE, _build_parser, main
 from omstrata.serialization import render_arrangement, render_seed
 
 
@@ -190,6 +190,19 @@ class TestCertificate:
         path.write_text(json.dumps(doc))
         assert main(["certificate", "--depth", "2", "--seed", str(path)]) == 2
         assert "seed rejected" in capsys.readouterr().err
+
+    def test_degenerate_step_rejects_the_seed(self, tmp_path, capsys):
+        # validate_seed accepts a = (21/5, 1), but level 1 has parallel lines
+        doc = render_seed(default_seed())
+        doc["a"] = ["21/5", "1"]
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert main(["certificate", "--depth", "3", "--seed", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "seed rejected" in err and "construction" in err
+        assert PERTURB_ADVICE in err
+        assert not out.exists()
 
     def test_unknown_seed_field(self, tmp_path, capsys):
         doc = render_seed(default_seed())

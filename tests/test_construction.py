@@ -25,8 +25,6 @@ from omstrata import (
     cross_ratio_ledger,
     default_seed,
     delta_arrangement,
-    extend,
-    initial_family,
     limit_arrangement,
     om_equal,
     om_of,
@@ -36,10 +34,12 @@ from omstrata import (
 )
 from omstrata import construction
 from omstrata import om as om_module
-from omstrata.construction import MAX_CERTIFICATE_DEPTH
+from omstrata.construction import MAX_CERTIFICATE_DEPTH, _level, _level_labels, _SeedLifts
+from omstrata.figures import emit_figure
+from omstrata.geometry import _lift
 from omstrata.om import LineTable
 from omstrata.labels import PERSISTENT, indexed
-from omstrata.serialization import document_to_json, render_report
+from omstrata.serialization import document_to_json, parse_family, render_family, render_report
 
 import fraction_reference as ref
 from conftest import (
@@ -60,6 +60,14 @@ def seed_with(**overrides) -> Seed:
 # interval the c_i sweep through: the late levels end up on the other side
 # and the limit strata disagree.
 WALL_SEED = seed_with(nu=PlanePoint(3, 2))
+
+# a on the line through d1 parallel to omega-beta: validate_seed accepts the
+# seed, but at level 1 the line a-d1 never meets omega-beta.
+PARALLEL_STEP_SEED = seed_with(a=PlanePoint(F(21, 5), 1))
+PARALLEL_STEP_MESSAGE = (
+    "step 1: lines omega-beta / a-d_n have no unique intersection "
+    "(Line2(5x + 3y + -30 = 0) and Line2(5x + 3y + -24 = 0) are parallel)"
+)
 
 
 class TestSeedValidation:
@@ -108,24 +116,23 @@ class TestBuild:
 
     def test_first_level_fixtures(self):
         # frozen from an independent by-hand solve of the three 2x2 systems
-        family = build(default_seed(), 1)
-        assert family.point("d1") == PlanePoint(F(18, 5), 2)
-        assert family.point("b2") == PlanePoint(F(528, 125), F(74, 25))
-        assert family.point("c1") == PlanePoint(F(23, 10), 0)
+        points = dict(build(default_seed(), 1).points)
+        assert points["d1"] == PlanePoint(F(18, 5), 2)
+        assert points["b2"] == PlanePoint(F(528, 125), F(74, 25))
+        assert points["c1"] == PlanePoint(F(23, 10), 0)
 
     def test_c1_inside_alpha_gamma(self):
-        family = build(default_seed(), 1)
-        c1 = family.point("c1")
+        c1 = dict(build(default_seed(), 1).points)["c1"]
         assert 0 < c1.x < 4 and c1.y == 0
 
     def test_incidences_hold_at_every_level(self):
         family = build(default_seed(), 6)
-        seed = family.seed
+        seed, points = family.seed, dict(family.points)
         for n in range(1, 7):
-            d_n = family.point(indexed("d", n))
-            b_n = family.point(indexed("b", n))
-            b_next = family.point(indexed("b", n + 1))
-            c_n = family.point(indexed("c", n))
+            d_n = points[indexed("d", n)]
+            b_n = points[indexed("b", n)]
+            b_next = points[indexed("b", n + 1)]
+            c_n = points[indexed("c", n)]
             assert collinear(seed.omega, seed.gamma, d_n)
             assert collinear(seed.alpha, b_n, d_n)
             assert collinear(seed.omega, seed.beta, b_next)
@@ -144,8 +151,8 @@ class TestBuild:
         assert deep.level(4) == shallow
 
     def test_twenty_distinct_c_points(self):
-        family = build(default_seed(), 20)
-        points = [family.point(indexed("c", i)) for i in range(1, 21)]
+        table = dict(build(default_seed(), 20).points)
+        points = [table[indexed("c", i)] for i in range(1, 21)]
         assert len(set(points)) == 20
 
     def test_invalid_seed_rejected(self):
@@ -155,11 +162,11 @@ class TestBuild:
 
     def test_degenerate_step(self):
         # a placed exactly at the first intersection point d1: the second
-        # line of level 1 has no two distinct defining points
+        # line of level 1 has no two distinct defining points; validate_seed
+        # rejects this seed, so only the private step reaches it
         seed = seed_with(a=PlanePoint(F(18, 5), 2))
-        family = initial_family(seed)
         with pytest.raises(DegenerateStep) as exc:
-            extend(family)
+            _level(_SeedLifts(seed), 1, _lift(seed.b1))
         assert exc.value.step == 1
         assert exc.value.which == "omega-beta / a-d_n"
         assert str(exc.value) == (
@@ -168,10 +175,11 @@ class TestBuild:
         )
 
     def test_parallel_step(self):
-        # alpha-b1 parallel to omega-gamma: level 1 cannot start
+        # alpha-b1 parallel to omega-gamma: level 1 cannot start; validate_seed
+        # rejects this seed, so only the private step reaches it
         seed = seed_with(b1=PlanePoint(-1, 5))
         with pytest.raises(DegenerateStep) as exc:
-            extend(initial_family(seed))
+            _level(_SeedLifts(seed), 1, _lift(seed.b1))
         assert exc.value.step == 1
         assert exc.value.which == "omega-gamma / alpha-b_n"
         assert str(exc.value) == (
@@ -179,17 +187,31 @@ class TestBuild:
             "(Line2(5x + 1y + -20 = 0) and Line2(5x + 1y + 0 = 0) are parallel)"
         )
 
-    def test_point_lookup(self):
-        family = build(default_seed(), 3)
-        for label, point in family.points:
-            assert family.point(label) is point
-        with pytest.raises(KeyError):
-            family.point("c4")
+    def test_degenerate_step_of_a_valid_seed(self):
+        assert validate_seed(PARALLEL_STEP_SEED)
+        with pytest.raises(DegenerateStep) as exc:
+            build(PARALLEL_STEP_SEED, 1)
+        assert exc.value.step == 1
+        assert exc.value.which == "omega-beta / a-d_n"
+        assert str(exc.value) == PARALLEL_STEP_MESSAGE
 
-    def test_extend_continues_build(self):
+    def test_points_in_construction_order(self):
+        # build writes the seed points, then d_n, b_{n+1}, c_n per level; a
+        # family document read in any order comes back in that order
+        family = build(default_seed(), 3)
+        assert [label for label, _ in family.points] == _level_labels(3)
+        document = render_family(family)
+        random.Random(3).shuffle(document["points"])
+        parsed = parse_family(document)
+        assert parsed == family
+        for i in range(4):
+            assert parsed.level(i) == family.level(i)
+            assert emit_figure(parsed.level(i)) == emit_figure(family.level(i))
+
+    def test_one_level_deeper_keeps_the_prefix(self):
         seed = default_seed()
         for depth in range(6):
-            assert extend(build(seed, depth)) == build(seed, depth + 1)
+            assert build(seed, depth + 1).level(depth) == build(seed, depth)
 
     def test_matches_fraction_reference(self):
         # the default seed and seeds with nu, a and b1 moved, as the
@@ -411,6 +433,12 @@ class TestCertificate:
             certificate(seed, 2)
         assert exc.value.check == "cross_ratio_ledger"
         assert "DegeneratePoints" in str(exc.value)
+
+    def test_degenerate_step_rejected_as_construction(self):
+        with pytest.raises(SeedRejected) as exc:
+            certificate(PARALLEL_STEP_SEED, 3)
+        assert exc.value.check == "construction"
+        assert str(exc.value) == f"seed rejected by check 'construction': {PARALLEL_STEP_MESSAGE}"
 
     def test_wall_seed_fails_limits_equal(self):
         assert validate_seed(WALL_SEED)
