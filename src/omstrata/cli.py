@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .construction import build, certificate, default_seed, validate_seed
+from .construction import DEFAULT_SAMPLES, build, certificate, default_seed, validate_seed
 from .errors import OmstrataError, SchemaError, SeedRejected
 from .figures import emit_figure
 from .grassmann import subspace_om
@@ -175,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cert = sub.add_parser("certificate", help="run the degeneration certificate")
     cert.add_argument("--depth", type=int, default=10)
-    cert.add_argument("--samples", default="1,2,4,1024",
+    cert.add_argument("--samples", default=",".join(map(str, DEFAULT_SAMPLES)),
                       help="comma-separated rescaling denominators")
     cert.add_argument("--seed", help="seed JSON (defaults to the shipped seed)")
     cert.add_argument("--out", help="report file (stdout if omitted)")

@@ -59,6 +59,9 @@ SEED_LABELS = ("alpha", "beta", "gamma", "omega", "nu", "a", "b1")
 # bound.
 MAX_CERTIFICATE_DEPTH = 80
 
+# The rescaling denominators a certificate samples when none are given.
+DEFAULT_SAMPLES = (1, 2, 4, 1024)
+
 
 @dataclass(frozen=True)
 class Seed:
@@ -341,7 +344,7 @@ class CertificateReport:
 
 
 def certificate(
-    seed: Seed, depth: int, samples: Sequence[int] = (1, 2, 4, 1024)
+    seed: Seed, depth: int, samples: Sequence[int] = DEFAULT_SAMPLES
 ) -> CertificateReport:
     """Run every check of the degeneration certificate at exact precision.
 
@@ -383,9 +386,10 @@ def certificate(
     shared_limits: list[OrientedMatroid] = []
     s = seed
     # Every level and every limit's non-loops read the deepest level's lines.
-    table = LineTable(delta_arrangement(family, depth))
+    deepest = delta_arrangement(family, depth)
+    table = LineTable(deepest)
     for i in range(1, depth + 1):
-        marked = delta_arrangement(family, i)
+        marked = delta_arrangement(family, i) if i < depth else deepest
         ints = marked.primitive_vectors
         level_om = table.om_of(marked)
         degeneration = tuple(

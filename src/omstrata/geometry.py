@@ -1,8 +1,10 @@
 """Exact rational plane geometry: predicates, lines, cross-ratio, projectivities.
 
 Points and results are ``fractions.Fraction``; every operation is exact,
-pure, and deterministic.  Degenerate inputs raise the typed errors from
-:mod:`omstrata.errors` instead of returning sentinels.
+pure, and deterministic.  Coordinates and factors are ints or Fractions:
+anything else, a float or a bool included, raises ValueError.  Degenerate
+inputs raise the typed errors from :mod:`omstrata.errors` instead of
+returning sentinels.
 
 Underneath, points and lines are primitive integer 3-vectors.  ``_primitive``
 is the one normalisation (also behind ``om_of``): it clears denominators by
@@ -38,7 +40,14 @@ RationalLike = Union[Fraction, int]
 
 
 def _frac(value: RationalLike) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+    """``value`` as a Fraction.  Raises ValueError for anything but an int or
+    a Fraction (a bool or a float is not)."""
+    kind = type(value)
+    if kind is Fraction:
+        return value
+    if kind is int:
+        return Fraction(value)
+    raise ValueError(f"expected an int or a Fraction, got {value!r}")
 
 
 @dataclass(frozen=True)

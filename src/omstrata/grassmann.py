@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import GroundSetMismatch, NotSpanning, RankDeficient
-from .geometry import Vector3
+from .geometry import Vector3, _frac
 from .labels import Label, label_keys
 from .linalg import matrix_rank, solve_linear
 from .om import LabeledArrangement, OrientedMatroid, om_equal, om_of
@@ -28,7 +28,9 @@ Row = tuple[Fraction, ...]
 
 
 def _to_row(values: Iterable) -> Row:
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+    """The values as Fractions; ValueError for one that is not an int or a
+    Fraction."""
+    return tuple(map(_frac, values))
 
 
 @dataclass(frozen=True)

@@ -44,9 +44,10 @@ each call enumerates its lines afresh.
 A ``LineTable`` enumerates the lines of one arrangement once and answers
 ``om_of`` for every sub-arrangement of it (one whose vectors, the zero vector
 included, all occur in the table).  Two vectors that are not parallel lie
-on exactly one line, so the lines of a sub-arrangement are the lines of the
-table through pairs of its projective classes (BLSWZ ch. 3), and their rows
-are read off the table's rows, restricted to the sub-arrangement's columns.
+on exactly one line (BLSWZ ch. 3), which the enumeration indexes by their
+columns.  The lines of a sub-arrangement are those through pairs of its
+projective classes, each read as its first column, and their rows are
+read off the table's rows, restricted to the sub-arrangement's columns.
 Those lines also decide the rank: a sub-arrangement spans rank 3 exactly
 when it lies on two lines or more.  The certificate builds one table from
 its deepest level, so one enumeration serves every level and every limit's
@@ -71,7 +72,7 @@ from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import combinations
 from operator import and_, itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GroundSetMismatch, NotSpanning
 from .geometry import IntVec, Vector3, _cross, _det3, _primitive, _sign
@@ -406,9 +407,10 @@ def chirotope_of(arrangement: LabeledArrangement) -> Chirotope:
     return Chirotope(ground, nonzero)
 
 
-def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[list[str], list[list[int]]]:
-    """Both rows of every line (rank-2 flat) of the arrangement, in pairs,
-    and each line's zero set: the positions of its non-zero vectors on it.
+def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[list[str], dict[tuple[int, int], tuple]]:
+    """Both rows of every line (rank-2 flat) of the arrangement, in pairs
+    (line ``l`` has rows ``2l`` and ``2l + 1``), and the index of the line
+    through each pair of columns that are not parallel (see below).
 
     The pairs ``i < j`` are walked in order, and the first independent pair
     on a line makes its row, ``k -> sign det(v_i, v_j, v_k)``, so each line
@@ -424,17 +426,17 @@ def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[list[str], list[list[int
 
     A pair on a known line has ``v_a x v_b = t * N`` for the line's normal
     N, so the coordinate where N leads decides both whether ``t`` is zero
-    (the pair is parallel) and its sign.  Each line keeps that coordinate
-    and the sign of N there, not N itself; only a line of three or more
-    vectors has later pairs, so only those are kept.
+    (the pair is parallel) and its sign.  So the index maps each pair
+    ``i < j`` of non-zero vectors on a line to ``(line, c, up)``: that
+    coordinate ``c`` and whether N is positive there, not N itself.  Each
+    line indexes its pairs when it is made; a parallel pair's entry means
+    nothing, and the walk reads only its ``t``, which is zero.
     """
     n = len(ints)
     zero = "0" * n
     rows: list[str] = []
-    zero_sets: list[list[int]] = []
     live = [v != (0, 0, 0) for v in ints]
     pair_zeros = 2 + live.count(False)  # the zeros of a row whose line holds just its pair
-    # pair -> the line through it, N's leading coordinate, N positive there
     line_of: dict[tuple[int, int], tuple[int, int, bool]] = {}
     before: list[list[str]] = [[] for _ in range(n)]  # before[b][a] = S(a, b)
     for i, (x1, y1, z1) in enumerate(ints):
@@ -454,8 +456,10 @@ def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[list[str], list[list[int
                     row = ("".join(map(at, head)) + "0"
                            + "".join(map(at, after)).translate(_NEGATE) + "0"
                            + signs.translate(_SIGN_BYTES).decode("ascii"))
+                    line = len(rows) >> 1
+                    entry = (line, 0, p > 0) if p else (line, 1, q > 0) if q else (line, 2, r > 0)
                     if row.count("0") == pair_zeros:
-                        zeros = [i, j]
+                        line_of[i, j] = entry
                     else:
                         zeros = []
                         k = row.find("0")
@@ -463,15 +467,13 @@ def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[list[str], list[list[int
                             if live[k]:
                                 zeros.append(k)
                             k = row.find("0", k + 1)
-                        lead = (0, p > 0) if p else (1, q > 0) if q else (2, r > 0)
-                        line_of.update(dict.fromkeys(combinations(zeros, 2), (len(zero_sets),) + lead))
+                        line_of.update(dict.fromkeys(combinations(zeros, 2), entry))
                     rows += (row, row.translate(_NEGATE))
-                    zero_sets.append(zeros)
                 else:
                     row = zero
             after.append(row)
             before[j].append(row)
-    return rows, zero_sets
+    return rows, line_of
 
 
 def om_of(arrangement: LabeledArrangement) -> OrientedMatroid:
@@ -485,7 +487,7 @@ def om_of(arrangement: LabeledArrangement) -> OrientedMatroid:
     ints = arrangement.primitive_vectors
     if _rank3(ints) != 3:
         raise NotSpanning("arrangement does not span rank 3")
-    rows, _ = _enumerate_lines(ints)
+    rows = _enumerate_lines(ints)[0]
     return OrientedMatroid._of(arrangement.labels, frozenset(rows))
 
 
@@ -494,36 +496,24 @@ class LineTable:
     of any sub-arrangement, and whether it spans, is read off them in one
     pass (``om_of``; see the module docstring).
 
-    The table maps each pair of projective classes (a vector and its
-    negatives) to the one line through both.  A repeated vector keeps one of
-    its columns, which read alike.  Every vector a sub-arrangement reads,
-    the zero vector included, must be a vector of the table; a loop has no
-    class and reads its own all-``0`` column.  The table does not change
-    after it is built.
+    The table keeps the enumeration's rows and pair index, and maps each
+    column to the first column of its projective class (a vector and its
+    negatives), ``None`` for a loop.  A read looks up only pairs of first
+    columns, which are never parallel.  A repeated vector reads one of its
+    columns, which read alike.  Every vector a sub-arrangement reads, the
+    zero vector included, must be a vector of the table; a loop reads its
+    own all-``0`` column.  The table does not change after it is built.
     """
 
-    __slots__ = ("_rows", "_column", "_class_of", "_line_of")
+    __slots__ = ("_rows", "_line_of", "_column", "_first")
 
     def __init__(self, arrangement: LabeledArrangement):
         vectors = arrangement.primitive_vectors
-        self._rows, zero_sets = _enumerate_lines(vectors)
+        self._rows, self._line_of = _enumerate_lines(vectors)
         self._column = dict(zip(vectors, range(len(vectors))))
-        classes: dict[IntVec, int] = {}
-        class_of: list[Optional[int]] = []  # column -> its class; None for a loop
-        for v in vectors:
-            if v == (0, 0, 0):
-                class_of.append(None)
-            else:
-                # v and -v span one class: key it by its member above zero
-                key = v if v > (0, 0, 0) else (-v[0], -v[1], -v[2])
-                class_of.append(classes.setdefault(key, len(classes)))
-        # (class, greater class) -> the line through both, rows 2 * line and 2 * line + 1
-        line_of: dict[tuple[int, int], int] = {}
-        for line, zeros in enumerate(zero_sets):
-            for pair in combinations(sorted({class_of[k] for k in zeros}), 2):
-                line_of[pair] = line
-        self._class_of = class_of
-        self._line_of = line_of
+        first: dict[IntVec, int] = {}  # v and -v span one class: keyed by its member above zero
+        self._first = [None if v == (0, 0, 0) else first.setdefault(max(v, (-v[0], -v[1], -v[2])), k)
+                       for k, v in enumerate(vectors)]
 
     def om_of(self, arrangement: LabeledArrangement) -> OrientedMatroid:
         """``om_of(arrangement)``: both rows, restricted to the arrangement's
@@ -538,8 +528,8 @@ class LineTable:
         cols = tuple(map(self._column.get, arrangement.primitive_vectors))
         if None in cols:
             raise ValueError("the arrangement has a vector outside the line table")
-        classes = sorted(set(map(self._class_of.__getitem__, cols)) - {None})
-        lines = set(map(self._line_of.__getitem__, combinations(classes, 2)))
+        firsts = sorted(set(map(self._first.__getitem__, cols)) - {None})
+        lines = set(map(itemgetter(0), map(self._line_of.__getitem__, combinations(firsts, 2))))
         if len(lines) < 2:
             raise NotSpanning("arrangement does not span rank 3")
         on = [row for line in lines for row in self._rows[2 * line:2 * line + 2]]

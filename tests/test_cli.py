@@ -4,6 +4,7 @@ import pytest
 
 from omstrata import LabeledArrangement, Vector3, build, default_seed
 from omstrata.cli import PERTURB_ADVICE, _build_parser, main
+from omstrata.construction import DEFAULT_SAMPLES
 from omstrata.serialization import render_arrangement, render_seed
 
 
@@ -239,6 +240,11 @@ class TestCertificate:
         out = tmp_path / "report.json"
         assert main(["certificate", "--depth", "1", "--samples", " 1 , 2 ", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["report"]["samples"] == [1, 2]
+
+    def test_default_samples_are_the_library_default(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["certificate", "--depth", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["samples"] == list(DEFAULT_SAMPLES)
 
     def test_empty_samples(self, capsys):
         assert main(["certificate", "--depth", "1", "--samples", ","]) == 1

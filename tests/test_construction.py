@@ -491,6 +491,14 @@ class TestCertificate:
         assert certificate(default_seed(), 6).passed
         assert sizes == [25]
 
+    def test_depth_6_builds_each_level_once(self, monkeypatch):
+        levels = []
+        delta = construction.delta_arrangement
+        monkeypatch.setattr(construction, "delta_arrangement",
+                            lambda family, i: levels.append(i) or delta(family, i))
+        assert certificate(default_seed(), 6).passed
+        assert sorted(levels) == [1, 2, 3, 4, 5, 6]
+
     def test_a_non_positive_sample_fails_stratum_constancy(self, monkeypatch):
         # Negating d1 is no positive rescaling: those samples have primitive
         # vectors other than the level's, and read False instead of raising.

@@ -74,6 +74,19 @@ class TestPrimitive:
         assert _primitive(F(6), F(-10), F(14)) == (3, -5, 7)
 
 
+class TestExactCoordinates:
+    """Points and vectors hold ints and Fractions only: anything else, a
+    float or a bool included, raises instead of entering the exact layer."""
+
+    @pytest.mark.parametrize("value", [0.1, 1.0, True, False, "1/2", None])
+    def test_values_that_are_not_ints_or_fractions_raise(self, value):
+        makers = (lambda: PlanePoint(value, 1), lambda: PlanePoint(1, value),
+                  lambda: Vector3(0, value, 1), lambda: E1.scaled(value))
+        for make in makers:
+            with pytest.raises(ValueError, match="int or a Fraction"):
+                make()
+
+
 class TestSignDet3:
     def test_identity_is_positive(self):
         assert sign_det3(E1, E2, E3) == 1

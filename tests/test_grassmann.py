@@ -69,6 +69,13 @@ class TestSubspace:
         with pytest.raises(RankDeficient):
             Subspace(4, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
+    @pytest.mark.parametrize("value", [0.5, 2.0, True, "1/2"])
+    def test_entries_that_are_not_ints_or_fractions_raise(self, value):
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            Subspace(3, [[1, 0, 0], [0, 1, 0], [0, 0, value]])
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            VectorFamily([(1, (1, 0, 0)), (2, (0, 1, value))])
+
 
 class TestProjectionArrangement:
     def test_identity_basis(self):

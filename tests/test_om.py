@@ -225,29 +225,47 @@ def rand_large_map(rng: random.Random, ints):
     )
 
 
+def independent(ints, pair):
+    i, j = pair
+    return any(om_module._cross(ints[i], ints[j]))
+
+
 def lines_in_pair_order(ints):
-    """The reference of ``_enumerate_lines`` as lists: the pairs ``i < j`` of
-    non-zero vectors in order, the first independent pair on each line
-    making its row of ``n`` dot products and its negation."""
-    rows, zero_sets, covered = [], [], set()
+    """The reference of ``_enumerate_lines``: the pairs ``i < j`` of non-zero
+    vectors in order, the first independent pair on each line making its row
+    of ``n`` dot products and its negation; and the line of each such pair
+    that is not parallel, with the coordinate where the normal of the line's
+    first pair leads and whether it is positive there."""
+    rows, line_of = [], {}
     live = [i for i, v in enumerate(ints) if any(v)]
     for i, j in combinations(live, 2):
         (x1, y1, z1), (x2, y2, z2) = ints[i], ints[j]
         normal = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
-        if (i, j) in covered or not any(normal):
+        if (i, j) in line_of or not any(normal):
             continue
         signs = [sign_of(sum(map(mul, normal, v))) for v in ints]
         zeros = [k for k in live if not signs[k]]
-        covered.update(combinations(zeros, 2))
+        c = next(k for k, x in enumerate(normal) if x)
+        entry = (len(rows) // 2, c, normal[c] > 0)
+        line_of.update((pair, entry) for pair in combinations(zeros, 2) if independent(ints, pair))
         rows += (as_row(signs), as_row([-s for s in signs]))
-        zero_sets.append(zeros)
-    return rows, zero_sets
+    return rows, line_of
+
+
+def assert_lines_in_pair_order(ints):
+    """The kernel's rows are the reference's, in order, and its index,
+    restricted to the pairs that are not parallel, is the reference's."""
+    rows, line_of = om_module._enumerate_lines(ints)
+    reference_rows, reference_index = lines_in_pair_order(ints)
+    assert rows == reference_rows
+    assert {pair: e for pair, e in line_of.items() if independent(ints, pair)} == reference_index
 
 
 class TestCocircuitKernel:
     """``_enumerate_lines`` computes one sign row per line, and ``om_of``
     keeps those rows; the all-pairs loop is the reference of the rows, and
-    ``lines_in_pair_order`` the reference of their order."""
+    ``lines_in_pair_order`` the reference of their order and of the index of
+    the line through each pair."""
 
     def test_matches_all_pairs_on_grid_arrangements(self):
         rng = random.Random(71)
@@ -267,9 +285,8 @@ class TestCocircuitKernel:
                 kinds["parallel"] += len({max(v, negated(v)) for v in nonzero}) < len(nonzero)
                 kinds["loop"] += len(nonzero) < len(small)
                 for vectors in (small, large):
-                    lines = om_module._enumerate_lines(vectors)
-                    assert set(lines[0]) == reference
-                    assert lines == lines_in_pair_order(vectors)
+                    assert set(om_module._enumerate_lines(vectors)[0]) == reference
+                    assert_lines_in_pair_order(vectors)
                 if small is ints and arr.is_spanning():
                     assert om_of(arr).rows == reference
                     assert om_of(arrangement_of(large)).rows == reference
@@ -278,7 +295,7 @@ class TestCocircuitKernel:
     def test_pair_order_on_the_deepest_tables(self):
         for depth in (40, 60):
             ints = delta_arrangement(build(default_seed(), depth), depth).primitive_vectors
-            assert om_module._enumerate_lines(ints) == lines_in_pair_order(ints)
+            assert_lines_in_pair_order(ints)
 
     def test_matches_all_pairs_on_certificate_levels(self):
         family = build(default_seed(), 20)
