@@ -3,25 +3,32 @@
 Two routes lead from a subspace to an oriented matroid on {1..n}:
 
 * ``projection_arrangement`` orthogonally projects each coordinate vector
-  onto the subspace by solving the Gram normal equations (no square roots,
+  onto the subspace through the Gram normal equations (no square roots,
   everything stays rational) and reads coordinates in the stored basis;
 * ``subspace_om`` evaluates the covector recipe directly: a vector of the
   subspace with coefficient row c has i-th coordinate <c, column_i(B)>, so
   the columns of the basis matrix realize the oriented matroid.
 
 The two must agree; the test suite checks them against each other.
+
+``projection_arrangement`` and ``family_om`` compute on integers: each basis
+row, and each family vector, is scaled once by the lcm of its denominators
+(``_integer_rows``).  The projection divides once per returned coordinate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from itertools import combinations_with_replacement
+from math import lcm
+from operator import mul
+from typing import Iterable, Sequence
 
 from .errors import GroundSetMismatch, NotSpanning, RankDeficient
 from .geometry import Vector3, _frac
 from .labels import Label, label_keys
-from .linalg import matrix_rank, solve_linear
+from .linalg import matrix_rank
 from .om import LabeledArrangement, OrientedMatroid, om_equal, om_of
 
 Row = tuple[Fraction, ...]
@@ -33,14 +40,29 @@ def _to_row(values: Iterable) -> Row:
     return tuple(map(_frac, values))
 
 
+def _integer_rows(rows: Sequence[Row]) -> tuple[list[int], list[list[int]]]:
+    """Each row scaled by the lcm L_p of its denominators: the scales L and
+    the integer rows diag(L)·rows."""
+    scales, ints = [], []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        scales.append(scale)
+        ints.append([x.numerator * (scale // x.denominator) for x in row])
+    return scales, ints
+
+
 @dataclass(frozen=True)
 class Subspace:
-    """A 3-plane in Q^n given by three independent basis rows."""
+    """A 3-plane in Q^n given by three independent basis rows.  Raises
+    ValueError for an ambient that is not an int (a bool or a float is not)
+    and RankDeficient for rows that do not span a 3-plane of it."""
 
     ambient: int
     basis: tuple[Row, Row, Row]
 
     def __init__(self, ambient: int, basis: Iterable[Iterable]):
+        if type(ambient) is not int:
+            raise ValueError(f"ambient must be an int, got {ambient!r}")
         rows = tuple(_to_row(r) for r in basis)
         if len(rows) != 3:
             raise RankDeficient(f"need exactly 3 basis rows, got {len(rows)}")
@@ -85,19 +107,26 @@ def projection_arrangement(subspace: Subspace) -> LabeledArrangement:
     """Orthogonal projections of the coordinate vectors, in basis coordinates.
 
     For each i the coefficient vector c_i solves G c_i = B e_i with G the
-    Gram matrix of the basis rows, so c_i = G^-1 B e_i: G^-1 is solved for
-    once, a column per unit vector, and each c_i is one product with it.
+    Gram matrix of the basis rows B.  With B' = diag(L) B the integer rows
+    and G' = B' B'^T their integer Gram matrix, G^-1 = diag(L) G'^-1 diag(L),
+    so c_i = diag(L) adj(G') B' e_i / det(G'): every coordinate is one
+    integer dot product and one ``Fraction(num, det)``.  det(G') > 0 since B
+    has rank 3.
     """
-    rows = subspace.basis
-    gram = [[sum(a * b for a, b in zip(rows[p], rows[q])) for q in range(3)] for p in range(3)]
-    # G is symmetric, so its inverse is too: column p is also row p.
-    units = [[Fraction(int(p == q)) for q in range(3)] for p in range(3)]
-    inverse = [solve_linear(gram, unit) for unit in units]
+    scales, rows = _integer_rows(subspace.basis)
+    g00, g01, g02, g11, g12, g22 = (
+        sum(map(mul, u, v)) for u, v in combinations_with_replacement(rows, 2)
+    )
+    # adj(G') is symmetric, as G' is; its row p is scaled by L_p.
+    a00, a01, a02 = g11 * g22 - g12 * g12, g02 * g12 - g01 * g22, g01 * g12 - g02 * g11
+    a11, a12, a22 = g00 * g22 - g02 * g02, g01 * g02 - g00 * g12, g00 * g11 - g01 * g01
+    det = g00 * a00 + g01 * a01 + g02 * a02
+    adjugate = ((a00, a01, a02), (a01, a11, a12), (a02, a12, a22))
+    weights = [[scale * a for a in row] for scale, row in zip(scales, adjugate)]
     elements = []
-    for i in range(subspace.ambient):
-        column = [rows[q][i] for q in range(3)]
-        coeff = [sum(g * b for g, b in zip(row, column)) for row in inverse]
-        elements.append((i + 1, Vector3(coeff[0], coeff[1], coeff[2])))
+    for i, column in enumerate(zip(*rows), 1):
+        coeff = [Fraction(sum(map(mul, row, column)), det) for row in weights]
+        elements.append((i, Vector3(*coeff)))
     return LabeledArrangement(elements)
 
 
@@ -123,10 +152,13 @@ def family_om(family: VectorFamily, subspace: Subspace) -> OrientedMatroid:
         )
     if matrix_rank([vec for _, vec in family.elements]) != family.ambient:
         raise NotSpanning("family does not span its ambient space")
-    rows = subspace.basis
+    # B' = diag(L) B and M_i v_i are integer; both scalings are positive,
+    # so every 3x3 determinant of the images keeps its sign.
+    _, rows = _integer_rows(subspace.basis)
+    _, vectors = _integer_rows([vec for _, vec in family.elements])
     elements = []
-    for label, vec in family.elements:
-        image = tuple(sum(a * b for a, b in zip(row, vec)) for row in rows)
+    for (label, _), vec in zip(family.elements, vectors):
+        image = [sum(map(mul, row, vec)) for row in rows]
         elements.append((label, Vector3(*image)))
     return om_of(LabeledArrangement(elements))
 

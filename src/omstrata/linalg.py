@@ -3,8 +3,9 @@
 Both routines take ``int`` or ``Fraction`` entries and share one forward
 Gaussian elimination with the first non-zero entry as pivot.  Every
 division is by a pivot made a Fraction, so it is exact on ``int`` entries
-too.  Inputs are tiny (3x3 and 6x6 systems, rank checks on short vector
-lists), so clarity wins over pivot heuristics.
+too.  A matrix of the wrong shape raises ValueError before any elimination.
+Inputs are tiny (3x3 and 6x6 systems, rank checks on short vector lists),
+so clarity wins over pivot heuristics.
 """
 
 from __future__ import annotations
@@ -37,11 +38,23 @@ def _eliminate(rows: list[list[int | Fraction]], cols: int) -> list[int]:
     return pivots
 
 
+def _check_width(rows: Sequence[Sequence[int | Fraction]], width: int, what: str) -> None:
+    """Raise ValueError unless every row has ``width`` entries."""
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{what}: row {i} has length {len(row)}, expected {width}")
+
+
 def solve_linear(
     matrix: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]
 ) -> list[Fraction]:
-    """Solve M x = b exactly.  Raises SingularMatrix if M is not invertible."""
+    """Solve M x = b exactly.  Raises ValueError if M is not square or b
+    does not have one entry per row, and SingularMatrix if M is not
+    invertible."""
     n = len(matrix)
+    _check_width(matrix, n, "the matrix is not square")
+    if len(rhs) != n:
+        raise ValueError(f"the right-hand side has length {len(rhs)}, expected {n}")
     rows = [list(matrix[i]) + [rhs[i]] for i in range(n)]
     pivots = _eliminate(rows, n)
     if len(pivots) < n:
@@ -53,8 +66,10 @@ def solve_linear(
 
 
 def matrix_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
-    """Exact rank of a matrix given as a list of rows."""
+    """Exact rank of a matrix given as a list of rows.  Raises ValueError
+    for rows of unequal length."""
     if not rows:
         return 0
+    _check_width(rows, len(rows[0]), "ragged rows")
     return len(_eliminate([list(r) for r in rows], len(rows[0])))
 

@@ -20,29 +20,29 @@ from omstrata import (
     subspace_om,
     underlying_matroid,
 )
-from omstrata.linalg import solve_linear
+from omstrata.linalg import matrix_rank, solve_linear
 
 from conftest import rand_fraction, sign_of
 
 
-def rand_subspace(rng: random.Random, ambient: int) -> Subspace:
+def rand_subspace(rng: random.Random, ambient: int, span: int = 9) -> Subspace:
     while True:
-        rows = [[rand_fraction(rng) for _ in range(ambient)] for _ in range(3)]
+        rows = [[rand_fraction(rng, span) for _ in range(ambient)] for _ in range(3)]
         try:
             return Subspace(ambient, rows)
         except RankDeficient:
             continue
 
 
+def det3(a, b, c):
+    return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
 def rand_basis_change(rng: random.Random):
     while True:
         m = [[rand_fraction(rng) for _ in range(3)] for _ in range(3)]
-        det = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-        if det != 0:
+        if det3(*m) != 0:
             return m
 
 
@@ -68,6 +68,12 @@ class TestSubspace:
     def test_row_length_checked(self):
         with pytest.raises(RankDeficient):
             Subspace(4, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    @pytest.mark.parametrize("ambient", [3.0, True, "3", F(3)], ids=["float", "bool", "str", "Fraction"])
+    def test_ambient_that_is_not_an_int_raises(self, ambient):
+        # a float ambient would reach serialized output, and range() later
+        with pytest.raises(ValueError, match="ambient must be an int"):
+            Subspace(ambient, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     @pytest.mark.parametrize("value", [0.5, 2.0, True, "1/2"])
     def test_entries_that_are_not_ints_or_fractions_raise(self, value):
@@ -96,19 +102,22 @@ class TestProjectionArrangement:
         assert vectors[3].is_zero() and vectors[4].is_zero()
 
     def test_matches_one_gram_solve_per_coordinate(self):
-        # the reference: solve G c_i = B e_i afresh for every coordinate i
+        # the reference: solve G c_i = B e_i afresh for every coordinate i,
+        # on small entries and, up to ambient 18, on entries p/q with
+        # |p|, q <= 1e6 as in the subspace-routes benchmark
         rng = random.Random(103)
-        for ambient in (3, 4, 7, 12):
-            for _ in range(5):
-                subspace = rand_subspace(rng, ambient)
-                rows = subspace.basis
-                gram = [[sum(a * b for a, b in zip(rows[p], rows[q])) for q in range(3)]
-                        for p in range(3)]
-                expected = [
-                    (i + 1, Vector3(*solve_linear(gram, [rows[p][i] for p in range(3)])))
-                    for i in range(ambient)
-                ]
-                assert projection_arrangement(subspace).elements == tuple(expected)
+        cases = [(ambient, 9) for ambient in (3, 4, 7, 12) for _ in range(5)]
+        cases += [(ambient, 10 ** 6) for ambient in (8, 13, 18) for _ in range(2)]
+        for ambient, span in cases:
+            subspace = rand_subspace(rng, ambient, span)
+            rows = subspace.basis
+            gram = [[sum(a * b for a, b in zip(rows[p], rows[q])) for q in range(3)]
+                    for p in range(3)]
+            expected = [
+                (i + 1, Vector3(*solve_linear(gram, [rows[p][i] for p in range(3)])))
+                for i in range(ambient)
+            ]
+            assert projection_arrangement(subspace).elements == tuple(expected)
 
     def test_projection_route_agrees_with_direct_route(self):
         # module oracle: the Gram-solve route and the coordinate-pairing
@@ -157,7 +166,50 @@ class TestSubspaceOm:
             assert tuple(sign_of(x) for x in member) in covectors
 
 
+def kernel_vector(subspace: Subspace):
+    """A vector of Q^n orthogonal to the basis rows, non-zero when the first
+    four columns span Q^3: the signed 3x3 minors of those columns, so that
+    each row's dot product with it is a 4x4 determinant with a repeated row."""
+    cols = [[row[j] for row in subspace.basis] for j in range(4)]
+    minors = [det3(*(cols[k] for k in range(4) if k != j)) for j in range(4)]
+    return [(-1) ** j * m for j, m in enumerate(minors)] + [0] * (subspace.ambient - 4)
+
+
 class TestFamilyOm:
+    def test_matches_om_of_the_exact_images(self):
+        # the reference: om_of the images B v_i summed in Fractions, on
+        # families with Fraction entries, loops (a zero vector and, past
+        # n = 3, a vector orthogonal to the subspace), and repeated,
+        # negated and positively rescaled vectors
+        rng = random.Random(139)
+        for ambient in range(3, 13):
+            for _ in range(3):
+                subspace = rand_subspace(rng, ambient)
+                while True:
+                    vectors = [[rand_fraction(rng) for _ in range(ambient)] for _ in range(ambient)]
+                    if matrix_rank(vectors) == ambient:
+                        break
+                first = vectors[0]
+                vectors += [first, [-x for x in first], [F(3, 7) * x for x in vectors[1]],
+                            [0] * ambient]
+                if ambient > 3:
+                    orthogonal = kernel_vector(subspace)
+                    assert any(orthogonal)
+                    vectors.append(orthogonal)
+                rng.shuffle(vectors)
+                family = VectorFamily((i + 1, vec) for i, vec in enumerate(vectors))
+                images = [
+                    (label, Vector3(*(sum(b * x for b, x in zip(row, vec)) for row in subspace.basis)))
+                    for label, vec in family.elements
+                ]
+                expected = om_of(LabeledArrangement(images))
+                matroid = family_om(family, subspace)
+                assert matroid == expected
+                assert matroid.fingerprint() == expected.fingerprint()
+                loops = {label for label, image in images if image.is_zero()}
+                assert len(loops) == 1 + (ambient > 3)
+                assert matroid.loops == loops
+
     def test_standard_basis_specializes(self):
         rng = random.Random(109)
         subspace = rand_subspace(rng, 5)

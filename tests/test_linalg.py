@@ -37,3 +37,33 @@ class TestIntegerEntries:
             if len(matrix) == n and matrix_rank(matrix) == n:
                 rhs = [rng.randint(-5, 5) for _ in range(n)]
                 assert solve_linear(matrix, rhs) == solve_linear(as_fractions, [F(v) for v in rhs])
+
+
+class TestShapes:
+    """A matrix of the wrong shape raises ValueError, never a wrong answer."""
+
+    def test_non_square_matrix_raises(self):
+        # read as [1 | 2], the extra column would be taken for the right-hand side
+        with pytest.raises(ValueError, match="not square") as info:
+            solve_linear([[1, 2]], [1])
+        assert type(info.value) is ValueError
+        with pytest.raises(ValueError, match="not square"):
+            solve_linear([[1], [2]], [1, 2])
+
+    def test_right_hand_side_of_the_wrong_length_raises(self):
+        for rhs in ([1], [1, 2, 3]):
+            with pytest.raises(ValueError, match="right-hand side"):
+                solve_linear([[1, 0], [0, 1]], rhs)
+
+    def test_ragged_rows_raise(self):
+        with pytest.raises(ValueError, match="ragged"):
+            matrix_rank([[0], [0, 1]])
+        with pytest.raises(ValueError, match="ragged"):
+            matrix_rank([[1, 0], [0]])
+        with pytest.raises(ValueError, match="not square"):
+            solve_linear([[1, 0], [0]], [1, 1])
+
+    def test_empty_inputs_keep_their_meaning(self):
+        assert matrix_rank([]) == 0
+        assert matrix_rank([[], []]) == 0
+        assert solve_linear([], []) == []

@@ -6,7 +6,11 @@ The fixture ``fixtures/pinned_digests.json`` holds the digests of
 * the failing report of the seed with ``nu`` = (3, 2) at depth 5 (checks
   ``limits_equal`` and ``separation`` fail), written by the CLI, together
   with the figures ``A0.svg``..``A5.svg`` it writes and the figures of that
-  seed's level-5 delta-marked arrangement and of its limit.
+  seed's level-5 delta-marked arrangement and of its limit,
+* the ``omstrata mu`` document of the subspace ``fixtures/subspace.json``,
+* the fingerprints of the oriented matroids that the three routes from a
+  subspace give (``projection_arrangement``, ``subspace_om`` and
+  ``family_om``) on two seeded subspaces with entries p/q near 1e6.
 
 Regenerate the fixture (only for an intended change of output) with
 ``PYTHONPATH=src python tests/test_pinned_bytes.py > tests/fixtures/pinned_digests.json``.
@@ -17,24 +21,33 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import random
 import tempfile
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 from omstrata import (
     PlanePoint,
     Seed,
+    Subspace,
+    VectorFamily,
     build,
     certificate,
     default_seed,
     delta_arrangement,
     emit_figure,
+    family_om,
     limit_arrangement,
+    om_of,
+    projection_arrangement,
+    subspace_om,
 )
 from omstrata.cli import main
 from omstrata.serialization import document_to_json, render_report, render_seed
 
 FIXTURE = Path(__file__).parent / "fixtures" / "pinned_digests.json"
+SUBSPACE = Path(__file__).parent / "fixtures" / "subspace.json"
 FAILING_DEPTH = 5
 
 
@@ -46,6 +59,23 @@ def _sha256(data: str | bytes) -> str:
 
 def failing_seed() -> Seed:
     return Seed(**{**default_seed().points(), "nu": PlanePoint(3, 2)})
+
+
+def seeded_subspace(rng_seed: int, ambient: int) -> tuple[Subspace, VectorFamily]:
+    """A subspace of Q^ambient with entries p/q, |p| <= 1e6 and
+    5e5 <= q <= 1e6, and a spanning family of upper-triangular vectors
+    with Fraction entries."""
+    rng = random.Random(rng_seed)
+    bound = 10 ** 6
+    rows = [[Fraction(rng.randint(-bound, bound), rng.randint(bound // 2, bound))
+             for _ in range(ambient)] for _ in range(3)]
+    family = VectorFamily(
+        (i + 1, [Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 9)) if j == i else
+                 Fraction(rng.randint(-5, 5), rng.randint(1, 9)) if j > i else 0
+                 for j in range(ambient)])
+        for i in range(ambient)
+    )
+    return Subspace(ambient, rows), family
 
 
 def pinned_digests(work_dir: Path) -> dict[str, str]:
@@ -65,6 +95,16 @@ def pinned_digests(work_dir: Path) -> dict[str, str]:
     marked = delta_arrangement(build(seed, FAILING_DEPTH), FAILING_DEPTH)
     digests["failing_delta.svg"] = _sha256(emit_figure(marked))
     digests["failing_limit.svg"] = _sha256(emit_figure(limit_arrangement(marked)))
+
+    mu = work_dir / "mu.json"
+    main(["mu", "--subspace", str(SUBSPACE), "--out", str(mu)])
+    digests["subspace_mu"] = _sha256(mu.read_bytes())
+    for rng_seed, ambient in ((1, 9), (2, 14)):
+        subspace, family = seeded_subspace(rng_seed, ambient)
+        key = f"subspace{rng_seed}"
+        digests[f"{key}_projection"] = om_of(projection_arrangement(subspace)).fingerprint()
+        digests[f"{key}_direct"] = subspace_om(subspace).fingerprint()
+        digests[f"{key}_family"] = family_om(family, subspace).fingerprint()
     return digests
 
 
