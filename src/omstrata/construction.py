@@ -33,10 +33,12 @@ from .geometry import (
     IntVec,
     PlanePoint,
     Vector3,
+    _cross,
     _join,
     _lift,
     _meet,
     _point,
+    _point_lift,
     _spanned,
     collinear,
     cross_ratio,
@@ -194,11 +196,15 @@ class _SeedLifts:
 def _level(
     lifts: _SeedLifts, n: int, b_n: IntVec
 ) -> tuple[tuple[tuple[Label, PlanePoint], ...], IntVec]:
-    """The points d_n, b_{n+1}, c_n of level n from the lift of b_n, and the
-    lift of b_{n+1} for the next level.
+    """The points d_n, b_{n+1}, c_n of level n from the primitive lift of b_n,
+    and the primitive lift of b_{n+1} for the next level.
 
-    Each point is the join of two line vectors and becomes a PlanePoint
-    once.  A vector's sign is never normalised: a meet reads only zero tests
+    Each point is the bare cross product of a seed line and the bare cross
+    product of two lifts; a line's content drops out with the point's.  Each
+    point's gcds are those of its two ``Fraction`` coordinates: ``_point_lift``
+    reads the primitive lifts of d_n and b_{n+1} off them with one small gcd,
+    which keeps the next level's coordinates short.  c_n is never a vector
+    again.  A vector's sign is never normalised: a meet reads only zero tests
     and the ratios to z."""
     s = lifts.seed
 
@@ -208,18 +214,18 @@ def _level(
         except (Parallel, Identical, CoincidentPoints) as exc:
             raise DegenerateStep(n, which, str(exc)) from exc
 
-    d_n = meet("omega-gamma / alpha-b_n", lifts.omega_gamma, s.omega,
-               _join(lifts.alpha, b_n), s.alpha)
-    b_next = meet("omega-beta / a-d_n", lifts.omega_beta, s.omega,
-                  _join(lifts.a, d_n), s.a)
-    c_n = meet("alpha-beta / a-b_{n+1}", lifts.alpha_beta, s.alpha,
-               _join(lifts.a, b_next), s.a)
+    d_n, d_lift = _point_lift(meet("omega-gamma / alpha-b_n", lifts.omega_gamma, s.omega,
+                                   _cross(lifts.alpha, b_n), s.alpha))
+    b_next, b_lift = _point_lift(meet("omega-beta / a-d_n", lifts.omega_beta, s.omega,
+                                      _cross(lifts.a, d_lift), s.a))
+    c_n = _point(meet("alpha-beta / a-b_{n+1}", lifts.alpha_beta, s.alpha,
+                      _cross(lifts.a, b_lift), s.a))
     added = (
-        (indexed("d", n), _point(d_n)),
-        (indexed("b", n + 1), _point(b_next)),
-        (indexed("c", n), _point(c_n)),
+        (indexed("d", n), d_n),
+        (indexed("b", n + 1), b_next),
+        (indexed("c", n), c_n),
     )
-    return added, b_next
+    return added, b_lift
 
 
 def build(seed: Seed, depth: int) -> ConfigurationFamily:

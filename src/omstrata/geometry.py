@@ -6,15 +6,16 @@ anything else, a float or a bool included, raises ValueError.  Degenerate
 inputs raise the typed errors from :mod:`omstrata.errors` instead of
 returning sentinels.
 
-Underneath, points and lines are primitive integer 3-vectors.  ``_primitive``
-is the one normalisation (also behind ``om_of``): it clears denominators by
-their least common multiple and divides by the gcd, in integer arithmetic
-alone.  ``_lift`` takes a plane point to its primitive vector with z > 0.
-``_join`` is the cross product divided by its gcd: by point-line duality it
-gives both the line through two points and the point on two lines, so
-``line_through``, ``line_intersect`` and the construction's steps share it.
-Collinearity is one integer determinant of three lifts, and the cross-ratio
-one quotient of integer products.
+Underneath, points and lines are integer 3-vectors, and a gcd is taken only
+where a result must be primitive.  ``_primitive`` (behind ``sign_det3`` and
+``om_of``) clears denominators by their least common multiple and divides by
+the gcd.  ``_lift`` takes a plane point to its primitive vector with z > 0
+and needs no gcd.  ``_join``, the cross product divided by its gcd, gives the
+canonical line of ``line_through``.  ``_meet``, the point on two lines, is a
+bare cross product: the ``Fraction`` coordinates of ``_point`` reduce it, and
+``_point_lift`` reads the primitive vector off that reduction at the cost of
+one small gcd.  Collinearity is one integer determinant of three lifts, and
+the cross-ratio one quotient of integer products.
 """
 
 from __future__ import annotations
@@ -129,13 +130,19 @@ def _det3(u: IntVec, v: IntVec, w: IntVec) -> int:
 
 
 def _lift(p: PlanePoint) -> IntVec:
-    """The primitive integer vector of p, with z > 0."""
-    return _primitive(p.x, p.y, 1)
+    """The primitive integer vector of p, with z > 0: (x L, y L, L) for L the
+    lcm of the denominators, which takes no gcd.  Proof: a prime dividing L
+    divides one denominator, say x's, to its full power in L, so it divides
+    neither L / x.denominator nor x.numerator, hence not x L."""
+    x, y = p.x, p.y
+    dx, dy = x.denominator, y.denominator
+    scale = lcm(dx, dy)
+    return (x.numerator * (scale // dx), y.numerator * (scale // dy), scale)
 
 
 def _join(u: IntVec, v: IntVec) -> IntVec:
-    """The line through two points, or the point on two lines, as a primitive
-    vector; zero when u and v are proportional."""
+    """The line through two points as a primitive vector; zero when u and v
+    are proportional."""
     w = _cross(u, v)
     g = gcd(*w)
     return (w[0] // g, w[1] // g, w[2] // g) if g > 1 else w
@@ -146,6 +153,17 @@ def _point(v: IntVec) -> PlanePoint:
     return PlanePoint(Fraction(v[0], v[2]), Fraction(v[1], v[2]))
 
 
+def _point_lift(v: IntVec) -> tuple[PlanePoint, IntVec]:
+    """The plane point of a vector with z != 0, and the vector divided by its
+    gcd (its sign kept).  With x = v0 / v2 in lowest terms, gcd(v0, v2) is
+    |v2| / x.denominator, so the gcd of v is the gcd of that small cofactor
+    and v1: the reduction of x has done the large gcd."""
+    x = Fraction(v[0], v[2])
+    g = gcd(v[2] // x.denominator, v[1])
+    point = PlanePoint(x, Fraction(v[1], v[2]))
+    return point, ((v[0] // g, v[1] // g, v[2] // g) if g > 1 else v)
+
+
 def _canonical(line: IntVec) -> IntVec:
     """The line vector signed so that the first non-zero of (a, b) is
     positive."""
@@ -154,12 +172,15 @@ def _canonical(line: IntVec) -> IntVec:
 
 
 def _line_text(line: IntVec) -> str:
-    a, b, c = _canonical(line)
+    """The line as its ``Line2`` repr, reduced and canonically signed."""
+    g = gcd(*line) or 1
+    a, b, c = _canonical((line[0] // g, line[1] // g, line[2] // g))
     return f"Line2({a}x + {b}y + {c} = 0)"
 
 
 def _spanned(line: IntVec, p: PlanePoint) -> IntVec:
-    """line, the join of p's lift with another point's, checked non-zero.
+    """line, the cross product of p's lift with another point's, checked
+    non-zero.
 
     Raises CoincidentPoints when the two points coincide."""
     if line == (0, 0, 0):
@@ -168,11 +189,12 @@ def _spanned(line: IntVec, p: PlanePoint) -> IntVec:
 
 
 def _meet(l1: IntVec, l2: IntVec) -> IntVec:
-    """The point on two non-zero line vectors, with z != 0.
+    """The point on two non-zero line vectors, with z != 0, as their cross
+    product: not reduced, since ``_point`` and ``_point_lift`` reduce it.
 
     Raises Identical when the lines coincide and Parallel when they meet
     only at infinity."""
-    v = _join(l1, l2)
+    v = _cross(l1, l2)
     if v[2] == 0:
         if v == (0, 0, 0):
             raise Identical(f"{_line_text(l1)} and {_line_text(l2)} coincide")

@@ -14,6 +14,8 @@ The two must agree; the test suite checks them against each other.
 ``projection_arrangement`` and ``family_om`` compute on integers: each basis
 row, and each family vector, is scaled once by the lcm of its denominators
 (``_integer_rows``).  The projection divides once per returned coordinate.
+``Subspace`` decides rank 3 on the same integer rows, by the determinant of
+their Gram matrix, which the projection also uses.
 """
 
 from __future__ import annotations
@@ -51,6 +53,20 @@ def _integer_rows(rows: Sequence[Row]) -> tuple[list[int], list[list[int]]]:
     return scales, ints
 
 
+def _gram_adjugate(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """adj(G') and det(G') of the Gram matrix G' = B' B'^T of three integer
+    rows B'.  det(G') is the sum of the squared 3x3 minors of B'
+    (Cauchy-Binet), so it is non-zero exactly when the rows are independent."""
+    g00, g01, g02, g11, g12, g22 = (
+        sum(map(mul, u, v)) for u, v in combinations_with_replacement(rows, 2)
+    )
+    # adj(G') is symmetric, as G' is.
+    a00, a01, a02 = g11 * g22 - g12 * g12, g02 * g12 - g01 * g22, g01 * g12 - g02 * g11
+    a11, a12, a22 = g00 * g22 - g02 * g02, g01 * g02 - g00 * g12, g00 * g11 - g01 * g01
+    det = g00 * a00 + g01 * a01 + g02 * a02
+    return ((a00, a01, a02), (a01, a11, a12), (a02, a12, a22)), det
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A 3-plane in Q^n given by three independent basis rows.  Raises
@@ -68,7 +84,8 @@ class Subspace:
             raise RankDeficient(f"need exactly 3 basis rows, got {len(rows)}")
         if any(len(r) != ambient for r in rows):
             raise RankDeficient("basis rows must have the ambient dimension")
-        if matrix_rank(rows) != 3:
+        _, ints = _integer_rows(rows)
+        if _gram_adjugate(ints)[1] == 0:
             raise RankDeficient("basis rows are linearly dependent")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", rows)
@@ -114,14 +131,8 @@ def projection_arrangement(subspace: Subspace) -> LabeledArrangement:
     has rank 3.
     """
     scales, rows = _integer_rows(subspace.basis)
-    g00, g01, g02, g11, g12, g22 = (
-        sum(map(mul, u, v)) for u, v in combinations_with_replacement(rows, 2)
-    )
-    # adj(G') is symmetric, as G' is; its row p is scaled by L_p.
-    a00, a01, a02 = g11 * g22 - g12 * g12, g02 * g12 - g01 * g22, g01 * g12 - g02 * g11
-    a11, a12, a22 = g00 * g22 - g02 * g02, g01 * g02 - g00 * g12, g00 * g11 - g01 * g01
-    det = g00 * a00 + g01 * a01 + g02 * a02
-    adjugate = ((a00, a01, a02), (a01, a11, a12), (a02, a12, a22))
+    adjugate, det = _gram_adjugate(rows)
+    # Row p of adj(G') is scaled by L_p.
     weights = [[scale * a for a in row] for scale, row in zip(scales, adjugate)]
     elements = []
     for i, column in enumerate(zip(*rows), 1):

@@ -5,6 +5,7 @@ import sys
 import threading
 from dataclasses import replace
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -36,7 +37,7 @@ from omstrata import construction
 from omstrata import om as om_module
 from omstrata.construction import MAX_CERTIFICATE_DEPTH, _level, _level_labels, _SeedLifts
 from omstrata.figures import emit_figure
-from omstrata.geometry import _lift
+from omstrata.geometry import _lift, _point
 from omstrata.om import LineTable
 from omstrata.labels import PERSISTENT, indexed
 from omstrata.serialization import document_to_json, parse_family, render_family, render_report
@@ -215,7 +216,8 @@ class TestBuild:
 
     def test_matches_fraction_reference(self):
         # the default seed and seeds with nu, a and b1 moved, as the
-        # benchmark moves nu and a
+        # benchmark moves nu and a; the first two to depth 150, where the
+        # coordinates reach about 900 bits
         rng = random.Random(5)
         base = default_seed()
 
@@ -233,15 +235,28 @@ class TestBuild:
             )
             if validate_seed(seed):
                 seeds.append(seed)
-        for seed in seeds:
-            family = build(seed, 30)
-            points = ref.build_points(seed, 30)
+        for k, seed in enumerate(seeds):
+            depth = 150 if k < 2 else 30
+            family = build(seed, depth)
+            points = ref.build_points(seed, depth)
             assert list(family.points) == points
             table = dict(points)
             assert cross_ratio_ledger(family) == [
                 (i, ref.cross_ratio(seed.alpha, table[indexed("c", i)], seed.gamma, seed.beta))
-                for i in range(1, 31)
+                for i in range(1, depth + 1)
             ]
+
+    def test_level_lifts_are_primitive(self):
+        # unreduced lifts would still give the same points, but their
+        # coordinates would grow about half again as fast
+        seed = default_seed()
+        lifts, b_n = _SeedLifts(seed), _lift(seed.b1)
+        points = dict(build(seed, 150).points)
+        for n in range(1, 151):
+            _, b_next = _level(lifts, n, b_n)
+            assert gcd(*b_next) == 1
+            assert _point(b_next) == points[indexed("b", n + 1)]
+            b_n = b_next
 
 
 class TestCrossRatioLedger:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from omstrata import (
     perspective_normalize,
     sign_det3,
 )
-from omstrata.geometry import _primitive
+from omstrata.geometry import _lift, _point, _point_lift, _primitive
 from omstrata.linalg import matrix_rank
 
 import fraction_reference as ref
@@ -67,6 +68,45 @@ class TestPrimitive:
                 k = F(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
                 x, y, z = x * k, y * k, z * k
             assert _primitive(x, y, z) == ref.fraction_primitive(x, y, z)
+
+    def test_lift_matches_fraction_reference(self):
+        # _lift takes no gcd: its (x L, y L, L) must already be primitive
+        rng = random.Random(43)
+
+        def coordinate():
+            kind = rng.random()
+            if kind < 0.2:
+                return F(0)
+            bits = 200 if kind < 0.5 else 8
+            return F(rng.choice((-1, 1)) * rng.getrandbits(bits), rng.getrandbits(bits) + 1)
+
+        for _ in range(2000):
+            p = PlanePoint(coordinate(), coordinate())
+            if rng.random() < 0.1:  # one shared denominator
+                p = PlanePoint(p.x, F(rng.getrandbits(64), p.x.denominator))
+            assert _lift(p) == ref.fraction_primitive(p.x, p.y, F(1))
+
+    def test_point_lift_matches_point_and_gcd(self):
+        rng = random.Random(47)
+
+        def entry(bits):
+            return rng.choice((-1, 1)) * rng.getrandbits(bits)
+
+        for trial in range(2000):
+            bits = rng.choice((8, 200, 800))
+            v = [entry(bits), entry(bits), entry(bits) or 1]
+            if trial % 5 == 0:
+                v[0] = 0
+            elif trial % 5 == 1:
+                v[1] = 0
+            if rng.random() < 0.3:  # a large common factor
+                k = rng.getrandbits(rng.choice((8, 200))) + 1
+                v = [k * e for e in v]
+            v = tuple(v)
+            g = gcd(*v)
+            assert _point_lift(v) == (_point(v), tuple(e // g for e in v))
+        assert _point_lift((0, 0, -6)) == (PlanePoint(0, 0), (0, 0, -1))
+        assert _point_lift((4, -6, -2)) == (PlanePoint(-2, 3), (2, -3, -1))
 
     def test_coprime_and_positively_proportional(self):
         assert _primitive(F(0), F(0), F(0)) == (0, 0, 0)

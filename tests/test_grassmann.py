@@ -65,6 +65,25 @@ class TestSubspace:
         with pytest.raises(RankDeficient):
             Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]])
 
+    def test_rank_check_matches_elimination(self):
+        # the integer Gram determinant against Fraction elimination, on rows
+        # with entries near 1e6/1e6, a third of them made dependent
+        rng = random.Random(29)
+        bound = 10 ** 6
+        for trial in range(300):
+            ambient = rng.randint(3, 12)
+            rows = [[F(rng.randint(-bound, bound), rng.randint(1, bound)) if rng.random() < 0.8 else F(0)
+                     for _ in range(ambient)] for _ in range(3)]
+            if trial % 3 == 0:
+                s, t = F(rng.randint(-bound, bound), rng.randint(1, bound)), F(rng.randint(-9, 9), 7)
+                rows[2] = [s * x + t * y for x, y in zip(rows[0], rows[1])]
+            try:
+                Subspace(ambient, rows)
+                independent = True
+            except RankDeficient:
+                independent = False
+            assert independent == (matrix_rank(rows) == 3)
+
     def test_row_length_checked(self):
         with pytest.raises(RankDeficient):
             Subspace(4, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])

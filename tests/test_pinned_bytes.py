@@ -8,6 +8,8 @@ The fixture ``fixtures/pinned_digests.json`` holds the digests of
   with the figures ``A0.svg``..``A5.svg`` it writes and the figures of that
   seed's level-5 delta-marked arrangement and of its limit,
 * the ``omstrata mu`` document of the subspace ``fixtures/subspace.json``,
+* the family ``omstrata build --depth 150`` writes for the default seed, and
+  that family's cross-ratio ledger as ``str``s,
 * the fingerprints of the oriented matroids that the three routes from a
   subspace give (``projection_arrangement``, ``subspace_om`` and
   ``family_om``) on two seeded subspaces with entries p/q near 1e6.
@@ -34,6 +36,7 @@ from omstrata import (
     VectorFamily,
     build,
     certificate,
+    cross_ratio_ledger,
     default_seed,
     delta_arrangement,
     emit_figure,
@@ -49,6 +52,7 @@ from omstrata.serialization import document_to_json, render_report, render_seed
 FIXTURE = Path(__file__).parent / "fixtures" / "pinned_digests.json"
 SUBSPACE = Path(__file__).parent / "fixtures" / "subspace.json"
 FAILING_DEPTH = 5
+FAMILY_DEPTH = 150
 
 
 def _sha256(data: str | bytes) -> str:
@@ -99,6 +103,11 @@ def pinned_digests(work_dir: Path) -> dict[str, str]:
     mu = work_dir / "mu.json"
     main(["mu", "--subspace", str(SUBSPACE), "--out", str(mu)])
     digests["subspace_mu"] = _sha256(mu.read_bytes())
+    family_file = work_dir / "family.json"
+    main(["build", "--depth", str(FAMILY_DEPTH), "--out", str(family_file)])
+    digests["family_depth150"] = _sha256(family_file.read_bytes())
+    ledger = cross_ratio_ledger(build(default_seed(), FAMILY_DEPTH))
+    digests["ledger_depth150"] = _sha256("\n".join(f"{i} {cr}" for i, cr in ledger))
     for rng_seed, ambient in ((1, 9), (2, 14)):
         subspace, family = seeded_subspace(rng_seed, ambient)
         key = f"subspace{rng_seed}"
