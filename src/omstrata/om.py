@@ -16,10 +16,12 @@ time, and basis signs (the chirotope) by a walk over the cocircuits.
 
 A row read as a binary number gives a bitmask: ``row.translate(table)`` to
 ``1``/``0`` and then ``int(..., 2)``, so ground position k is bit ``w-1-k``
-of a width-w row.  Supports, zero sets and the ``(pos, neg)`` covector masks
-are all read that way.  Covectors are composed as ``(pos, neg)`` pairs, so
-composition is ``(p | cp & free, n | cn & free)`` with ``free = ~(p | n)``.
-Each oriented matroid enumerates its covector masks once and keeps them, as
+of a width-w row.  Supports and zero sets are read that way.  A covector is
+one int, its key ``neg << w | pos``, read from a row with two ``translate``
+calls and one ``int``.  Composition is ``key | c & free2``, where ``free2``
+holds the zero positions of ``key`` in both halves, and the closure reads
+each zero set's restrictions of the cocircuits once (``_covector_masks``).
+Each oriented matroid enumerates its covector keys once and keeps them, as
 it keeps its chirotope; ``covectors_of`` and ``strong_map`` both read that
 one set.
 
@@ -71,7 +73,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import combinations
-from operator import and_, itemgetter
+from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GroundSetMismatch, NotSpanning
@@ -89,6 +91,8 @@ _SUPPORT = str.maketrans("-0+", "101")
 _ZEROS = str.maketrans("-0+", "010")
 _POSITIVE = str.maketrans("-0+", "001")
 _NEGATIVE = str.maketrans("-0+", "100")
+# Hex digits 2 neg + pos of a spread covector key (see ``_row``) -> characters.
+_HEX_SIGNS = str.maketrans("012", "0+-")
 
 
 def _mask(row: str, digits: dict) -> int:
@@ -595,52 +599,69 @@ def _chirotope_from_cocircuits(matroid: OrientedMatroid) -> Chirotope:
     return Chirotope(ground, nonzero)
 
 
-def _masks(row: str) -> tuple[int, int]:
-    """The ``(pos, neg)`` bitmasks of a row."""
-    return _mask(row, _POSITIVE), _mask(row, _NEGATIVE)
+def _key(row: str) -> int:
+    """The covector key of a row: ``neg << w | pos`` for its width-w bitmasks,
+    read as one binary number."""
+    return int(row.translate(_NEGATIVE) + row.translate(_POSITIVE) or "0", 2)
 
 
-def _row(pos: int, neg: int, width: int) -> str:
-    """The row of width ``width`` with bitmasks ``(pos, neg)``."""
-    top = 1 << width  # a leading 1 keeps the leading zeros, and width 0
-    return "".join(["+" if p == "1" else "-" if n == "1" else "0"
-                    for p, n in zip(f"{pos | top:b}"[1:], f"{neg | top:b}"[1:])])
+def _row(key: int, width: int) -> str:
+    """The row of width ``width`` with covector key ``key``.
+
+    Read as hexadecimal, the binary digits of the key (with a leading 1,
+    which keeps the leading zeros, and width 0) put each bit in a hex digit
+    of its own.  Moving the ``neg`` half onto the ``pos`` half, doubled,
+    leaves the digit ``2 neg + pos`` at each ground position; one
+    ``translate`` maps ``0``/``1``/``2`` to ``0``/``+``/``-``.  Conversions
+    in bases 2 and 16 take linear time at any width."""
+    spread = int(format(key | 1 << 2 * width, "b"), 16)
+    return hex(spread >> 4 * width << 1 | spread & (1 << 4 * width) - 1)[3:].translate(_HEX_SIGNS)
 
 
-def _covector_masks(width: int, cocircuits: list[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    """Zero and every composition of the cocircuit masks, grown one cocircuit
-    at a time (composition is associative) until a layer adds nothing.  A
-    covector with no zero composes to itself, so only those with a zero are
-    extended."""
-    full = (1 << width) - 1
-    layer = {(0, 0)}
+def _covector_masks(width: int, cocircuits: list[int]) -> frozenset[int]:
+    """Zero and every composition of the cocircuit keys, grown one cocircuit
+    at a time (composition is associative) until a layer adds nothing.
+
+    ``X o C`` reads only C on the zero set of X, where it is ``C & free2``
+    (``free2``: those positions, set in both halves).  So the closure keeps,
+    for each zero set met, the distinct restrictions of the cocircuits to
+    it, and a covector adds ``X | r`` for each of those few ``r``.  Positions
+    outside every cocircuit's support never change, so a covector with no
+    zero inside that support composes to itself and is not extended."""
+    support = reduce(or_, cocircuits, 0)
+    support = (support | support >> width) & (1 << width) - 1
+    restrictions: dict[int, set[int]] = {}
+    layer = {0}
     found = set(layer)
     while layer:
         fresh = set()
-        for p, n in layer:
-            free = ~(p | n)
-            if free & full:
-                fresh.update([(p | cp & free, n | cn & free) for cp, cn in cocircuits])
+        for key in layer:
+            free = support & ~(key | key >> width)
+            if free:
+                restricted = restrictions.get(free)
+                if restricted is None:
+                    free2 = free << width | free
+                    restricted = restrictions[free] = {c & free2 for c in cocircuits}
+                fresh.update([key | r for r in restricted])
         layer = fresh - found
         found |= layer
     return frozenset(found)
 
 
-def _kept_covectors(matroid: OrientedMatroid) -> frozenset[tuple[int, int]]:
-    """The covector masks of ``matroid``, enumerated on first use and kept."""
+def _kept_covectors(matroid: OrientedMatroid) -> frozenset[int]:
+    """The covector keys of ``matroid``, enumerated on first use and kept."""
     if matroid._covectors is None:
-        cocircuits = [_masks(row) for row in matroid.rows]
+        cocircuits = [_key(row) for row in matroid.rows]
         matroid._covectors = _covector_masks(len(matroid.ground), cocircuits)
     return matroid._covectors
 
 
 def covectors_of(matroid: OrientedMatroid) -> frozenset[SignVector]:
     """All covectors: zero and every composition of cocircuits.  They are
-    composed as ``(pos, neg)`` masks, once per oriented matroid, and each
-    call builds the sign vectors from the kept masks."""
+    composed as keys, once per oriented matroid, and each call builds the
+    sign vectors from the kept keys."""
     ground, width = matroid.ground, len(matroid.ground)
-    masks = _kept_covectors(matroid)
-    return frozenset([_sign_vector(ground, _row(p, n, width)) for p, n in masks])
+    return frozenset([_sign_vector(ground, _row(key, width)) for key in _kept_covectors(matroid)])
 
 
 def om_equal(m1: OrientedMatroid, m2: OrientedMatroid) -> bool:
@@ -653,12 +674,12 @@ def om_equal(m1: OrientedMatroid, m2: OrientedMatroid) -> bool:
 def strong_map(source: OrientedMatroid, target: OrientedMatroid) -> bool:
     """True iff every covector of the target is a covector of the source;
     the source's are closed under composition, so the target's cocircuits
-    decide.  Their masks are looked up in the source's kept covector masks,
+    decide.  Their keys are looked up in the source's kept covector keys,
     which are enumerated only if ``covectors_of`` has not done so."""
     if source.ground != target.ground:
         raise GroundSetMismatch(f"{source.ground} vs {target.ground}")
     covectors = _kept_covectors(source)
-    return all(_masks(row) in covectors for row in target.rows)
+    return all(_key(row) in covectors for row in target.rows)
 
 
 def _spans_rank_three(matroid: OrientedMatroid) -> bool:
@@ -719,14 +740,11 @@ def underlying_matroid(matroid: OrientedMatroid) -> Matroid:
     """Forget signs: independence of size <= 3 subsets, read off the chirotope.
 
     For the spanning rank-3 case a singleton or pair is independent exactly
-    when some basis triple extends it.
+    when some basis triple extends it.  The distinct triples, pairs and
+    singletons are collected first, so each frozenset is built once.
     """
-    chi = matroid.chirotope
-    independents: set[frozenset[Label]] = {frozenset()}
-    for triple in chi.nonzero:
-        independents.add(frozenset(triple))
-        for pair in combinations(triple, 2):
-            independents.add(frozenset(pair))
-        for single in triple:
-            independents.add(frozenset((single,)))
-    return Matroid(matroid.ground, frozenset(independents))
+    triples = matroid.chirotope.nonzero.keys()
+    pairs = {pair for triple in triples for pair in combinations(triple, 2)}
+    singles = {(label,) for triple in triples for label in triple}
+    return Matroid(matroid.ground, frozenset([frozenset(), *map(frozenset, triples),
+                                              *map(frozenset, pairs), *map(frozenset, singles)]))

@@ -579,6 +579,22 @@ class TestCovectorsAgainstClosure:
             assert covectors_of(matroid) == fixpoint_closure(matroid)
             checked += 1
 
+    def test_degenerate_arrangements_up_to_ten_elements(self):
+        # Loops and parallel and antiparallel classes, up to n = 10: the
+        # closure, the fixpoint closure and the realized covectors agree.
+        rng = random.Random(103)
+        sizes = []
+        while len(sizes) < 16:
+            arr = rand_degenerate_arrangement(rng, rng.randint(3, 7))
+            if len(arr) > 10:
+                continue
+            matroid = om_of(arr)
+            computed = covectors_of(matroid)
+            assert computed == fixpoint_closure(matroid)
+            assert {cv.signs for cv in computed} == set(realized_covectors(arr))
+            sizes.append(len(arr))
+        assert max(sizes) == 10
+
     def test_sign_sets_and_strong_maps(self):
         # Covector sets on all 1000 sign sets, strong maps on every pair that
         # shares a ground.
@@ -597,18 +613,35 @@ def mask_signs(pos: int, neg: int, width: int) -> tuple[int, ...]:
     return tuple((pos >> width - 1 - k & 1) - (neg >> width - 1 - k & 1) for k in range(width))
 
 
+def key_signs(key: int, width: int) -> tuple[int, ...]:
+    """The reference decoding of a covector key ``neg << width | pos``."""
+    return mask_signs(key & (1 << width) - 1, key >> width, width)
+
+
 class TestCovectorMasks:
-    """Covectors are composed as ``(pos, neg)`` bitmasks and kept on their
+    """Covectors are composed as keys ``neg << w | pos`` and kept on their
     oriented matroid."""
 
     def test_round_trip_every_short_sign_row(self):
         for n in range(6):
             for signs in product((-1, 0, 1), repeat=n):
                 row = SignVector(tuple(range(n)), signs).to_string()
-                pos, neg = om_module._masks(row)
-                assert pos & neg == 0
-                assert mask_signs(pos, neg, n) == signs
-                assert om_module._row(pos, neg, n) == row
+                key = om_module._key(row)
+                assert key & key >> n == 0
+                assert key >> 2 * n == 0
+                assert key_signs(key, n) == signs
+                assert om_module._row(key, n) == row
+
+    def test_round_trip_past_the_decimal_digit_cap(self):
+        # CPython caps decimal int <-> str conversion at 4300 digits; the key
+        # and row conversions are binary and hexadecimal, which it does not.
+        rng = random.Random(101)
+        for width in (0, 70, 4301, 9000):
+            for weights in ((1, 1, 1), (1, 8, 1), (0, 1, 0), (1, 0, 0), (0, 0, 1)):
+                row = "".join(rng.choices("-0+", weights, k=width))
+                key = om_module._key(row)
+                assert om_module._row(key, width) == row
+                assert key.bit_length() <= 2 * width
 
     def test_covector_strings_match_the_mask_reference(self):
         rng = random.Random(97)
@@ -616,7 +649,7 @@ class TestCovectorMasks:
             matroid = om_of(rand_degenerate_arrangement(rng, rng.randint(3, 6)))
             width = len(matroid.ground)
             strings = {cv.to_string() for cv in covectors_of(matroid)}
-            assert strings == as_rows(mask_signs(p, n, width) for p, n in matroid._covectors)
+            assert strings == as_rows(key_signs(key, width) for key in matroid._covectors)
         for matroid in (OrientedMatroid.rank_zero([]), OrientedMatroid.rank_zero([1, 2])):
             assert [cv.to_string() for cv in covectors_of(matroid)] == ["0" * len(matroid.ground)]
 
@@ -640,8 +673,10 @@ class TestCovectorMasks:
         assert any(cv.signs[64:] != (0,) * 6 for cv in covectors)
 
     def test_only_covectors_with_a_zero_are_extended(self):
-        # A covector with no zero composes to itself, so the closure passes
-        # over the cocircuits once per covector that has a zero.
+        # A covector with no zero composes to itself, so topes are never
+        # extended; the others share their zero sets, and the closure scans
+        # the cocircuits once for their support and then once per distinct
+        # zero set, fewer times than there are covectors with a zero.
         class Passes(list):
             count = 0
 
@@ -650,10 +685,13 @@ class TestCovectorMasks:
                 return super().__iter__()
 
         matroid = om_of(BASIS4)
-        cocircuits = Passes(om_module._masks(row) for row in matroid.rows)
-        masks = om_module._covector_masks(len(matroid.ground), cocircuits)
-        assert cocircuits.count == sum(1 for p, n in masks if p | n != 0b1111)
-        assert cocircuits.count < len(masks)
+        width = len(matroid.ground)
+        cocircuits = Passes(om_module._key(row) for row in matroid.rows)
+        keys = om_module._covector_masks(width, cocircuits)
+        zero_sets = [0b1111 & ~(key | key >> width) for key in keys]
+        with_a_zero = [z for z in zero_sets if z]
+        assert cocircuits.count == 1 + len(set(with_a_zero))
+        assert len(set(with_a_zero)) < len(with_a_zero) < len(keys)
 
     def test_strong_maps_match_on_uncached_copies(self):
         for sets in sign_set_groups():

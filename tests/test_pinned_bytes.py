@@ -8,6 +8,8 @@ The fixture ``fixtures/pinned_digests.json`` holds the digests of
   with the figures ``A0.svg``..``A5.svg`` it writes and the figures of that
   seed's level-5 delta-marked arrangement and of its limit,
 * the ``omstrata mu`` document of the subspace ``fixtures/subspace.json``,
+* the sorted covector strings of the default seed's level-3 delta-marked
+  arrangement (579 covectors), one per line,
 * the family ``omstrata build --depth 150`` writes for the default seed, and
   that family's cross-ratio ledger as ``str``s,
 * the fingerprints of the oriented matroids that the three routes from a
@@ -36,6 +38,7 @@ from omstrata import (
     VectorFamily,
     build,
     certificate,
+    covectors_of,
     cross_ratio_ledger,
     default_seed,
     delta_arrangement,
@@ -53,6 +56,7 @@ FIXTURE = Path(__file__).parent / "fixtures" / "pinned_digests.json"
 SUBSPACE = Path(__file__).parent / "fixtures" / "subspace.json"
 FAILING_DEPTH = 5
 FAMILY_DEPTH = 150
+COVECTOR_LEVEL = 3
 
 
 def _sha256(data: str | bytes) -> str:
@@ -99,6 +103,10 @@ def pinned_digests(work_dir: Path) -> dict[str, str]:
     marked = delta_arrangement(build(seed, FAILING_DEPTH), FAILING_DEPTH)
     digests["failing_delta.svg"] = _sha256(emit_figure(marked))
     digests["failing_limit.svg"] = _sha256(emit_figure(limit_arrangement(marked)))
+
+    level = delta_arrangement(build(default_seed(), COVECTOR_LEVEL), COVECTOR_LEVEL)
+    covectors = sorted(cv.to_string() for cv in covectors_of(om_of(level)))
+    digests[f"covectors_level{COVECTOR_LEVEL}"] = _sha256("\n".join(covectors))
 
     mu = work_dir / "mu.json"
     main(["mu", "--subspace", str(SUBSPACE), "--out", str(mu)])
