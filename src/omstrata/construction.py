@@ -46,7 +46,7 @@ from .geometry import (
     perspective_normalize,
 )
 from .labels import PERSISTENT, Label, indexed
-from .om import LabeledArrangement, LineTable, OrientedMatroid, om_equal, weak_map
+from .om import LabeledArrangement, LineTable, OrientedMatroid, weak_map
 
 SEED_LABELS = ("alpha", "beta", "gamma", "omega", "nu", "a", "b1")
 
@@ -264,13 +264,9 @@ def scale_degeneration(arrangement: LabeledArrangement, n: int) -> LabeledArrang
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be a positive int, got {n!r}")
 
-    def shrunk(v: Vector3) -> Vector3:
-        return Vector3(Fraction(v.x.numerator, v.x.denominator * n),
-                       Fraction(v.y.numerator, v.y.denominator * n),
-                       Fraction(v.z.numerator, v.z.denominator * n))
-
+    shrink = Fraction(1, n)
     return LabeledArrangement._of(tuple(
-        (lab, vec if lab in PERSISTENT else shrunk(vec)) for lab, vec in arrangement.elements
+        (lab, vec if lab in PERSISTENT else vec.scaled(shrink)) for lab, vec in arrangement.elements
     ))
 
 
@@ -389,7 +385,8 @@ def certificate(
     cr_values = [value for _, value in ledger]
 
     records: list[LevelRecord] = []
-    shared_limits: list[OrientedMatroid] = []
+    limit: Optional[OrientedMatroid] = None  # the first level's
+    limits_equal = True
     s = seed
     # Every level and every limit's non-loops read the deepest level's lines.
     deepest = delta_arrangement(family, depth)
@@ -405,9 +402,12 @@ def certificate(
         # oriented matroid with the loops deleted is that of this part.
         persistent = marked.restrict(PERSISTENT)
         shared = table.om_of(persistent)
-        if shared_limits and shared == shared_limits[0]:
-            shared = shared_limits[0]  # one object, so its chirotope is computed once
-        shared_limits.append(shared)
+        if limit is None:
+            limit = shared
+        elif shared == limit:
+            shared = limit  # one object, so its chirotope is computed once
+        else:
+            limits_equal = False
         # The verdict of weak_map(level_om, om_of(limit)), which deletes both
         # onto the limit's non-loops itself.
         weak_ok = weak_map(level_om.restrict(shared.ground), shared)
@@ -428,9 +428,6 @@ def certificate(
         # Let this level's cocircuits go before the next level's are built.
         del level_om
 
-    limits_equal = all(
-        om_equal(shared_limits[0], other) for other in shared_limits[1:]
-    )
     checks = CertificateChecks(
         c_distinct=c_distinct, limits_equal=limits_equal, **_record_checks(records, limits_equal)
     )
@@ -439,7 +436,7 @@ def certificate(
         depth=depth,
         samples=tuple(samples),
         records=tuple(records),
-        limit_fingerprint=shared_limits[0].fingerprint(),
+        limit_fingerprint=limit.fingerprint(),
         checks=checks,
         passed=checks.all_pass(),
     )

@@ -86,7 +86,11 @@ class Vector3:
 
     def scaled(self, factor: RationalLike) -> "Vector3":
         f = _frac(factor)
-        return Vector3(self.x * f, self.y * f, self.z * f)
+        p, q = f.numerator, f.denominator
+        x, y, z = self.x, self.y, self.z
+        return Vector3(Fraction(x.numerator * p, x.denominator * q),
+                       Fraction(y.numerator * p, y.denominator * q),
+                       Fraction(z.numerator * p, z.denominator * q))
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0 and self.z == 0

@@ -268,11 +268,6 @@ class Chirotope:
     def __getitem__(self, triple: tuple[Label, Label, Label]) -> Sign:
         return self.nonzero.get(triple, 0)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Chirotope):
-            return NotImplemented
-        return self.ground == other.ground and dict(self.nonzero) == dict(other.nonzero)
-
     def __hash__(self) -> int:
         return hash((self.ground, frozenset(self.nonzero.items())))
 
@@ -283,10 +278,9 @@ class OrientedMatroid:
     ``rows`` holds one ``-0+`` string per cocircuit, a character per ground
     element.  The ground set is kept in global label order, so equality of
     two oriented matroids on the same label set is plain equality of their
-    row sets.  The basis signs are derived from the cocircuits.
+    row sets.  The loops, the basis signs and the covector keys are derived
+    from the rows on first read and kept, outside ``==`` and ``hash``.
     """
-
-    __slots__ = ("ground", "rows", "loops", "_chirotope", "_covectors")
 
     def __init__(self, ground: tuple[Label, ...], cocircuits: Iterable[SignVector]):
         """Raises ValueError when a cocircuit's labels are not ``ground``."""
@@ -295,27 +289,27 @@ class OrientedMatroid:
             if cc._labels != ground:
                 raise ValueError(f"cocircuit labels {cc._labels} are not the ground set {ground}")
             rows.append(cc._row)
-        self._set(ground, frozenset(rows))
+        self.ground = ground
+        self.rows = frozenset(rows)
 
     @classmethod
     def _of(cls, ground: tuple[Label, ...], rows: frozenset[str]) -> "OrientedMatroid":
         """The oriented matroid with these cocircuit rows."""
         matroid = object.__new__(cls)
-        matroid._set(ground, rows)
+        matroid.ground = ground
+        matroid.rows = rows
         return matroid
 
-    def _set(self, ground: tuple[Label, ...], rows: frozenset[str]) -> None:
-        self.ground = ground
-        self.rows = rows
-        self._chirotope = None
-        self._covectors = None
-        width = len(ground)
+    @cached_property
+    def loops(self) -> frozenset[Label]:
+        """The elements zero in every cocircuit."""
+        width = len(self.ground)
         zeros = (1 << width) - 1
-        for row in rows:
+        for row in self.rows:
             zeros &= _mask(row, _ZEROS)
             if not zeros:
                 break
-        self.loops = frozenset(l for k, l in enumerate(ground) if zeros >> (width - 1 - k) & 1)
+        return frozenset(l for k, l in enumerate(self.ground) if zeros >> (width - 1 - k) & 1)
 
     @property
     def cocircuits(self) -> frozenset[SignVector]:
@@ -323,14 +317,17 @@ class OrientedMatroid:
         ground = self.ground
         return frozenset(_sign_vector(ground, row) for row in self.rows)
 
-    @property
+    @cached_property
     def chirotope(self) -> Chirotope:
         """The basis signs, normalised so the first basis triple in label
         order is positive; empty in rank 0.  Raises NotSpanning when the
         cocircuits are not those of a rank-3 (or rank-0) oriented matroid."""
-        if self._chirotope is None:
-            self._chirotope = _chirotope_from_cocircuits(self)
-        return self._chirotope
+        return _chirotope_from_cocircuits(self)
+
+    @cached_property
+    def _covector_keys(self) -> frozenset[int]:
+        """The covector keys, enumerated on first use."""
+        return _covector_masks(len(self.ground), [_key(row) for row in self.rows])
 
     def canonical_json(self) -> str:
         """The compact JSON of the ground set and the sorted rows.  The rows
@@ -648,20 +645,12 @@ def _covector_masks(width: int, cocircuits: list[int]) -> frozenset[int]:
     return frozenset(found)
 
 
-def _kept_covectors(matroid: OrientedMatroid) -> frozenset[int]:
-    """The covector keys of ``matroid``, enumerated on first use and kept."""
-    if matroid._covectors is None:
-        cocircuits = [_key(row) for row in matroid.rows]
-        matroid._covectors = _covector_masks(len(matroid.ground), cocircuits)
-    return matroid._covectors
-
-
 def covectors_of(matroid: OrientedMatroid) -> frozenset[SignVector]:
     """All covectors: zero and every composition of cocircuits.  They are
     composed as keys, once per oriented matroid, and each call builds the
     sign vectors from the kept keys."""
     ground, width = matroid.ground, len(matroid.ground)
-    return frozenset([_sign_vector(ground, _row(key, width)) for key in _kept_covectors(matroid)])
+    return frozenset([_sign_vector(ground, _row(key, width)) for key in matroid._covector_keys])
 
 
 def om_equal(m1: OrientedMatroid, m2: OrientedMatroid) -> bool:
@@ -678,7 +667,7 @@ def strong_map(source: OrientedMatroid, target: OrientedMatroid) -> bool:
     which are enumerated only if ``covectors_of`` has not done so."""
     if source.ground != target.ground:
         raise GroundSetMismatch(f"{source.ground} vs {target.ground}")
-    covectors = _kept_covectors(source)
+    covectors = source._covector_keys
     return all(_key(row) in covectors for row in target.rows)
 
 

@@ -408,12 +408,16 @@ def document_from_json(text: str) -> ReportDocument:
 
 def _check_report(value: dict, report: CertificateReport) -> None:
     """Raise :class:`SchemaError` where the report document ``value``, parsed
-    as ``report``, contradicts itself: records that do not run i = 1..depth
-    over the samples in order, pass flags that are not the conjunction of the
-    checks, checks that disagree with the records, a limit fingerprint that
-    is not the first level's, and a summary or seed digest other than the
-    ones ``render_report`` gives."""
+    as ``report``, contradicts itself: samples that are empty or repeat a
+    value, records that do not run i = 1..depth over the samples in order,
+    pass flags that are not the conjunction of the checks, checks that
+    disagree with the records, a limit fingerprint that is not the first
+    level's, and a summary or seed digest other than the ones
+    ``render_report`` gives."""
     records, checks = report.records, report.checks
+    if not report.samples or len(set(report.samples)) != len(report.samples):
+        raise SchemaError("$.report.samples",
+                          f"samples {list(report.samples)} are empty or repeat a value")
     if len(records) != report.depth:
         raise SchemaError("$.report.records", f"{len(records)} level records for depth {report.depth}")
     for k, rec in enumerate(records):

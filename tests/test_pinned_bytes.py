@@ -2,7 +2,9 @@
 
 The fixture ``fixtures/pinned_digests.json`` holds the digests of
 
-* the depth-20 report of the default seed,
+* the depth-20, depth-40 and depth-80 reports of the default seed (the
+  test recomputes the first two; CI checks depth 80, which takes seconds,
+  under two hash seeds),
 * the failing report of the seed with ``nu`` = (3, 2) at depth 5 (checks
   ``limits_equal`` and ``separation`` fail), written by the CLI, together
   with the figures ``A0.svg``..``A5.svg`` it writes and the figures of that
@@ -55,6 +57,8 @@ from omstrata.serialization import document_to_json, render_report, render_seed
 FIXTURE = Path(__file__).parent / "fixtures" / "pinned_digests.json"
 SUBSPACE = Path(__file__).parent / "fixtures" / "subspace.json"
 FAILING_DEPTH = 5
+REPORT_DEPTHS = (20, 40)
+DEEP_REPORT_DEPTH = 80
 FAMILY_DEPTH = 150
 COVECTOR_LEVEL = 3
 
@@ -86,10 +90,13 @@ def seeded_subspace(rng_seed: int, ambient: int) -> tuple[Subspace, VectorFamily
     return Subspace(ambient, rows), family
 
 
-def pinned_digests(work_dir: Path) -> dict[str, str]:
-    """Recompute every pinned digest; CLI output goes under ``work_dir``."""
-    report = certificate(default_seed(), 20)
-    digests = {"depth20_report": _sha256(document_to_json(render_report(report)))}
+def pinned_digests(work_dir: Path, deep: bool = False) -> dict[str, str]:
+    """Recompute every pinned digest, the depth-80 report's only when
+    ``deep``; CLI output goes under ``work_dir``."""
+    digests = {}
+    for depth in REPORT_DEPTHS + ((DEEP_REPORT_DEPTH,) if deep else ()):
+        report = certificate(default_seed(), depth)
+        digests[f"depth{depth}_report"] = _sha256(document_to_json(render_report(report)))
 
     seed = failing_seed()
     seed_file, out, svg_dir = work_dir / "seed.json", work_dir / "report.json", work_dir / "svg"
@@ -126,10 +133,12 @@ def pinned_digests(work_dir: Path) -> dict[str, str]:
 
 
 def test_pinned_digests(tmp_path):
-    assert pinned_digests(tmp_path) == json.loads(FIXTURE.read_text(encoding="utf-8"))
+    pinned = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    del pinned[f"depth{DEEP_REPORT_DEPTH}_report"]
+    assert pinned_digests(tmp_path) == pinned
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
-        digests = pinned_digests(Path(tmp))
+        digests = pinned_digests(Path(tmp), deep=True)
     print(json.dumps(digests, indent=2, sort_keys=True))

@@ -339,6 +339,17 @@ def _fail_both_pass_flags(doc):
     doc["pass"] = doc["report"]["pass"] = False
 
 
+def _resample(*samples):
+    """Set the report's samples and every record's verdicts to match."""
+
+    def mutate(doc):
+        doc["report"]["samples"] = list(samples)
+        for record in doc["report"]["records"]:
+            record["degeneration_ok"] = [[n, True] for n in samples]
+
+    return mutate
+
+
 class TestReportContradictions:
     """``document_from_json`` rejects a report whose verdicts, summary or
     seed digest contradict its own evidence, at the path of the
@@ -357,6 +368,8 @@ class TestReportContradictions:
             pytest.param(_relevel, "$.report.records[0].i", id="levels-7-and-9"),
             pytest.param(_set("report", "records", 0, "degeneration_ok", [[3, True]]),
                          "$.report.records[0].degeneration_ok", id="record-samples-3"),
+            pytest.param(_resample(), "$.report.samples", id="no-samples"),
+            pytest.param(_resample(1, 1), "$.report.samples", id="repeated-sample"),
             pytest.param(_fail_both_pass_flags, "$.report.pass", id="fail-over-passing-checks"),
             pytest.param(_set("summary", -1, "overall: FAIL"), "$.summary", id="summary-ends-fail"),
             pytest.param(_set("input_digests", "seed", "0" * 64), "$.input_digests.seed",
