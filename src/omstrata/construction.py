@@ -56,7 +56,7 @@ SEED_LABELS = ("alpha", "beta", "gamma", "omega", "nu", "a", "b1")
 # then looks up the lines through its C(m, 2) pairs of points and projects
 # them onto its columns, one slice per run of consecutive columns, done in C;
 # a limit does so on its eight persistent points.  Depth 80 is the largest run
-# it is meant for: 5.1-7.7 s and at most 79.0 MiB peak RSS in three single
+# it is meant for: 5.6-7.0 s and at most 77.6 MiB peak RSS in six single
 # runs on a 2-vCPU shared host under CPython 3.11.7.  ``build`` has no such
 # bound.
 MAX_CERTIFICATE_DEPTH = 80

@@ -2,8 +2,8 @@
 
 An arrangement is a tuple of (label, Vector3) pairs in global label order,
 which is the ground order of everything computed from it.  Its oriented
-matroid is stored as the set of its cocircuit rows: every line of the
-configuration (the plane spanned by two independent vectors v_i, v_j)
+matroid is stored as the sorted tuple of its cocircuit rows: every line of
+the configuration (the plane spanned by two independent vectors v_i, v_j)
 induces the sign vector ``k -> sign <v_k, v_i x v_j>`` together with its
 negation, each kept as a ``-0+`` string with one character per ground
 element.  Each line is enumerated once, from the first independent pair on
@@ -275,11 +275,12 @@ class Chirotope:
 class OrientedMatroid:
     """A rank <= 3 oriented matroid stored by its cocircuit rows.
 
-    ``rows`` holds one ``-0+`` string per cocircuit, a character per ground
-    element.  The ground set is kept in global label order, so equality of
-    two oriented matroids on the same label set is plain equality of their
-    row sets.  The loops, the basis signs and the covector keys are derived
-    from the rows on first read and kept, outside ``==`` and ``hash``.
+    ``rows`` is a tuple of distinct ``-0+`` strings in sorted order, one per
+    cocircuit, a character per ground element.  The ground set is kept in
+    global label order, so equality of two oriented matroids on the same
+    label set is plain equality of their rows.  The loops, the basis signs
+    and the covector keys are derived from the rows on first read and kept,
+    outside ``==``, ``hash``, copies and pickles.
     """
 
     def __init__(self, ground: tuple[Label, ...], cocircuits: Iterable[SignVector]):
@@ -290,15 +291,19 @@ class OrientedMatroid:
                 raise ValueError(f"cocircuit labels {cc._labels} are not the ground set {ground}")
             rows.append(cc._row)
         self.ground = ground
-        self.rows = frozenset(rows)
+        self.rows = tuple(sorted(set(rows)))
 
     @classmethod
-    def _of(cls, ground: tuple[Label, ...], rows: frozenset[str]) -> "OrientedMatroid":
-        """The oriented matroid with these cocircuit rows."""
+    def _of(cls, ground: tuple[Label, ...], rows: Iterable[str]) -> "OrientedMatroid":
+        """The oriented matroid with these cocircuit rows, which are distinct:
+        they are sorted here, once."""
         matroid = object.__new__(cls)
         matroid.ground = ground
-        matroid.rows = rows
+        matroid.rows = tuple(sorted(rows))
         return matroid
+
+    def __getstate__(self) -> dict:
+        return {"ground": self.ground, "rows": self.rows}
 
     @cached_property
     def loops(self) -> frozenset[Label]:
@@ -330,11 +335,10 @@ class OrientedMatroid:
         return _covector_masks(len(self.ground), [_key(row) for row in self.rows])
 
     def canonical_json(self) -> str:
-        """The compact JSON of the ground set and the sorted rows.  The rows
-        are ``-0+`` strings and need no escaping, so only the ground set goes
-        through ``json``."""
-        rows = sorted(self.rows)
-        quoted = '"' + '","'.join(rows) + '"' if rows else ""
+        """The compact JSON of the ground set and the rows, which are stored
+        sorted.  The rows are ``-0+`` strings and need no escaping, so only
+        the ground set goes through ``json``."""
+        quoted = '"' + '","'.join(self.rows) + '"' if self.rows else ""
         ground = json.dumps(list(self.ground), separators=(",", ":"), ensure_ascii=True)
         return '{"ground_set":' + ground + ',"cocircuits":[' + quoted + "]}"
 
@@ -360,7 +364,7 @@ class OrientedMatroid:
         keep = [i for i, l in enumerate(self.ground) if l in keep_set]
         ground = tuple(self.ground[i] for i in keep)
         if not keep:
-            return OrientedMatroid._of(ground, frozenset())
+            return OrientedMatroid._of(ground, ())
         support = {row: _mask(row, _SUPPORT) for row in set(_project(self.rows, keep))}
         # Smallest supports first: a support is minimal unless it contains
         # one found before.
@@ -368,9 +372,7 @@ class OrientedMatroid:
         for mask in sorted(set(support.values()) - {0}, key=int.bit_count):
             if not any(m & mask == m for m in minimal):
                 minimal.add(mask)
-        return OrientedMatroid._of(
-            ground, frozenset([row for row, m in support.items() if m in minimal])
-        )
+        return OrientedMatroid._of(ground, [row for row, m in support.items() if m in minimal])
 
     def delete_loops(self) -> "OrientedMatroid":
         """The same oriented matroid on the non-loop elements."""
@@ -379,7 +381,7 @@ class OrientedMatroid:
     @staticmethod
     def rank_zero(ground: Iterable[Label]) -> "OrientedMatroid":
         """The oriented matroid whose only covector is zero (all loops)."""
-        return OrientedMatroid._of(sort_labels(ground), frozenset())
+        return OrientedMatroid._of(sort_labels(ground), ())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrientedMatroid):
@@ -489,7 +491,7 @@ def om_of(arrangement: LabeledArrangement) -> OrientedMatroid:
     if _rank3(ints) != 3:
         raise NotSpanning("arrangement does not span rank 3")
     rows = _enumerate_lines(ints)[0]
-    return OrientedMatroid._of(arrangement.labels, frozenset(rows))
+    return OrientedMatroid._of(arrangement.labels, rows)
 
 
 class LineTable:
@@ -534,7 +536,10 @@ class LineTable:
         if len(lines) < 2:
             raise NotSpanning("arrangement does not span rank 3")
         on = [row for line in lines for row in self._rows[2 * line:2 * line + 2]]
-        return OrientedMatroid._of(arrangement.labels, frozenset(_project(on, cols)))
+        return OrientedMatroid._of(arrangement.labels, _project(on, cols))
+
+
+_LOW_RANK = "cocircuits of rank 1 or 2 carry no basis signs"
 
 
 def _chirotope_from_cocircuits(matroid: OrientedMatroid) -> Chirotope:
@@ -544,9 +549,16 @@ def _chirotope_from_cocircuits(matroid: OrientedMatroid) -> Chirotope:
     pair +-C_ij, and chi(i, j, k) = s_ij * C_ij(k) for one unknown sign s_ij.
     Fixing s on the least pair and walking the basis triples fixes every s
     through chi(i, k, j) = -chi(i, j, k) = -chi(j, k, i).  Signs stay
-    characters of the rows until they are stored.
+    characters of the rows until they are stored.  In rank 1 or 2 a walk
+    can start only from a parallel pair (two non-loops in one zero set), and
+    it then fails or finds no basis triple; only then is the rank decided,
+    so that the error names it.
     """
     ground = matroid.ground
+
+    def fail(message: str) -> NotSpanning:
+        return NotSpanning(message if _spans_rank_three(matroid) else _LOW_RANK)
+
     live = [i for i, label in enumerate(ground) if label not in matroid.loops]
     lines: dict[tuple[int, int], list[str]] = {}
     for row in matroid.rows:
@@ -558,7 +570,7 @@ def _chirotope_from_cocircuits(matroid: OrientedMatroid) -> Chirotope:
     line_of = {pair: rows[0] for pair, rows in lines.items() if len(rows) == 1}
     if not line_of:
         if matroid.rows:
-            raise NotSpanning("cocircuits of rank 1 or 2 carry no basis signs")
+            raise NotSpanning(_LOW_RANK)
         return Chirotope(ground, {})
 
     # rows[i, j][k] = chi(i, j, k).  The first basis triple in label order
@@ -578,11 +590,11 @@ def _chirotope_from_cocircuits(matroid: OrientedMatroid) -> Chirotope:
                     continue
                 other = line_of.get((a, b))
                 if other is None or other[r] == "0":
-                    raise NotSpanning(f"cocircuits disagree on {ground[i], ground[j], ground[k]}")
+                    raise fail(f"cocircuits disagree on {ground[i], ground[j], ground[k]}")
                 rows[a, b] = other if other[r] == want else other.translate(_NEGATE)
                 queue.append((a, b))
     if len(rows) < len(line_of):
-        raise NotSpanning("the basis triples do not connect every independent pair")
+        raise fail("the basis triples do not connect every independent pair")
 
     zero = "0" * len(ground)
     nonzero: dict[tuple[Label, Label, Label], Sign] = {}
@@ -591,8 +603,10 @@ def _chirotope_from_cocircuits(matroid: OrientedMatroid) -> Chirotope:
             s = row[k]
             if s != "0":
                 if rows.get((i, k), zero)[j] != _FLIP[s] or rows.get((j, k), zero)[i] != s:
-                    raise NotSpanning(f"cocircuits disagree on {ground[i], ground[j], ground[k]}")
+                    raise fail(f"cocircuits disagree on {ground[i], ground[j], ground[k]}")
                 nonzero[ground[i], ground[j], ground[k]] = _CHAR_SIGNS[s]
+    if not nonzero:  # a walk from one parallel pair that no later element checks
+        raise fail("the cocircuits carry no basis triple")
     return Chirotope(ground, nonzero)
 
 

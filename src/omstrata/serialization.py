@@ -201,7 +201,7 @@ def parse_arrangement(value: Any, path: str = "$") -> LabeledArrangement:
 def render_om(matroid: OrientedMatroid) -> dict:
     return {
         "ground_set": list(matroid.ground),
-        "cocircuits": sorted(matroid.rows),
+        "cocircuits": list(matroid.rows),
     }
 
 
@@ -219,7 +219,7 @@ def parse_om(value: Any, path: str = "$") -> OrientedMatroid:
             raise SchemaError(here, "sign string must match the ground-set length")
         if text.translate(_NEGATE) not in present:
             raise SchemaError(here, f"negation of {text!r} is missing")
-    return OrientedMatroid._of(order, frozenset(["".join([text[j] for j in perm]) for text in raw]))
+    return OrientedMatroid._of(order, {"".join([text[j] for j in perm]) for text in raw})
 
 
 # -- subspaces and vector families -------------------------------------------

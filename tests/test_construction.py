@@ -496,7 +496,7 @@ class TestCertificate:
             marked = delta_arrangement(family, i)
             for arr in (marked, nonzero_part(limit_arrangement(marked))):
                 ints = arr.primitive_vectors
-                assert table.om_of(arr).rows == as_rows(all_pairs_cocircuit_tuples(ints))
+                assert set(table.om_of(arr).rows) == as_rows(all_pairs_cocircuit_tuples(ints))
 
     def test_depth_6_enumerates_once(self, monkeypatch):
         sizes = []

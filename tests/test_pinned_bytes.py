@@ -3,8 +3,8 @@
 The fixture ``fixtures/pinned_digests.json`` holds the digests of
 
 * the depth-20, depth-40 and depth-80 reports of the default seed (the
-  test recomputes the first two; CI checks depth 80, which takes seconds,
-  under two hash seeds),
+  test recomputes the first two; depth 80 takes seconds, and only the
+  script below recomputes it),
 * the failing report of the seed with ``nu`` = (3, 2) at depth 5 (checks
   ``limits_equal`` and ``separation`` fail), written by the CLI, together
   with the figures ``A0.svg``..``A5.svg`` it writes and the figures of that
@@ -18,7 +18,10 @@ The fixture ``fixtures/pinned_digests.json`` holds the digests of
   subspace give (``projection_arrangement``, ``subspace_om`` and
   ``family_om``) on two seeded subspaces with entries p/q near 1e6.
 
-Regenerate the fixture (only for an intended change of output) with
+Run as a script, this file prints every digest, depth 80 included, in the
+fixture's format: CI compares that output with the fixture byte for byte
+under two string-hash seeds.  Regenerate the fixture (only for an intended
+change of output) with
 ``PYTHONPATH=src python tests/test_pinned_bytes.py > tests/fixtures/pinned_digests.json``.
 """
 
