@@ -52,13 +52,13 @@ SEED_LABELS = ("alpha", "beta", "gamma", "omega", "nu", "a", "b1")
 
 # The certificate enumerates the lines of its deepest level once: at most the
 # C(n, 3) triple signs of its n = 3 * depth + 7 points, each computed once, on
-# coordinates that grow with depth (480 bits at depth 80).  A level of m points
-# then looks up the lines through its C(m, 2) pairs of points and projects
-# them onto its columns, one slice per run of consecutive columns, done in C;
-# a limit does so on its eight persistent points.  Depth 80 is the largest run
-# it is meant for: 5.6-7.0 s and at most 77.6 MiB peak RSS in six single
-# runs on a 2-vCPU shared host under CPython 3.11.7.  ``build`` has no such
-# bound.
+# coordinates that grow with depth (480 bits at depth 80), most of them read
+# off the coordinates' leading 64 bits.  A level of m points then looks up the
+# lines through its C(m, 2) pairs of points and projects them onto its
+# columns, one slice per run of consecutive columns, done in C; a limit does
+# so on its eight persistent points.  Depth 80 is the largest run it is meant
+# for: 4.6-5.3 s and at most 77.4 MiB peak RSS in six single runs on a 2-vCPU
+# shared host under CPython 3.11.7.  ``build`` has no such bound.
 MAX_CERTIFICATE_DEPTH = 80
 
 # The rescaling denominators a certificate samples when none are given.

@@ -15,13 +15,18 @@ The two must agree; the test suite checks them against each other.
 row, and each family vector, is scaled once by the lcm of its denominators
 (``_integer_rows``).  The projection divides once per returned coordinate.
 ``Subspace`` decides rank 3 on the same integer rows, by the determinant of
-their Gram matrix, which the projection also uses.
+their Gram matrix, which the projection also uses; ``family_om`` decides
+that its family spans by fraction-free elimination on its integer vectors
+(``_integer_rank``).  A subspace enumerates its oriented matroid once and
+keeps it (``Subspace.oriented_matroid``), for ``subspace_om`` and
+``same_stratum`` to read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import lcm
 from operator import mul
@@ -30,7 +35,6 @@ from typing import Iterable, Sequence
 from .errors import GroundSetMismatch, NotSpanning, RankDeficient
 from .geometry import Vector3, _frac
 from .labels import Label, label_keys
-from .linalg import matrix_rank
 from .om import LabeledArrangement, OrientedMatroid, om_equal, om_of
 
 Row = tuple[Fraction, ...]
@@ -51,6 +55,27 @@ def _integer_rows(rows: Sequence[Row]) -> tuple[list[int], list[list[int]]]:
         scales.append(scale)
         ints.append([x.numerator * (scale // x.denominator) for x in row])
     return scales, ints
+
+
+def _integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of integer rows by fraction-free (Bareiss) elimination.  After
+    each pivot, every entry left is a minor of the input (Sylvester's
+    identity), so the division by the previous pivot is exact and the
+    entries stay integers.  The rows left keep only the columns after the
+    pivot's, where they can still be non-zero."""
+    rest = [list(row) for row in rows]
+    rank, previous = 0, 1
+    while rest and rest[0]:
+        k = next((k for k, row in enumerate(rest) if row[0]), None)
+        if k is None:
+            rest = [row[1:] for row in rest]
+            continue
+        top = rest.pop(k)
+        lead = top[0]
+        rest = [[(lead * x - row[0] * y) // previous for x, y in zip(row[1:], top[1:])] for row in rest]
+        previous = lead
+        rank += 1
+    return rank
 
 
 def _gram_adjugate(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, int, int], ...], int]:
@@ -93,6 +118,16 @@ class Subspace:
     def column(self, i: int) -> Vector3:
         """Coordinates of e_{i+1} paired against the basis rows."""
         return Vector3(self.basis[0][i], self.basis[1][i], self.basis[2][i])
+
+    @cached_property
+    def oriented_matroid(self) -> OrientedMatroid:
+        """The oriented matroid of the columns on labels {1..n}: enumerated
+        on first read and kept, outside ``==``, ``hash``, copies and
+        pickles."""
+        return om_of(LabeledArrangement((i + 1, self.column(i)) for i in range(self.ambient)))
+
+    def __getstate__(self) -> dict:
+        return {"ambient": self.ambient, "basis": self.basis}
 
 
 @dataclass(frozen=True)
@@ -143,11 +178,9 @@ def projection_arrangement(subspace: Subspace) -> LabeledArrangement:
 
 def subspace_om(subspace: Subspace) -> OrientedMatroid:
     """Oriented matroid of the subspace on labels {1..n}, computed directly
-    from the coordinate pairings (the columns of the basis matrix)."""
-    arrangement = LabeledArrangement(
-        (i + 1, subspace.column(i)) for i in range(subspace.ambient)
-    )
-    return om_of(arrangement)
+    from the coordinate pairings (the columns of the basis matrix) once per
+    subspace (``Subspace.oriented_matroid``)."""
+    return subspace.oriented_matroid
 
 
 def family_om(family: VectorFamily, subspace: Subspace) -> OrientedMatroid:
@@ -161,12 +194,13 @@ def family_om(family: VectorFamily, subspace: Subspace) -> OrientedMatroid:
         raise NotSpanning(
             f"family lives in Q^{family.ambient}, subspace in Q^{subspace.ambient}"
         )
-    if matrix_rank([vec for _, vec in family.elements]) != family.ambient:
-        raise NotSpanning("family does not span its ambient space")
     # B' = diag(L) B and M_i v_i are integer; both scalings are positive,
-    # so every 3x3 determinant of the images keeps its sign.
-    _, rows = _integer_rows(subspace.basis)
+    # so the rank of the family and every 3x3 determinant of the images
+    # keep their values and signs.
     _, vectors = _integer_rows([vec for _, vec in family.elements])
+    if _integer_rank(vectors) != family.ambient:
+        raise NotSpanning("family does not span its ambient space")
+    _, rows = _integer_rows(subspace.basis)
     elements = []
     for (label, _), vec in zip(family.elements, vectors):
         image = [sum(map(mul, row, vec)) for row in rows]

@@ -1,14 +1,17 @@
 """The earlier Fraction formulas of the plane geometry and the construction,
-kept as reference oracles for the integer projective code.
+kept as reference oracles for the integer projective code, and the slow
+exact line kernel, the reference of ``om._enumerate_lines``.
 
-Nothing here calls into ``omstrata.geometry`` or ``omstrata.construction``
-beyond the ``PlanePoint`` value type, so a test that compares the library
-with these functions compares two independent computations.
+Nothing here calls into ``omstrata.geometry``, ``omstrata.construction`` or
+``omstrata.om`` beyond the ``PlanePoint`` value type, so a test that
+compares the library with these functions compares two independent
+computations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from omstrata import PlanePoint
@@ -81,3 +84,29 @@ def build_points(seed, depth: int):
         points += [(indexed("d", n), d_n), (indexed("b", n + 1), b_next), (indexed("c", n), c_n)]
         b_n = b_next
     return points
+
+
+def slow_lines(ints):
+    """The rows and the pair index of ``om._enumerate_lines`` with a
+    full-width product for every triple.
+
+    The pairs ``i < j`` are walked in order; a pair not yet indexed whose
+    cross product N is non-zero makes a line: the row of the n signs
+    ``sign(N . v_k)`` and its negation.  Every pair of non-zero vectors in
+    the row's zero set is then indexed to ``(line, c, up)``, with ``c`` the
+    first coordinate where N is non-zero and ``up`` whether N is positive
+    there; a later line may index a parallel pair again."""
+    rows, line_of = [], {}
+    live = [k for k, v in enumerate(ints) if any(v)]
+    for i, j in combinations(range(len(ints)), 2):
+        (x1, y1, z1), (x2, y2, z2) = ints[i], ints[j]
+        normal = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+        if (i, j) in line_of or not any(normal):
+            continue
+        dots = [normal[0] * x + normal[1] * y + normal[2] * z for x, y, z in ints]
+        row = "".join("+" if d > 0 else "-" if d < 0 else "0" for d in dots)
+        c = next(k for k, x in enumerate(normal) if x)
+        entry = (len(rows) // 2, c, normal[c] > 0)
+        line_of.update(dict.fromkeys(combinations([k for k in live if not dots[k]], 2), entry))
+        rows += (row, row.translate(str.maketrans("+-", "-+")))
+    return rows, line_of

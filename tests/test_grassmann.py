@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -20,6 +22,7 @@ from omstrata import (
     subspace_om,
     underlying_matroid,
 )
+from omstrata import grassmann
 from omstrata.linalg import matrix_rank, solve_linear
 
 from conftest import rand_fraction, sign_of
@@ -252,8 +255,42 @@ class TestFamilyOm:
         family = VectorFamily([
             (1, (1, 0, 0, 0)), (2, (0, 1, 0, 0)), (3, (1, 1, 0, 0)),
         ])
-        with pytest.raises(NotSpanning):
+        with pytest.raises(NotSpanning, match="^family does not span its ambient space$"):
             family_om(family, subspace)
+
+    def test_integer_rank_matches_elimination(self):
+        # random integer families, square or not, a third of them with a
+        # vector that is a combination of two others, and zero columns
+        rng = random.Random(149)
+        dependent = deficient = 0
+        for _ in range(400):
+            width, count = rng.randint(1, 7), rng.randint(1, 9)
+            bits = rng.choice((2, 8, 64, 300))
+            vectors = [[rng.randint(-(1 << bits), 1 << bits) if rng.random() < 0.8 else 0
+                        for _ in range(width)] for _ in range(count)]
+            if count > 2 and rng.random() < 0.35:
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                vectors[rng.randrange(count)] = [a * x + b * y for x, y in zip(vectors[0], vectors[1])]
+                dependent += 1
+            if rng.random() < 0.2:
+                column = rng.randrange(width)
+                for vec in vectors:
+                    vec[column] = 0
+            rank = matrix_rank(vectors)
+            deficient += rank < min(width, count)
+            assert grassmann._integer_rank(vectors) == rank
+            # family_om reads the rank of the same vectors made Fractions
+            family = VectorFamily((i + 1, [F(x, 3) for x in vec]) for i, vec in enumerate(vectors))
+            if width >= 3:
+                subspace = rand_subspace(rng, width)
+                if rank == width:
+                    assert family_om(family, subspace) == om_of(LabeledArrangement(
+                        (i + 1, Vector3(*(sum(b * x for b, x in zip(row, vec)) for row in subspace.basis)))
+                        for i, vec in enumerate(vectors)))
+                else:
+                    with pytest.raises(NotSpanning, match="^family does not span its ambient space$"):
+                        family_om(family, subspace)
+        assert dependent > 50 and deficient > 50, (dependent, deficient)
 
     def test_sampled_members_give_covectors(self):
         rng = random.Random(127)
@@ -277,6 +314,32 @@ class TestFamilyOm:
                 sign_of(sum(m * x for m, x in zip(member, vec))) for vec in vectors
             )
             assert pattern in covectors
+
+
+class TestSubspaceOrientedMatroid:
+    def test_enumerated_once_per_subspace(self, monkeypatch):
+        calls = []
+        om_of_columns = grassmann.om_of
+        monkeypatch.setattr(grassmann, "om_of", lambda a: calls.append(a) or om_of_columns(a))
+        rng = random.Random(157)
+        v = rand_subspace(rng, 6)
+        w = rebased(v, rand_basis_change(rng))
+        first = subspace_om(v)
+        assert subspace_om(v) is first and v.oriented_matroid is first
+        assert same_stratum(v, w) and same_stratum(v, w, level="matroid")
+        assert len(calls) == 2
+
+    def test_kept_outside_equality_copies_and_pickles(self):
+        rng = random.Random(163)
+        v = rand_subspace(rng, 5)
+        fresh = Subspace(v.ambient, v.basis)
+        matroid = v.oriented_matroid
+        assert "oriented_matroid" in vars(v)
+        assert v == fresh and hash(v) == hash(fresh) and repr(v) == repr(fresh)
+        for other in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert other == v and "oriented_matroid" not in vars(other)
+            assert other.oriented_matroid == matroid
+        assert len(pickle.dumps(v)) == len(pickle.dumps(fresh))
 
 
 class TestSameStratum:

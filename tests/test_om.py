@@ -36,6 +36,7 @@ from omstrata.labels import PERSISTENT, label_key
 from omstrata.errors import SchemaError
 from omstrata.serialization import parse_om, render_om
 
+import fraction_reference as ref
 from conftest import (
     all_pairs_cocircuit_tuples,
     as_row,
@@ -225,47 +226,17 @@ def rand_large_map(rng: random.Random, ints):
     )
 
 
-def independent(ints, pair):
-    i, j = pair
-    return any(om_module._cross(ints[i], ints[j]))
-
-
-def lines_in_pair_order(ints):
-    """The reference of ``_enumerate_lines``: the pairs ``i < j`` of non-zero
-    vectors in order, the first independent pair on each line making its row
-    of ``n`` dot products and its negation; and the line of each such pair
-    that is not parallel, with the coordinate where the normal of the line's
-    first pair leads and whether it is positive there."""
-    rows, line_of = [], {}
-    live = [i for i, v in enumerate(ints) if any(v)]
-    for i, j in combinations(live, 2):
-        (x1, y1, z1), (x2, y2, z2) = ints[i], ints[j]
-        normal = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
-        if (i, j) in line_of or not any(normal):
-            continue
-        signs = [sign_of(sum(map(mul, normal, v))) for v in ints]
-        zeros = [k for k in live if not signs[k]]
-        c = next(k for k, x in enumerate(normal) if x)
-        entry = (len(rows) // 2, c, normal[c] > 0)
-        line_of.update((pair, entry) for pair in combinations(zeros, 2) if independent(ints, pair))
-        rows += (as_row(signs), as_row([-s for s in signs]))
-    return rows, line_of
-
-
 def assert_lines_in_pair_order(ints):
-    """The kernel's rows are the reference's, in order, and its index,
-    restricted to the pairs that are not parallel, is the reference's."""
-    rows, line_of = om_module._enumerate_lines(ints)
-    reference_rows, reference_index = lines_in_pair_order(ints)
-    assert rows == reference_rows
-    assert {pair: e for pair, e in line_of.items() if independent(ints, pair)} == reference_index
+    """The kernel's rows and pair index are the slow exact kernel's, rows in
+    order."""
+    assert om_module._enumerate_lines(ints) == ref.slow_lines(ints)
 
 
 class TestCocircuitKernel:
     """``_enumerate_lines`` computes one sign row per line, and ``om_of``
     keeps those rows; the all-pairs loop is the reference of the rows, and
-    ``lines_in_pair_order`` the reference of their order and of the index of
-    the line through each pair."""
+    ``fraction_reference.slow_lines`` the reference of their order and of
+    the index of the line through each pair."""
 
     def test_matches_all_pairs_on_grid_arrangements(self):
         rng = random.Random(71)
@@ -304,6 +275,106 @@ class TestCocircuitKernel:
             for arr in (marked, limit_arrangement(marked)):
                 ints = arr.primitive_vectors
                 assert set(om_of(arr).rows) == as_rows(all_pairs_cocircuit_tuples(ints))
+                assert_lines_in_pair_order(ints)
+
+
+WINDOW = om_module._WINDOW
+
+
+def rand_coordinate(rng: random.Random, bits: int) -> int:
+    """A random int of exactly ``bits`` bits, of either sign."""
+    return rng.choice((-1, 1)) * rng.randrange(1 << bits - 1, 1 << bits)
+
+
+def rand_wide_arrangement(rng: random.Random, sizes) -> tuple:
+    """Integer vectors with coordinates of one of ``sizes`` bits each (one
+    size for all or one per vector), and planted degeneracies: zero
+    vectors, parallel and antiparallel copies, sums of two earlier vectors
+    (collinear triples) and such sums moved by +-1 in one coordinate
+    (near-collinear triples)."""
+    uniform = rng.random() < 0.5
+    bits = rng.choice(sizes)
+    vectors = []
+    for _ in range(rng.randint(4, 11)):
+        size = bits if uniform else rng.choice(sizes)
+        kind = rng.random() if len(vectors) >= 2 else 1
+        if kind < 0.1:
+            v = (0, 0, 0)
+        elif kind < 0.25:
+            u, f = rng.choice(vectors), rng.choice((-3, -1, 1, 2))
+            v = (f * u[0], f * u[1], f * u[2])
+        elif kind < 0.55:
+            u, w = rng.sample(vectors, 2)
+            v = [a + b for a, b in zip(u, w)]
+            if kind < 0.45:
+                v[rng.randrange(3)] += rng.choice((-1, 1))
+            v = tuple(v)
+        else:
+            v = tuple(rand_coordinate(rng, size) for _ in range(3))
+        vectors.append(v)
+    rng.shuffle(vectors)
+    return tuple(vectors)
+
+
+class TestTruncatedKernel:
+    """``_enumerate_lines`` reads a triple's sign off coordinates truncated
+    to ``_WINDOW`` bits when that product is at least ``_SLACK`` in size,
+    and takes the full-width product otherwise; the slow exact kernel of
+    ``fraction_reference`` is the reference of its rows and pair index, as
+    it is on the certificate levels and deepest tables of
+    ``TestCocircuitKernel``."""
+
+    SIZES = (WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW, 2000)
+
+    def test_matches_the_slow_kernel_on_wide_arrangements(self):
+        rng = random.Random(211)
+        for sizes in [(bits,) for bits in self.SIZES] + [self.SIZES]:
+            for _ in range(40):
+                assert_lines_in_pair_order(rand_wide_arrangement(rng, sizes))
+
+    def test_truncation_error_is_under_the_slack(self):
+        # N . v / 2^(a+b) lies within _SLACK of N' . v' for the shifts a, b
+        # of the truncation, also when >> rounds a negative value down
+        rng = random.Random(223)
+        for _ in range(2000):
+            n, v = (tuple(rand_coordinate(rng, rng.choice(self.SIZES)) for _ in range(3))
+                    for _ in range(2))
+            n2, v2 = om_module._truncated(n), om_module._truncated(v)
+            shifts = []
+            for full, cut in ((n, n2), (v, v2)):
+                assert all(abs(c) <= 1 << WINDOW for c in cut)
+                shift = max(0, max(map(int.bit_length, full)) - WINDOW)
+                assert cut == tuple(c >> shift for c in full)
+                shifts.append(shift)
+            error = sum(map(mul, n, v)) - (sum(map(mul, n2, v2)) << sum(shifts))
+            assert abs(error) < om_module._SLACK << sum(shifts)
+
+    def test_a_near_collinear_triple_takes_the_full_product(self):
+        # v3 = v1 + v2 + (0, 0, 1): N . v3 = x1 y2 - y1 x2 is not zero, but
+        # far under the slack once both sides are truncated
+        rng = random.Random(227)
+        v1, v2 = (tuple(rand_coordinate(rng, 600) for _ in range(3)) for _ in range(2))
+        v3 = (v1[0] + v2[0], v1[1] + v2[1], v1[2] + v2[2] + 1)
+        normal = om_module._cross(v1, v2)
+        exact = sum(map(mul, normal, v3))
+        cut = sum(map(mul, om_module._truncated(normal), om_module._truncated(v3)))
+        assert exact and abs(cut) < om_module._SLACK
+        for flip in (1, -1):
+            ints = (v1, v2, tuple(flip * c for c in v3))
+            assert om_module._enumerate_lines(ints)[0][0][2] == ("+" if flip * exact > 0 else "-")
+            assert_lines_in_pair_order(ints)
+
+    def test_short_vectors_keep_full_width_products(self, monkeypatch):
+        # with no vector over _WINDOW bits the slack is 0: no sign is left
+        # undecided, so no product is taken twice
+        monkeypatch.setattr(om_module, "_SLACK", None)
+        rng = random.Random(229)
+        checked = 0
+        while checked < 40:
+            ints = rand_wide_arrangement(rng, (WINDOW - 2, WINDOW - 1, WINDOW))
+            if max(c.bit_length() for v in ints for c in v) <= WINDOW:
+                assert_lines_in_pair_order(ints)
+                checked += 1
 
 
 def negated(v):
@@ -1264,6 +1335,24 @@ class TestWeakMapByDeletion:
             )
         assert 0.1 < sum(answers) / len(answers) < 0.9
         assert low_rank > 50
+
+    def test_a_source_of_low_rank_is_ranked_once(self, monkeypatch):
+        # the failed walk decides the rank to choose its error, and weak_map
+        # reads that answer instead of deciding it again
+        ranked = []
+        spans = om_module._spans_rank_three
+        monkeypatch.setattr(om_module, "_spans_rank_three", lambda m: ranked.append(m) or spans(m))
+        rng = random.Random(73)
+        low = 0
+        for _ in range(1500):
+            source, target = rand_weak_map_pair(rng)
+            ranked.clear()
+            answer = weak_map(source, target)
+            assert len(ranked) <= 1
+            if ranked:
+                low += 1
+                assert not answer and not spans(ranked[0])
+        assert low > 20, low
 
     def test_certificate_levels_up_to_depth_20(self):
         family = build(default_seed(), 20)
