@@ -160,8 +160,9 @@ class ConfigurationFamily:
     points: tuple[tuple[Label, PlanePoint], ...]
 
     def level(self, i: int) -> "ConfigurationFamily":
-        """The sub-family of depth i, a prefix of the points."""
-        if not 0 <= i <= self.depth:
+        """The sub-family of depth i, a prefix of the points.  Raises
+        IndexError for an i that is not an int in 0..depth (a bool is not)."""
+        if type(i) is not int or not 0 <= i <= self.depth:
             raise IndexError(f"level {i} not in 0..{self.depth}")
         return ConfigurationFamily(self.seed, i, self.points[:len(SEED_LABELS) + 3 * i])
 
@@ -247,8 +248,9 @@ def build(seed: Seed, depth: int) -> ConfigurationFamily:
 
 def delta_arrangement(family: ConfigurationFamily, i: int) -> LabeledArrangement:
     """Level-i arrangement with the point c_i carrying the label ``delta``,
-    all points lifted to height 1."""
-    if not 1 <= i <= family.depth:
+    all points lifted to height 1.  Raises IndexError for an i that is not
+    an int in 1..depth (a bool is not)."""
+    if type(i) is not int or not 1 <= i <= family.depth:
         raise IndexError(f"i = {i} not in 1..{family.depth}")
     level = family.level(i)
     c_label = indexed("c", i)

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd, lcm
-from typing import Union
+from operator import mul
+from typing import Sequence, Union
 
 from .errors import (
     CoincidentPoints,
@@ -131,6 +133,21 @@ def _sign(x: int) -> int:
 
 def _det3(u: IntVec, v: IntVec, w: IntVec) -> int:
     return _dot(u, _cross(v, w))
+
+
+def _gram_adjugate(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """adj(G') and det(G') of the Gram matrix G' = B' B'^T of three integer
+    rows B'.  det(G') is the sum of the squared 3x3 minors of B'
+    (Cauchy-Binet), so it is non-zero exactly when the rows are independent:
+    the rank-3 test of ``Subspace`` and of ``LabeledArrangement.is_spanning``."""
+    g00, g01, g02, g11, g12, g22 = (
+        sum(map(mul, u, v)) for u, v in combinations_with_replacement(rows, 2)
+    )
+    # adj(G') is symmetric, as G' is.
+    a00, a01, a02 = g11 * g22 - g12 * g12, g02 * g12 - g01 * g22, g01 * g12 - g02 * g11
+    a11, a12, a22 = g00 * g22 - g02 * g02, g01 * g02 - g00 * g12, g00 * g11 - g01 * g01
+    det = g00 * a00 + g01 * a01 + g02 * a02
+    return ((a00, a01, a02), (a01, a11, a12), (a02, a12, a22)), det
 
 
 def _lift(p: PlanePoint) -> IntVec:

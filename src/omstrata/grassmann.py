@@ -27,13 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import GroundSetMismatch, NotSpanning, RankDeficient
-from .geometry import Vector3, _frac
+from .geometry import Vector3, _frac, _gram_adjugate
 from .labels import Label, label_keys
 from .om import LabeledArrangement, OrientedMatroid, om_equal, om_of
 
@@ -76,20 +75,6 @@ def _integer_rank(rows: Sequence[Sequence[int]]) -> int:
         previous = lead
         rank += 1
     return rank
-
-
-def _gram_adjugate(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, int, int], ...], int]:
-    """adj(G') and det(G') of the Gram matrix G' = B' B'^T of three integer
-    rows B'.  det(G') is the sum of the squared 3x3 minors of B'
-    (Cauchy-Binet), so it is non-zero exactly when the rows are independent."""
-    g00, g01, g02, g11, g12, g22 = (
-        sum(map(mul, u, v)) for u, v in combinations_with_replacement(rows, 2)
-    )
-    # adj(G') is symmetric, as G' is.
-    a00, a01, a02 = g11 * g22 - g12 * g12, g02 * g12 - g01 * g22, g01 * g12 - g02 * g11
-    a11, a12, a22 = g00 * g22 - g02 * g02, g01 * g02 - g00 * g12, g00 * g11 - g01 * g01
-    det = g00 * a00 + g01 * a01 + g02 * a02
-    return ((a00, a01, a02), (a01, a11, a12), (a02, a12, a22)), det
 
 
 @dataclass(frozen=True)

@@ -61,8 +61,9 @@ def sort_labels(labels) -> tuple[Label, ...]:
 
 
 def indexed(letter: str, i: int) -> str:
-    """The label ``b<i>`` / ``c<i>`` / ``d<i>``."""
-    if letter not in _LETTER_RANK or i < 1:
+    """The label ``b<i>`` / ``c<i>`` / ``d<i>``.  Raises ValueError for an
+    index that is not an int of at least 1 (a bool is not)."""
+    if letter not in _LETTER_RANK or type(i) is not int or i < 1:
         raise ValueError(f"bad indexed label {letter}{i}")
     return f"{letter}{i}"
 

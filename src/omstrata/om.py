@@ -41,7 +41,9 @@ arithmetic in plain ints and makes fingerprints bit-stable.  An arrangement
 computes those copies once and keeps them (``primitive_vectors``), so
 ``om_of``, ``chirotope_of``, ``is_spanning`` and a line table share one pass.
 ``om_of`` is a function of the labels and those primitive vectors alone, and
-each call enumerates its lines afresh.
+each call enumerates its lines afresh.  The lines decide the rank (rank 3
+lies on three or more, rank 2 on one, lower rank on none), so ``om_of`` and
+a line table's read raise NotSpanning on fewer than two, with no rank scan.
 
 The enumeration decides most triple signs on coordinates truncated to
 W = ``_WINDOW`` = 64 bits, as a filtered geometric predicate does, but in
@@ -60,10 +62,8 @@ on exactly one line (BLSWZ ch. 3), which the enumeration indexes by their
 columns.  The lines of a sub-arrangement are those through pairs of its
 projective classes, each read as its first column, and their rows are
 read off the table's rows, restricted to the sub-arrangement's columns.
-Those lines also decide the rank: a sub-arrangement spans rank 3 exactly
-when it lies on two lines or more.  The certificate builds one table from
-its deepest level, so one enumeration serves every level and every limit's
-non-loops.
+The certificate builds one table from its deepest level, so one
+enumeration serves every level and every limit's non-loops.
 
 Rows are restricted to columns by runs (``_project``): the columns are cut
 once into maximal runs of consecutive ones, and each row is read as one
@@ -87,7 +87,7 @@ from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GroundSetMismatch, NotSpanning
-from .geometry import IntVec, Vector3, _cross, _det3, _primitive, _sign
+from .geometry import IntVec, Vector3, _det3, _gram_adjugate, _primitive, _sign
 from .labels import Label, label_key, label_keys, sort_labels
 
 Sign = int  # -1, 0, +1
@@ -131,24 +131,6 @@ def _project(rows: Iterable[str], cols: Sequence[int]) -> Iterator[str]:
     if len(runs) == 1:
         return map(itemgetter(runs[0]), rows)
     return map("".join, map(itemgetter(*runs), rows))
-
-
-def _rank3(vectors: Iterable[IntVec]) -> int:
-    """Rank of a list of integer 3-vectors (0..3)."""
-    first = second = None
-    for v in vectors:
-        if v == (0, 0, 0):
-            continue
-        if first is None:
-            first = v
-        elif second is None:
-            if _cross(first, v) != (0, 0, 0):
-                second = v
-        elif _det3(first, second, v) != 0:
-            return 3
-    if second is not None:
-        return 2
-    return 0 if first is None else 1
 
 
 def _present(labels: Iterable[Label], ground: tuple[Label, ...]) -> set[Label]:
@@ -202,7 +184,9 @@ class LabeledArrangement:
         return {"elements": self.elements}
 
     def is_spanning(self) -> bool:
-        return _rank3(self.primitive_vectors) == 3
+        """Whether the Gram determinant of the primitive vectors' coordinate
+        rows, the sum of their squared 3x3 minors, is non-zero (not if empty)."""
+        return bool(self.elements) and _gram_adjugate(tuple(zip(*self.primitive_vectors)))[1] != 0
 
     def restrict(self, labels: Iterable[Label]) -> "LabeledArrangement":
         """Sub-arrangement on the given labels."""
@@ -365,20 +349,20 @@ class OrientedMatroid:
         return frozenset([_mask(row, _SUPPORT) for row in self.rows])
 
     def restrict(self, labels: Iterable[Label]) -> "OrientedMatroid":
-        """The deletion onto ``labels``, ground order kept; ``self`` when they
-        cover the ground set.
+        """The deletion onto ``labels``, ground order kept: the empty oriented
+        matroid for no labels, else ``self`` when they cover the ground set.
 
         Its cocircuits are the support-minimal non-zero restrictions of the
         cocircuits (BLSWZ 3.3), so the deletion of a realization's elements
         has the oriented matroid of the sub-arrangement.
         """
         keep_set = _present(labels, self.ground)
+        if not keep_set:
+            return OrientedMatroid._of((), ())
         if len(keep_set) == len(self.ground):
             return self
         keep = [i for i, l in enumerate(self.ground) if l in keep_set]
         ground = tuple(self.ground[i] for i in keep)
-        if not keep:
-            return OrientedMatroid._of(ground, ())
         support = {row: _mask(row, _SUPPORT) for row in set(_project(self.rows, keep))}
         # Smallest supports first: a support is minimal unless it contains
         # one found before.
@@ -530,12 +514,12 @@ def om_of(arrangement: LabeledArrangement) -> OrientedMatroid:
     Every line through two independent elements spans a plane whose normal
     induces one cocircuit and its negation.  Each call enumerates the lines
     afresh; the result depends only on the labels and the primitive integer
-    vectors.
+    vectors.  Raises NotSpanning when the enumeration finds fewer than two
+    lines, which is when the arrangement does not span rank 3.
     """
-    ints = arrangement.primitive_vectors
-    if _rank3(ints) != 3:
+    rows = _enumerate_lines(arrangement.primitive_vectors)[0]
+    if len(rows) < 4:
         raise NotSpanning("arrangement does not span rank 3")
-    rows = _enumerate_lines(ints)[0]
     return OrientedMatroid._of(arrangement.labels, rows)
 
 
@@ -567,9 +551,7 @@ class LineTable:
         """``om_of(arrangement)``: both rows, restricted to the arrangement's
         columns, of every line through two of its projective classes.
 
-        Those lines decide the rank: a set of rank 3 lies on at least three,
-        one of rank 2 on one, and one of rank 1 or 0 on none.  Raises
-        ValueError when a vector of the arrangement, the zero vector
+        Raises ValueError when a vector of the arrangement, the zero vector
         included, is not in the table, and NotSpanning when the arrangement
         lies on fewer than two lines.
         """
@@ -756,8 +738,6 @@ def weak_map(source: OrientedMatroid, target: OrientedMatroid) -> bool:
     """
     if source.ground != target.ground:
         raise GroundSetMismatch(f"{source.ground} vs {target.ground}")
-    if not target.rows:
-        return True
     target = target.delete_loops()
     chi_t = target.chirotope
     deleted = source.restrict(target.ground)

@@ -108,6 +108,22 @@ class TestSeedValidation:
         assert not verdict
         assert verdict.violated == "nu_generic"
 
+    @pytest.mark.parametrize(
+        "overrides, code, message",
+        [
+            ({"gamma": PlanePoint(0, 0)}, "baseline", "alpha, gamma, beta must be three distinct points"),
+            ({"a": PlanePoint(1, 0)}, "anchor", "a must not lie on line alpha-beta"),
+            ({"a": PlanePoint(3, 5)}, "anchor", "a must differ from omega"),
+            # (0, 10) = beta + 2 (omega - beta)
+            ({"a": PlanePoint(0, 10)}, "anchor", "a must not lie on line omega-beta"),
+        ],
+        ids=["gamma-at-alpha", "a-on-baseline", "a-at-omega", "a-on-omega-beta"],
+    )
+    def test_violation_names_its_code_and_message(self, overrides, code, message):
+        verdict = validate_seed(seed_with(**overrides))
+        assert not verdict
+        assert (verdict.violated, verdict.message) == (code, message)
+
 
 class TestBuild:
     def test_depth_zero_is_the_seed(self):
@@ -145,6 +161,18 @@ class TestBuild:
     def test_a_depth_that_is_not_a_non_negative_int_raises(self, depth):
         with pytest.raises(ValueError, match="depth must be non-negative"):
             build(default_seed(), depth)
+
+    @pytest.mark.parametrize("i", [-1, 3, True, 1.0])
+    def test_a_level_that_is_not_an_int_in_range_raises(self, i):
+        # a bool is not a level: level(True) would render "depth": true
+        with pytest.raises(IndexError, match=rf"^level {i} not in 0\.\.2$"):
+            build(default_seed(), 2).level(i)
+
+    @pytest.mark.parametrize("letter, i", [("c", True), ("c", "1"), ("c", 0), ("e", 1)])
+    def test_an_indexed_label_needs_a_letter_and_an_int_index(self, letter, i):
+        # a bool is not an index: ("c", True) would make the label "cTrue"
+        with pytest.raises(ValueError, match=f"^bad indexed label {letter}{i}$"):
+            indexed(letter, i)
 
     def test_monotone_containment(self):
         deep = build(default_seed(), 5)
@@ -325,11 +353,11 @@ class TestDeltaArrangement:
             assert collinear(family.seed.alpha, delta, family.seed.beta)
 
     def test_index_out_of_range(self):
+        # a bool or a float is not a level: True would leave c1 unmarked
         family = build(default_seed(), 2)
-        with pytest.raises(IndexError):
-            delta_arrangement(family, 3)
-        with pytest.raises(IndexError):
-            delta_arrangement(family, 0)
+        for i in (3, 0, True, 1.0):
+            with pytest.raises(IndexError, match=rf"^i = {i} not in 1\.\.2$"):
+                delta_arrangement(family, i)
 
     def test_levels_have_distinct_oriented_matroids(self):
         family = build(default_seed(), 4)

@@ -5,8 +5,18 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import pytest
+
 import omstrata
-from omstrata import build, default_seed, delta_arrangement, emit_figure, limit_arrangement
+from omstrata import (
+    LabeledArrangement,
+    Vector3,
+    build,
+    default_seed,
+    delta_arrangement,
+    emit_figure,
+    limit_arrangement,
+)
 
 
 def circles(svg: str) -> int:
@@ -47,6 +57,12 @@ class TestEmitFigure:
     def test_construction_style_draws_lines(self):
         svg = emit_figure(build(default_seed(), 1))
         assert svg.count("<line") >= 6
+
+    def test_nothing_at_positive_height_raises(self):
+        at_infinity = LabeledArrangement([(1, Vector3(1, 0, 0)), (2, Vector3(0, 0, 0))])
+        for arrangement in (LabeledArrangement([]), at_infinity):
+            with pytest.raises(ValueError, match="^nothing to draw$"):
+                emit_figure(arrangement)
 
 
 FRESH_IMPORTS = """

@@ -91,6 +91,11 @@ class TestSubspace:
         with pytest.raises(RankDeficient):
             Subspace(4, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
+    def test_three_rows_are_needed(self):
+        for rows in ([[1, 0, 0], [0, 1, 0]], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]):
+            with pytest.raises(RankDeficient, match=f"^need exactly 3 basis rows, got {len(rows)}$"):
+                Subspace(len(rows[0]), rows)
+
     @pytest.mark.parametrize("ambient", [3.0, True, "3", F(3)], ids=["float", "bool", "str", "Fraction"])
     def test_ambient_that_is_not_an_int_raises(self, ambient):
         # a float ambient would reach serialized output, and range() later
@@ -249,6 +254,16 @@ class TestFamilyOm:
         for cv in covectors_of(matroid):
             row = cv.to_string()
             assert row[matroid.ground.index(2)] == row[matroid.ground.index(5)]
+
+    def test_empty_and_mixed_families_raise(self):
+        with pytest.raises(ValueError, match="^empty vector family$"):
+            VectorFamily([])
+        with pytest.raises(ValueError, match="^vectors of mixed dimension$"):
+            VectorFamily([(1, (1, 0, 0)), (2, (0, 1, 0, 0))])
+
+    def test_family_in_another_ambient_raises(self):
+        with pytest.raises(NotSpanning, match=r"^family lives in Q\^3, subspace in Q\^4$"):
+            family_om(VectorFamily.standard_basis(3), Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]))
 
     def test_family_must_span(self):
         subspace = Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])

@@ -31,8 +31,10 @@ from omstrata import (
     weak_map,
 )
 from omstrata import om as om_module
+from omstrata.geometry import _cross
 from omstrata.om import LineTable
 from omstrata.labels import PERSISTENT, label_key
+from omstrata.linalg import matrix_rank
 from omstrata.errors import SchemaError
 from omstrata.serialization import parse_om, render_om
 
@@ -183,7 +185,6 @@ class TestCocircuits:
 
     def test_cocircuit_zero_sets_have_rank_two(self):
         rng = random.Random(47)
-        from omstrata.linalg import matrix_rank
         for _ in range(15):
             arr = rand_spanning_arrangement(rng, rng.randint(3, 6))
             vectors = {label: v for label, v in arr.elements}
@@ -252,7 +253,7 @@ class TestCocircuitKernel:
                 large = rand_large_map(maps, small)
                 nonzero = [v for v in small if any(v)]
                 kinds["mapped"] += bool(nonzero)
-                kinds["rank 2"] += om_module._rank3(small) == 2
+                kinds["rank 2"] += matrix_rank(small) == 2
                 kinds["parallel"] += len({max(v, negated(v)) for v in nonzero}) < len(nonzero)
                 kinds["loop"] += len(nonzero) < len(small)
                 for vectors in (small, large):
@@ -269,11 +270,18 @@ class TestCocircuitKernel:
             assert_lines_in_pair_order(ints)
 
     def test_matches_all_pairs_on_certificate_levels(self):
+        # Each level and its limit span; the level's points on the baseline,
+        # alpha, gamma, beta, delta and the c_j, lie on one line.
         family = build(default_seed(), 20)
         for i in range(1, 21):
             marked = delta_arrangement(family, i)
+            baseline = marked.restrict(["alpha", "beta", "gamma", "delta", *(f"c{j}" for j in range(1, i))])
+            assert matrix_rank(baseline.primitive_vectors) == 2 and not baseline.is_spanning()
+            with pytest.raises(NotSpanning, match="^arrangement does not span rank 3$"):
+                om_of(baseline)
             for arr in (marked, limit_arrangement(marked)):
                 ints = arr.primitive_vectors
+                assert matrix_rank(ints) == 3 and arr.is_spanning()
                 assert set(om_of(arr).rows) == as_rows(all_pairs_cocircuit_tuples(ints))
                 assert_lines_in_pair_order(ints)
 
@@ -355,7 +363,7 @@ class TestTruncatedKernel:
         rng = random.Random(227)
         v1, v2 = (tuple(rand_coordinate(rng, 600) for _ in range(3)) for _ in range(2))
         v3 = (v1[0] + v2[0], v1[1] + v2[1], v1[2] + v2[2] + 1)
-        normal = om_module._cross(v1, v2)
+        normal = _cross(v1, v2)
         exact = sum(map(mul, normal, v3))
         cut = sum(map(mul, om_module._truncated(normal), om_module._truncated(v3)))
         assert exact and abs(cut) < om_module._SLACK
@@ -388,7 +396,7 @@ def rand_sub_arrangement(rng: random.Random, distinct):
     kind = rng.random()
     if kind < 0.15:
         u, v = rng.sample(distinct, 2)
-        pool = [w for w in distinct if om_module._rank3([u, v, w]) < 3]
+        pool = [w for w in distinct if matrix_rank([u, v, w]) < 3]
     elif kind < 0.25:
         u = rng.choice(distinct)
         pool = [w for w in (u, negated(u)) if w in distinct]
@@ -409,7 +417,9 @@ def arrangement_of(ints) -> LabeledArrangement:
 class TestLineProjection:
     """An arrangement whose non-zero vectors all occur in a line table reads
     its cocircuits off the table's lines, and raises NotSpanning when it
-    lies on fewer than two of them; the all-pairs loop is the reference."""
+    lies on fewer than two of them, as module ``om_of`` does and as
+    ``is_spanning`` says; the all-pairs loop and Fraction elimination are
+    the references."""
 
     def test_sub_arrangements_match_all_pairs(self):
         rng = random.Random(79)
@@ -418,20 +428,24 @@ class TestLineProjection:
         full = grid + tuple(negated(v) for v in grid[:5]) + grid[:2] + ((0, 0, 0),)
         table = LineTable(arrangement_of(full))
         distinct = sorted({v for v in full if v != (0, 0, 0)})
-        ranks, antiparallel = set(), 0
+        ranks, antiparallel, empty = set(), 0, 0
         for _ in range(300):
             sub = rand_sub_arrangement(rng, distinct)
-            rank = om_module._rank3(sub)
+            arr = arrangement_of(sub)
+            rank = matrix_rank(sub)
             ranks.add(rank)
+            assert arr.is_spanning() == (rank == 3)
             if rank == 3:
                 reference = as_rows(all_pairs_cocircuit_tuples(sub))
-                assert set(table.om_of(arrangement_of(sub)).rows) == reference
+                assert set(table.om_of(arr).rows) == set(om_of(arr).rows) == reference
             else:
-                with pytest.raises(NotSpanning):
-                    table.om_of(arrangement_of(sub))
+                for read in (table.om_of, om_of):
+                    with pytest.raises(NotSpanning, match="^arrangement does not span rank 3$"):
+                        read(arr)
             antiparallel += any(negated(v) in sub for v in sub if v != (0, 0, 0))
+            empty += not sub
         assert ranks == {0, 1, 2, 3}
-        assert antiparallel > 50
+        assert antiparallel > 50 and empty > 0
 
     def test_antiparallel_pair_alone_on_a_line_spans_nothing(self):
         # e3 and -e3 lie on the line x = 0 with e2, and on y = 0 with e1; the
@@ -826,6 +840,11 @@ class TestOrientedMatroid:
         assert scaled.vector(2).y == F(1, 10)
         assert scaled == LabeledArrangement(scaled.elements)
 
+    def test_vector_of_a_missing_label_raises(self):
+        with pytest.raises(KeyError) as exc:
+            BASIS.vector(4)
+        assert exc.value.args == (4,)
+
     def test_not_spanning(self):
         rank2 = LabeledArrangement([(1, E1), (2, E2), (3, Vector3(2, 3, 0))])
         with pytest.raises(NotSpanning):
@@ -998,8 +1017,14 @@ class TestWeakMap:
         assert not weak_map(om_of(DEGEN4), om_of(BASIS4))
 
     def test_onto_rank_zero(self):
-        matroid = om_of(BASIS4)
-        assert weak_map(matroid, OrientedMatroid.rank_zero(matroid.ground))
+        # Both sides delete onto the empty ground, where they are equal,
+        # whatever the source's rank or consistency.
+        doc = render_om(om_of(BASIS4))
+        doc["cocircuits"] = [{"00++": "00+-", "00--": "00-+"}.get(cc, cc) for cc in doc["cocircuits"]]
+        # The empty-ground document's row "" is no cocircuit; its deletion drops it.
+        for source in (om_of(BASIS4), om_of(DEGEN4), parse_om(doc), OrientedMatroid.rank_zero([1, 2, 3, 4]),
+                       OrientedMatroid.rank_zero([]), parse_om({"ground_set": [], "cocircuits": [""]})):
+            assert weak_map(source, OrientedMatroid.rank_zero(source.ground))
 
     def test_ground_set_mismatch(self):
         with pytest.raises(GroundSetMismatch):
@@ -1137,7 +1162,7 @@ class TestDerivedChirotope:
             arr = rand_degenerate_arrangement(rng, rng.randint(3, 6))
             labels = rng.sample(arr.labels, rng.randint(1, len(arr)))
             sub, deleted = arr.restrict(labels), om_of(arr).restrict(labels)
-            rank = om_module._rank3(sub.primitive_vectors)
+            rank = matrix_rank(sub.primitive_vectors)
             if rank == 3:
                 assert up_to_sign(deleted.chirotope, chirotope_of(sub))
             elif rank:
@@ -1435,7 +1460,7 @@ def independent_sets(arrangement: LabeledArrangement) -> int:
         1
         for size in range(4)
         for subset in combinations(ints, size)
-        if om_module._rank3(subset) == size
+        if matrix_rank(subset) == size
     )
 
 

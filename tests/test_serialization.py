@@ -383,6 +383,14 @@ class TestReportContradictions:
             document_from_json(json.dumps(doc))
         assert exc.value.path == path
 
+    def test_limit_fingerprint_other_than_the_first_records(self):
+        # every record keeps its limit, so limits_equal still holds
+        doc = _report_json(2)
+        doc["report"]["limit_fingerprint"] = "0" * 64
+        with pytest.raises(SchemaError, match="is not the first level's limit fingerprint$") as exc:
+            document_from_json(json.dumps(doc))
+        assert exc.value.path == "$.report.limit_fingerprint"
+
     def test_consistent_reports_parse(self):
         from test_construction import WALL_SEED
         flagship = (Path(__file__).parent / "fixtures" / "flagship_report.json").read_text(encoding="utf-8")
