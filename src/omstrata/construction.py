@@ -57,8 +57,8 @@ SEED_LABELS = ("alpha", "beta", "gamma", "omega", "nu", "a", "b1")
 # lines through its C(m, 2) pairs of points and projects them onto its
 # columns, one slice per run of consecutive columns, done in C; a limit does
 # so on its eight persistent points.  Depth 80 is the largest run it is meant
-# for: 4.6-5.3 s and at most 77.4 MiB peak RSS in six single runs on a 2-vCPU
-# shared host under CPython 3.11.7.  ``build`` has no such bound.
+# for: 2.3-2.9 s and at most 50.4 MiB peak RSS in three single runs on a
+# 2-vCPU shared host under CPython 3.11.7.  ``build`` has no such bound.
 MAX_CERTIFICATE_DEPTH = 80
 
 # The rescaling denominators a certificate samples when none are given.
@@ -354,12 +354,15 @@ def certificate(
 
     (a) the c_i are pairwise distinct; (b) their cross-ratios are pairwise
     distinct; (c) each delta-marked arrangement keeps its oriented matroid
-    under the sampled rescalings: a sample passes when its primitive integer
-    vectors equal the level's, which is exact, since ``om_of`` reads only the
-    labels (which rescaling keeps) and those vectors; (d) the loop-free parts
-    of all limit oriented matroids coincide (the shared limit); (e) the limit
-    arrangements still differ by the cross-ratio invariant while realizing
-    that one limit; (f) each level admits a weak map onto its limit.
+    under the sampled rescalings: a point passes a sample when its rescaled
+    primitive integer vector equals its own, which is exact, since ``om_of``
+    reads only the labels (which rescaling keeps) and those vectors.  A
+    point's vector is the same at every level, so each point is rescaled once
+    per sample, in the deepest level, and a level passes when all its points
+    but the eight persistent ones do; (d) the loop-free parts of all limit
+    oriented matroids coincide (the shared limit); (e) the limit arrangements
+    still differ by the cross-ratio invariant while realizing that one limit;
+    (f) each level admits a weak map onto its limit.
 
     Raises ValueError for a depth that is not an int in
     1..MAX_CERTIFICATE_DEPTH or samples that are not distinct positive ints,
@@ -389,21 +392,25 @@ def certificate(
     records: list[LevelRecord] = []
     limit: Optional[OrientedMatroid] = None  # the first level's
     limits_equal = True
-    s = seed
-    # Every level and every limit's non-loops read the deepest level's lines.
+    # Every level is read off the deepest level's lines by its columns there,
+    # and its limit's non-loops by the first eight: 0-5, c_i's as delta, 7 (b1).
     deepest = delta_arrangement(family, depth)
     table = LineTable(deepest)
+    labels, ints = deepest.labels, deepest.primitive_vectors
+    # Per sample, the columns whose rescaled primitive vector is not their own.
+    changed = [{k for k, v in enumerate(scale_degeneration(deepest, n).primitive_vectors) if v != ints[k]}
+               for n in samples]
     for i in range(1, depth + 1):
-        marked = delta_arrangement(family, i) if i < depth else deepest
-        ints = marked.primitive_vectors
-        level_om = table.om_of(marked)
-        degeneration = tuple(
-            (n, scale_degeneration(marked, n).primitive_vectors == ints) for n in samples
-        )
+        # Level i < depth: c_i is column 3i + 5, and b_{i+1} is column 3i + 7.
+        cols = (tuple(range(len(labels))) if i == depth
+                else (*range(6), 3 * i + 5, *range(7, 3 * i + 5), 3 * i + 6, 3 * i + 7))
+        level_labels = (*labels[:6], "delta", *map(labels.__getitem__, cols[7:]))
+        level_om = table._read(level_labels, cols)
+        rescaled = cols[8:]  # the level's non-persistent points
+        degeneration = tuple((n, moved.isdisjoint(rescaled)) for n, moved in zip(samples, changed))
         # The limit's non-loops are the persistent points at height 1, so its
         # oriented matroid with the loops deleted is that of this part.
-        persistent = marked.restrict(PERSISTENT)
-        shared = table.om_of(persistent)
+        shared = table._read(level_labels[:8], cols[:8])
         if limit is None:
             limit = shared
         elif shared == limit:
@@ -414,8 +421,8 @@ def certificate(
         # onto the limit's non-loops itself.
         weak_ok = weak_map(level_om.restrict(shared.ground), shared)
         # delta is c_i at height 1: the ledger has computed this cross-ratio.
-        delta = perspective_normalize(persistent.vector("delta"))
-        limit_cr = cross_ratio(s.alpha, delta, s.gamma, s.beta)
+        delta = perspective_normalize(deepest.elements[cols[6]][1])
+        limit_cr = cross_ratio(seed.alpha, delta, seed.gamma, seed.beta)
         records.append(
             LevelRecord(
                 i=i,

@@ -107,6 +107,7 @@ _HEX_SIGNS = str.maketrans("012", "0+-")
 # many bits, when they are at least _SLACK in size (see ``_enumerate_lines``).
 _WINDOW = 64
 _SLACK = 3 * ((1 << _WINDOW + 1) + 1)
+_ROW_CHUNK = 2048  # rows per piece of ``OrientedMatroid._json_pieces``
 
 
 def _mask(row: str, digits: dict) -> int:
@@ -332,16 +333,26 @@ class OrientedMatroid:
         """The covector keys, enumerated on first use."""
         return _covector_masks(len(self.ground), [_key(row) for row in self.rows])
 
-    def canonical_json(self) -> str:
-        """The compact JSON of the ground set and the rows, which are stored
-        sorted.  The rows are ``-0+`` strings and need no escaping, so only
-        the ground set goes through ``json``."""
-        quoted = '"' + '","'.join(self.rows) + '"' if self.rows else ""
+    def _json_pieces(self) -> Iterator[str]:
+        """``canonical_json`` in pieces: its head, the quoted rows joined in
+        chunks of ``_ROW_CHUNK``, and its tail.  The rows are ``-0+`` strings
+        and need no escaping, so only the ground set goes through ``json``."""
         ground = json.dumps(list(self.ground), separators=(",", ":"), ensure_ascii=True)
-        return '{"ground_set":' + ground + ',"cocircuits":[' + quoted + "]}"
+        yield '{"ground_set":' + ground + ',"cocircuits":['
+        for start in range(0, len(self.rows), _ROW_CHUNK):
+            yield (',"' if start else '"') + '","'.join(self.rows[start:start + _ROW_CHUNK]) + '"'
+        yield "]}"
+
+    def canonical_json(self) -> str:
+        """The compact JSON of the ground set and the rows, stored sorted."""
+        return "".join(self._json_pieces())
 
     def fingerprint(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("ascii")).hexdigest()
+        """The SHA-256 of ``canonical_json``, fed piece by piece: no copy."""
+        digest = hashlib.sha256()
+        for piece in self._json_pieces():
+            digest.update(piece.encode("ascii"))
+        return digest.hexdigest()
 
     def supports(self) -> frozenset[int]:
         """The support bitmasks of the cocircuits.  In rank 3 they determine
@@ -558,12 +569,18 @@ class LineTable:
         cols = tuple(map(self._column.get, arrangement.primitive_vectors))
         if None in cols:
             raise ValueError("the arrangement has a vector outside the line table")
+        return self._read(arrangement.labels, cols)
+
+    def _read(self, labels: tuple[Label, ...], cols: Sequence[int]) -> OrientedMatroid:
+        """The oriented matroid on ``labels``, in label order, of the columns
+        ``cols``, one per label.  Raises NotSpanning when those columns lie
+        on fewer than two lines."""
         firsts = sorted(set(map(self._first.__getitem__, cols)) - {None})
         lines = set(map(itemgetter(0), map(self._line_of.__getitem__, combinations(firsts, 2))))
         if len(lines) < 2:
             raise NotSpanning("arrangement does not span rank 3")
         on = [row for line in lines for row in self._rows[2 * line:2 * line + 2]]
-        return OrientedMatroid._of(arrangement.labels, _project(on, cols))
+        return OrientedMatroid._of(labels, _project(on, cols))
 
 
 _LOW_RANK = "cocircuits of rank 1 or 2 carry no basis signs"

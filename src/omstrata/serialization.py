@@ -217,6 +217,8 @@ def parse_om(value: Any, path: str = "$") -> OrientedMatroid:
         here = f"{path}.cocircuits[{i}]"
         if len(text) != len(ground):
             raise SchemaError(here, "sign string must match the ground-set length")
+        if not text.strip("0"):
+            raise SchemaError(here, "a cocircuit needs a non-zero sign")
         if text.translate(_NEGATE) not in present:
             raise SchemaError(here, f"negation of {text!r} is missing")
     return OrientedMatroid._of(order, {"".join([text[j] for j in perm]) for text in raw})

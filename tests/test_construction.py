@@ -37,7 +37,7 @@ from omstrata import construction
 from omstrata import om as om_module
 from omstrata.construction import MAX_CERTIFICATE_DEPTH, _level, _level_labels, _SeedLifts
 from omstrata.figures import emit_figure
-from omstrata.geometry import _lift, _point
+from omstrata.geometry import _lift, _point, embed_affine
 from omstrata.om import LineTable
 from omstrata.labels import PERSISTENT, indexed
 from omstrata.serialization import document_to_json, parse_family, render_family, render_report
@@ -534,13 +534,42 @@ class TestCertificate:
         assert certificate(default_seed(), 6).passed
         assert sizes == [25]
 
-    def test_depth_6_builds_each_level_once(self, monkeypatch):
+    def test_depth_6_builds_only_the_deepest_level(self, monkeypatch):
+        # Every level is read off the deepest level's columns.
         levels = []
         delta = construction.delta_arrangement
         monkeypatch.setattr(construction, "delta_arrangement",
                             lambda family, i: levels.append(i) or delta(family, i))
         assert certificate(default_seed(), 6).passed
-        assert sorted(levels) == [1, 2, 3, 4, 5, 6]
+        assert levels == [6]
+
+    def test_depth_6_rescales_once_per_sample(self, monkeypatch):
+        calls = []
+        scale = construction.scale_degeneration
+        monkeypatch.setattr(construction, "scale_degeneration",
+                            lambda marked, n: calls.append((len(marked), n)) or scale(marked, n))
+        samples = (1024, 3, 1)
+        assert certificate(default_seed(), 6, samples).passed
+        assert calls == [(25, n) for n in samples]
+
+    @pytest.mark.parametrize("label, first", [("c3", 4), ("b4", 3)])
+    def test_a_broken_rescaling_fails_the_levels_that_rescale_the_point(self, monkeypatch, label, first):
+        # Under n = 2, the point is scaled to a vector that is not parallel to
+        # it.  b4 is new at level 3; c3 is delta, never rescaled, at level 3,
+        # so only the levels after 3 rescale it.
+        point = embed_affine(dict(build(default_seed(), 3).points)[label])
+        scaled = Vector3.scaled
+
+        def broken(vector, factor):
+            if vector == point and factor == F(1, 2):
+                return Vector3(vector.x, vector.y, 2 * vector.z)
+            return scaled(vector, factor)
+
+        monkeypatch.setattr(Vector3, "scaled", broken)
+        report = certificate(default_seed(), 6)
+        for rec in report.records:
+            assert rec.degeneration_ok == ((1, True), (2, rec.i < first), (4, True), (1024, True)), rec.i
+        assert not report.checks.stratum_constancy
 
     def test_a_non_positive_sample_fails_stratum_constancy(self, monkeypatch):
         # Negating d1 is no positive rescaling: those samples have primitive

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import pickle
 import random
@@ -614,8 +615,9 @@ def fixpoint_closure(matroid: OrientedMatroid) -> frozenset[SignVector]:
 
 
 def rand_sign_document(rng: random.Random, ground: tuple[int, ...]) -> OrientedMatroid:
-    """A negation-closed sign-vector set on ``ground``, read through
-    ``parse_om``; it need not be an oriented matroid.  One in ten has no
+    """A negation-closed sign-vector set on ``ground``, made by
+    ``OrientedMatroid._of``; it need not be an oriented matroid, and may hold
+    the all-zero row, which ``parse_om`` rejects.  One in ten has no
     cocircuits (rank 0), one in four is the cocircuit set of a rank-2
     arrangement of integer plane vectors (zero and parallel ones included),
     the rest are random rows."""
@@ -628,7 +630,7 @@ def rand_sign_document(rng: random.Random, ground: tuple[int, ...]) -> OrientedM
     else:
         rows = [tuple(rng.choice((-1, 0, 1)) for _ in ground) for _ in range(rng.randint(1, 4))]
     strings = as_rows(rows) | as_rows(tuple(-s for s in r) for r in rows)
-    return parse_om({"ground_set": list(ground), "cocircuits": sorted(strings)})
+    return OrientedMatroid._of(ground, strings)
 
 
 def sign_set_groups():
@@ -930,6 +932,30 @@ def remade(matroid: OrientedMatroid):
     yield "rank_zero", OrientedMatroid.rank_zero(ground[::-1])
 
 
+class TestStreamedFingerprint:
+    """``fingerprint`` feeds SHA-256 the pieces of ``canonical_json``: its
+    head, the rows in chunks of ``om._ROW_CHUNK``, and its tail."""
+
+    @pytest.mark.parametrize("chunk", [None, 1, 7])
+    def test_fingerprint_is_sha256_of_canonical_json(self, monkeypatch, chunk):
+        if chunk:
+            monkeypatch.setattr(om_module, "_ROW_CHUNK", chunk)
+        matroids = [
+            OrientedMatroid.rank_zero([]),
+            OrientedMatroid.rank_zero([3, "b1", "alpha"]),
+            OrientedMatroid._of((1, 2), ["+-"]),
+            om_of(build(default_seed(), 0).arrangement()),
+            om_of(delta_arrangement(build(default_seed(), 20), 20)),
+        ]
+        assert [len(m.rows) for m in matroids][:3] == [0, 0, 1]
+        assert len(matroids[-1].rows) > om_module._ROW_CHUNK
+        for m in matroids:
+            text = json.dumps({"ground_set": list(m.ground), "cocircuits": list(m.rows)},
+                              separators=(",", ":"), ensure_ascii=True)
+            assert m.canonical_json() == text
+            assert m.fingerprint() == hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
 class TestRowsSortedOnce:
     """Every producer of an oriented matroid stores its rows as one sorted
     tuple, so ``canonical_json`` and ``render_om`` read them as they are."""
@@ -1021,9 +1047,9 @@ class TestWeakMap:
         # whatever the source's rank or consistency.
         doc = render_om(om_of(BASIS4))
         doc["cocircuits"] = [{"00++": "00+-", "00--": "00-+"}.get(cc, cc) for cc in doc["cocircuits"]]
-        # The empty-ground document's row "" is no cocircuit; its deletion drops it.
+        # The empty-ground row "" is no cocircuit; its deletion drops it.
         for source in (om_of(BASIS4), om_of(DEGEN4), parse_om(doc), OrientedMatroid.rank_zero([1, 2, 3, 4]),
-                       OrientedMatroid.rank_zero([]), parse_om({"ground_set": [], "cocircuits": [""]})):
+                       OrientedMatroid.rank_zero([]), OrientedMatroid._of((), [""])):
             assert weak_map(source, OrientedMatroid.rank_zero(source.ground))
 
     def test_ground_set_mismatch(self):
@@ -1619,7 +1645,7 @@ class TestStringRowsAgainstTuples:
         matroids = [
             OrientedMatroid.rank_zero([]),
             OrientedMatroid.rank_zero([3, "b1", "alpha"]),
-            parse_om({"ground_set": [], "cocircuits": [""]}),
+            OrientedMatroid._of((), [""]),
             om_of(build(default_seed(), 2).arrangement()),
         ]
         matroids += [om_of(rand_degenerate_arrangement(rng, rng.randint(3, 6))) for _ in range(40)]

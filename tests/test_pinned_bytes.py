@@ -9,6 +9,9 @@ The fixture ``fixtures/pinned_digests.json`` holds the digests of
   ``limits_equal`` and ``separation`` fail), written by the CLI, together
   with the figures ``A0.svg``..``A5.svg`` it writes and the figures of that
   seed's level-5 delta-marked arrangement and of its limit,
+* the report the CLI writes for ``certificate --depth 6 --samples 1024,3,1``
+  on the seed of ``samples_seed``, which passes: samples neither sorted
+  nor holding 2,
 * the ``omstrata mu`` document of the subspace ``fixtures/subspace.json``,
 * the sorted covector strings of the default seed's level-3 delta-marked
   arrangement (579 covectors), one per line,
@@ -63,6 +66,8 @@ FAILING_DEPTH = 5
 REPORT_DEPTHS = (20, 40)
 DEEP_REPORT_DEPTH = 80
 FAMILY_DEPTH = 150
+SAMPLES_DEPTH = 6
+SAMPLES = "1024,3,1"
 COVECTOR_LEVEL = 3
 
 
@@ -74,6 +79,14 @@ def _sha256(data: str | bytes) -> str:
 
 def failing_seed() -> Seed:
     return Seed(**{**default_seed().points(), "nu": PlanePoint(3, 2)})
+
+
+def samples_seed() -> Seed:
+    """The default seed with nu moved by (2/8, -1/8) and a by (-1/8, 2/8)."""
+    base = default_seed()
+    return Seed(**{**base.points(),
+                   "nu": PlanePoint(base.nu.x + Fraction(2, 8), base.nu.y - Fraction(1, 8)),
+                   "a": PlanePoint(base.a.x - Fraction(1, 8), base.a.y + Fraction(2, 8))})
 
 
 def seeded_subspace(rng_seed: int, ambient: int) -> tuple[Subspace, VectorFamily]:
@@ -110,6 +123,11 @@ def pinned_digests(work_dir: Path, deep: bool = False) -> dict[str, str]:
     digests["failing_report"] = _sha256(out.read_bytes())
     for level in range(FAILING_DEPTH + 1):
         digests[f"failing_A{level}.svg"] = _sha256((svg_dir / f"A{level}.svg").read_bytes())
+    seed_file.write_text(json.dumps(render_seed(samples_seed())), encoding="utf-8")
+    code = main(["certificate", "--depth", str(SAMPLES_DEPTH), "--samples", SAMPLES,
+                 "--seed", str(seed_file), "--out", str(out)])
+    assert code == 0, f"the samples seed fails at depth {SAMPLES_DEPTH}"
+    digests[f"depth{SAMPLES_DEPTH}_samples_report"] = _sha256(out.read_bytes())
     marked = delta_arrangement(build(seed, FAILING_DEPTH), FAILING_DEPTH)
     digests["failing_delta.svg"] = _sha256(emit_figure(marked))
     digests["failing_limit.svg"] = _sha256(emit_figure(limit_arrangement(marked)))

@@ -33,6 +33,9 @@ import fraction_reference as ref
 from test_construction import WALL_SEED, seed_with
 
 DEPTH = 10
+# Unsorted and without 2: the order of each level's sample verdicts is the
+# order given.
+OTHER_SAMPLES = (1024, 3, 1)
 ZERO = Vector3(0, 0, 0)
 
 
@@ -105,6 +108,13 @@ def test_certificate_equals_the_reference_record_for_record(name):
         records = certificate(seed, depth).records
         assert len(records) == depth
         assert mismatches(records, reference[:depth]) == [], f"{name} at depth {depth}"
+
+
+@pytest.mark.parametrize("name", SEEDS)
+def test_other_samples_equal_the_reference_record_for_record(name):
+    seed = SEEDS[name]
+    records = certificate(seed, DEPTH, OTHER_SAMPLES).records
+    assert mismatches(records, reference_records(seed, DEPTH, OTHER_SAMPLES)) == [], name
 
 
 def test_a_differing_record_is_named_by_level_and_field():

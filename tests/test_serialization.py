@@ -11,6 +11,7 @@ import pytest
 import omstrata
 from omstrata import (
     LabeledArrangement,
+    OrientedMatroid,
     RationalParseError,
     SchemaError,
     Subspace,
@@ -125,6 +126,25 @@ class TestOmDocuments:
     def test_length_mismatch(self):
         with pytest.raises(SchemaError):
             parse_om({"ground_set": [1, 2, 3], "cocircuits": ["+-"]})
+
+    @pytest.mark.parametrize("doc", [
+        {"ground_set": [], "cocircuits": [""]},
+        {"ground_set": ["a"], "cocircuits": ["0"]},
+        {"ground_set": [1, 2], "cocircuits": ["+-", "-+", "00"]},
+    ])
+    def test_an_all_zero_row_is_rejected(self, doc):
+        # No cocircuit is zero; such a row would give a rank-0 document the
+        # chirotope error of rank 1 or 2.
+        with pytest.raises(SchemaError, match="non-zero sign") as exc:
+            parse_om(doc)
+        assert exc.value.path == f"$.cocircuits[{len(doc['cocircuits']) - 1}]"
+
+    @pytest.mark.parametrize("ground", [[], ["a"], [2, "b1", "alpha"]])
+    def test_rank_zero_round_trips(self, ground):
+        matroid = OrientedMatroid.rank_zero(ground)
+        parsed = parse_om(render_om(matroid))
+        assert parsed == matroid and not parsed.rows
+        assert parsed.fingerprint() == matroid.fingerprint()
 
     def test_fingerprint_is_sha256_of_canonical_json(self):
         import hashlib
