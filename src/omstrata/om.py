@@ -45,15 +45,21 @@ each call enumerates its lines afresh.  The lines decide the rank (rank 3
 lies on three or more, rank 2 on one, lower rank on none), so ``om_of`` and
 a line table's read raise NotSpanning on fewer than two, with no rank scan.
 
-The enumeration decides most triple signs on coordinates truncated to
-W = ``_WINDOW`` = 64 bits, as a filtered geometric predicate does, but in
-integers: when some vector has more than W bits, the line's normal N and
-each v_k are shifted right (``>>``) by their excess over W, and the sign of
-the truncated product N'.v'_k is exact once ``|N'.v'_k| >= 3 (2^(W+1) + 1)``
-(``_SLACK``; the proof is in ``_enumerate_lines``).  The triples under that
-bound, exact zeros and near-collinear ones, take the full-width product.
-At depth 80 of the certificate that is 11.3 % of all pairs' triples, 97 %
-of them exact zeros.  The rows are those of full-width products throughout.
+The enumeration decides most signs on coordinates truncated to W =
+``_WINDOW`` = 64 bits, as a filtered geometric predicate does, but in
+integers (the bounds are proved in ``_enumerate_lines``).  When some vector
+has more than W bits, each vector is shifted right (``>>``) once by its
+excess over W.  A pair of two such vectors first takes the cross product
+N'' of its shifted copies; when |N''_0| >= ``_PAIR``, N'' decides that the
+pair is not parallel, its pair index entry and each triple sign N''.v'_k
+that clears ``_PAIR_SLACK``.  Other pairs compute N = v_i x v_j in full
+and read the signs off its shifted copy N', clear of ``_SLACK``.  Only the
+triples under their bound, exact zeros and near-collinear ones, take the
+full-width product, so only they make a pair decided by N'' compute N.  At
+depth 80 of the certificate that is 11.3 % of all pairs' triples, 97 % of
+them exact zeros, and N'' decides 14,283 of the 19,697 lines; on the
+Grassmann projections (about 800 to 1,800 bits) it decides every line.  The rows are those of full-width products
+throughout.
 
 A ``LineTable`` enumerates the lines of one arrangement once and answers
 ``om_of`` for every sub-arrangement of it (one whose vectors, the zero vector
@@ -87,7 +93,7 @@ from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GroundSetMismatch, NotSpanning
-from .geometry import IntVec, Vector3, _det3, _gram_adjugate, _primitive, _sign
+from .geometry import IntVec, Vector3, _cross, _det3, _gram_adjugate, _primitive, _sign
 from .labels import Label, label_key, label_keys, sort_labels
 
 Sign = int  # -1, 0, +1
@@ -103,10 +109,22 @@ _POSITIVE = str.maketrans("-0+", "001")
 _NEGATIVE = str.maketrans("-0+", "100")
 # Hex digits 2 neg + pos of a spread covector key (see ``_row``) -> characters.
 _HEX_SIGNS = str.maketrans("012", "0+-")
-# The line kernel's triple signs are read off coordinates truncated to this
-# many bits, when they are at least _SLACK in size (see ``_enumerate_lines``).
+# The line kernel reads signs off coordinates truncated to this many bits
+# when they clear the bounds below (proofs in ``_enumerate_lines``).
 _WINDOW = 64
-_SLACK = 3 * ((1 << _WINDOW + 1) + 1)
+# E: each coordinate of v'_i x v'_j lies within it of v_i x v_j / 2^(s_i+s_j).
+_PAIR = 2 * ((1 << _WINDOW + 1) + 1)
+
+
+def _slack(bits: int, h: int) -> int:
+    """3 (2^bits + h (2^W + 1)): the bound on the truncation error of n.v'_k
+    for a normal n of coordinates at most 2^bits in size, each within h of
+    the exact normal's at n's scale."""
+    return 3 * ((1 << bits) + h * ((1 << _WINDOW) + 1))
+
+
+_SLACK = _slack(_WINDOW, 1)  # n = N truncated to W bits: 3 (2^(W+1) + 1)
+_PAIR_SLACK = _slack(2 * _WINDOW + 1, _PAIR)  # n = v'_i x v'_j as it is
 _ROW_CHUNK = 2048  # rows per piece of ``OrientedMatroid._json_pieces``
 
 
@@ -444,17 +462,43 @@ def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[list[str], dict[tuple[in
     and dot products only for ``k > j``.  So each triple's sign is computed
     once: C(n, 3) products in general position.
 
-    When some vector has more than ``_WINDOW`` bits, those products are
-    filtered: the line's normal N and each v_k are truncated once
-    (``_truncated``, by shifts a and b), and the sign of N'.v'_k is the
-    exact sign when ``|N'.v'_k| >= _SLACK``.  Proof: write n = n' 2^a + e
-    and x = x' 2^b + f with 0 <= e < 2^a and 0 <= f < 2^b (``>>`` rounds
-    down); then n x / 2^(a+b) - n' x' = n' f/2^b + x' e/2^a + e f/2^(a+b),
-    less than 2^W + 2^W + 1 in size as |n'|, |x'| <= 2^W, so N.v_k / 2^(a+b)
-    is within 3 (2^(W+1) + 1) = ``_SLACK`` of N'.v'_k.  The triples under
-    that bound, exact zeros and near-collinear ones, take the full-width
-    product.  With no vector over ``_WINDOW`` bits, every product is full
-    width, as the filter would save nothing on such short coordinates.
+    When some vector has more than W = ``_WINDOW`` bits, those products are
+    filtered on truncated coordinates.  Each vector is cut once to
+    v' = v >> s, with s its excess over W bits or 0 (``_truncated``; ``>>``
+    rounds down), so that v = v' 2^s + f with 0 <= f < 2^s and |v'| <= 2^W,
+    coordinate by coordinate.
+
+    Triples.  Let a normal n have coordinates at most 2^m in size, each
+    within h of N / 2^t.  Write x = v_k / 2^s = x' + g with 0 <= g < 1;
+    then (N / 2^t) x - n x' = n g + (N / 2^t - n) x' + (N / 2^t - n) g is
+    less than 2^m + h 2^W + h in size, per coordinate.  So the sign of
+    N.v_k is that of n.v'_k when |n.v'_k| >= ``_slack(m, h)`` =
+    3 (2^m + h (2^W + 1)).  The triples under that bound, exact zeros and
+    near-collinear ones, take the full-width product N.v_k.
+
+    Pairs.  A pair of two vectors over W bits first takes N'' = v'_i x v'_j.
+    With y_i = y'_i 2^s_i + f_y and z_j = z'_j 2^s_j + f_z, a product of two
+    coordinates is y_i z_j / 2^(s_i+s_j) = y'_i z'_j + y'_i f_z / 2^s_j +
+    z'_j f_y / 2^s_i + f_y f_z / 2^(s_i+s_j), the last three terms less than
+    2^W + 2^W + 1 in size, and a coordinate of N is a difference of two such
+    products.  So each coordinate of N'' lies within
+    E = 2 (2^(W+1) + 1) = ``_PAIR`` of N / 2^(s_i+s_j), and is exact (E = 0)
+    when neither vector is shifted.  When |N''_0| >= E, N_0 is not zero and
+    has the sign of N''_0: the pair is not parallel, and its index entry
+    (below) is coordinate 0 with that sign.  Its triples read n = N'' as it
+    is, with m = 2W + 1 and h = E (``_PAIR_SLACK``): its products with the
+    v'_k, about 130 by 64 bits, cost less than shifting it to W bits first,
+    which would give m = W and h = 1 + ceil(E / 2^a) for a shift a.
+
+    Every other pair takes N in full and reads its triples off N' =
+    ``_truncated(N)``, with m = W and h = 1: N / 2^a = N' + e / 2^a with
+    0 <= e < 2^a, so the bound is 3 (2^(W+1) + 1) = ``_SLACK``.  These are
+    the pairs that N'' leaves undecided (|N''_0| < E: parallel, near
+    parallel, or a small or zero N_0) and those with a vector of at most W
+    bits, whose full products cost time linear in the longer vector's
+    length.  A pair decided by N'' takes N only when a triple is undecided.
+    With no vector over W bits, every product is full width, as the filter
+    would save nothing on such short coordinates.
 
     A pair on a known line has ``v_a x v_b = t * N`` for the line's normal
     N, so the coordinate where N leads decides both whether ``t`` is zero
@@ -483,14 +527,29 @@ def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[list[str], dict[tuple[in
                 t = y1 * z2 - z1 * y2 if c == 0 else z1 * x2 - x1 * z2 if c == 1 else x1 * y2 - y1 * x2
                 row = rows[2 * line + ((t > 0) != up)] if t else zero
             else:
-                p, q, r = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
-                if p or q or r:
-                    at = itemgetter(j)
+                line = len(rows) >> 1
+                p = None  # N = (p, q, r), computed only when N'' leaves a sign undecided
+                # two shifted vectors take N'' = v'_i x v'_j first: when
+                # |N''_0| >= E, N_0 is not zero and has the sign of N''_0
+                if (slack and cut[i] is not ints[i] and cut[j] is not ints[j]
+                        and abs((cross := _cross(cut[i], cut[j]))[0]) >= _PAIR):
+                    nx, ny, nz = cross
+                    bound = _PAIR_SLACK
+                    entry = (line, 0, nx > 0)
+                else:
+                    p, q, r = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
                     nx, ny, nz = _truncated((p, q, r)) if slack else (p, q, r)
-                    # 2, 1 or 0 where N'.v'_k is >= slack, under it in size, <= -slack
-                    signs = bytearray([((d := nx * x + ny * y + nz * z) > -slack) + (d >= slack)
+                    bound = slack
+                    entry = ((line, 0, p > 0) if p else (line, 1, q > 0) if q
+                             else (line, 2, r > 0) if r else None)
+                if entry is not None:
+                    at = itemgetter(j)
+                    # 2, 1 or 0 where n.v'_k is >= bound, under it in size, <= -bound
+                    signs = bytearray([((d := nx * x + ny * y + nz * z) > -bound) + (d >= bound)
                                        for x, y, z in cut[j + 1:]])
-                    k = signs.find(1) if slack else -1
+                    k = signs.find(1) if bound else -1
+                    if k >= 0 and p is None:
+                        p, q, r = _cross(ints[i], ints[j])
                     while k >= 0:  # undecided: the full-width product
                         x, y, z = ints[j + 1 + k]
                         d = p * x + q * y + r * z
@@ -499,8 +558,6 @@ def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[list[str], dict[tuple[in
                     row = ("".join(map(at, head)) + "0"
                            + "".join(map(at, after)).translate(_NEGATE) + "0"
                            + signs.translate(_SIGN_BYTES).decode("ascii"))
-                    line = len(rows) >> 1
-                    entry = (line, 0, p > 0) if p else (line, 1, q > 0) if q else (line, 2, r > 0)
                     if row.count("0") == pair_zeros:
                         line_of[i, j] = entry
                     else:

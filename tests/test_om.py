@@ -15,6 +15,7 @@ from omstrata import (
     NotSpanning,
     OrientedMatroid,
     SignVector,
+    Subspace,
     Vector3,
     VectorFamily,
     build,
@@ -23,14 +24,17 @@ from omstrata import (
     covectors_of,
     default_seed,
     delta_arrangement,
+    family_om,
     limit_arrangement,
     om_equal,
     om_of,
+    projection_arrangement,
     scale_degeneration,
     strong_map,
     underlying_matroid,
     weak_map,
 )
+from omstrata import grassmann
 from omstrata import om as om_module
 from omstrata.geometry import _cross
 from omstrata.om import LineTable
@@ -384,6 +388,170 @@ class TestTruncatedKernel:
             if max(c.bit_length() for v in ints for c in v) <= WINDOW:
                 assert_lines_in_pair_order(ints)
                 checked += 1
+
+
+def cut_and_shift(v) -> tuple:
+    """``_truncated(v)`` and its shift: ``v >> s`` coordinate by coordinate."""
+    return om_module._truncated(v), max(0, max(map(int.bit_length, v)) - WINDOW)
+
+
+def rand_vector(rng: random.Random, bits: int) -> tuple:
+    """A vector of three random ints of exactly ``bits`` bits each."""
+    return tuple(rand_coordinate(rng, bits) for _ in range(3))
+
+
+def plus(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+class TestTruncatedPairs:
+    """A pair of two vectors over ``_WINDOW`` bits first takes the cross
+    product N'' of their truncated copies.  When ``|N''_0| >= _PAIR`` it
+    decides that the pair is not parallel, the pair's index entry and the
+    triple signs that clear ``_PAIR_SLACK``; every other pair, and every
+    sign left undecided, takes the full-width N.  Each case runs in both
+    signs of N against the slow exact kernel."""
+
+    SIZES = TestTruncatedKernel.SIZES
+    PAIR = om_module._PAIR
+
+    def test_one_formula_gives_both_slacks(self):
+        assert om_module._SLACK == om_module._slack(WINDOW, 1) == 3 * ((1 << WINDOW + 1) + 1)
+        assert self.PAIR == 2 * ((1 << WINDOW + 1) + 1)
+        assert om_module._PAIR_SLACK == 3 * ((1 << 2 * WINDOW + 1) + self.PAIR * ((1 << WINDOW) + 1))
+
+    def test_pair_error_is_under_the_pair_bound(self):
+        # each coordinate of v'_i x v'_j lies within _PAIR of
+        # v_i x v_j / 2^(s_i+s_j), exactly on it when neither vector is
+        # shifted, also when >> rounds a negative value down; so n = N''
+        # read as it is gives a triple error under _PAIR_SLACK
+        rng = random.Random(233)
+        kinds = {0: 0, 1: 0, 2: 0}  # how many of the pair are shifted
+        for _ in range(3000):
+            vi, vj, vk = (rand_vector(rng, rng.choice(self.SIZES)) for _ in range(3))
+            (ci, si), (cj, sj), (ck, sk) = map(cut_and_shift, (vi, vj, vk))
+            exact, near = _cross(vi, vj), _cross(ci, cj)
+            assert all(abs(c) <= 1 << 2 * WINDOW + 1 for c in near)
+            errors = [e - (c << si + sj) for e, c in zip(exact, near)]
+            kinds[(si > 0) + (sj > 0)] += 1
+            if si == sj == 0:
+                assert errors == [0, 0, 0]
+            else:
+                assert all(abs(e) < self.PAIR << si + sj for e in errors)
+            error = sum(map(mul, exact, vk)) - (sum(map(mul, near, ck)) << si + sj + sk)
+            assert abs(error) < om_module._PAIR_SLACK << si + sj + sk
+        assert min(kinds.values()) > 300, kinds
+
+    def test_pair_bound_is_nearly_attained(self):
+        # cut coordinates 2^W - 1 and -2^W with remainders 2^s - 1: the
+        # error of N_0 comes within 5 of _PAIR, so no bound much smaller holds
+        bits = 2000
+        s = bits - WINDOW
+        top, low = (1 << WINDOW + s) - 1, -((1 << WINDOW + s) - (1 << s) + 1)
+        vi, vj = (0, top, low), (0, low, top)
+        (ci, si), (cj, sj) = cut_and_shift(vi), cut_and_shift(vj)
+        assert (si, sj) == (s, s) and ci == (0, (1 << WINDOW) - 1, -(1 << WINDOW))
+        error = _cross(vi, vj)[0] - (_cross(ci, cj)[0] << 2 * s)
+        assert (self.PAIR - 5) << 2 * s < error < self.PAIR << 2 * s
+
+    @staticmethod
+    def assert_in_both_signs(v1, v2, others):
+        # N in both signs and the pair in both orders, with a collinear sum
+        # (an exact zero after the pair) and vectors of other sizes around it
+        for w in (v2, negated(v2)):
+            for pair in ((v1, w), (w, v1)):
+                assert_lines_in_pair_order((*pair, plus(v1, w), *others))
+                assert_lines_in_pair_order((*others[:1], *pair, *others[1:], plus(v1, w)))
+
+    def others(self, rng):
+        return (rand_vector(rng, 2000), rand_vector(rng, 3), rand_vector(rng, 300))
+
+    @pytest.mark.parametrize("bits", [128, 700, 2000])
+    def test_near_parallel_pairs_take_the_full_product(self, bits):
+        # v2 = v1 + a small vector: N is not zero, but no coordinate of N''
+        # clears _PAIR
+        rng = random.Random(239 + bits)
+        checked = 0
+        while checked < 8:
+            v1 = rand_vector(rng, bits)
+            v2 = plus(v1, (rng.randint(-3, 3) for _ in range(3)))
+            near = _cross(cut_and_shift(v1)[0], cut_and_shift(v2)[0])
+            if any(_cross(v1, v2)) and all(abs(c) < self.PAIR for c in near):
+                self.assert_in_both_signs(v1, v2, self.others(rng))
+                checked += 1
+
+    @pytest.mark.parametrize("bits", [128, 700, 2000])
+    def test_parallel_wide_pairs_make_no_line(self, bits):
+        rng = random.Random(241 + bits)
+        for factor in (1, 2, 3):
+            v1 = rand_vector(rng, bits)
+            v2 = tuple(factor * c for c in v1)
+            assert not any(_cross(v1, v2))
+            self.assert_in_both_signs(v1, v2, self.others(rng))
+
+    @pytest.mark.parametrize("bits", [128, 700, 2000])
+    def test_a_small_lead_coordinate_takes_the_full_product(self, bits):
+        # (y2, z2) = (y1, z1) + a small vector: N_0 = y1 dz - z1 dy is not
+        # zero, but |N''_0| < _PAIR, so N''_0 may have the other sign or be 0
+        rng = random.Random(251 + bits)
+        checked = disagree = 0
+        while checked < 12:
+            v1 = rand_vector(rng, bits)
+            v2 = (rand_coordinate(rng, bits), v1[1] + rng.randint(-3, 3), v1[2] + rng.randint(-3, 3))
+            lead, near = _cross(v1, v2)[0], _cross(cut_and_shift(v1)[0], cut_and_shift(v2)[0])[0]
+            if lead and abs(near) < self.PAIR:
+                disagree += (near > 0) != (lead > 0) or not near
+                self.assert_in_both_signs(v1, v2, self.others(rng))
+                checked += 1
+        assert disagree
+
+    @pytest.mark.parametrize("bits", [128, 700, 2000])
+    def test_a_zero_lead_coordinate_leads_at_q_or_r(self, bits):
+        # N_0 = 0 when (y2, z2) is a multiple of (y1, z1), and N_0 = N_1 = 0
+        # when z1 = z2 = 0: c comes from q, then from r
+        rng = random.Random(257 + bits)
+        for factor in (1, -3):
+            v1 = rand_vector(rng, bits)
+            v2 = (rand_coordinate(rng, bits), factor * v1[1], factor * v1[2])
+            u1, u2 = ((rand_coordinate(rng, bits), rand_coordinate(rng, bits), 0) for _ in range(2))
+            for a, b, c in ((v1, v2, 1), (u1, u2, 2)):
+                normal = _cross(a, b)
+                assert next(k for k, x in enumerate(normal) if x) == c
+                self.assert_in_both_signs(a, b, self.others(rng))
+
+    def test_short_vectors_never_read_the_pair_bounds(self, monkeypatch):
+        # with no vector over _WINDOW bits, no pair takes N''
+        for name in ("_PAIR", "_PAIR_SLACK", "_slack"):
+            monkeypatch.setattr(om_module, name, None)
+        rng = random.Random(263)
+        for _ in range(40):
+            assert_lines_in_pair_order(tuple(rand_vector(rng, rng.choice((3, WINDOW))) for _ in range(8)))
+
+    def test_matches_the_slow_kernel_on_grassmann_routes(self, monkeypatch):
+        # subspace-routes' own inputs, kept small: entries p/q with
+        # |p| <= 10^6 and 10^6/2 <= q <= 10^6, n = 8..12; the projections'
+        # vectors have 756 to 1,175 bits, the family images 133 to 212
+        images = []
+        om_of_images = grassmann.om_of
+        monkeypatch.setattr(grassmann, "om_of", lambda a: images.append(a) or om_of_images(a))
+        rng = random.Random(269)
+        bound, decided, pairs = 10 ** 6, 0, 0
+        for n in (8, 10, 12):
+            rows = [[F(rng.randint(-bound, bound), rng.randint(bound // 2, bound)) for _ in range(n)]
+                    for _ in range(3)]
+            family = VectorFamily((i + 1, [rng.choice((-2, -1, 1, 2)) if j == i else
+                                           rng.randint(-5, 5) if j > i else 0 for j in range(n)])
+                                  for i in range(n))
+            subspace = Subspace(n, rows)
+            family_om(family, subspace)
+            projection = projection_arrangement(subspace).primitive_vectors
+            assert max(c.bit_length() for v in projection for c in v) > 700
+            for ints in (projection, images[-1].primitive_vectors):
+                assert_lines_in_pair_order(ints)
+                pairs += len(ints) * (len(ints) - 1) // 2
+                decided += sum(s > 0 and t > 0 and abs(_cross(a, b)[0]) >= self.PAIR
+                               for (a, s), (b, t) in combinations(map(cut_and_shift, ints), 2))
+        assert decided == pairs  # general position: N'' decides every pair
 
 
 def negated(v):
