@@ -16,14 +16,17 @@ time, and basis signs (the chirotope) by a walk over the cocircuits.
 
 A row read as a binary number gives a bitmask: ``row.translate(table)`` to
 ``1``/``0`` and then ``int(..., 2)``, so ground position k is bit ``w-1-k``
-of a width-w row.  Supports and zero sets are read that way.  A covector is
-one int, its key ``neg << w | pos``, read from a row with two ``translate``
-calls and one ``int``.  Composition is ``key | c & free2``, where ``free2``
-holds the zero positions of ``key`` in both halves, and the closure reads
-each zero set's restrictions of the cocircuits once (``_covector_masks``).
-Each oriented matroid enumerates its covector keys once and keeps them, as
-it keeps its chirotope; ``covectors_of`` and ``strong_map`` both read that
-one set.
+of a width-w row.  Supports, loops and the zero sets of rows are read that
+way.  A covector is one int, its key: the row's characters as the hex
+digits ``2 neg + pos``, read in base 16, so a row becomes a key by one
+``translate`` and one ``int``, and back by one ``hex`` and one
+``translate``.  With ``ones`` the bit 0 of every digit, a key's zero set is
+``ones & ~(key | key >> 1)`` and composition is ``key | c & free * 3``.
+The closure composes each layer's new covectors grouped by zero set, and
+reads each zero set's restrictions of the cocircuits once
+(``_covector_masks``).  Each oriented matroid enumerates its covector keys
+once and keeps them, as it keeps its chirotope; ``covectors_of`` and
+``strong_map`` both read that one set.
 
 ``SignVector`` is the value type of the sign-vector API (``cocircuits`` and
 ``covectors_of``): a ``-0+`` string with its labels.  Those objects are
@@ -33,7 +36,9 @@ Deletion onto a subset of the labels (``OrientedMatroid.restrict``) keeps the
 support-minimal non-zero restrictions of the cocircuits (BLSWZ 3.3).  Every
 non-zero basis sign of a weak-map target lies on its non-loops, so
 ``weak_map`` compares the chirotopes of both sides deleted onto those: for a
-certificate level and its eight-point limit, 56 triples, not C(n, 3).
+certificate level and its eight-point limit, 56 triples, not C(n, 3).  A
+target whose only loops are the source's costs no second walk: a deletion
+of loops only that keeps every row takes over its source's chirotope.
 
 Signs never change under positive per-element rescaling, so all sign
 computations run on primitive integer copies of the vectors; this keeps the
@@ -105,9 +110,8 @@ _NEGATE = str.maketrans("+-", "-+")
 # A row's characters -> binary digits of one of its bitmasks.
 _SUPPORT = str.maketrans("-0+", "101")
 _ZEROS = str.maketrans("-0+", "010")
-_POSITIVE = str.maketrans("-0+", "001")
-_NEGATIVE = str.maketrans("-0+", "100")
-# Hex digits 2 neg + pos of a spread covector key (see ``_row``) -> characters.
+# A row's characters <-> the hex digits 2 neg + pos of its covector key.
+_HEX_DIGITS = str.maketrans("-0+", "201")
 _HEX_SIGNS = str.maketrans("012", "0+-")
 # The line kernel reads signs off coordinates truncated to this many bits
 # when they clear the bounds below (proofs in ``_enumerate_lines``).
@@ -383,7 +387,9 @@ class OrientedMatroid:
 
         Its cocircuits are the support-minimal non-zero restrictions of the
         cocircuits (BLSWZ 3.3), so the deletion of a realization's elements
-        has the oriented matroid of the sub-arrangement.
+        has the oriented matroid of the sub-arrangement.  A deletion of loops
+        only that keeps every row keeps every basis sign, so it takes over
+        the chirotope if this oriented matroid has read it.
         """
         keep_set = _present(labels, self.ground)
         if not keep_set:
@@ -399,7 +405,13 @@ class OrientedMatroid:
         for mask in sorted(set(support.values()) - {0}, key=int.bit_count):
             if not any(m & mask == m for m in minimal):
                 minimal.add(mask)
-        return OrientedMatroid._of(ground, [row for row, m in support.items() if m in minimal])
+        deleted = OrientedMatroid._of(ground, [row for row, m in support.items() if m in minimal])
+        # Every dropped label is a loop when the kept ones and the loops
+        # cover the ground set.
+        if (len(deleted.rows) == len(self.rows) and "chirotope" in vars(self)
+                and len(keep_set | self.loops) == len(self.ground)):
+            deleted.chirotope = Chirotope(ground, self.chirotope.nonzero)
+        return deleted
 
     def delete_loops(self) -> "OrientedMatroid":
         """The same oriented matroid on the non-loop elements."""
@@ -717,49 +729,49 @@ def _chirotope_from_cocircuits(matroid: OrientedMatroid) -> Chirotope:
 
 
 def _key(row: str) -> int:
-    """The covector key of a row: ``neg << w | pos`` for its width-w bitmasks,
-    read as one binary number."""
-    return int(row.translate(_NEGATIVE) + row.translate(_POSITIVE) or "0", 2)
+    """The covector key of a row: its characters as the hex digits
+    ``2 neg + pos`` (``-`` 2, ``0`` 0, ``+`` 1), read in base 16, so ground
+    position k is hex digit ``w-1-k`` of a width-w row."""
+    return int(row.translate(_HEX_DIGITS) or "0", 16)
 
 
 def _row(key: int, width: int) -> str:
-    """The row of width ``width`` with covector key ``key``.
-
-    Read as hexadecimal, the binary digits of the key (with a leading 1,
-    which keeps the leading zeros, and width 0) put each bit in a hex digit
-    of its own.  Moving the ``neg`` half onto the ``pos`` half, doubled,
-    leaves the digit ``2 neg + pos`` at each ground position; one
-    ``translate`` maps ``0``/``1``/``2`` to ``0``/``+``/``-``.  Conversions
-    in bases 2 and 16 take linear time at any width."""
-    spread = int(format(key | 1 << 2 * width, "b"), 16)
-    return hex(spread >> 4 * width << 1 | spread & (1 << 4 * width) - 1)[3:].translate(_HEX_SIGNS)
+    """The row of width ``width`` with covector key ``key``: its hex digits,
+    with a leading 1 that keeps the leading zeros (and width 0), mapped by
+    one ``translate``.  Conversions in base 16 take linear time at any width."""
+    return hex(key | 1 << 4 * width)[3:].translate(_HEX_SIGNS)
 
 
 def _covector_masks(width: int, cocircuits: list[int]) -> frozenset[int]:
     """Zero and every composition of the cocircuit keys, grown one cocircuit
     at a time (composition is associative) until a layer adds nothing.
 
-    ``X o C`` reads only C on the zero set of X, where it is ``C & free2``
-    (``free2``: those positions, set in both halves).  So the closure keeps,
-    for each zero set met, the distinct restrictions of the cocircuits to
-    it, and a covector adds ``X | r`` for each of those few ``r``.  Positions
-    outside every cocircuit's support never change, so a covector with no
-    zero inside that support composes to itself and is not extended."""
+    A digit is 0 when neither of its two low bits is set, so a key's zero
+    set is ``ones & ~(key | key >> 1)`` (``ones``: bit 0 of every digit).
+    ``X o C`` reads only C on the zero set ``free`` of X, where C is
+    ``C & free * 3`` (no carries), so ``X o C = X | C & free * 3``.  Each
+    layer's new covectors are grouped by zero set, and each group is
+    composed in one pass with the distinct restrictions of the cocircuits
+    to its zero set; those are kept by zero set across layers, so each zero
+    set scans the cocircuits once.  Zero sets are taken inside the
+    cocircuits' support: a covector with no zero there composes to itself."""
     support = reduce(or_, cocircuits, 0)
-    support = (support | support >> width) & (1 << width) - 1
+    support = (support | support >> 1) & int("1" * width or "0", 16)
     restrictions: dict[int, set[int]] = {}
     layer = {0}
     found = set(layer)
     while layer:
-        fresh = set()
+        groups: dict[int, list[int]] = {}
         for key in layer:
-            free = support & ~(key | key >> width)
+            groups.setdefault(support & ~(key | key >> 1), []).append(key)
+        fresh = set()
+        for free, keys in groups.items():
             if free:
                 restricted = restrictions.get(free)
                 if restricted is None:
-                    free2 = free << width | free
-                    restricted = restrictions[free] = {c & free2 for c in cocircuits}
-                fresh.update([key | r for r in restricted])
+                    free3 = free * 3
+                    restricted = restrictions[free] = {c & free3 for c in cocircuits}
+                fresh.update([key | r for key in keys for r in restricted])
         layer = fresh - found
         found |= layer
     return frozenset(found)

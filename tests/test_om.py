@@ -862,28 +862,29 @@ class TestCovectorsAgainstClosure:
                     assert strong_map(source, target) == (covered <= covers)
 
 
-def mask_signs(pos: int, neg: int, width: int) -> tuple[int, ...]:
-    """The reference decoding of ``(pos, neg)`` bitmasks, one sign at a
-    time: ground position k is bit ``width - 1 - k``."""
-    return tuple((pos >> width - 1 - k & 1) - (neg >> width - 1 - k & 1) for k in range(width))
-
-
 def key_signs(key: int, width: int) -> tuple[int, ...]:
-    """The reference decoding of a covector key ``neg << width | pos``."""
-    return mask_signs(key & (1 << width) - 1, key >> width, width)
+    """The reference decoding of a covector key, one sign at a time: ground
+    position k is hex digit ``width - 1 - k``, which is ``2 neg + pos``."""
+    digit_sign = {0: 0, 1: 1, 2: -1}
+    return tuple(digit_sign[key >> 4 * (width - 1 - k) & 15] for k in range(width))
+
+
+def ones(width: int) -> int:
+    """Bit 0 of each of ``width`` hex digits."""
+    return int("1" * width or "0", 16)
 
 
 class TestCovectorMasks:
-    """Covectors are composed as keys ``neg << w | pos`` and kept on their
-    oriented matroid."""
+    """Covectors are composed as keys, a row's hex digits ``2 neg + pos``,
+    and kept on their oriented matroid."""
 
     def test_round_trip_every_short_sign_row(self):
         for n in range(6):
             for signs in product((-1, 0, 1), repeat=n):
                 row = SignVector(tuple(range(n)), signs).to_string()
                 key = om_module._key(row)
-                assert key & key >> n == 0
-                assert key >> 2 * n == 0
+                assert all(key >> 4 * k & 15 <= 2 for k in range(n))
+                assert key >> 4 * n == 0
                 assert key_signs(key, n) == signs
                 assert om_module._row(key, n) == row
 
@@ -896,7 +897,8 @@ class TestCovectorMasks:
                 row = "".join(rng.choices("-0+", weights, k=width))
                 key = om_module._key(row)
                 assert om_module._row(key, width) == row
-                assert key.bit_length() <= 2 * width
+                assert set(format(key, "x")) <= set("012")
+                assert key.bit_length() <= 4 * width
 
     def test_covector_strings_match_the_mask_reference(self):
         rng = random.Random(97)
@@ -943,10 +945,24 @@ class TestCovectorMasks:
         width = len(matroid.ground)
         cocircuits = Passes(om_module._key(row) for row in matroid.rows)
         keys = om_module._covector_masks(width, cocircuits)
-        zero_sets = [0b1111 & ~(key | key >> width) for key in keys]
+        zero_sets = [ones(width) & ~(key | key >> 1) for key in keys]
         with_a_zero = [z for z in zero_sets if z]
         assert cocircuits.count == 1 + len(set(with_a_zero))
         assert len(set(with_a_zero)) < len(with_a_zero) < len(keys)
+
+    def test_composition_is_an_or_on_the_zero_digits(self):
+        # X o C = X | C & free * 3, free the zero digits of X: checked against
+        # position-wise composition at hex-digit and 64-bit word boundaries.
+        rng = random.Random(107)
+        compose = {("0", c): c for c in "-0+"} | {(x, c): x for x in "-+" for c in "-0+"}
+        for width in (0, 1, 15, 16, 17, 64, 65, 70):
+            for _ in range(40):
+                weights = rng.choice(((1, 1, 1), (1, 6, 1), (0, 1, 0)))
+                x, c = ("".join(rng.choices("-0+", weights, k=width)) for _ in range(2))
+                key = om_module._key(x)
+                free = ones(width) & ~(key | key >> 1)
+                composed = om_module._row(key | om_module._key(c) & free * 3, width)
+                assert composed == "".join(compose[pair] for pair in zip(x, c))
 
     def test_strong_maps_match_on_uncached_copies(self):
         for sets in sign_set_groups():
@@ -1510,6 +1526,45 @@ class TestRestrict:
                 if all(row[k] == "0" for row in matroid.rows)
             }
             checked += 1
+
+    def test_a_deletion_of_loops_takes_over_a_read_chirotope(self):
+        # On uncached copies: deleting loops only carries the source's
+        # chirotope once it has been read, equal to a fresh walk; deleting a
+        # non-loop too carries nothing.
+        rng = random.Random(109)
+        for _ in range(60):
+            arr = rand_degenerate_arrangement(rng, rng.randint(3, 6))
+            extra = rng.randint(0, 2)
+            arr = LabeledArrangement(list(arr.elements) + [
+                (len(arr) + k + 1, Vector3(0, 0, 0)) for k in range(extra)])
+            matroid = om_of(arr)
+            dropped = set(rng.sample(sorted(matroid.loops), rng.randint(1, len(matroid.loops))))
+            labels = [l for l in matroid.ground if l not in dropped]
+            source = uncached(matroid)
+            assert "chirotope" not in vars(source.restrict(labels))
+            source.chirotope
+            deleted = source.restrict(labels)
+            assert "chirotope" in vars(deleted)
+            assert deleted.chirotope == uncached(deleted).chirotope
+            non_loop = rng.choice([l for l in labels if l not in matroid.loops])
+            assert "chirotope" not in vars(source.restrict(l for l in labels if l != non_loop))
+
+    def test_a_deletion_that_drops_rows_carries_no_chirotope(self):
+        # A sign set that is no oriented matroid: the cocircuits of an
+        # arrangement with a loop, plus a pair of rows non-zero on every
+        # non-loop.  The walk reads no line off that pair, so its chirotope
+        # is the arrangement's; deleting the loops drops the pair (its support
+        # holds every other), so the deletion carries nothing.
+        rng = random.Random(113)
+        for _ in range(30):
+            matroid = om_of(rand_degenerate_arrangement(rng, rng.randint(3, 6)))
+            tope = "".join("0" if l in matroid.loops else rng.choice("-+") for l in matroid.ground)
+            rows = {*matroid.rows, tope, tope.translate(om_module._NEGATE)}
+            source = OrientedMatroid._of(matroid.ground, rows)
+            assert source.chirotope == matroid.chirotope
+            deleted = source.delete_loops()
+            assert deleted == matroid.delete_loops()
+            assert "chirotope" not in vars(deleted)
 
     def test_whole_ground_is_self(self):
         matroid = om_of(BASIS4)
