@@ -11,15 +11,20 @@ Two routes lead from a subspace to an oriented matroid on {1..n}:
 
 The two must agree; the test suite checks them against each other.
 
-``projection_arrangement`` and ``family_om`` compute on integers: each basis
-row, and each family vector, is scaled once by the lcm of its denominators
-(``_integer_rows``).  The projection divides once per returned coordinate.
-``Subspace`` decides rank 3 on the same integer rows, by the determinant of
-their Gram matrix, which the projection also uses; ``family_om`` decides
-that its family spans by fraction-free elimination on its integer vectors
-(``_integer_rank``).  A subspace enumerates its oriented matroid once and
-keeps it (``Subspace.oriented_matroid``), for ``subspace_om`` and
-``same_stratum`` to read.
+Everything past the input is computed on integers.  ``Subspace`` scales
+each basis row once by the lcm of its denominators (``_integer_rows``),
+decides rank 3 by the determinant of the integer rows' Gram matrix, and
+keeps the scales, the integer rows and the Gram adjugate and determinant
+(``Subspace._integers``).  ``projection_arrangement`` and ``family_om`` read
+those and never recompute them.  The projection's coordinates are integer
+numerators over the one positive Gram determinant: its arrangement keeps
+the numerators, reads its primitive vectors off them, and builds its
+``Fraction`` coordinates only when ``elements`` is read, which ``om_of``
+never does.  ``family_om`` decides that its family spans by fraction-free
+elimination on the family's integer vectors (``_integer_rank``).  A
+subspace enumerates its oriented matroid once and keeps it
+(``Subspace.oriented_matroid``), for ``subspace_om`` and ``same_stratum``
+to read.
 """
 
 from __future__ import annotations
@@ -45,15 +50,22 @@ def _to_row(values: Iterable) -> Row:
     return tuple(map(_frac, values))
 
 
-def _integer_rows(rows: Sequence[Row]) -> tuple[list[int], list[list[int]]]:
+def _integer_rows(rows: Sequence[Row]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Each row scaled by the lcm L_p of its denominators: the scales L and
     the integer rows diag(L)·rows."""
     scales, ints = [], []
     for row in rows:
         scale = lcm(*(x.denominator for x in row))
         scales.append(scale)
-        ints.append([x.numerator * (scale // x.denominator) for x in row])
-    return scales, ints
+        ints.append(tuple(x.numerator * (scale // x.denominator) for x in row))
+    return tuple(scales), tuple(ints)
+
+
+def _integer_gram(rows: Sequence[Row]) -> tuple:
+    """The scales L and integer rows B' = diag(L)·rows (``_integer_rows``),
+    then adj(G') and det(G') of their Gram matrix G' = B' B'^T."""
+    scales, ints = _integer_rows(rows)
+    return (scales, ints, *_gram_adjugate(ints))
 
 
 def _integer_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -94,14 +106,27 @@ class Subspace:
             raise RankDeficient(f"need exactly 3 basis rows, got {len(rows)}")
         if any(len(r) != ambient for r in rows):
             raise RankDeficient("basis rows must have the ambient dimension")
-        _, ints = _integer_rows(rows)
-        if _gram_adjugate(ints)[1] == 0:
+        integers = _integer_gram(rows)
+        if integers[3] == 0:
             raise RankDeficient("basis rows are linearly dependent")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", rows)
+        object.__setattr__(self, "_integers", integers)
+
+    @cached_property
+    def _integers(self) -> tuple:
+        """``_integer_gram`` of the basis: the scales, the integer rows, and
+        the adjugate and determinant (> 0) of their Gram matrix.  Computed
+        with the rank test and kept, outside ``==``, ``hash``, copies and
+        pickles; recomputed on first read after a copy or unpickling."""
+        return _integer_gram(self.basis)
 
     def column(self, i: int) -> Vector3:
-        """Coordinates of e_{i+1} paired against the basis rows."""
+        """Coordinates of e_{i+1} paired against the basis rows.  Raises
+        IndexError for an ``i`` that is not an int in 0..ambient-1 (a bool
+        is not)."""
+        if type(i) is not int or not 0 <= i < self.ambient:
+            raise IndexError(f"column must be an int in 0..{self.ambient - 1}, got {i!r}")
         return Vector3(self.basis[0][i], self.basis[1][i], self.basis[2][i])
 
     @cached_property
@@ -135,6 +160,10 @@ class VectorFamily:
 
     @staticmethod
     def standard_basis(n: int) -> "VectorFamily":
+        """e_1..e_n of Q^n on labels 1..n.  Raises ValueError for an ``n``
+        that is not a positive int (a bool is not)."""
+        if type(n) is not int or n < 1:
+            raise ValueError(f"n must be a positive int, got {n!r}")
         return VectorFamily(
             (i + 1, tuple(Fraction(1 if j == i else 0) for j in range(n))) for i in range(n)
         )
@@ -147,18 +176,18 @@ def projection_arrangement(subspace: Subspace) -> LabeledArrangement:
     Gram matrix of the basis rows B.  With B' = diag(L) B the integer rows
     and G' = B' B'^T their integer Gram matrix, G^-1 = diag(L) G'^-1 diag(L),
     so c_i = diag(L) adj(G') B' e_i / det(G'): every coordinate is one
-    integer dot product and one ``Fraction(num, det)``.  det(G') > 0 since B
-    has rank 3.
+    integer dot product over det(G'), which is > 0 since B has rank 3.  L,
+    B', adj(G') and det(G') are the subspace's own (``Subspace._integers``).
+    The arrangement keeps those numerators and det(G'), and makes its
+    ``Fraction`` coordinates only when ``elements`` is read: ``om_of`` and
+    the other sign readers use its primitive vectors, the numerators over
+    their gcd.
     """
-    scales, rows = _integer_rows(subspace.basis)
-    adjugate, det = _gram_adjugate(rows)
+    scales, rows, adjugate, det = subspace._integers
     # Row p of adj(G') is scaled by L_p.
     weights = [[scale * a for a in row] for scale, row in zip(scales, adjugate)]
-    elements = []
-    for i, column in enumerate(zip(*rows), 1):
-        coeff = [Fraction(sum(map(mul, row, column)), det) for row in weights]
-        elements.append((i, Vector3(*coeff)))
-    return LabeledArrangement(elements)
+    numerators = [tuple(sum(map(mul, row, column)) for row in weights) for column in zip(*rows)]
+    return LabeledArrangement._of_integers(tuple(range(1, subspace.ambient + 1)), numerators, det)
 
 
 def subspace_om(subspace: Subspace) -> OrientedMatroid:
@@ -185,7 +214,7 @@ def family_om(family: VectorFamily, subspace: Subspace) -> OrientedMatroid:
     _, vectors = _integer_rows([vec for _, vec in family.elements])
     if _integer_rank(vectors) != family.ambient:
         raise NotSpanning("family does not span its ambient space")
-    _, rows = _integer_rows(subspace.basis)
+    rows = subspace._integers[1]
     elements = []
     for (label, _), vec in zip(family.elements, vectors):
         image = [sum(map(mul, row, vec)) for row in rows]

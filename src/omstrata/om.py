@@ -45,6 +45,12 @@ computations run on primitive integer copies of the vectors; this keeps the
 arithmetic in plain ints and makes fingerprints bit-stable.  An arrangement
 computes those copies once and keeps them (``primitive_vectors``), so
 ``om_of``, ``chirotope_of``, ``is_spanning`` and a line table share one pass.
+An arrangement made from integers, integer vectors over one positive
+denominator (``LabeledArrangement._of_integers``, the Grassmann
+projection's), keeps its labels and primitive vectors from the start and
+builds its ``Fraction`` elements only on their first read; ``==``,
+``hash``, ``repr``, copies and pickles read them, so they match an
+arrangement built from the same Fractions.
 ``om_of`` is a function of the labels and those primitive vectors alone, and
 each call enumerates its lines afresh.  The lines decide the rank (rank 3
 lies on three or more, rank 2 on one, lower rank on none), so ``om_of`` and
@@ -94,6 +100,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -186,8 +193,44 @@ class LabeledArrangement:
         object.__setattr__(arrangement, "elements", elements)
         return arrangement
 
-    @property
+    @classmethod
+    def _of_integers(cls, labels: tuple[Label, ...], numerators: Sequence[IntVec],
+                     denominator: int) -> "LabeledArrangement":
+        """The arrangement of the vectors ``numerators[k] / denominator`` on
+        ``labels``, which are valid, distinct and in label order, for a
+        ``denominator`` > 0.  Its labels and primitive vectors are kept at
+        once: a positive denominator leaves each vector's primitive multiple
+        that of its numerators, their quotient by their gcd.  ``elements``
+        is left unset and built on its first read (``__getattr__``)."""
+        arrangement = object.__new__(cls)
+        kept = vars(arrangement)
+        kept["labels"] = labels
+        kept["primitive_vectors"] = tuple(
+            (a // g, b // g, c // g) for a, b, c in numerators for g in (gcd(a, b, c) or 1,)
+        )
+        kept["_integers"] = (numerators, denominator)
+        return arrangement
+
+    def __getattr__(self, name: str):
+        """``elements`` of an arrangement made by ``_of_integers``, built on
+        first read: ``Vector3(Fraction(a, d), Fraction(b, d), Fraction(c, d))``
+        per numerator, equal and pickled alike to the eager arrangement of
+        the same Fractions.  It then replaces the integers it was made from."""
+        kept = vars(self)
+        if name != "elements" or "_integers" not in kept:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        numerators, d = kept.pop("_integers")
+        elements = tuple(
+            (label, Vector3(Fraction(a, d), Fraction(b, d), Fraction(c, d)))
+            for label, (a, b, c) in zip(self.labels, numerators)
+        )
+        kept["elements"] = elements
+        return elements
+
+    @cached_property
     def labels(self) -> tuple[Label, ...]:
+        """The labels in order: computed on first use and kept, outside
+        ``==``, ``hash``, ``repr``, copies and pickles."""
         return tuple(label for label, _ in self.elements)
 
     def vector(self, label: Label) -> Vector3:
@@ -209,7 +252,7 @@ class LabeledArrangement:
     def is_spanning(self) -> bool:
         """Whether the Gram determinant of the primitive vectors' coordinate
         rows, the sum of their squared 3x3 minors, is non-zero (not if empty)."""
-        return bool(self.elements) and _gram_adjugate(tuple(zip(*self.primitive_vectors)))[1] != 0
+        return bool(self.labels) and _gram_adjugate(tuple(zip(*self.primitive_vectors)))[1] != 0
 
     def restrict(self, labels: Iterable[Label]) -> "LabeledArrangement":
         """Sub-arrangement on the given labels."""
@@ -229,7 +272,7 @@ class LabeledArrangement:
         )
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.labels)
 
 
 class SignVector:

@@ -102,6 +102,13 @@ class TestSubspace:
         with pytest.raises(ValueError, match="ambient must be an int"):
             Subspace(ambient, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
+    def test_column_index_checked(self):
+        plane = Subspace(4, [[1, 2, 3, 4], [0, 1, 0, 5], [0, 0, 1, 6]])
+        assert plane.column(0) == Vector3(1, 0, 0) and plane.column(3) == Vector3(4, 5, 6)
+        for i in (-1, 4, True, False, 1.0, F(1), "1"):
+            with pytest.raises(IndexError, match=r"^column must be an int in 0\.\.3, got "):
+                plane.column(i)
+
     @pytest.mark.parametrize("value", [0.5, 2.0, True, "1/2"])
     def test_entries_that_are_not_ints_or_fractions_raise(self, value):
         with pytest.raises(ValueError, match="int or a Fraction"):
@@ -237,6 +244,11 @@ class TestFamilyOm:
                 assert len(loops) == 1 + (ambient > 3)
                 assert matroid.loops == loops
 
+    @pytest.mark.parametrize("n", [0, -2, True, 3.0, F(3), "3"])
+    def test_standard_basis_needs_a_positive_int(self, n):
+        with pytest.raises(ValueError, match="^n must be a positive int, got "):
+            VectorFamily.standard_basis(n)
+
     def test_standard_basis_specializes(self):
         rng = random.Random(109)
         subspace = rand_subspace(rng, 5)
@@ -349,12 +361,32 @@ class TestSubspaceOrientedMatroid:
         v = rand_subspace(rng, 5)
         fresh = Subspace(v.ambient, v.basis)
         matroid = v.oriented_matroid
-        assert "oriented_matroid" in vars(v)
+        integers = v._integers
+        assert "oriented_matroid" in vars(v) and "_integers" in vars(fresh)
         assert v == fresh and hash(v) == hash(fresh) and repr(v) == repr(fresh)
         for other in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
             assert other == v and "oriented_matroid" not in vars(other)
+            assert "_integers" not in vars(other)
             assert other.oriented_matroid == matroid
+            assert other._integers == integers
         assert len(pickle.dumps(v)) == len(pickle.dumps(fresh))
+
+    def test_integer_rows_computed_once_per_subspace(self, monkeypatch):
+        # the rank test's integer rows, adjugate and determinant serve the
+        # projection and family_om; each holds det(G') > 0
+        rng = random.Random(167)
+        v = rand_subspace(rng, 6, 10 ** 6)
+        scales, rows, adjugate, det = v._integers
+        assert rows == tuple(tuple(x * s for x in row) for s, row in zip(scales, v.basis))
+        assert all(type(x) is int for row in rows for x in row) and det > 0
+        calls = []
+        integer_gram = grassmann._integer_gram
+        monkeypatch.setattr(grassmann, "_integer_gram", lambda r: calls.append(r) or integer_gram(r))
+        projection_arrangement(v).elements
+        family_om(VectorFamily.standard_basis(6), v)
+        assert calls == []
+        Subspace(v.ambient, v.basis)
+        assert len(calls) == 1
 
 
 class TestSameStratum:

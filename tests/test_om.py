@@ -3,6 +3,7 @@ import hashlib
 import json
 import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from itertools import combinations, product
 from operator import itemgetter, mul
@@ -62,6 +63,11 @@ ONES = Vector3(1, 1, 1)
 BASIS = LabeledArrangement([(1, E1), (2, E2), (3, E3)])
 BASIS4 = LabeledArrangement([(1, E1), (2, E2), (3, E3), (4, ONES)])
 DEGEN4 = LabeledArrangement([(1, E1), (2, E2), (3, E3), (4, Vector3(1, 1, 0))])
+# A 3-plane of Q^7 with entries near 1e6/1e6 and a zero column: its
+# projection has a loop at label 4.
+_RNG = random.Random(211)
+PLANE7 = Subspace(7, [[F(_RNG.randint(-10 ** 6, 10 ** 6), _RNG.randint(1, 10 ** 6)) if i != 3 else F(0)
+                       for i in range(7)] for _ in range(3)])
 
 
 def rand_degenerate_arrangement(rng: random.Random, size: int) -> LabeledArrangement:
@@ -703,6 +709,7 @@ class TestOmOfReadsPrimitiveVectors:
             "rescaled": lambda: DEGEN4.rescaled({1: F(3, 2), 4: 5}),
             "scale_degeneration": lambda: scale_degeneration(marked, 7),
             "limit_arrangement": lambda: limit_arrangement(marked),
+            "projection_arrangement": lambda: projection_arrangement(PLANE7),
         }
         for name, make in makers.items():
             arr, twin = make(), make()
@@ -713,7 +720,7 @@ class TestOmOfReadsPrimitiveVectors:
             assert arr == twin and hash(arr) == hash(twin) and repr(arr) == repr(twin), name
             assert pickle.dumps(arr) == pickled, name
             for copied in (copy.copy(arr), copy.deepcopy(arr), pickle.loads(pickled)):
-                assert copied == arr and vars(copied) == vars(twin), name
+                assert copied == arr and vars(copied) == {"elements": arr.elements}, name
                 assert copied.primitive_vectors == kept, name
 
     def test_rank_two_raises_on_every_call(self):
@@ -724,6 +731,73 @@ class TestOmOfReadsPrimitiveVectors:
                 om_of(rank2)
             with pytest.raises(NotSpanning):
                 table.om_of(rank2)
+
+
+def rand_numerators(rng: random.Random, size: int) -> list[tuple[int, int, int]]:
+    """Integer vectors of up to 1,800 bits, some with a common factor, some
+    negated, and one zero."""
+    vectors = []
+    for _ in range(size):
+        bits = rng.choice((3, 64, 1800))
+        v = tuple(rng.randint(-(1 << bits), 1 << bits) for _ in range(3))
+        factor = rng.choice((1, 1, 6, 1 << 70))
+        vectors.append(tuple(factor * x for x in v))
+    vectors[rng.randrange(size)] = (0, 0, 0)
+    return vectors
+
+
+class TestArrangementOfIntegers:
+    """``LabeledArrangement._of_integers``, the projection's constructor: its
+    Fractions are built on the first read of ``elements`` only."""
+
+    def test_sign_readers_build_no_fractions(self):
+        arr = projection_arrangement(PLANE7)
+        assert arr.labels == tuple(range(1, 8)) and len(arr) == 7 and arr.is_spanning()
+        om_of(arr)
+        chirotope_of(arr)
+        LineTable(arr).om_of(arr)
+        assert arr.primitive_vectors[3] == (0, 0, 0)
+        assert "elements" not in vars(arr) and "_integers" in vars(arr)
+        elements = arr.elements
+        assert "_integers" not in vars(arr) and arr.elements is elements
+
+    def test_agrees_with_the_eager_arrangement(self):
+        rng = random.Random(223)
+        for trial in range(20):
+            size = rng.randint(3, 9)
+            numerators = rand_numerators(rng, size)
+            d = rng.choice((1, 6, rng.randint(1, 1 << 1800)))
+            labels = tuple(range(1, size + 1))
+            eager = LabeledArrangement(
+                (label, Vector3(*(F(x, d) for x in v))) for label, v in zip(labels, numerators)
+            )
+            # each read on a fresh arrangement, so that it is the first
+            reads = {
+                "==": lambda a: a == eager,
+                "hash": hash,
+                "repr": repr,
+                "pickle": pickle.dumps,
+                "copy": lambda a: pickle.dumps(copy.copy(a)),
+                "deepcopy": lambda a: pickle.dumps(copy.deepcopy(a)),
+                "restrict": lambda a: a.restrict(labels[::2]),
+                "rescaled": lambda a: a.rescaled({labels[-1]: F(5, 3)}),
+                "vector": lambda a: a.vector(labels[1]),
+                "primitive_vectors": lambda a: a.primitive_vectors,
+                "om_of": lambda a: om_of(a) if a.is_spanning() else None,
+            }
+            expected = {"==": True, "copy": pickle.dumps(eager), "deepcopy": pickle.dumps(eager)}
+            for name, read in reads.items():
+                lazy = LabeledArrangement._of_integers(labels, numerators, d)
+                assert read(lazy) == expected.get(name, read(eager)), (trial, name)
+
+    def test_stays_frozen(self):
+        arr = projection_arrangement(PLANE7)
+        for name in ("elements", "labels", "primitive_vectors"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(arr, name, ())
+        assert "elements" not in vars(arr)
+        with pytest.raises(AttributeError, match="has no attribute 'missing'"):
+            arr.missing
 
 
 class TestCovectors:
