@@ -7,10 +7,11 @@ inputs raise the typed errors from :mod:`omstrata.errors` instead of
 returning sentinels.
 
 Underneath, points and lines are integer 3-vectors, and a gcd is taken only
-where a result must be primitive.  ``_primitive`` (behind ``sign_det3`` and
-``om_of``) clears denominators by their least common multiple and divides by
-the gcd.  ``_lift`` takes a plane point to its primitive vector with z > 0
-and needs no gcd.  ``_join``, the cross product divided by its gcd, gives the
+where a result must be primitive.  ``_cleared`` clears denominators by
+their least common multiple, which keeps every sign, and ``_primitive``
+(behind ``sign_det3`` and ``primitive_vectors``) divides that by the gcd.
+``_lift`` takes a plane point to its primitive vector with z > 0 and needs
+no gcd.  ``_join``, the cross product divided by its gcd, gives the
 canonical line of ``line_through``.  ``_meet``, the point on two lines, is a
 bare cross product: the ``Fraction`` coordinates of ``_point`` reduce it, and
 ``_point_lift`` reads the primitive vector off that reduction at the cost of
@@ -101,16 +102,20 @@ class Vector3:
 IntVec = tuple[int, int, int]
 
 
+def _cleared(x: Fraction, y: Fraction, z: Fraction) -> IntVec:
+    """(x, y, z) times the least common multiple of its denominators: a
+    positive integer multiple, each numerator times the cofactor of its
+    denominator."""
+    dx, dy, dz = x.denominator, y.denominator, z.denominator
+    scale = lcm(dx, dy, dz)
+    return (x.numerator * (scale // dx), y.numerator * (scale // dy), z.numerator * (scale // dz))
+
+
 def _primitive(x: Fraction, y: Fraction, z: Fraction) -> IntVec:
     """Positive integer rescaling of (x, y, z) with coprime entries (0 stays 0).
 
-    Integer arithmetic only: each numerator times the cofactor of its
-    denominator in their least common multiple, divided by one gcd."""
-    dx, dy, dz = x.denominator, y.denominator, z.denominator
-    scale = lcm(dx, dy, dz)
-    a = x.numerator * (scale // dx)
-    b = y.numerator * (scale // dy)
-    c = z.numerator * (scale // dz)
+    Integer arithmetic only: ``_cleared`` divided by one gcd."""
+    a, b, c = _cleared(x, y, z)
     g = gcd(a, b, c) or 1
     return (a // g, b // g, c // g)
 

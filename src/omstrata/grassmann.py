@@ -11,18 +11,22 @@ Two routes lead from a subspace to an oriented matroid on {1..n}:
 
 The two must agree; the test suite checks them against each other.
 
-Everything past the input is computed on integers.  ``Subspace`` scales
-each basis row once by the lcm of its denominators (``_integer_rows``),
-decides rank 3 by the determinant of the integer rows' Gram matrix, and
-keeps the scales, the integer rows and the Gram adjugate and determinant
-(``Subspace._integers``).  ``projection_arrangement`` and ``family_om`` read
-those and never recompute them.  The projection's coordinates are integer
-numerators over the one positive Gram determinant: its arrangement keeps
-the numerators, reads its primitive vectors off them, and builds its
-``Fraction`` coordinates only when ``elements`` is read, which ``om_of``
-never does.  ``family_om`` decides that its family spans by fraction-free
-elimination on the family's integer vectors (``_integer_rank``).  A
-subspace enumerates its oriented matroid once and keeps it
+Everything past the input is computed on integers, and every route hands
+``om_of`` integer vectors through ``LabeledArrangement._of_integers``: a
+positive multiple of a vector has its signs, so none of them is reduced by
+a gcd or made a ``Fraction`` on the way.  ``Subspace`` scales each basis row
+once by the lcm of its denominators (``_integer_rows``), decides rank 3 by
+the determinant of the integer rows' Gram matrix, and keeps the scales, the
+integer rows and the Gram adjugate and determinant (``Subspace._integers``).
+``projection_arrangement`` and ``family_om`` read those and never recompute
+them.  The projection's coordinates are integer numerators over the one
+positive Gram determinant: its arrangement keeps the numerators, and builds
+its primitive vectors and ``Fraction`` coordinates only when they are read,
+which ``om_of`` never does.  ``family_om`` decides that its family spans by
+fraction-free elimination on the family's integer vectors
+(``_integer_rank``), and hands over their integer images under the basis
+rows.  A subspace enumerates the oriented matroid of its columns, each
+scaled by the lcm of its own denominators, once and keeps it
 (``Subspace.oriented_matroid``), for ``subspace_om`` and ``same_stratum``
 to read.
 """
@@ -37,7 +41,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import GroundSetMismatch, NotSpanning, RankDeficient
-from .geometry import Vector3, _frac, _gram_adjugate
+from .geometry import Vector3, _cleared, _frac, _gram_adjugate
 from .labels import Label, label_keys
 from .om import LabeledArrangement, OrientedMatroid, om_equal, om_of
 
@@ -133,8 +137,12 @@ class Subspace:
     def oriented_matroid(self) -> OrientedMatroid:
         """The oriented matroid of the columns on labels {1..n}: enumerated
         on first read and kept, outside ``==``, ``hash``, copies and
-        pickles."""
-        return om_of(LabeledArrangement((i + 1, self.column(i)) for i in range(self.ambient)))
+        pickles.  Each column is handed over scaled by the lcm of its three
+        denominators (``_cleared``), with no gcd.  The columns of the
+        integer rows diag(L)·B have the same oriented matroid, but their
+        longer entries make the enumeration slower."""
+        columns = tuple(map(_cleared, *self.basis))
+        return om_of(LabeledArrangement._of_integers(tuple(range(1, self.ambient + 1)), columns, 1))
 
     def __getstate__(self) -> dict:
         return {"ambient": self.ambient, "basis": self.basis}
@@ -180,8 +188,8 @@ def projection_arrangement(subspace: Subspace) -> LabeledArrangement:
     B', adj(G') and det(G') are the subspace's own (``Subspace._integers``).
     The arrangement keeps those numerators and det(G'), and makes its
     ``Fraction`` coordinates only when ``elements`` is read: ``om_of`` and
-    the other sign readers use its primitive vectors, the numerators over
-    their gcd.
+    the other sign readers use the numerators as they are, and only its
+    primitive vectors, on their first read, divide them by their gcd.
     """
     scales, rows, adjugate, det = subspace._integers
     # Row p of adj(G') is scaled by L_p.
@@ -202,7 +210,9 @@ def family_om(family: VectorFamily, subspace: Subspace) -> OrientedMatroid:
 
     Replaces the coordinate vectors by the family vectors in the covector
     recipe: element i carries sign <v, v_i> for v in the subspace, realized
-    by the arrangement of B v_i.
+    by the arrangement of B v_i.  Its integer images B' M_i v_i (below) are
+    sorted into label order and handed to ``om_of`` as they are, over
+    denominator 1.
     """
     if family.ambient != subspace.ambient:
         raise NotSpanning(
@@ -215,11 +225,11 @@ def family_om(family: VectorFamily, subspace: Subspace) -> OrientedMatroid:
     if _integer_rank(vectors) != family.ambient:
         raise NotSpanning("family does not span its ambient space")
     rows = subspace._integers[1]
-    elements = []
-    for (label, _), vec in zip(family.elements, vectors):
-        image = [sum(map(mul, row, vec)) for row in rows]
-        elements.append((label, Vector3(*image)))
-    return om_of(LabeledArrangement(elements))
+    labels = [label for label, _ in family.elements]
+    keys = label_keys(labels)
+    order = sorted(range(len(labels)), key=keys.__getitem__)
+    images = [tuple(sum(map(mul, row, vectors[k])) for row in rows) for k in order]
+    return om_of(LabeledArrangement._of_integers(tuple(labels[k] for k in order), images, 1))
 
 
 def same_stratum(v: Subspace, w: Subspace, level: str = "oriented-matroid") -> bool:

@@ -41,20 +41,25 @@ target whose only loops are the source's costs no second walk: a deletion
 of loops only that keeps every row takes over its source's chirotope.
 
 Signs never change under positive per-element rescaling, so all sign
-computations run on primitive integer copies of the vectors; this keeps the
-arithmetic in plain ints and makes fingerprints bit-stable.  An arrangement
-computes those copies once and keeps them (``primitive_vectors``), so
-``om_of``, ``chirotope_of``, ``is_spanning`` and a line table share one pass.
-An arrangement made from integers, integer vectors over one positive
-denominator (``LabeledArrangement._of_integers``, the Grassmann
-projection's), keeps its labels and primitive vectors from the start and
-builds its ``Fraction`` elements only on their first read; ``==``,
-``hash``, ``repr``, copies and pickles read them, so they match an
-arrangement built from the same Fractions.
-``om_of`` is a function of the labels and those primitive vectors alone, and
-each call enumerates its lines afresh.  The lines decide the rank (rank 3
-lies on three or more, rank 2 on one, lower rank on none), so ``om_of`` and
-a line table's read raise NotSpanning on fewer than two, with no rank scan.
+computations run on integer copies of the vectors, which keeps the
+arithmetic in plain ints and makes fingerprints bit-stable.  ``om_of``,
+``chirotope_of`` and ``is_spanning`` read any positive integer multiples of
+the vectors (``integer_vectors``); a line table, whose column keys must be
+canonical, reads the primitive ones (``primitive_vectors``).  An
+arrangement of ``Fraction``s computes its primitive vectors once, keeps
+them, and uses them as its integer vectors too, so every reader shares one
+pass.  An arrangement made from integers, integer vectors over one positive
+denominator (``LabeledArrangement._of_integers``: the Grassmann
+projection's, and the column and family arrangements of denominator 1),
+keeps its labels and those integers as its integer vectors: the sign
+readers take no gcd.  It reduces them to primitive vectors only when those
+are read, and builds its ``Fraction`` elements only on their first read;
+``==``, ``hash``, ``repr``, copies and pickles read them, so they match an
+arrangement built from the same Fractions.  ``om_of`` is a function of the
+labels and the signs alone, and each call enumerates its lines afresh.  The
+lines decide the rank (rank 3 lies on three or more, rank 2 on one, lower
+rank on none), so ``om_of`` and a line table's read raise NotSpanning on
+fewer than two, with no rank scan.
 
 The enumeration decides most signs on coordinates truncated to W =
 ``_WINDOW`` = 64 bits, as a filtered geometric predicate does, but in
@@ -99,7 +104,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import gcd
 from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -198,31 +203,32 @@ class LabeledArrangement:
                      denominator: int) -> "LabeledArrangement":
         """The arrangement of the vectors ``numerators[k] / denominator`` on
         ``labels``, which are valid, distinct and in label order, for a
-        ``denominator`` > 0.  Its labels and primitive vectors are kept at
-        once: a positive denominator leaves each vector's primitive multiple
-        that of its numerators, their quotient by their gcd.  ``elements``
-        is left unset and built on its first read (``__getattr__``)."""
+        ``denominator`` > 0.  Its labels and its integer vectors, the
+        numerators, are kept as given: a positive denominator makes each
+        numerator vector a positive multiple of its vector, with the same
+        signs.  ``primitive_vectors`` is computed on its first read, and
+        ``elements`` is left unset and built on its first read
+        (``__getattr__``)."""
         arrangement = object.__new__(cls)
         kept = vars(arrangement)
         kept["labels"] = labels
-        kept["primitive_vectors"] = tuple(
-            (a // g, b // g, c // g) for a, b, c in numerators for g in (gcd(a, b, c) or 1,)
-        )
-        kept["_integers"] = (numerators, denominator)
+        kept["integer_vectors"] = tuple(numerators)
+        kept["_denominator"] = denominator
         return arrangement
 
     def __getattr__(self, name: str):
         """``elements`` of an arrangement made by ``_of_integers``, built on
         first read: ``Vector3(Fraction(a, d), Fraction(b, d), Fraction(c, d))``
         per numerator, equal and pickled alike to the eager arrangement of
-        the same Fractions.  It then replaces the integers it was made from."""
+        the same Fractions.  It then replaces the denominator it was made
+        with."""
         kept = vars(self)
-        if name != "elements" or "_integers" not in kept:
+        if name != "elements" or "_denominator" not in kept:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        numerators, d = kept.pop("_integers")
+        d = kept.pop("_denominator")
         elements = tuple(
             (label, Vector3(Fraction(a, d), Fraction(b, d), Fraction(c, d)))
-            for label, (a, b, c) in zip(self.labels, numerators)
+            for label, (a, b, c) in zip(self.labels, self.integer_vectors)
         )
         kept["elements"] = elements
         return elements
@@ -241,18 +247,34 @@ class LabeledArrangement:
 
     @cached_property
     def primitive_vectors(self) -> tuple[IntVec, ...]:
-        """The primitive integer multiples of the vectors, which carry every
-        sign of the arrangement: computed on first use and kept, outside
-        ``==``, ``hash``, ``repr``, copies and pickles."""
-        return tuple(_primitive(v.x, v.y, v.z) for _, v in self.elements)
+        """The primitive integer multiples of the vectors, canonical keys of
+        their rays (``LineTable`` reads them): the kept integer vectors over
+        their gcds when the arrangement was made from integers, else read
+        off the elements.  Computed on first use and kept, outside ``==``,
+        ``hash``, ``repr``, copies and pickles."""
+        # Integer vectors held before these come from ``_of_integers``: an
+        # eager arrangement computes its integer vectors from these.
+        ints = vars(self).get("integer_vectors")
+        if ints is None:
+            return tuple(_primitive(v.x, v.y, v.z) for _, v in self.elements)
+        return tuple((a // g, b // g, c // g) for a, b, c in ints for g in (gcd(a, b, c) or 1,))
+
+    @cached_property
+    def integer_vectors(self) -> tuple[IntVec, ...]:
+        """Positive integer multiples of the vectors, which carry every sign
+        of the arrangement (``om_of``, ``chirotope_of`` and ``is_spanning``
+        read them): the numerators of an arrangement made from integers, as
+        given, else the primitive vectors.  Kept outside ``==``, ``hash``,
+        ``repr``, copies and pickles."""
+        return self.primitive_vectors
 
     def __getstate__(self) -> dict:
         return {"elements": self.elements}
 
     def is_spanning(self) -> bool:
-        """Whether the Gram determinant of the primitive vectors' coordinate
+        """Whether the Gram determinant of the integer vectors' coordinate
         rows, the sum of their squared 3x3 minors, is non-zero (not if empty)."""
-        return bool(self.labels) and _gram_adjugate(tuple(zip(*self.primitive_vectors)))[1] != 0
+        return bool(self.labels) and _gram_adjugate(tuple(zip(*self.integer_vectors)))[1] != 0
 
     def restrict(self, labels: Iterable[Label]) -> "LabeledArrangement":
         """Sub-arrangement on the given labels."""
@@ -421,8 +443,15 @@ class OrientedMatroid:
 
     def supports(self) -> frozenset[int]:
         """The support bitmasks of the cocircuits.  In rank 3 they determine
-        the underlying matroid (BLSWZ ch. 3)."""
-        return frozenset([_mask(row, _SUPPORT) for row in self.rows])
+        the underlying matroid (BLSWZ ch. 3).  The rows are joined and
+        translated to binary digits once, and each row's chunk is read in
+        base 2."""
+        width, rows = len(self.ground), self.rows
+        if not width:  # no row, or the one empty row, whose mask is 0
+            return frozenset([0] * len(rows))
+        digits = "".join(rows).translate(_SUPPORT)
+        chunks = [digits[k:k + width] for k in range(0, len(digits), width)]
+        return frozenset(map(int, chunks, repeat(2)))
 
     def restrict(self, labels: Iterable[Label]) -> "OrientedMatroid":
         """The deletion onto ``labels``, ground order kept: the empty oriented
@@ -482,7 +511,7 @@ def chirotope_of(arrangement: LabeledArrangement) -> Chirotope:
 
     This is the determinant reference: ``om_of(a).chirotope`` equals it up
     to one global sign."""
-    ground, ints = arrangement.labels, arrangement.primitive_vectors
+    ground, ints = arrangement.labels, arrangement.integer_vectors
     nonzero: dict[tuple[Label, Label, Label], Sign] = {}
     live = [i for i, v in enumerate(ints) if v != (0, 0, 0)]
     for i, j, k in combinations(live, 3):
@@ -636,11 +665,12 @@ def om_of(arrangement: LabeledArrangement) -> OrientedMatroid:
 
     Every line through two independent elements spans a plane whose normal
     induces one cocircuit and its negation.  Each call enumerates the lines
-    afresh; the result depends only on the labels and the primitive integer
-    vectors.  Raises NotSpanning when the enumeration finds fewer than two
-    lines, which is when the arrangement does not span rank 3.
+    afresh on the arrangement's integer vectors; the result depends only on
+    the labels and their signs.  Raises NotSpanning when the enumeration
+    finds fewer than two lines, which is when the arrangement does not span
+    rank 3.
     """
-    rows = _enumerate_lines(arrangement.primitive_vectors)[0]
+    rows = _enumerate_lines(arrangement.integer_vectors)[0]
     if len(rows) < 4:
         raise NotSpanning("arrangement does not span rank 3")
     return OrientedMatroid._of(arrangement.labels, rows)

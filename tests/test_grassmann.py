@@ -23,6 +23,7 @@ from omstrata import (
     underlying_matroid,
 )
 from omstrata import grassmann
+from omstrata.labels import label_key
 from omstrata.linalg import matrix_rank, solve_linear
 
 from conftest import rand_fraction, sign_of
@@ -318,6 +319,42 @@ class TestFamilyOm:
                     with pytest.raises(NotSpanning, match="^family does not span its ambient space$"):
                         family_om(family, subspace)
         assert dependent > 50 and deficient > 50, (dependent, deficient)
+
+    def test_labels_out_of_order(self):
+        # family_om sorts its images into label order itself: labels given
+        # in reverse, string labels, a loop, and entries over 64 bits
+        rng = random.Random(173)
+
+        def expected(family, subspace):
+            return om_of(LabeledArrangement(
+                (label, Vector3(*(sum(b * x for b, x in zip(row, vec)) for row in subspace.basis)))
+                for label, vec in family.elements))
+
+        for trial in range(40):
+            ambient = rng.randint(4, 7)
+            span = rng.choice((9, 1 << 70))
+            subspace = rand_subspace(rng, ambient, span)
+            vectors = [[rand_fraction(rng, span) for _ in range(ambient)] for _ in range(ambient + 2)]
+            loop = rng.randrange(len(vectors))
+            vectors[loop] = kernel_vector(subspace)
+            if matrix_rank(vectors) < ambient:
+                continue
+            names = ["alpha", "omega", "delta", "a"] + [f"{c}{i}" for i in range(1, 4) for c in "bcd"]
+            rng.shuffle(names)
+            for labels in (list(range(len(vectors), 0, -1)), names[:len(vectors)]):
+                family = VectorFamily(zip(labels, vectors))
+                matroid = family_om(family, subspace)
+                assert matroid == expected(family, subspace), (trial, labels)
+                assert matroid.ground == tuple(sorted(labels, key=label_key))
+                assert labels[loop] in matroid.loops
+            if span > 9:
+                assert max(abs(x.numerator).bit_length() for vec in vectors for x in vec) > 64
+        with pytest.raises(NotSpanning, match="^family does not span its ambient space$"):
+            family_om(VectorFamily([("b2", (1, 0, 0, 0)), ("alpha", (0, 1, 0, 0)), ("c1", (1, 1, 0, 0))]),
+                      Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]))
+        with pytest.raises(NotSpanning, match=r"^family lives in Q\^3, subspace in Q\^4$"):
+            family_om(VectorFamily([("c1", (1, 0, 0)), ("b1", (0, 1, 0)), ("alpha", (0, 0, 1))]),
+                      Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]))
 
     def test_sampled_members_give_covectors(self):
         rng = random.Random(127)

@@ -6,6 +6,7 @@ import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from itertools import combinations, product
+from math import gcd
 from operator import itemgetter, mul
 
 import pytest
@@ -757,9 +758,25 @@ class TestArrangementOfIntegers:
         chirotope_of(arr)
         LineTable(arr).om_of(arr)
         assert arr.primitive_vectors[3] == (0, 0, 0)
-        assert "elements" not in vars(arr) and "_integers" in vars(arr)
+        assert "elements" not in vars(arr) and "_denominator" in vars(arr)
         elements = arr.elements
-        assert "_integers" not in vars(arr) and arr.elements is elements
+        assert "_denominator" not in vars(arr) and arr.elements is elements
+
+    def test_sign_readers_take_no_gcd(self):
+        arr = projection_arrangement(PLANE7)
+        om_of(arr)
+        chirotope_of(arr)
+        assert arr.is_spanning() and len(arr) == 7
+        assert "primitive_vectors" not in vars(arr) and "elements" not in vars(arr)
+        numerators = arr.integer_vectors
+        # the numerators share factors that the primitive vectors drop
+        assert any(gcd(*v) > 1 for v in numerators)
+        assert arr.primitive_vectors == tuple(
+            tuple(x // (gcd(*v) or 1) for x in v) for v in numerators
+        )
+        assert arr.primitive_vectors == tuple(
+            om_module._primitive(v.x, v.y, v.z) for _, v in arr.elements
+        )
 
     def test_agrees_with_the_eager_arrangement(self):
         rng = random.Random(223)
@@ -784,6 +801,9 @@ class TestArrangementOfIntegers:
                 "vector": lambda a: a.vector(labels[1]),
                 "primitive_vectors": lambda a: a.primitive_vectors,
                 "om_of": lambda a: om_of(a) if a.is_spanning() else None,
+                "chirotope_of": chirotope_of,
+                "is_spanning": lambda a: a.is_spanning(),
+                "LineTable": lambda a: LineTable(a).om_of(a) if a.is_spanning() else None,
             }
             expected = {"==": True, "copy": pickle.dumps(eager), "deepcopy": pickle.dumps(eager)}
             for name, read in reads.items():
@@ -1061,6 +1081,24 @@ class TestCovectorMasks:
 
 
 class TestOrientedMatroid:
+    def test_supports_match_one_mask_per_row(self):
+        family = build(default_seed(), 20)
+        arr = delta_arrangement(family, 20)
+        read = LineTable(arr).om_of(arr)
+        assert len(read.rows) > 2000
+        cases = [
+            OrientedMatroid._of((1, 2, 3), ()),
+            OrientedMatroid._of((), ()),
+            OrientedMatroid._of((), [""]),
+            OrientedMatroid._of((1, 2, 3), ["+0-"]),
+            OrientedMatroid._of((1,), ["+", "-"]),
+            OrientedMatroid._of((1,), ["0"]),
+            read,
+        ]
+        for matroid in cases:
+            expected = {om_module._mask(row, om_module._SUPPORT) for row in matroid.rows}
+            assert matroid.supports() == expected, matroid
+
     def test_basis_om(self):
         matroid = om_of(BASIS)
         assert len(matroid.cocircuits) == 6
