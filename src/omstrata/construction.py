@@ -57,7 +57,7 @@ SEED_LABELS = ("alpha", "beta", "gamma", "omega", "nu", "a", "b1")
 # lines through its C(m, 2) pairs of points and projects them onto its
 # columns, one slice per run of consecutive columns, done in C; a limit does
 # so on its eight persistent points.  Depth 80 is the largest run it is meant
-# for: 2.3-2.9 s and at most 50.4 MiB peak RSS in three single runs on a
+# for: 2.2-2.6 s and at most 50.9 MiB peak RSS in three single runs on a
 # 2-vCPU shared host under CPython 3.11.7.  ``build`` has no such bound.
 MAX_CERTIFICATE_DEPTH = 80
 
@@ -396,21 +396,22 @@ def certificate(
     # and its limit's non-loops by the first eight: 0-5, c_i's as delta, 7 (b1).
     deepest = delta_arrangement(family, depth)
     table = LineTable(deepest)
-    labels, ints = deepest.labels, deepest.primitive_vectors
-    # Per sample, the columns whose rescaled primitive vector is not their own.
-    changed = [{k for k, v in enumerate(scale_degeneration(deepest, n).primitive_vectors) if v != ints[k]}
+    labels, ints = deepest.labels, deepest.integer_vectors
+    # Per sample, the columns whose rescaled primitive vector is not their own:
+    # both arrangements hold Fractions, so their integer vectors are primitive.
+    changed = [{k for k, v in enumerate(scale_degeneration(deepest, n).integer_vectors) if v != ints[k]}
                for n in samples]
     for i in range(1, depth + 1):
         # Level i < depth: c_i is column 3i + 5, and b_{i+1} is column 3i + 7.
         cols = (tuple(range(len(labels))) if i == depth
                 else (*range(6), 3 * i + 5, *range(7, 3 * i + 5), 3 * i + 6, 3 * i + 7))
         level_labels = (*labels[:6], "delta", *map(labels.__getitem__, cols[7:]))
-        level_om = table._read(level_labels, cols)
+        level_om = table.read(level_labels, cols)
         rescaled = cols[8:]  # the level's non-persistent points
         degeneration = tuple((n, moved.isdisjoint(rescaled)) for n, moved in zip(samples, changed))
         # The limit's non-loops are the persistent points at height 1, so its
         # oriented matroid with the loops deleted is that of this part.
-        shared = table._read(level_labels[:8], cols[:8])
+        shared = table.read(level_labels[:8], cols[:8])
         if limit is None:
             limit = shared
         elif shared == limit:

@@ -9,7 +9,7 @@ returning sentinels.
 Underneath, points and lines are integer 3-vectors, and a gcd is taken only
 where a result must be primitive.  ``_cleared`` clears denominators by
 their least common multiple, which keeps every sign, and ``_primitive``
-(behind ``sign_det3`` and ``primitive_vectors``) divides that by the gcd.
+(behind ``sign_det3`` and ``integer_vectors``) divides that by the gcd.
 ``_lift`` takes a plane point to its primitive vector with z > 0 and needs
 no gcd.  ``_join``, the cross product divided by its gcd, gives the
 canonical line of ``line_through``.  ``_meet``, the point on two lines, is a

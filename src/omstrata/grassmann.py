@@ -20,9 +20,9 @@ the determinant of the integer rows' Gram matrix, and keeps the scales, the
 integer rows and the Gram adjugate and determinant (``Subspace._integers``).
 ``projection_arrangement`` and ``family_om`` read those and never recompute
 them.  The projection's coordinates are integer numerators over the one
-positive Gram determinant: its arrangement keeps the numerators, and builds
-its primitive vectors and ``Fraction`` coordinates only when they are read,
-which ``om_of`` never does.  ``family_om`` decides that its family spans by
+positive Gram determinant: its arrangement keeps the numerators as its
+integer vectors, and builds its ``Fraction`` coordinates only when they are
+read, which ``om_of`` never does.  ``family_om`` decides that its family spans by
 fraction-free elimination on the family's integer vectors
 (``_integer_rank``), and hands over their integer images under the basis
 rows.  A subspace enumerates the oriented matroid of its columns, each
@@ -188,8 +188,8 @@ def projection_arrangement(subspace: Subspace) -> LabeledArrangement:
     B', adj(G') and det(G') are the subspace's own (``Subspace._integers``).
     The arrangement keeps those numerators and det(G'), and makes its
     ``Fraction`` coordinates only when ``elements`` is read: ``om_of`` and
-    the other sign readers use the numerators as they are, and only its
-    primitive vectors, on their first read, divide them by their gcd.
+    the other sign readers use the numerators as they are, as its
+    ``integer_vectors``.
     """
     scales, rows, adjugate, det = subspace._integers
     # Row p of adj(G') is scaled by L_p.

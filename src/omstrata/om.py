@@ -42,18 +42,16 @@ of loops only that keeps every row takes over its source's chirotope.
 
 Signs never change under positive per-element rescaling, so all sign
 computations run on integer copies of the vectors, which keeps the
-arithmetic in plain ints and makes fingerprints bit-stable.  ``om_of``,
-``chirotope_of`` and ``is_spanning`` read any positive integer multiples of
-the vectors (``integer_vectors``); a line table, whose column keys must be
-canonical, reads the primitive ones (``primitive_vectors``).  An
-arrangement of ``Fraction``s computes its primitive vectors once, keeps
-them, and uses them as its integer vectors too, so every reader shares one
-pass.  An arrangement made from integers, integer vectors over one positive
-denominator (``LabeledArrangement._of_integers``: the Grassmann
-projection's, and the column and family arrangements of denominator 1),
-keeps its labels and those integers as its integer vectors: the sign
-readers take no gcd.  It reduces them to primitive vectors only when those
-are read, and builds its ``Fraction`` elements only on their first read;
+arithmetic in plain ints and makes fingerprints bit-stable.  Every sign
+reader (``om_of``, ``chirotope_of``, ``is_spanning`` and ``LineTable``)
+reads one integer view, ``integer_vectors``: positive integer multiples of
+the vectors.  An arrangement of ``Fraction``s computes them once as its
+primitive vectors, which are canonical, and keeps them.  An arrangement
+made from integers, integer vectors over one positive denominator
+(``LabeledArrangement._of_integers``: the Grassmann projection's, and the
+column and family arrangements of denominator 1), keeps its labels and
+those integers as given: no reader takes a gcd of them but a line table's
+class keys.  It builds its ``Fraction`` elements only on their first read;
 ``==``, ``hash``, ``repr``, copies and pickles read them, so they match an
 arrangement built from the same Fractions.  ``om_of`` is a function of the
 labels and the signs alone, and each call enumerates its lines afresh.  The
@@ -74,18 +72,18 @@ triples under their bound, exact zeros and near-collinear ones, take the
 full-width product, so only they make a pair decided by N'' compute N.  At
 depth 80 of the certificate that is 11.3 % of all pairs' triples, 97 % of
 them exact zeros, and N'' decides 14,283 of the 19,697 lines; on the
-Grassmann projections (about 800 to 1,800 bits) it decides every line.  The rows are those of full-width products
-throughout.
+Grassmann projections (about 800 to 1,800 bits) it decides every line.
+The rows are those of full-width products throughout.
 
-A ``LineTable`` enumerates the lines of one arrangement once and answers
-``om_of`` for every sub-arrangement of it (one whose vectors, the zero vector
-included, all occur in the table).  Two vectors that are not parallel lie
-on exactly one line (BLSWZ ch. 3), which the enumeration indexes by their
-columns.  The lines of a sub-arrangement are those through pairs of its
-projective classes, each read as its first column, and their rows are
-read off the table's rows, restricted to the sub-arrangement's columns.
-The certificate builds one table from its deepest level, so one
-enumeration serves every level and every limit's non-loops.
+A ``LineTable`` enumerates the lines of one arrangement once and reads
+the oriented matroid of any list of its columns (``LineTable.read``): that
+is ``om_of`` of the arrangement of those columns' vectors.  Two vectors
+that are not parallel lie on exactly one line (BLSWZ ch. 3), which the
+enumeration indexes by their columns.  The lines of a column list are
+those through pairs of its projective classes, each read as its first
+column, and their rows are read off the table's rows, restricted to the
+listed columns.  The certificate builds one table from its deepest level,
+so one enumeration serves every level and every limit's non-loops.
 
 Rows are restricted to columns by runs (``_project``): the columns are cut
 once into maximal runs of consecutive ones, and each row is read as one
@@ -105,7 +103,6 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import combinations, repeat
-from math import gcd
 from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -206,8 +203,7 @@ class LabeledArrangement:
         ``denominator`` > 0.  Its labels and its integer vectors, the
         numerators, are kept as given: a positive denominator makes each
         numerator vector a positive multiple of its vector, with the same
-        signs.  ``primitive_vectors`` is computed on its first read, and
-        ``elements`` is left unset and built on its first read
+        signs.  ``elements`` is left unset and built on its first read
         (``__getattr__``)."""
         arrangement = object.__new__(cls)
         kept = vars(arrangement)
@@ -246,27 +242,14 @@ class LabeledArrangement:
         raise KeyError(label)
 
     @cached_property
-    def primitive_vectors(self) -> tuple[IntVec, ...]:
-        """The primitive integer multiples of the vectors, canonical keys of
-        their rays (``LineTable`` reads them): the kept integer vectors over
-        their gcds when the arrangement was made from integers, else read
-        off the elements.  Computed on first use and kept, outside ``==``,
-        ``hash``, ``repr``, copies and pickles."""
-        # Integer vectors held before these come from ``_of_integers``: an
-        # eager arrangement computes its integer vectors from these.
-        ints = vars(self).get("integer_vectors")
-        if ints is None:
-            return tuple(_primitive(v.x, v.y, v.z) for _, v in self.elements)
-        return tuple((a // g, b // g, c // g) for a, b, c in ints for g in (gcd(a, b, c) or 1,))
-
-    @cached_property
     def integer_vectors(self) -> tuple[IntVec, ...]:
         """Positive integer multiples of the vectors, which carry every sign
-        of the arrangement (``om_of``, ``chirotope_of`` and ``is_spanning``
-        read them): the numerators of an arrangement made from integers, as
-        given, else the primitive vectors.  Kept outside ``==``, ``hash``,
-        ``repr``, copies and pickles."""
-        return self.primitive_vectors
+        of the arrangement (``om_of``, ``chirotope_of``, ``is_spanning`` and
+        ``LineTable`` read them): the numerators of an arrangement made from
+        integers, as given, else the primitive vectors of the elements.
+        Computed on first use and kept, outside ``==``, ``hash``, ``repr``,
+        copies and pickles."""
+        return tuple(_primitive(v.x, v.y, v.z) for _, v in self.elements)
 
     def __getstate__(self) -> dict:
         return {"elements": self.elements}
@@ -678,45 +661,36 @@ def om_of(arrangement: LabeledArrangement) -> OrientedMatroid:
 
 class LineTable:
     """The lines of one arrangement, enumerated once; the oriented matroid
-    of any sub-arrangement, and whether it spans, is read off them in one
-    pass (``om_of``; see the module docstring).
+    of any list of its columns, and whether it spans, is read off them in
+    one pass (``read``; see the module docstring).
 
     The table keeps the enumeration's rows and pair index, and maps each
-    column to the first column of its projective class (a vector and its
-    negatives), ``None`` for a loop.  A read looks up only pairs of first
-    columns, which are never parallel.  A repeated vector reads one of its
-    columns, which read alike.  Every vector a sub-arrangement reads, the
-    zero vector included, must be a vector of the table; a loop reads its
+    column to the first column of its projective class, ``None`` for a
+    loop.  A class is keyed by the primitive vector of its members that is
+    above zero, so non-primitive, parallel and antiparallel integer vectors
+    share one key.  A read looks up only pairs of first columns, which are
+    never parallel; a column read twice reads alike, and a loop reads its
     own all-``0`` column.  The table does not change after it is built.
     """
 
-    __slots__ = ("_rows", "_line_of", "_column", "_first")
+    __slots__ = ("_rows", "_line_of", "_first")
 
     def __init__(self, arrangement: LabeledArrangement):
-        vectors = arrangement.primitive_vectors
+        vectors = arrangement.integer_vectors
         self._rows, self._line_of = _enumerate_lines(vectors)
-        self._column = dict(zip(vectors, range(len(vectors))))
-        first: dict[IntVec, int] = {}  # v and -v span one class: keyed by its member above zero
-        self._first = [None if v == (0, 0, 0) else first.setdefault(max(v, (-v[0], -v[1], -v[2])), k)
-                       for k, v in enumerate(vectors)]
+        first: dict[IntVec, int] = {}  # a class is keyed by its primitive member above zero
+        self._first = [None if p == (0, 0, 0) else first.setdefault(max(p, (-p[0], -p[1], -p[2])), k)
+                       for k, p in enumerate(_primitive(*v) for v in vectors)]
 
-    def om_of(self, arrangement: LabeledArrangement) -> OrientedMatroid:
-        """``om_of(arrangement)``: both rows, restricted to the arrangement's
-        columns, of every line through two of its projective classes.
-
-        Raises ValueError when a vector of the arrangement, the zero vector
-        included, is not in the table, and NotSpanning when the arrangement
-        lies on fewer than two lines.
-        """
-        cols = tuple(map(self._column.get, arrangement.primitive_vectors))
-        if None in cols:
-            raise ValueError("the arrangement has a vector outside the line table")
-        return self._read(arrangement.labels, cols)
-
-    def _read(self, labels: tuple[Label, ...], cols: Sequence[int]) -> OrientedMatroid:
+    def read(self, labels: tuple[Label, ...], cols: Sequence[int]) -> OrientedMatroid:
         """The oriented matroid on ``labels``, in label order, of the columns
-        ``cols``, one per label.  Raises NotSpanning when those columns lie
-        on fewer than two lines."""
+        ``cols``, one per label: ``om_of`` of the arrangement of those
+        columns' vectors.  Raises ValueError when a column is outside the
+        table or the labels are not one per column, then NotSpanning when
+        the columns lie on fewer than two lines."""
+        n = len(self._first)
+        if len(labels) != len(cols) or cols and (min(cols) < 0 or max(cols) >= n):
+            raise ValueError(f"{len(labels)} labels for {len(cols)} columns, which must lie in 0..{n - 1}")
         firsts = sorted(set(map(self._first.__getitem__, cols)) - {None})
         lines = set(map(itemgetter(0), map(self._line_of.__getitem__, combinations(firsts, 2))))
         if len(lines) < 2:

@@ -103,3 +103,12 @@ def as_row(signs) -> str:
 
 def as_rows(sign_tuples) -> set[str]:
     return {as_row(signs) for signs in sign_tuples}
+
+
+def table_read(table, source, arrangement=None):
+    """``table.read`` of the columns of ``arrangement`` (by default
+    ``source``) in ``source``, the arrangement ``table`` was built from,
+    which holds each of its integer vectors: ``om_of(arrangement)``."""
+    arrangement = source if arrangement is None else arrangement
+    column = {v: k for k, v in enumerate(source.integer_vectors)}
+    return table.read(arrangement.labels, [column[v] for v in arrangement.integer_vectors])

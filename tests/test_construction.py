@@ -48,6 +48,7 @@ from conftest import (
     as_rows,
     rand_positive_fraction,
     rand_spanning_arrangement,
+    table_read,
 )
 
 
@@ -519,12 +520,13 @@ class TestCertificate:
 
     def test_levels_and_limits_read_the_deepest_lines(self):
         family = build(default_seed(), 20)
-        table = LineTable(delta_arrangement(family, 20))
+        deepest = delta_arrangement(family, 20)
+        table = LineTable(deepest)
         for i in range(1, 21):
             marked = delta_arrangement(family, i)
             for arr in (marked, nonzero_part(limit_arrangement(marked))):
-                ints = arr.primitive_vectors
-                assert set(table.om_of(arr).rows) == as_rows(all_pairs_cocircuit_tuples(ints))
+                ints = arr.integer_vectors
+                assert set(table_read(table, deepest, arr).rows) == as_rows(all_pairs_cocircuit_tuples(ints))
 
     def test_depth_6_enumerates_once(self, monkeypatch):
         sizes = []
@@ -722,7 +724,8 @@ class TestHistoryIndependence:
         levels = [delta_arrangement(family, i) for i in range(1, 7)]
         arrangements = levels + [nonzero_part(limit_arrangement(m)) for m in levels]
         reference = [om_of(arr).fingerprint() for arr in arrangements]
-        read = LineTable(levels[-1]).om_of if source == "table" else om_of
+        table = LineTable(levels[-1])
+        read = (lambda arr: table_read(table, levels[-1], arr)) if source == "table" else om_of
         other = rand_spanning_arrangement(random.Random(97), 30)
         other_reference = om_of(other).fingerprint()
         wrong, errors = [], []

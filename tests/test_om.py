@@ -54,6 +54,7 @@ from conftest import (
     rand_spanning_arrangement,
     sampled_sign_patterns,
     sign_of,
+    table_read,
 )
 
 E1 = Vector3(1, 0, 0)
@@ -257,7 +258,7 @@ class TestCocircuitKernel:
         kinds = {"mapped": 0, "rank 2": 0, "parallel": 0, "loop": 0}
         for _ in range(200):
             arr = rand_grid_arrangement(rng, rng.randint(3, 10))
-            ints = arr.primitive_vectors
+            ints = arr.integer_vectors
             # its shadow on the plane z = 0, of rank 2 or less
             flat = tuple(om_module._primitive(x, y, 0) for x, y, _ in ints)
             for small in (ints, flat):
@@ -278,7 +279,7 @@ class TestCocircuitKernel:
 
     def test_pair_order_on_the_deepest_tables(self):
         for depth in (40, 60):
-            ints = delta_arrangement(build(default_seed(), depth), depth).primitive_vectors
+            ints = delta_arrangement(build(default_seed(), depth), depth).integer_vectors
             assert_lines_in_pair_order(ints)
 
     def test_matches_all_pairs_on_certificate_levels(self):
@@ -288,11 +289,11 @@ class TestCocircuitKernel:
         for i in range(1, 21):
             marked = delta_arrangement(family, i)
             baseline = marked.restrict(["alpha", "beta", "gamma", "delta", *(f"c{j}" for j in range(1, i))])
-            assert matrix_rank(baseline.primitive_vectors) == 2 and not baseline.is_spanning()
+            assert matrix_rank(baseline.integer_vectors) == 2 and not baseline.is_spanning()
             with pytest.raises(NotSpanning, match="^arrangement does not span rank 3$"):
                 om_of(baseline)
             for arr in (marked, limit_arrangement(marked)):
-                ints = arr.primitive_vectors
+                ints = arr.integer_vectors
                 assert matrix_rank(ints) == 3 and arr.is_spanning()
                 assert set(om_of(arr).rows) == as_rows(all_pairs_cocircuit_tuples(ints))
                 assert_lines_in_pair_order(ints)
@@ -537,7 +538,7 @@ class TestTruncatedPairs:
     def test_matches_the_slow_kernel_on_grassmann_routes(self, monkeypatch):
         # subspace-routes' own inputs, kept small: entries p/q with
         # |p| <= 10^6 and 10^6/2 <= q <= 10^6, n = 8..12; the projections'
-        # vectors have 756 to 1,175 bits, the family images 133 to 212
+        # numerators have 836 to 1,236 bits, the family images 144 to 212
         images = []
         om_of_images = grassmann.om_of
         monkeypatch.setattr(grassmann, "om_of", lambda a: images.append(a) or om_of_images(a))
@@ -551,9 +552,9 @@ class TestTruncatedPairs:
                                   for i in range(n))
             subspace = Subspace(n, rows)
             family_om(family, subspace)
-            projection = projection_arrangement(subspace).primitive_vectors
+            projection = projection_arrangement(subspace).integer_vectors
             assert max(c.bit_length() for v in projection for c in v) > 700
-            for ints in (projection, images[-1].primitive_vectors):
+            for ints in (projection, images[-1].integer_vectors):
                 assert_lines_in_pair_order(ints)
                 pairs += len(ints) * (len(ints) - 1) // 2
                 decided += sum(s > 0 and t > 0 and abs(_cross(a, b)[0]) >= self.PAIR
@@ -565,25 +566,33 @@ def negated(v):
     return (-v[0], -v[1], -v[2])
 
 
-def rand_sub_arrangement(rng: random.Random, distinct):
-    """Primitive vectors drawn with repetition from ``distinct``, plus loops:
-    mostly from all of them, sometimes from one plane (rank 2) or one
-    projective class (rank 1), sometimes only loops."""
+def refuse(*args):
+    """A stand-in for ``Fraction`` and ``_primitive`` where a read must call
+    neither."""
+    raise AssertionError("a Fraction or a gcd")
+
+
+def rand_columns(rng: random.Random, ints) -> list[int]:
+    """Columns of ``ints`` drawn with repetition and in any order: mostly
+    from all non-zero ones, sometimes from one plane (rank 2) or one
+    projective class (rank 1), sometimes none, plus up to two loops."""
+    live = [k for k, v in enumerate(ints) if any(v)]
+    loops = [k for k, v in enumerate(ints) if not any(v)]
     kind = rng.random()
     if kind < 0.15:
-        u, v = rng.sample(distinct, 2)
-        pool = [w for w in distinct if matrix_rank([u, v, w]) < 3]
+        u, v = rng.sample(live, 2)
+        pool = [k for k in live if matrix_rank([ints[u], ints[v], ints[k]]) < 3]
     elif kind < 0.25:
-        u = rng.choice(distinct)
-        pool = [w for w in (u, negated(u)) if w in distinct]
+        u = rng.choice(live)
+        pool = [k for k in live if matrix_rank([ints[u], ints[k]]) < 2]
     elif kind < 0.3:
         pool = []
     else:
-        pool = distinct
-    sub = [rng.choice(pool) for _ in range(rng.randint(0, 10) if pool else 0)]
-    sub += [(0, 0, 0)] * rng.randint(0, 2)
-    rng.shuffle(sub)
-    return tuple(sub)
+        pool = live
+    cols = [rng.choice(pool) for _ in range(rng.randint(0, 10) if pool else 0)]
+    cols += [rng.choice(loops) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(cols)
+    return cols
 
 
 def arrangement_of(ints) -> LabeledArrangement:
@@ -591,94 +600,123 @@ def arrangement_of(ints) -> LabeledArrangement:
 
 
 class TestLineProjection:
-    """An arrangement whose non-zero vectors all occur in a line table reads
-    its cocircuits off the table's lines, and raises NotSpanning when it
-    lies on fewer than two of them, as module ``om_of`` does and as
+    """A line table reads the oriented matroid of any list of its columns
+    off its lines, and raises NotSpanning when the columns lie on fewer
+    than two of them, as module ``om_of`` does on their vectors and as
     ``is_spanning`` says; the all-pairs loop and Fraction elimination are
     the references."""
 
-    def test_sub_arrangements_match_all_pairs(self):
-        rng = random.Random(79)
-        grid = rand_grid_arrangement(rng, 14).primitive_vectors
-        # antiparallel copies of some vectors, a repeat and a loop
-        full = grid + tuple(negated(v) for v in grid[:5]) + grid[:2] + ((0, 0, 0),)
-        table = LineTable(arrangement_of(full))
-        distinct = sorted({v for v in full if v != (0, 0, 0)})
-        ranks, antiparallel, empty = set(), 0, 0
+    @staticmethod
+    def assert_reads_match(rng, ints, source, arrangement_of):
+        """300 reads of random columns of ``source``, whose integer vectors
+        are ``ints``, against ``om_of`` of the arrangement of their vectors
+        that ``arrangement_of`` makes, labeled 0..m-1."""
+        table = LineTable(source)
+        ranks, counts = set(), {"antiparallel": 0, "repeated": 0, "backward": 0, "empty": 0}
         for _ in range(300):
-            sub = rand_sub_arrangement(rng, distinct)
-            arr = arrangement_of(sub)
+            cols = rand_columns(rng, ints)
+            sub = [ints[k] for k in cols]
+            arr, labels = arrangement_of(sub), tuple(range(len(cols)))
             rank = matrix_rank(sub)
             ranks.add(rank)
             assert arr.is_spanning() == (rank == 3)
             if rank == 3:
                 reference = as_rows(all_pairs_cocircuit_tuples(sub))
-                assert set(table.om_of(arr).rows) == set(om_of(arr).rows) == reference
+                assert set(table.read(labels, cols).rows) == set(om_of(arr).rows) == reference
             else:
-                for read in (table.om_of, om_of):
+                for read in (lambda: table.read(labels, cols), lambda: om_of(arr)):
                     with pytest.raises(NotSpanning, match="^arrangement does not span rank 3$"):
-                        read(arr)
-            antiparallel += any(negated(v) in sub for v in sub if v != (0, 0, 0))
-            empty += not sub
+                        read()
+            classes = [om_module._primitive(*v) for v in sub]
+            counts["antiparallel"] += any(negated(v) in classes for v in classes if any(v))
+            counts["repeated"] += len(set(cols)) < len(cols)
+            counts["backward"] += any(b < a for a, b in zip(cols, cols[1:]))
+            counts["empty"] += not cols
         assert ranks == {0, 1, 2, 3}
-        assert antiparallel > 50 and empty > 0
+        assert min(counts.values()) > 0 and counts["antiparallel"] > 50, counts
+
+    def test_sub_arrangements_match_all_pairs(self):
+        rng = random.Random(79)
+        grid = rand_grid_arrangement(rng, 14).integer_vectors
+        # antiparallel copies of some vectors, a repeat and a loop
+        full = grid + tuple(negated(v) for v in grid[:5]) + grid[:2] + ((0, 0, 0),)
+        self.assert_reads_match(rng, full, arrangement_of(full), arrangement_of)
+
+    def test_integer_table_reads_match_all_pairs(self):
+        # numerators with common factors, a parallel pair at two scales,
+        # antiparallel pairs and a loop: a class's columns share one key only
+        # once each vector is divided by its gcd
+        rng = random.Random(89)
+        grid = rand_grid_arrangement(rng, 12).integer_vectors
+        u = next(v for v in grid if any(v))
+        ints = [tuple(rng.choice((1, 2, 6, 1 << 70)) * x for x in v) for v in grid]
+        ints += [tuple(-4 * x for x in v) for v in grid[:5]]
+        ints += [tuple(2 * x for x in u), tuple(3 * x for x in u), tuple(-5 * x for x in u), (0, 0, 0)]
+        rng.shuffle(ints)
+        assert sum(gcd(*v) > 1 for v in ints) > 3
+        integers = LabeledArrangement._of_integers
+        source = integers(tuple(range(len(ints))), ints, 7)
+        assert source.integer_vectors == tuple(ints)
+        self.assert_reads_match(rng, ints, source, lambda sub: integers(tuple(range(len(sub))), sub, 7))
 
     def test_antiparallel_pair_alone_on_a_line_spans_nothing(self):
         # e3 and -e3 lie on the line x = 0 with e2, and on y = 0 with e1; the
-        # sub-arrangement without e2 lies in y = 0, its one line
-        table = LineTable(arrangement_of(((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1))))
-        sub = ((0, 0, 1), (1, 0, 0), (0, 0, -1))
-        assert as_rows(all_pairs_cocircuit_tuples(sub)) == {"000"}
-        for spans_nothing in (sub, ((0, 0, 1), (0, 0, -1))):
+        # columns without e2 lie in y = 0, its one line
+        vectors = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1))
+        table = LineTable(arrangement_of(vectors))
+        sub = (2, 0, 3)
+        assert as_rows(all_pairs_cocircuit_tuples([vectors[k] for k in sub])) == {"000"}
+        for spans_nothing in (sub, (2, 3)):
             with pytest.raises(NotSpanning):
-                table.om_of(arrangement_of(spans_nothing))
+                table.read(tuple(range(len(spans_nothing))), spans_nothing)
 
-    def test_a_vector_outside_the_table_raises(self):
+    def test_a_column_outside_the_table_raises(self):
         table = LineTable(BASIS4)
-        # a new class, an antiparallel copy, and the zero vector of a loop-free table
-        for outside in (Vector3(1, 2, 3), ONES.scaled(-1), Vector3(0, 0, 0)):
-            with pytest.raises(ValueError, match="outside"):
-                table.om_of(LabeledArrangement(list(BASIS.elements) + [(4, outside)]))
-        # before NotSpanning, on an arrangement of rank 2
-        with pytest.raises(ValueError, match="outside"):
-            table.om_of(LabeledArrangement([(1, E1), (2, Vector3(1, 2, 3))]))
-        assert table.om_of(BASIS) == om_of(BASIS)
+        # the first three lie on fewer than two lines, and raise ValueError
+        # before NotSpanning
+        for labels, cols in (((1, 2), (0, 4)), ((1, 2), (0, -1)), ((1,), (0, 1)),
+                             ((1, 2, 3, 4), (-1, 0, 1, 2)), ((1, 2, 3, 4), (0, 1, 2, 4)),
+                             ((1, 2, 3), (0, 1, 2, 3)), ((1, 2, 3, 4, 5), (0, 1, 2, 3))):
+            with pytest.raises(ValueError, match=r"^\d labels for \d columns, which must lie in 0\.\.3$"):
+                table.read(labels, cols)
+        assert table.read((1, 2, 3), (0, 1, 2)) == om_of(BASIS)
+        with pytest.raises(NotSpanning):
+            table.read((1, 2), (0, 3))
 
     def test_projected_om_of_equals_a_fresh_enumeration(self):
         rng = random.Random(83)
         full = rand_degenerate_arrangement(rng, 9)
         table = LineTable(full)
-        assert table.om_of(full) == om_of(full)
+        assert table_read(table, full) == om_of(full)
         for _ in range(30):
             labels = rng.sample(full.labels, rng.randint(4, len(full)))
             sub = full.restrict(labels)
             if not sub.is_spanning():
                 continue
-            projected = table.om_of(sub)
+            projected = table_read(table, full, sub)
             assert projected == om_of(sub)
             assert projected.fingerprint() == om_of(sub).fingerprint()
 
 
 class TestOmOfReadsPrimitiveVectors:
     """``om_of``, fresh or through a line table, depends on the labels and
-    the primitive integer vectors alone."""
+    the signs of the integer vectors alone."""
 
     def test_rescaled_copy_reads_alike(self):
         rng = random.Random(73)
         arr = rand_degenerate_arrangement(rng, 6)
         factors = {label: rand_positive_fraction(rng) for label in arr.labels}
-        table = LineTable(arr)
-        first = table.om_of(arr)
-        assert table.om_of(arr.rescaled(factors)) == first
-        fresh = om_of(arr.rescaled(factors))
+        rescaled = arr.rescaled(factors)
+        first = table_read(LineTable(arr), arr)
+        assert table_read(LineTable(rescaled), rescaled) == first
+        fresh = om_of(rescaled)
         assert fresh == first == om_of(arr)
         assert fresh.fingerprint() == first.fingerprint()
 
     def test_shuffled_copy_reads_alike(self):
-        table = LineTable(BASIS4)
-        first = table.om_of(BASIS4)
+        first = LineTable(BASIS4).read(BASIS4.labels, (0, 1, 2, 3))
         shuffled = LabeledArrangement(reversed(BASIS4.elements))
-        assert table.om_of(shuffled) == first
+        assert LineTable(shuffled).read(shuffled.labels, (0, 1, 2, 3)) == first
         assert om_of(shuffled) == first
 
     def test_negated_element_reads_differently(self):
@@ -686,9 +724,10 @@ class TestOmOfReadsPrimitiveVectors:
             (label, v.scaled(-1) if label == 4 else v) for label, v in BASIS4.elements
         )
         table = LineTable(LabeledArrangement(list(BASIS4.elements) + [(5, ONES.scaled(-1))]))
-        first = table.om_of(BASIS4)
-        assert not om_equal(first, table.om_of(flipped))
-        assert table.om_of(flipped) == om_of(flipped)
+        first = table.read(BASIS4.labels, (0, 1, 2, 3))
+        negated_read = table.read(flipped.labels, (0, 1, 2, 4))
+        assert not om_equal(first, negated_read)
+        assert negated_read == om_of(flipped)
 
     def test_labels_are_part_of_the_key(self):
         relabeled = LabeledArrangement((label + 4, v) for label, v in BASIS4.elements)
@@ -697,11 +736,12 @@ class TestOmOfReadsPrimitiveVectors:
         assert second.ground == (5, 6, 7, 8)
         assert sorted(first.rows) == sorted(second.rows)
         table = LineTable(BASIS4)
-        assert table.om_of(BASIS4) == first
-        assert table.om_of(relabeled) == second
+        assert table.read(BASIS4.labels, (0, 1, 2, 3)) == first
+        assert table.read(relabeled.labels, (0, 1, 2, 3)) == second
 
-    def test_vectors_are_kept_outside_equality_and_state(self):
+    def test_vectors_are_kept_outside_equality_and_state(self, monkeypatch):
         marked = delta_arrangement(build(default_seed(), 3), 3)
+        numerators = [(6, 0, 4), (0, 3, 0), (0, 0, 0), (-2, -2, 10)]
         # each constructor, called anew so that every arrangement starts unread
         makers = {
             "__init__": lambda: LabeledArrangement(reversed(DEGEN4.elements)),
@@ -710,19 +750,31 @@ class TestOmOfReadsPrimitiveVectors:
             "rescaled": lambda: DEGEN4.rescaled({1: F(3, 2), 4: 5}),
             "scale_degeneration": lambda: scale_degeneration(marked, 7),
             "limit_arrangement": lambda: limit_arrangement(marked),
+            "_of_integers": lambda: LabeledArrangement._of_integers((1, 2, 3, 4), numerators, 5),
             "projection_arrangement": lambda: projection_arrangement(PLANE7),
         }
         for name, make in makers.items():
             arr, twin = make(), make()
-            pickled = pickle.dumps(arr)
-            kept = arr.primitive_vectors
-            assert kept == tuple(om_module._primitive(v.x, v.y, v.z) for _, v in arr.elements), name
-            assert arr.primitive_vectors is kept, name
+            pickled = pickle.dumps(twin)
+            lazy = "_denominator" in vars(arr)
+            assert lazy == (name in ("_of_integers", "projection_arrangement")), name
+            with monkeypatch.context() as patch:
+                if lazy:  # the numerators are read as they were given
+                    patch.setattr(om_module, "Fraction", refuse)
+                    patch.setattr(om_module, "_primitive", refuse)
+                kept = arr.integer_vectors
+            assert arr.integer_vectors is kept, name
+            if lazy:
+                d = vars(arr)["_denominator"]
+                assert "elements" not in vars(arr), name
+                assert kept == tuple((v.x * d, v.y * d, v.z * d) for _, v in arr.elements), name
+            else:
+                assert kept == tuple(om_module._primitive(v.x, v.y, v.z) for _, v in arr.elements), name
             assert arr == twin and hash(arr) == hash(twin) and repr(arr) == repr(twin), name
             assert pickle.dumps(arr) == pickled, name
             for copied in (copy.copy(arr), copy.deepcopy(arr), pickle.loads(pickled)):
                 assert copied == arr and vars(copied) == {"elements": arr.elements}, name
-                assert copied.primitive_vectors == kept, name
+                assert copied.integer_vectors == tuple(om_module._primitive(*v) for v in kept), name
 
     def test_rank_two_raises_on_every_call(self):
         rank2 = LabeledArrangement([(1, E1), (2, E2), (3, Vector3(1, 1, 0))])
@@ -731,7 +783,7 @@ class TestOmOfReadsPrimitiveVectors:
             with pytest.raises(NotSpanning):
                 om_of(rank2)
             with pytest.raises(NotSpanning):
-                table.om_of(rank2)
+                table.read(rank2.labels, (0, 1, 2))
 
 
 def rand_numerators(rng: random.Random, size: int) -> list[tuple[int, int, int]]:
@@ -756,25 +808,25 @@ class TestArrangementOfIntegers:
         assert arr.labels == tuple(range(1, 8)) and len(arr) == 7 and arr.is_spanning()
         om_of(arr)
         chirotope_of(arr)
-        LineTable(arr).om_of(arr)
-        assert arr.primitive_vectors[3] == (0, 0, 0)
+        LineTable(arr).read(arr.labels, range(7))
+        assert arr.integer_vectors[3] == (0, 0, 0)
         assert "elements" not in vars(arr) and "_denominator" in vars(arr)
         elements = arr.elements
         assert "_denominator" not in vars(arr) and arr.elements is elements
 
-    def test_sign_readers_take_no_gcd(self):
+    def test_sign_readers_take_no_gcd(self, monkeypatch):
         arr = projection_arrangement(PLANE7)
-        om_of(arr)
-        chirotope_of(arr)
-        assert arr.is_spanning() and len(arr) == 7
-        assert "primitive_vectors" not in vars(arr) and "elements" not in vars(arr)
+        with monkeypatch.context() as patch:
+            patch.setattr(om_module, "Fraction", refuse)
+            patch.setattr(om_module, "_primitive", refuse)
+            om_of(arr)
+            chirotope_of(arr)
+            assert arr.is_spanning() and len(arr) == 7
+        assert "elements" not in vars(arr)
         numerators = arr.integer_vectors
         # the numerators share factors that the primitive vectors drop
         assert any(gcd(*v) > 1 for v in numerators)
-        assert arr.primitive_vectors == tuple(
-            tuple(x // (gcd(*v) or 1) for x in v) for v in numerators
-        )
-        assert arr.primitive_vectors == tuple(
+        assert tuple(om_module._primitive(*v) for v in numerators) == tuple(
             om_module._primitive(v.x, v.y, v.z) for _, v in arr.elements
         )
 
@@ -799,11 +851,11 @@ class TestArrangementOfIntegers:
                 "restrict": lambda a: a.restrict(labels[::2]),
                 "rescaled": lambda a: a.rescaled({labels[-1]: F(5, 3)}),
                 "vector": lambda a: a.vector(labels[1]),
-                "primitive_vectors": lambda a: a.primitive_vectors,
+                "integer_vectors": lambda a: tuple(om_module._primitive(*v) for v in a.integer_vectors),
                 "om_of": lambda a: om_of(a) if a.is_spanning() else None,
                 "chirotope_of": chirotope_of,
                 "is_spanning": lambda a: a.is_spanning(),
-                "LineTable": lambda a: LineTable(a).om_of(a) if a.is_spanning() else None,
+                "LineTable": lambda a: LineTable(a).read(labels, range(size)) if a.is_spanning() else None,
             }
             expected = {"==": True, "copy": pickle.dumps(eager), "deepcopy": pickle.dumps(eager)}
             for name, read in reads.items():
@@ -812,7 +864,7 @@ class TestArrangementOfIntegers:
 
     def test_stays_frozen(self):
         arr = projection_arrangement(PLANE7)
-        for name in ("elements", "labels", "primitive_vectors"):
+        for name in ("elements", "labels", "integer_vectors"):
             with pytest.raises(FrozenInstanceError):
                 setattr(arr, name, ())
         assert "elements" not in vars(arr)
@@ -1084,7 +1136,7 @@ class TestOrientedMatroid:
     def test_supports_match_one_mask_per_row(self):
         family = build(default_seed(), 20)
         arr = delta_arrangement(family, 20)
-        read = LineTable(arr).om_of(arr)
+        read = table_read(LineTable(arr), arr)
         assert len(read.rows) > 2000
         cases = [
             OrientedMatroid._of((1, 2, 3), ()),
@@ -1116,7 +1168,7 @@ class TestOrientedMatroid:
         for _ in range(25):
             arr = rand_spanning_arrangement(rng, rng.randint(3, 7))
             factors = {label: rand_positive_fraction(rng) for label in arr.labels}
-            assert arr.rescaled(factors).primitive_vectors == arr.primitive_vectors
+            assert arr.rescaled(factors).integer_vectors == arr.integer_vectors
             assert om_equal(om_of(arr), om_of(arr.rescaled(factors)))
 
     def test_rescaling_an_absent_label_raises(self):
@@ -1189,7 +1241,7 @@ class TestOrientedMatroid:
         makers = {
             "__init__": lambda: OrientedMatroid(level.ground, level.cocircuits),
             "om_of": lambda: om_of(marked),
-            "LineTable.om_of": lambda: LineTable(marked).om_of(marked.restrict(PERSISTENT)),
+            "LineTable.read": lambda: table_read(LineTable(marked), marked, marked.restrict(PERSISTENT)),
             "restrict": lambda: level.restrict(PERSISTENT),
             "rank_zero": lambda: OrientedMatroid.rank_zero(level.ground),
             "parse_om": lambda: parse_om(render_om(level)),
@@ -1259,16 +1311,17 @@ class TestRowsSortedOnce:
     def test_certificate_levels_to_depth_20(self):
         rng = random.Random(157)
         family = build(default_seed(), 20)
-        table = LineTable(delta_arrangement(family, 20))
+        deepest = delta_arrangement(family, 20)
+        table = LineTable(deepest)
         for i in range(1, 21):
             marked = delta_arrangement(family, i)
             persistent = marked.restrict(PERSISTENT)
             level = om_of(marked)
             made = {
                 "om_of": level,
-                "LineTable.om_of": table.om_of(marked),
+                "LineTable.read": table_read(table, deepest, marked),
                 "persistent om_of": om_of(persistent),
-                "persistent LineTable.om_of": table.om_of(persistent),
+                "persistent LineTable.read": table_read(table, deepest, persistent),
                 "restrict": level.restrict(PERSISTENT),
                 "restrict at random": level.restrict(rng.sample(level.ground, rng.randint(0, len(marked)))),
                 "limit delete_loops": om_of(limit_arrangement(marked)).delete_loops(),
@@ -1277,7 +1330,7 @@ class TestRowsSortedOnce:
             for name, matroid in [*made.items(), *again.items()]:
                 assert_rows_sorted(matroid, (i, name))
             assert all(again[name] == level for name in ("__init__", "_of", "parse_om")), i
-            assert made["LineTable.om_of"].rows == level.rows
+            assert made["LineTable.read"].rows == level.rows
             assert render_om(level)["cocircuits"] == list(level.rows)
 
     def test_random_degenerate_arrangements(self):
@@ -1286,13 +1339,13 @@ class TestRowsSortedOnce:
             arr = rand_degenerate_arrangement(rng, rng.randint(3, 7))
             matroid = om_of(arr)
             table = LineTable(arr)
-            made = {"om_of": matroid, "LineTable.om_of": table.om_of(arr)}
+            made = {"om_of": matroid, "LineTable.read": table_read(table, arr)}
             for k in range(3):
                 labels = rng.sample(arr.labels, rng.randint(0, len(arr)))
                 made[f"restrict {k}"] = matroid.restrict(labels)
                 sub = arr.restrict(labels)
                 if sub.is_spanning():
-                    made[f"LineTable.om_of {k}"] = table.om_of(sub)
+                    made[f"LineTable.read {k}"] = table_read(table, arr, sub)
             for name, made_om in [*made.items(), *remade(matroid)]:
                 assert_rows_sorted(made_om, name)
 
@@ -1484,7 +1537,7 @@ class TestDerivedChirotope:
             arr = rand_degenerate_arrangement(rng, rng.randint(3, 6))
             labels = rng.sample(arr.labels, rng.randint(1, len(arr)))
             sub, deleted = arr.restrict(labels), om_of(arr).restrict(labels)
-            rank = matrix_rank(sub.primitive_vectors)
+            rank = matrix_rank(sub.integer_vectors)
             if rank == 3:
                 assert up_to_sign(deleted.chirotope, chirotope_of(sub))
             elif rank:
@@ -1815,8 +1868,8 @@ class TestWeakMapByDeletion:
 
 def independent_sets(arrangement: LabeledArrangement) -> int:
     """The reference count of independent sets of size at most 3: subsets
-    whose primitive vectors have full rank."""
-    ints = arrangement.primitive_vectors
+    whose integer vectors have full rank."""
+    ints = arrangement.integer_vectors
     return sum(
         1
         for size in range(4)
@@ -1840,7 +1893,7 @@ class TestSignVectorApi:
                 if not arr.is_spanning():
                     continue
             m, ground = om_of(arr), arr.labels
-            tuples = all_pairs_cocircuit_tuples(arr.primitive_vectors)
+            tuples = all_pairs_cocircuit_tuples(arr.integer_vectors)
             rebuilt = OrientedMatroid(ground, frozenset(SignVector(ground, t) for t in tuples))
             assert rebuilt == m and rebuilt.fingerprint() == m.fingerprint()
             assert len(m.cocircuits) == len(m.rows) == len(tuples)
