@@ -50,15 +50,17 @@ from .om import LabeledArrangement, LineTable, OrientedMatroid, weak_map
 
 SEED_LABELS = ("alpha", "beta", "gamma", "omega", "nu", "a", "b1")
 
-# The certificate enumerates the lines of its deepest level once: at most the
+# The certificate enumerates the lines of the whole family once: at most the
 # C(n, 3) triple signs of its n = 3 * depth + 7 points, each computed once, on
 # coordinates that grow with depth (480 bits at depth 80), most of them read
-# off the coordinates' leading 64 bits.  A level of m points then looks up the
-# lines through its C(m, 2) pairs of points and projects them onto its
-# columns, one slice per run of consecutive columns, done in C; a limit does
-# so on its eight persistent points.  Depth 80 is the largest run it is meant
-# for: 2.2-2.6 s and at most 50.9 MiB peak RSS in three single runs on a
-# 2-vCPU shared host under CPython 3.11.7.  ``build`` has no such bound.
+# off the coordinates' leading 64 bits.  The table orders its lines by the
+# column that makes each one, so a level, a permutation of columns 0..m-1,
+# reads its lines as the table's first rows and projects them onto its
+# columns, one slice per run of consecutive columns, done in C; a limit looks
+# up the lines through the pairs of its eight persistent points.  Depth 80 is
+# the largest run it is meant for: 2.4-2.6 s and at most 51.6 MiB peak RSS in
+# three single runs on a 2-vCPU shared host under CPython 3.11.7, and up to
+# 3.7 s and 51.9 MiB in runs on a busier host.  ``build`` has no such bound.
 MAX_CERTIFICATE_DEPTH = 80
 
 # The rescaling denominators a certificate samples when none are given.
@@ -176,6 +178,15 @@ def _level_labels(depth: int) -> list[Label]:
     for n in range(1, depth + 1):
         labels.extend((indexed("d", n), indexed("b", n + 1), indexed("c", n)))
     return labels
+
+
+def _level_columns(i: int) -> tuple[int, ...]:
+    """The columns of level i in the arrangement of a family of depth i or
+    more, in the order of the level's labels with c_i as delta: 0-5 (alpha
+    to a), 3i + 4 (c_i), 6..3i + 3 (b1, c1, d1, ..., b_i), 3i + 5 (d_i) and
+    3i + 6 (b_{i+1}).  They are a permutation of 0..3i + 6, and the first
+    eight are the persistent points."""
+    return (*range(6), 3 * i + 4, *range(6, 3 * i + 4), 3 * i + 5, 3 * i + 6)
 
 
 class _SeedLifts:
@@ -358,7 +369,7 @@ def certificate(
     primitive integer vector equals its own, which is exact, since ``om_of``
     reads only the labels (which rescaling keeps) and those vectors.  A
     point's vector is the same at every level, so each point is rescaled once
-    per sample, in the deepest level, and a level passes when all its points
+    per sample, in the whole family, and a level passes when all its points
     but the eight persistent ones do; (d) the loop-free parts of all limit
     oriented matroids coincide (the shared limit); (e) the limit arrangements
     still differ by the cross-ratio invariant while realizing that one limit;
@@ -391,20 +402,20 @@ def certificate(
 
     records: list[LevelRecord] = []
     limit: Optional[OrientedMatroid] = None  # the first level's
+    limit_fingerprint = ""
     limits_equal = True
-    # Every level is read off the deepest level's lines by its columns there,
-    # and its limit's non-loops by the first eight: 0-5, c_i's as delta, 7 (b1).
-    deepest = delta_arrangement(family, depth)
-    table = LineTable(deepest)
-    labels, ints = deepest.labels, deepest.integer_vectors
+    # Every level is read off the lines of the whole family by its columns
+    # there, a permutation of 0..3i + 6 and so a prefix of the table's rows,
+    # and its limit's non-loops by its first eight.
+    arrangement = family.arrangement()
+    table = LineTable(arrangement)
+    labels, ints = arrangement.labels, arrangement.integer_vectors
     # Per sample, the columns whose rescaled primitive vector is not their own:
     # both arrangements hold Fractions, so their integer vectors are primitive.
-    changed = [{k for k, v in enumerate(scale_degeneration(deepest, n).integer_vectors) if v != ints[k]}
+    changed = [{k for k, v in enumerate(scale_degeneration(arrangement, n).integer_vectors) if v != ints[k]}
                for n in samples]
     for i in range(1, depth + 1):
-        # Level i < depth: c_i is column 3i + 5, and b_{i+1} is column 3i + 7.
-        cols = (tuple(range(len(labels))) if i == depth
-                else (*range(6), 3 * i + 5, *range(7, 3 * i + 5), 3 * i + 6, 3 * i + 7))
+        cols = _level_columns(i)
         level_labels = (*labels[:6], "delta", *map(labels.__getitem__, cols[7:]))
         level_om = table.read(level_labels, cols)
         rescaled = cols[8:]  # the level's non-persistent points
@@ -413,7 +424,7 @@ def certificate(
         # oriented matroid with the loops deleted is that of this part.
         shared = table.read(level_labels[:8], cols[:8])
         if limit is None:
-            limit = shared
+            limit, limit_fingerprint = shared, shared.fingerprint()
         elif shared == limit:
             shared = limit  # one object, so its chirotope is computed once
         else:
@@ -422,14 +433,14 @@ def certificate(
         # onto the limit's non-loops itself.
         weak_ok = weak_map(level_om.restrict(shared.ground), shared)
         # delta is c_i at height 1: the ledger has computed this cross-ratio.
-        delta = perspective_normalize(deepest.elements[cols[6]][1])
+        delta = perspective_normalize(arrangement.elements[cols[6]][1])
         limit_cr = cross_ratio(seed.alpha, delta, seed.gamma, seed.beta)
         records.append(
             LevelRecord(
                 i=i,
                 cr=cr_values[i - 1],
                 mi_fingerprint=level_om.fingerprint(),
-                limit_fingerprint=shared.fingerprint(),
+                limit_fingerprint=limit_fingerprint if shared is limit else shared.fingerprint(),
                 limit_cr=limit_cr,
                 degeneration_ok=degeneration,
                 weak_map_ok=weak_ok,
@@ -446,7 +457,7 @@ def certificate(
         depth=depth,
         samples=tuple(samples),
         records=tuple(records),
-        limit_fingerprint=limit.fingerprint(),
+        limit_fingerprint=limit_fingerprint,
         checks=checks,
         passed=checks.all_pass(),
     )

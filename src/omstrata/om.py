@@ -77,19 +77,26 @@ The rows are those of full-width products throughout.
 
 A ``LineTable`` enumerates the lines of one arrangement once and reads
 the oriented matroid of any list of its columns (``LineTable.read``): that
-is ``om_of`` of the arrangement of those columns' vectors.  Two vectors
-that are not parallel lie on exactly one line (BLSWZ ch. 3), which the
-enumeration indexes by their columns.  The lines of a column list are
-those through pairs of its projective classes, each read as its first
-column, and their rows are read off the table's rows, restricted to the
-listed columns.  The certificate builds one table from its deepest level,
-so one enumeration serves every level and every limit's non-loops.
+is ``om_of`` of the arrangement of those columns' vectors.  The table
+orders its lines once by their making column, the column j of the pair
+(i, j) that makes each line in the walk.  That pair is the line's first
+live column i and the first column after i not parallel to it, so a line
+holds two points that are not parallel among columns 0..m-1 exactly when
+its making column is below m: a list of columns that is a permutation of
+0..m-1 reads the table's first lines, one slice.  Other lists read the
+lines through pairs of their projective classes, each class read as its
+first column: two vectors that are not parallel lie on exactly one line
+(BLSWZ ch. 3), which the enumeration indexes by their columns.  Either way
+the lines' rows are restricted to the listed columns.  The certificate
+builds one table from the whole family, so one enumeration serves every
+level, each a permutation of a prefix of the columns, and every limit's
+non-loops, read through the index.
 
 Rows are restricted to columns by runs (``_project``): the columns are cut
 once into maximal runs of consecutive ones, and each row is read as one
-slice per run, joined in C.  A certificate level reads at most four runs
-(the named columns, c_i's column as delta, and the indexed columns before
-and after it), a limit at most three, and the table's own arrangement one
+slice per run, joined in C.  A certificate level reads four runs (the
+named columns, c_i's column as delta, the indexed columns before it, and
+d_i and b_(i+1)), a limit three, and the table's own columns in order one
 slice, the whole row.  The deletion ``OrientedMatroid.restrict`` projects
 the same way.
 """
@@ -98,6 +105,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -144,6 +152,15 @@ _ROW_CHUNK = 2048  # rows per piece of ``OrientedMatroid._json_pieces``
 def _mask(row: str, digits: dict) -> int:
     """The bitmask of ``row`` under a ``-0+`` to binary-digit table."""
     return int(row.translate(digits) or "0", 2)
+
+
+def _supports(rows: Sequence[str], width: int) -> list[int]:
+    """The support bitmasks of rows of width ``width``, in order: the rows
+    are joined by line breaks and translated to binary digits once, and
+    each row's digits are read in base 2."""
+    if not width:  # empty rows, whose masks are 0
+        return [0] * len(rows)
+    return list(map(int, "\n".join(rows).translate(_SUPPORT).split(), repeat(2)))
 
 
 def _project(rows: Iterable[str], cols: Sequence[int]) -> Iterator[str]:
@@ -425,16 +442,10 @@ class OrientedMatroid:
         return digest.hexdigest()
 
     def supports(self) -> frozenset[int]:
-        """The support bitmasks of the cocircuits.  In rank 3 they determine
-        the underlying matroid (BLSWZ ch. 3).  The rows are joined and
-        translated to binary digits once, and each row's chunk is read in
-        base 2."""
-        width, rows = len(self.ground), self.rows
-        if not width:  # no row, or the one empty row, whose mask is 0
-            return frozenset([0] * len(rows))
-        digits = "".join(rows).translate(_SUPPORT)
-        chunks = [digits[k:k + width] for k in range(0, len(digits), width)]
-        return frozenset(map(int, chunks, repeat(2)))
+        """The support bitmasks of the cocircuits, read in one pass
+        (``_supports``).  In rank 3 they determine the underlying matroid
+        (BLSWZ ch. 3)."""
+        return frozenset(_supports(self.rows, len(self.ground)))
 
     def restrict(self, labels: Iterable[Label]) -> "OrientedMatroid":
         """The deletion onto ``labels``, ground order kept: the empty oriented
@@ -442,9 +453,11 @@ class OrientedMatroid:
 
         Its cocircuits are the support-minimal non-zero restrictions of the
         cocircuits (BLSWZ 3.3), so the deletion of a realization's elements
-        has the oriented matroid of the sub-arrangement.  A deletion of loops
-        only that keeps every row keeps every basis sign, so it takes over
-        the chirotope if this oriented matroid has read it.
+        has the oriented matroid of the sub-arrangement.  The distinct
+        restrictions take their support masks in one pass, as ``supports``
+        does (``_supports``).  A deletion of loops only that keeps every row
+        keeps every basis sign, so it takes over the chirotope if this
+        oriented matroid has read it.
         """
         keep_set = _present(labels, self.ground)
         if not keep_set:
@@ -453,14 +466,15 @@ class OrientedMatroid:
             return self
         keep = [i for i, l in enumerate(self.ground) if l in keep_set]
         ground = tuple(self.ground[i] for i in keep)
-        support = {row: _mask(row, _SUPPORT) for row in set(_project(self.rows, keep))}
+        projected = list(set(_project(self.rows, keep)))
+        masks = _supports(projected, len(keep))
         # Smallest supports first: a support is minimal unless it contains
-        # one found before.
+        # one found before, m with m | mask == mask.
         minimal: set[int] = set()
-        for mask in sorted(set(support.values()) - {0}, key=int.bit_count):
-            if not any(m & mask == m for m in minimal):
+        for mask in sorted(set(masks) - {0}, key=int.bit_count):
+            if mask not in map(mask.__or__, minimal):
                 minimal.add(mask)
-        deleted = OrientedMatroid._of(ground, [row for row, m in support.items() if m in minimal])
+        deleted = OrientedMatroid._of(ground, [row for row, m in zip(projected, masks) if m in minimal])
         # Every dropped label is a loop when the kept ones and the loops
         # cover the ground set.
         if (len(deleted.rows) == len(self.rows) and "chirotope" in vars(self)
@@ -512,10 +526,11 @@ def _truncated(v: IntVec) -> IntVec:
     return (v[0] >> shift, v[1] >> shift, v[2] >> shift) if shift > 0 else v
 
 
-def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[list[str], dict[tuple[int, int], tuple]]:
+def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[list[str], dict[tuple[int, int], tuple], list[int]]:
     """Both rows of every line (rank-2 flat) of the arrangement, in pairs
-    (line ``l`` has rows ``2l`` and ``2l + 1``), and the index of the line
-    through each pair of columns that are not parallel (see below).
+    (line ``l`` has rows ``2l`` and ``2l + 1``), the index of the line
+    through each pair of columns that are not parallel (see below), and the
+    column ``j`` of the pair ``(i, j)`` that makes each line.
 
     The pairs ``i < j`` are walked in order, and the first independent pair
     on a line makes its row, ``k -> sign det(v_i, v_j, v_k)``, so each line
@@ -580,6 +595,7 @@ def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[list[str], dict[tuple[in
     cut = tuple(map(_truncated, ints))
     slack = 0 if cut == ints else _SLACK  # a 0 slack decides every sign
     rows: list[str] = []
+    made: list[int] = []
     live = [v != (0, 0, 0) for v in ints]
     pair_zeros = 2 + live.count(False)  # the zeros of a row whose line holds just its pair
     line_of: dict[tuple[int, int], tuple[int, int, bool]] = {}
@@ -636,11 +652,12 @@ def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[list[str], dict[tuple[in
                             k = row.find("0", k + 1)
                         line_of.update(dict.fromkeys(combinations(zeros, 2), entry))
                     rows += (row, row.translate(_NEGATE))
+                    made.append(j)
                 else:
                     row = zero
             after.append(row)
             before[j].append(row)
-    return rows, line_of
+    return rows, line_of, made
 
 
 def om_of(arrangement: LabeledArrangement) -> OrientedMatroid:
@@ -664,20 +681,23 @@ class LineTable:
     of any list of its columns, and whether it spans, is read off them in
     one pass (``read``; see the module docstring).
 
-    The table keeps the enumeration's rows and pair index, and maps each
-    column to the first column of its projective class, ``None`` for a
-    loop.  A class is keyed by the primitive vector of its members that is
-    above zero, so non-primitive, parallel and antiparallel integer vectors
-    share one key.  A read looks up only pairs of first columns, which are
-    never parallel; a column read twice reads alike, and a loop reads its
-    own all-``0`` column.  The table does not change after it is built.
+    The table keeps the enumeration's rows and pair index, the rows again
+    with their lines sorted by making column (a stable sort) and those
+    columns in that order, and each column's first column of its
+    projective class, ``None`` for a loop.  A class is keyed by the
+    primitive vector of its members that is above zero, so non-primitive,
+    parallel and antiparallel integer vectors share one key.  The table
+    does not change after it is built.
     """
 
-    __slots__ = ("_rows", "_line_of", "_first")
+    __slots__ = ("_rows", "_line_of", "_prefix", "_made", "_first")
 
     def __init__(self, arrangement: LabeledArrangement):
         vectors = arrangement.integer_vectors
-        self._rows, self._line_of = _enumerate_lines(vectors)
+        self._rows, self._line_of, made = _enumerate_lines(vectors)
+        order = sorted(range(len(made)), key=made.__getitem__)
+        self._prefix = [row for line in order for row in self._rows[2 * line:2 * line + 2]]
+        self._made = sorted(made)
         first: dict[IntVec, int] = {}  # a class is keyed by its primitive member above zero
         self._first = [None if p == (0, 0, 0) else first.setdefault(max(p, (-p[0], -p[1], -p[2])), k)
                        for k, p in enumerate(_primitive(*v) for v in vectors)]
@@ -687,15 +707,24 @@ class LineTable:
         ``cols``, one per label: ``om_of`` of the arrangement of those
         columns' vectors.  Raises ValueError when a column is outside the
         table or the labels are not one per column, then NotSpanning when
-        the columns lie on fewer than two lines."""
-        n = len(self._first)
-        if len(labels) != len(cols) or cols and (min(cols) < 0 or max(cols) >= n):
-            raise ValueError(f"{len(labels)} labels for {len(cols)} columns, which must lie in 0..{n - 1}")
-        firsts = sorted(set(map(self._first.__getitem__, cols)) - {None})
-        lines = set(map(itemgetter(0), map(self._line_of.__getitem__, combinations(firsts, 2))))
-        if len(lines) < 2:
+        the columns lie on fewer than two lines.
+
+        Columns that are a permutation of 0..m-1 lie on two or more points
+        of exactly the lines made before column m (module docstring): the
+        table's first rows in making-column order, one slice.  Other columns look up the lines through each pair
+        of their first columns, which are never parallel; a column read
+        twice reads alike, and a loop reads its own all-``0`` column."""
+        n, m, top = len(self._first), len(cols), max(cols, default=-1)
+        if len(labels) != m or m and (min(cols) < 0 or top >= n):
+            raise ValueError(f"{len(labels)} labels for {m} columns, which must lie in 0..{n - 1}")
+        if top == m - 1 and len(set(cols)) == m:
+            on = self._prefix[:2 * bisect_left(self._made, m)]
+        else:
+            firsts = sorted(set(map(self._first.__getitem__, cols)) - {None})
+            lines = set(map(itemgetter(0), map(self._line_of.__getitem__, combinations(firsts, 2))))
+            on = [row for line in lines for row in self._rows[2 * line:2 * line + 2]]
+        if len(on) < 4:
             raise NotSpanning("arrangement does not span rank 3")
-        on = [row for line in lines for row in self._rows[2 * line:2 * line + 2]]
         return OrientedMatroid._of(labels, _project(on, cols))
 
 

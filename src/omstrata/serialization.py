@@ -23,6 +23,7 @@ import re
 import reprlib
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -45,6 +46,7 @@ from .om import _NEGATE, LabeledArrangement, OrientedMatroid
 
 _SCHEMA_DIR = Path(__file__).parent / "schemas"
 _JSON_TYPES = {list: "array", dict: "object", str: "string", bool: "boolean", int: "integer"}
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 # -- schema validation --------------------------------------------------------
@@ -299,8 +301,58 @@ def parse_family(value: Any, path: str = "$") -> ConfigurationFamily:
 
 def dump_json(value: Any) -> str:
     """The written form of every document: indented by two spaces, ASCII
-    only, with a final newline."""
-    return json.dumps(value, indent=2, ensure_ascii=True) + "\n"
+    only, with a final newline; the bytes of ``json.dumps(value, indent=2,
+    ensure_ascii=True)``.  A document holds dicts with str keys, lists,
+    strs, ints, bools and None; anything else raises TypeError."""
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value: Any, newline: str, out: list[str]) -> None:
+    """Append the indented JSON of ``value`` to ``out``; ``newline`` is a
+    line break and the indent of the line ``value`` starts on.  A str item
+    of a dict or list is written with its key or separator, with no call."""
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        head = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            if type(item) is str:
+                out.append(head + _quote(key) + ": " + _quote(item))
+            else:
+                out.append(head + _quote(key) + ": ")
+                _write_json(item, inner, out)
+            head = "," + inner
+        out.append(newline + "}")
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        head = "[" + inner
+        for item in value:
+            if type(item) is str:
+                out.append(head + _quote(item))
+            else:
+                out.append(head)
+                _write_json(item, inner, out)
+            head = "," + inner
+        out.append(newline + "]")
+    elif value is None or kind is bool:
+        out.append(_LITERALS[value])
+    elif kind is int:
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # -- certificate reports ----------------------------------------------------

@@ -87,16 +87,17 @@ def build_points(seed, depth: int):
 
 
 def slow_lines(ints):
-    """The rows and the pair index of ``om._enumerate_lines`` with a
-    full-width product for every triple.
+    """The rows, the pair index and the making columns of
+    ``om._enumerate_lines`` with a full-width product for every triple.
 
     The pairs ``i < j`` are walked in order; a pair not yet indexed whose
     cross product N is non-zero makes a line: the row of the n signs
-    ``sign(N . v_k)`` and its negation.  Every pair of non-zero vectors in
-    the row's zero set is then indexed to ``(line, c, up)``, with ``c`` the
-    first coordinate where N is non-zero and ``up`` whether N is positive
-    there; a later line may index a parallel pair again."""
-    rows, line_of = [], {}
+    ``sign(N . v_k)`` and its negation, and ``j`` is its making column.
+    Every pair of non-zero vectors in the row's zero set is then indexed to
+    ``(line, c, up)``, with ``c`` the first coordinate where N is non-zero
+    and ``up`` whether N is positive there; a later line may index a
+    parallel pair again."""
+    rows, line_of, made = [], {}, []
     live = [k for k, v in enumerate(ints) if any(v)]
     for i, j in combinations(range(len(ints)), 2):
         (x1, y1, z1), (x2, y2, z2) = ints[i], ints[j]
@@ -109,4 +110,19 @@ def slow_lines(ints):
         entry = (len(rows) // 2, c, normal[c] > 0)
         line_of.update(dict.fromkeys(combinations([k for k in live if not dots[k]], 2), entry))
         rows += (row, row.translate(str.maketrans("+-", "-+")))
-    return rows, line_of
+        made.append(j)
+    return rows, line_of, made
+
+
+def slow_deletion(ground, rows, labels):
+    """The ground set and sorted rows of the deletion of the cocircuit rows
+    ``rows`` on ``ground`` onto ``labels``, one row at a time: each row's
+    characters at the kept positions, with its support as a set of
+    positions; the non-zero ones whose support contains no other's smaller
+    support are the deletion's cocircuits (BLSWZ 3.3)."""
+    keep = [k for k, label in enumerate(ground) if label in set(labels)]
+    restricted = {"".join(row[k] for k in keep) for row in rows}
+    support = {row: frozenset(k for k, c in enumerate(row) if c != "0") for row in restricted}
+    nonzero = [row for row in restricted if support[row]]
+    minimal = [row for row in nonzero if not any(support[other] < support[row] for other in nonzero)]
+    return tuple(ground[k] for k in keep), sorted(minimal)

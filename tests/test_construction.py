@@ -35,7 +35,7 @@ from omstrata import (
 )
 from omstrata import construction
 from omstrata import om as om_module
-from omstrata.construction import MAX_CERTIFICATE_DEPTH, _level, _level_labels, _SeedLifts
+from omstrata.construction import MAX_CERTIFICATE_DEPTH, _level, _level_columns, _level_labels, _SeedLifts
 from omstrata.figures import emit_figure
 from omstrata.geometry import _lift, _point, embed_affine
 from omstrata.om import LineTable
@@ -528,6 +528,29 @@ class TestCertificate:
                 ints = arr.integer_vectors
                 assert set(table_read(table, deepest, arr).rows) == as_rows(all_pairs_cocircuit_tuples(ints))
 
+    def test_level_columns_read_each_level_as_a_prefix(self):
+        # On the whole family's arrangement, where c_20 keeps its label, the
+        # columns of level i are a permutation of 0..3i + 6 whose labels
+        # are the level's with c_i as delta, and its first eight the
+        # persistent points: the level reads the table's first rows with no
+        # pair lookup (the index is emptied), and the limit reads the pairs.
+        family = build(default_seed(), 20)
+        arrangement = family.arrangement()
+        table, prefix_only = LineTable(arrangement), LineTable(arrangement)
+        prefix_only._line_of = {}
+        labels = arrangement.labels
+        for i in range(1, 21):
+            cols = _level_columns(i)
+            assert sorted(cols) == list(range(3 * i + 7))
+            marked = delta_arrangement(family, i)
+            level_labels = (*labels[:6], "delta", *(labels[k] for k in cols[7:]))
+            assert level_labels == marked.labels
+            assert [arrangement.elements[k][1] for k in cols] == [v for _, v in marked.elements]
+            assert prefix_only.read(level_labels, cols) == om_of(marked)
+            assert set(level_labels[:8]) == PERSISTENT
+            limit = nonzero_part(limit_arrangement(marked))
+            assert table.read(level_labels[:8], cols[:8]) == om_of(limit)
+
     def test_depth_6_enumerates_once(self, monkeypatch):
         sizes = []
         enumerate_lines = om_module._enumerate_lines
@@ -537,13 +560,17 @@ class TestCertificate:
         assert sizes == [25]
 
     def test_depth_6_builds_only_the_deepest_level(self, monkeypatch):
-        # Every level is read off the deepest level's columns.
-        levels = []
+        # Every level is read off the columns of the whole family's one
+        # arrangement, where c_6 keeps its own label: no level is marked.
+        levels, built = [], []
         delta = construction.delta_arrangement
         monkeypatch.setattr(construction, "delta_arrangement",
                             lambda family, i: levels.append(i) or delta(family, i))
+        arrangement = construction.ConfigurationFamily.arrangement
+        monkeypatch.setattr(construction.ConfigurationFamily, "arrangement",
+                            lambda family: built.append(family.depth) or arrangement(family))
         assert certificate(default_seed(), 6).passed
-        assert levels == [6]
+        assert levels == [] and built == [6]
 
     def test_depth_6_rescales_once_per_sample(self, monkeypatch):
         calls = []

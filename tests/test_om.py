@@ -241,8 +241,8 @@ def rand_large_map(rng: random.Random, ints):
 
 
 def assert_lines_in_pair_order(ints):
-    """The kernel's rows and pair index are the slow exact kernel's, rows in
-    order."""
+    """The kernel's rows, pair index and making columns are the slow exact
+    kernel's, rows in order."""
     assert om_module._enumerate_lines(ints) == ref.slow_lines(ints)
 
 
@@ -658,6 +658,52 @@ class TestLineProjection:
         source = integers(tuple(range(len(ints))), ints, 7)
         assert source.integer_vectors == tuple(ints)
         self.assert_reads_match(rng, ints, source, lambda sub: integers(tuple(range(len(sub))), sub, 7))
+
+    def test_prefix_reads_match_om_of(self):
+        # Every prefix of small degenerate arrangements, read in column order
+        # and shuffled: columns that are a permutation of 0..m-1 read the
+        # table's first rows, with no pair lookup (the index is emptied).
+        # The first fixed arrangement starts with a rank-2 run: the plane
+        # z = 0 with a loop, a parallel pair at two scales and an
+        # antiparallel pair, so its prefixes up to 7 columns span nothing.
+        plane = ((1, 0, 0), (0, 0, 0), (0, 1, 0), (2, 4, 0), (1, 2, 0), (-3, -6, 0), (1, 1, 0),
+                 (0, 0, 1), (1, 1, 1), (2, 2, 1), (-1, 0, 0))
+        rng = random.Random(131)
+        sources = [arrangement_of(plane)]
+        sources += [rand_degenerate_arrangement(rng, rng.randint(3, 6)) for _ in range(20)]
+        sources += [rand_grid_arrangement(rng, rng.randint(3, 8)) for _ in range(20)]
+        counts = {"spans": 0, "rank 2": 0, "loop": 0, "parallel": 0, "antiparallel": 0}
+        for source in sources:
+            ints = source.integer_vectors
+            table = LineTable(source)
+            rows, _, made = om_module._enumerate_lines(ints)
+            order = sorted(range(len(made)), key=made.__getitem__)
+            assert table._made == sorted(made) == [made[line] for line in order]
+            assert table._prefix == [row for line in order for row in rows[2 * line:2 * line + 2]]
+            table._line_of = {}
+            for m in range(len(ints) + 1):
+                for cols in (list(range(m)), rng.sample(range(m), m)):
+                    sub = [ints[k] for k in cols]
+                    arr, labels = arrangement_of(sub), tuple(range(m))
+                    if arr.is_spanning():
+                        assert table.read(labels, cols) == om_of(arr)
+                        counts["spans"] += 1
+                    else:
+                        for read in (lambda: table.read(labels, cols), lambda: om_of(arr)):
+                            with pytest.raises(NotSpanning, match="^arrangement does not span rank 3$"):
+                                read()
+                        counts["rank 2"] += m > 2 and matrix_rank(sub) == 2
+                    classes = [om_module._primitive(*v) for v in sub]
+                    counts["loop"] += (0, 0, 0) in classes
+                    counts["parallel"] += len(set(classes) - {(0, 0, 0)}) < sum(map(any, classes))
+                    counts["antiparallel"] += any(negated(v) in classes for v in classes if any(v))
+        assert min(counts.values()) > 20, counts
+
+    def test_an_empty_read_spans_nothing(self):
+        table = LineTable(BASIS4)
+        for cols in ((), [], range(0)):
+            with pytest.raises(NotSpanning, match="^arrangement does not span rank 3$"):
+                table.read((), cols)
 
     def test_antiparallel_pair_alone_on_a_line_spans_nothing(self):
         # e3 and -e3 lie on the line x = 0 with e2, and on y = 0 with e1; the
@@ -1730,6 +1776,38 @@ class TestRestrict:
             deleted = source.delete_loops()
             assert deleted == matroid.delete_loops()
             assert "chirotope" not in vars(deleted)
+
+    def test_matches_the_per_row_deletion(self):
+        # Random oriented matroids with loops and parallel and antiparallel
+        # elements, deleted onto random label sets, against the deletion of
+        # ``fraction_reference`` that reads one row at a time.
+        rng = random.Random(127)
+        kinds = {"loop kept": 0, "parallel kept": 0, "rows dropped": 0}
+        for _ in range(150):
+            arr = rand_degenerate_arrangement(rng, rng.randint(3, 6))
+            matroid = om_of(arr)
+            labels = rng.sample(matroid.ground, rng.randint(1, len(matroid.ground) - 1))
+            deleted = matroid.restrict(labels)
+            ground, rows = ref.slow_deletion(matroid.ground, matroid.rows, labels)
+            assert (deleted.ground, list(deleted.rows)) == (ground, rows)
+            kept = [om_module._primitive(*v) for l, v in zip(arr.labels, arr.integer_vectors) if l in labels]
+            kinds["loop kept"] += (0, 0, 0) in kept
+            kinds["parallel kept"] += len({max(v, negated(v)) for v in kept}) < len(kept)
+            kinds["rows dropped"] += len(set(om_module._project(matroid.rows, [
+                k for k, l in enumerate(matroid.ground) if l in labels]))) > len(rows) + 1
+        assert min(kinds.values()) > 10, kinds
+
+    def test_every_level_onto_its_limit_matches_the_per_row_deletion(self):
+        # Check (f)'s deletions: each level of the default seed at depth 20
+        # onto its limit's non-loops, the eight persistent points.
+        family = build(default_seed(), 20)
+        for i in range(1, 21):
+            level = om_of(delta_arrangement(family, i))
+            limit = om_of(LabeledArrangement(
+                (l, v) for l, v in limit_arrangement(delta_arrangement(family, i)).elements if l in PERSISTENT))
+            deleted = level.restrict(limit.ground)
+            assert (deleted.ground, list(deleted.rows)) == ref.slow_deletion(level.ground, level.rows, PERSISTENT)
+            assert deleted == limit
 
     def test_whole_ground_is_self(self):
         matroid = om_of(BASIS4)

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import omstrata
 from omstrata import (
@@ -26,6 +28,7 @@ from omstrata import (
 from omstrata.serialization import (
     document_from_json,
     document_to_json,
+    dump_json,
     parse_arrangement,
     parse_family,
     parse_om,
@@ -620,3 +623,58 @@ class TestValidatorCoversSchemas:
             assert isinstance(schema, dict), f"{name}: boolean schema {schema}"
             assert set(schema) <= self.IMPLEMENTED | self.ANNOTATIONS, name
             assert schema.get("type", "object") in self.TYPES, name
+
+
+# Any Unicode string, surrogates and control characters included.
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(1 << 200), 1 << 200) | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+def _indented(value) -> str:
+    return json.dumps(value, indent=2, ensure_ascii=True) + "\n"
+
+
+class _Text(str):
+    pass
+
+
+class TestDumpJson:
+    """``dump_json`` writes the bytes of ``json.dumps(value, indent=2,
+    ensure_ascii=True)`` plus a newline, and accepts only what documents
+    hold."""
+
+    @given(_JSON_VALUES)
+    @settings(max_examples=400, deadline=None)
+    def test_nested_values_match_json(self, value):
+        assert dump_json(value) == _indented(value)
+
+    @pytest.mark.parametrize("kind", ["seed", "om", "family", "subspace", "arrangement",
+                                      "vector-family", "report"])
+    def test_every_document_kind_matches_json(self, kind):
+        doc = _documents()[kind][2]
+        assert dump_json(doc) == _indented(doc)
+
+    def test_written_documents_match_json(self):
+        # What the CLI writes: a depth-150 family, an oriented matroid with
+        # integer labels and reports with failing and passing checks.
+        family = render_family(build(default_seed(), 150))
+        assert dump_json(family) == _indented(family)
+        arrangement = LabeledArrangement([(2, Vector3(1, 0, 0)), (7, Vector3(0, 1, 0)),
+                                          (9, Vector3(0, 0, 1)), (12, Vector3(1, 1, 0))])
+        om = render_om(om_of(arrangement))
+        assert dump_json(om) == _indented(om)
+        for report in (certificate(default_seed(), 6), certificate(default_seed(), 2, [3, 1])):
+            text = document_to_json(render_report(report))
+            assert text == _indented(json.loads(text))
+
+    @pytest.mark.parametrize("value", [
+        (1, 2), 1.5, F(1, 2), {1: "a"}, {("a",): 1}, {"a": {1, 2}}, [b"x"], ["a", 2.0],
+        {"a": [None, (1,)]}, _Text("a"), [_Text("a")], {_Text("a"): 1},
+    ], ids=repr)
+    def test_other_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            dump_json(value)
