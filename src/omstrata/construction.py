@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import (
@@ -273,7 +274,11 @@ def delta_arrangement(family: ConfigurationFamily, i: int) -> LabeledArrangement
 def scale_degeneration(arrangement: LabeledArrangement, n: int) -> LabeledArrangement:
     """Shrink every non-persistent element by 1/n; persistent points stay at
     height 1.  Positive rescaling never changes the oriented matroid.
-    Raises ValueError for an n that is not a positive int (a bool is not)."""
+    Raises ValueError for an n that is not a positive int (a bool is not).
+
+    This is the reference of check (c) in ``certificate``, which decides
+    each sample in integers: ``_shrunk_primitive(v, n)`` is the primitive
+    vector here of a non-persistent element with primitive vector v."""
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be a positive int, got {n!r}")
 
@@ -281,6 +286,16 @@ def scale_degeneration(arrangement: LabeledArrangement, n: int) -> LabeledArrang
     return LabeledArrangement._of(tuple(
         (lab, vec if lab in PERSISTENT else vec.scaled(shrink)) for lab, vec in arrangement.elements
     ))
+
+
+def _shrunk_primitive(v: IntVec, n: int) -> IntVec:
+    """The primitive vector of v / n, as ``_primitive`` computes it from the
+    ``Fraction``s of ``scale_degeneration``: w = v // gcd(v0, v1, v2, n),
+    divided by gcd(w).  For a positive n it is the primitive vector of v."""
+    g = gcd(*v, n)
+    w = (v[0] // g, v[1] // g, v[2] // g)
+    h = gcd(*w) or 1
+    return (w[0] // h, w[1] // h, w[2] // h)
 
 
 def limit_arrangement(arrangement: LabeledArrangement) -> LabeledArrangement:
@@ -365,15 +380,17 @@ def certificate(
 
     (a) the c_i are pairwise distinct; (b) their cross-ratios are pairwise
     distinct; (c) each delta-marked arrangement keeps its oriented matroid
-    under the sampled rescalings: a point passes a sample when its rescaled
-    primitive integer vector equals its own, which is exact, since ``om_of``
-    reads only the labels (which rescaling keeps) and those vectors.  A
-    point's vector is the same at every level, so each point is rescaled once
-    per sample, in the whole family, and a level passes when all its points
-    but the eight persistent ones do; (d) the loop-free parts of all limit
-    oriented matroids coincide (the shared limit); (e) the limit arrangements
-    still differ by the cross-ratio invariant while realizing that one limit;
-    (f) each level admits a weak map onto its limit.
+    under the sampled rescalings: a point with primitive vector v passes a
+    sample n when the primitive vector of v / n, in integers
+    v // gcd(v0, v1, v2, n) divided by its own gcd, equals v.  This is exact,
+    since ``om_of`` reads only the labels (which rescaling keeps) and those
+    vectors; ``scale_degeneration`` is the reference, and no ``Fraction`` is
+    built.  A point's vector is the same at every level, so each point is
+    decided once per sample, in the whole family, and a level passes when
+    all its points but the eight persistent ones do; (d) the loop-free parts
+    of all limit oriented matroids coincide (the shared limit); (e) the limit
+    arrangements still differ by the cross-ratio invariant while realizing
+    that one limit; (f) each level admits a weak map onto its limit.
 
     Raises ValueError for a depth that is not an int in
     1..MAX_CERTIFICATE_DEPTH or samples that are not distinct positive ints,
@@ -410,10 +427,11 @@ def certificate(
     arrangement = family.arrangement()
     table = LineTable(arrangement)
     labels, ints = arrangement.labels, arrangement.integer_vectors
-    # Per sample, the columns whose rescaled primitive vector is not their own:
-    # both arrangements hold Fractions, so their integer vectors are primitive.
-    changed = [{k for k, v in enumerate(scale_degeneration(arrangement, n).integer_vectors) if v != ints[k]}
-               for n in samples]
+    # Per sample, the non-persistent columns whose rescaled primitive vector
+    # is not their own: the arrangement holds Fractions, so its integer
+    # vectors are primitive.
+    transient = [k for k, label in enumerate(labels) if label not in PERSISTENT]
+    changed = [{k for k in transient if _shrunk_primitive(ints[k], n) != ints[k]} for n in samples]
     for i in range(1, depth + 1):
         cols = _level_columns(i)
         level_labels = (*labels[:6], "delta", *map(labels.__getitem__, cols[7:]))

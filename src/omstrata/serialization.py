@@ -132,6 +132,11 @@ def _check(value: Any, schema: dict, path: str, base: str) -> None:
 
 
 def _conforms(value: Any, schema: dict, base: str) -> bool:
+    """Whether ``_check`` accepts ``value`` against the ``oneOf`` option
+    ``schema``.  An option of another JSON type is rejected before any
+    ``SchemaError`` is made: ``_check`` always raises for it."""
+    if "type" in schema and schema["type"] != _JSON_TYPES.get(type(value)):
+        return False
     try:
         _check(value, schema, "$", base)
     except SchemaError:

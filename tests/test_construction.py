@@ -37,7 +37,7 @@ from omstrata import construction
 from omstrata import om as om_module
 from omstrata.construction import MAX_CERTIFICATE_DEPTH, _level, _level_columns, _level_labels, _SeedLifts
 from omstrata.figures import emit_figure
-from omstrata.geometry import _lift, _point, embed_affine
+from omstrata.geometry import _lift, _point, _primitive
 from omstrata.om import LineTable
 from omstrata.labels import PERSISTENT, indexed
 from omstrata.serialization import document_to_json, parse_family, render_family, render_report
@@ -56,6 +56,19 @@ def seed_with(**overrides) -> Seed:
     base = default_seed().points()
     base.update(overrides)
     return Seed(**base)
+
+
+# nu and a moved by multiples of 1/8, as the benchmark draws its seeds.
+SHIFTS = st.tuples(*[st.integers(-4, 4)] * 4)
+
+
+def shifted_seed(shift) -> Seed:
+    base = default_seed()
+    dx, dy, ex, ey = (F(k, 8) for k in shift)
+    return seed_with(
+        nu=PlanePoint(base.nu.x + dx, base.nu.y + dy),
+        a=PlanePoint(base.a.x + ex, base.a.y + ey),
+    )
 
 
 # nu placed so that line(nu, a) crosses the baseline at x = 2, inside the
@@ -573,28 +586,33 @@ class TestCertificate:
         assert levels == [] and built == [6]
 
     def test_depth_6_rescales_once_per_sample(self, monkeypatch):
+        # Check (c) decides each non-persistent column once per sample, on
+        # the integer vectors of the whole family: 18 of its 25 columns.
         calls = []
-        scale = construction.scale_degeneration
-        monkeypatch.setattr(construction, "scale_degeneration",
-                            lambda marked, n: calls.append((len(marked), n)) or scale(marked, n))
+        shrunk = construction._shrunk_primitive
+        monkeypatch.setattr(construction, "_shrunk_primitive",
+                            lambda v, n: calls.append((v, n)) or shrunk(v, n))
         samples = (1024, 3, 1)
         assert certificate(default_seed(), 6, samples).passed
-        assert calls == [(25, n) for n in samples]
+        arrangement = build(default_seed(), 6).arrangement()
+        rescaled = [v for l, v in zip(arrangement.labels, arrangement.integer_vectors) if l not in PERSISTENT]
+        assert len(rescaled) == 18
+        assert calls == [(v, n) for n in samples for v in rescaled]
 
     @pytest.mark.parametrize("label, first", [("c3", 4), ("b4", 3)])
     def test_a_broken_rescaling_fails_the_levels_that_rescale_the_point(self, monkeypatch, label, first):
         # Under n = 2, the point is scaled to a vector that is not parallel to
         # it.  b4 is new at level 3; c3 is delta, never rescaled, at level 3,
         # so only the levels after 3 rescale it.
-        point = embed_affine(dict(build(default_seed(), 3).points)[label])
-        scaled = Vector3.scaled
+        point = _lift(dict(build(default_seed(), 3).points)[label])
+        shrunk = construction._shrunk_primitive
 
-        def broken(vector, factor):
-            if vector == point and factor == F(1, 2):
-                return Vector3(vector.x, vector.y, 2 * vector.z)
-            return scaled(vector, factor)
+        def broken(v, n):
+            if v == point and n == 2:
+                return (v[0], v[1], 2 * v[2])
+            return shrunk(v, n)
 
-        monkeypatch.setattr(Vector3, "scaled", broken)
+        monkeypatch.setattr(construction, "_shrunk_primitive", broken)
         report = certificate(default_seed(), 6)
         for rec in report.records:
             assert rec.degeneration_ok == ((1, True), (2, rec.i < first), (4, True), (1024, True)), rec.i
@@ -603,15 +621,16 @@ class TestCertificate:
     def test_a_non_positive_sample_fails_stratum_constancy(self, monkeypatch):
         # Negating d1 is no positive rescaling: those samples have primitive
         # vectors other than the level's, and read False instead of raising.
-        d1, scale = indexed("d", 1), construction.scale_degeneration
+        d1 = _lift(dict(build(default_seed(), 1).points)[indexed("d", 1)])
+        shrunk = construction._shrunk_primitive
 
-        def negate_d1(arrangement, n):
-            scaled = scale(arrangement, n)
-            if n == 1:
-                return scaled
-            return LabeledArrangement((l, v.scaled(-1) if l == d1 else v) for l, v in scaled.elements)
+        def negate_d1(v, n):
+            w = shrunk(v, n)
+            if n == 1 or v != d1:
+                return w
+            return (-w[0], -w[1], -w[2])
 
-        monkeypatch.setattr(construction, "scale_degeneration", negate_d1)
+        monkeypatch.setattr(construction, "_shrunk_primitive", negate_d1)
         report = certificate(default_seed(), 3)
         assert [rec.i for rec in report.records] == [1, 2, 3]
         for rec in report.records:
@@ -619,6 +638,20 @@ class TestCertificate:
         assert not report.checks.stratum_constancy
         assert not report.passed
         assert replace(report.checks, stratum_constancy=True).all_pass()
+
+    def test_check_c_builds_no_fraction_arrangement(self, monkeypatch):
+        # Check (c) reads the integer vectors the certificate holds: with the
+        # Fraction rescalings made to raise, the report is the same.
+        expected = document_to_json(render_report(certificate(default_seed(), 6)))
+
+        def refuse(*args):
+            raise AssertionError("check (c) rescaled Fractions")
+
+        monkeypatch.setattr(construction, "scale_degeneration", refuse)
+        monkeypatch.setattr(Vector3, "scaled", refuse)
+        report = certificate(default_seed(), 6)
+        assert report.passed
+        assert document_to_json(render_report(report)) == expected
 
     def test_deterministic_reports(self):
         first = certificate(default_seed(), 3, [1, 4])
@@ -652,21 +685,53 @@ class TestCertificate:
             assert persistent.elements == nonzero.elements
 
     @settings(max_examples=25, deadline=None)
-    @given(st.tuples(*[st.integers(-4, 4)] * 4))
+    @given(SHIFTS)
     def test_shifted_seeds_pass_or_are_rejected(self, shift):
-        # nu and a moved by multiples of 1/8, as the benchmark draws its seeds
-        base = default_seed()
-        dx, dy, ex, ey = (F(k, 8) for k in shift)
-        seed = seed_with(
-            nu=PlanePoint(base.nu.x + dx, base.nu.y + dy),
-            a=PlanePoint(base.a.x + ex, base.a.y + ey),
-        )
+        seed = shifted_seed(shift)
         assume(validate_seed(seed))
         try:
             report = certificate(seed, 2)
         except SeedRejected:
             return
         assert report.depth == 2 and len(report.records) == 2
+
+
+class TestShrunkPrimitive:
+    """Check (c)'s integer rule against its reference, the primitive vectors
+    of ``scale_degeneration``'s Fraction arrangement."""
+
+    SAMPLES = (1, 2, 4, 1024, 3 ** 40)
+
+    @staticmethod
+    def assert_matches_the_fractions(arrangement):
+        labels, ints = arrangement.labels, arrangement.integer_vectors
+        shrunk = construction._shrunk_primitive
+        for n in TestShrunkPrimitive.SAMPLES:
+            reference = scale_degeneration(arrangement, n).integer_vectors
+            assert [v if l in PERSISTENT else shrunk(v, n) for l, v in zip(labels, ints)] == list(reference), n
+            changed = {k for k, l in enumerate(labels) if l not in PERSISTENT and shrunk(ints[k], n) != ints[k]}
+            assert changed == {k for k, v in enumerate(reference) if v != ints[k]}, n
+
+    def test_default_family_at_depth_80(self):
+        self.assert_matches_the_fractions(build(default_seed(), 80).arrangement())
+
+    @settings(max_examples=10, deadline=None)
+    @given(SHIFTS)
+    def test_shifted_seeds_at_depth_20(self, shift):
+        seed = shifted_seed(shift)
+        assume(validate_seed(seed))
+        try:
+            family = build(seed, 20)
+        except DegenerateStep:
+            return
+        self.assert_matches_the_fractions(family.arrangement())
+
+    @given(st.tuples(*[st.integers(-(1 << 70), 1 << 70)] * 3), st.integers(1, 1 << 70),
+           st.integers(1, 1 << 20))
+    def test_any_integer_vector(self, v, n, common):
+        # Not only primitive vectors: with a common factor, or all zero.
+        for u in (v, tuple(common * c for c in v), (0, 0, 0)):
+            assert construction._shrunk_primitive(u, n) == _primitive(*(F(c, n) for c in u))
 
 
 def nonzero_part(arrangement: LabeledArrangement) -> LabeledArrangement:

@@ -26,6 +26,8 @@ from omstrata import (
     om_of,
 )
 from omstrata.serialization import (
+    _check,
+    _conforms,
     document_from_json,
     document_to_json,
     dump_json,
@@ -623,6 +625,24 @@ class TestValidatorCoversSchemas:
             assert isinstance(schema, dict), f"{name}: boolean schema {schema}"
             assert set(schema) <= self.IMPLEMENTED | self.ANNOTATIONS, name
             assert schema.get("type", "object") in self.TYPES, name
+
+    def test_conforms_agrees_with_check(self):
+        # ``_conforms`` rejects an option of another JSON type before it
+        # checks; the full check, run inside ``try``, is the reference.
+        values = ["1/2", "-3", "b3", "alpha", "x", "", 0, 7, -2, True, False, None,
+                  [], ["1", "2"], {}, {"x": 1}, 1.0, 2.5]
+        options = [(option, path.name) for path in sorted(SCHEMA_DIR.glob("*.schema.json"))
+                   for schema in _subschemas(json.loads(path.read_text()))
+                   for option in schema.get("oneOf", ())]
+        assert options
+        for option, base in options:
+            for value in values:
+                try:
+                    _check(value, option, "$", base)
+                    accepted = True
+                except SchemaError:
+                    accepted = False
+                assert _conforms(value, option, base) == accepted, (option, value)
 
 
 # Any Unicode string, surrogates and control characters included.
