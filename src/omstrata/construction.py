@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     CoincidentPoints,
@@ -44,9 +44,8 @@ from .geometry import (
     collinear,
     cross_ratio,
     embed_affine,
-    perspective_normalize,
 )
-from .labels import PERSISTENT, Label, indexed
+from .labels import PERSISTENT, Label, indexed, label_key
 from .om import LabeledArrangement, LineTable, OrientedMatroid, weak_map
 
 SEED_LABELS = ("alpha", "beta", "gamma", "omega", "nu", "a", "b1")
@@ -59,9 +58,9 @@ SEED_LABELS = ("alpha", "beta", "gamma", "omega", "nu", "a", "b1")
 # reads its lines as the table's first rows and projects them onto its
 # columns, one slice per run of consecutive columns, done in C; a limit looks
 # up the lines through the pairs of its eight persistent points.  Depth 80 is
-# the largest run it is meant for: 2.4-2.6 s and at most 51.6 MiB peak RSS in
-# three single runs on a 2-vCPU shared host under CPython 3.11.7, and up to
-# 3.7 s and 51.9 MiB in runs on a busier host.  ``build`` has no such bound.
+# the largest run it is meant for: 2.3-3.7 s and 51.4-51.7 MiB peak RSS in six
+# single runs, each a fresh process, on a 2-vCPU shared host under CPython
+# 3.11.7.  ``build`` has no such bound.
 MAX_CERTIFICATE_DEPTH = 80
 
 # The rescaling denominators a certificate samples when none are given.
@@ -283,9 +282,9 @@ def scale_degeneration(arrangement: LabeledArrangement, n: int) -> LabeledArrang
         raise ValueError(f"n must be a positive int, got {n!r}")
 
     shrink = Fraction(1, n)
-    return LabeledArrangement._of(tuple(
+    return LabeledArrangement(
         (lab, vec if lab in PERSISTENT else vec.scaled(shrink)) for lab, vec in arrangement.elements
-    ))
+    )
 
 
 def _shrunk_primitive(v: IntVec, n: int) -> IntVec:
@@ -302,9 +301,7 @@ def limit_arrangement(arrangement: LabeledArrangement) -> LabeledArrangement:
     """The n -> infinity limit: non-persistent elements become the zero
     vector (loops); persistent elements keep their height-1 vectors."""
     zero = Vector3(0, 0, 0)
-    return LabeledArrangement._of(tuple(
-        (lab, vec if lab in PERSISTENT else zero) for lab, vec in arrangement.elements
-    ))
+    return LabeledArrangement((l, v if l in PERSISTENT else zero) for l, v in arrangement.elements)
 
 
 def cross_ratio_ledger(family: ConfigurationFamily) -> list[tuple[int, Fraction]]:
@@ -374,7 +371,7 @@ class CertificateReport:
 
 
 def certificate(
-    seed: Seed, depth: int, samples: Sequence[int] = DEFAULT_SAMPLES
+    seed: Seed, depth: int, samples: Iterable[int] = DEFAULT_SAMPLES
 ) -> CertificateReport:
     """Run every check of the degeneration certificate at exact precision.
 
@@ -392,6 +389,11 @@ def certificate(
     arrangements still differ by the cross-ratio invariant while realizing
     that one limit; (f) each level admits a weak map onto its limit.
 
+    Every oriented matroid is read off one ``LineTable`` of the family's
+    plane points in label order, whose lifts are the primitive vectors v
+    of (c); no arrangement is built.  ``samples`` may be any iterable, and
+    is read once.
+
     Raises ValueError for a depth that is not an int in
     1..MAX_CERTIFICATE_DEPTH or samples that are not distinct positive ints,
     and SeedRejected when a quantity cannot even be computed (invalid seed,
@@ -400,6 +402,7 @@ def certificate(
     """
     if type(depth) is not int or not 1 <= depth <= MAX_CERTIFICATE_DEPTH:
         raise ValueError(f"depth must be in 1..{MAX_CERTIFICATE_DEPTH}, got {depth}")
+    samples = tuple(samples)  # once, so that an iterator is read once
     if (not samples or any(type(n) is not int for n in samples)
             or len(set(samples)) != len(samples) or min(samples) < 1):
         raise ValueError(f"samples must be distinct positive integers, got {list(samples)}")
@@ -421,15 +424,15 @@ def certificate(
     limit: Optional[OrientedMatroid] = None  # the first level's
     limit_fingerprint = ""
     limits_equal = True
-    # Every level is read off the lines of the whole family by its columns
-    # there, a permutation of 0..3i + 6 and so a prefix of the table's rows,
-    # and its limit's non-loops by its first eight.
-    arrangement = family.arrangement()
-    table = LineTable(arrangement)
-    labels, ints = arrangement.labels, arrangement.integer_vectors
+    # Every level is read off the lines of the whole family's points, in
+    # label order, by its columns there, a permutation of 0..3i + 6 and so a
+    # prefix of the table's rows, and its limit's non-loops by its first
+    # eight.
+    labels, plane = zip(*sorted(family.points, key=lambda item: label_key(item[0])))
+    table = LineTable(plane)
+    ints = table.vectors
     # Per sample, the non-persistent columns whose rescaled primitive vector
-    # is not their own: the arrangement holds Fractions, so its integer
-    # vectors are primitive.
+    # is not their own: the table's lifts are primitive.
     transient = [k for k, label in enumerate(labels) if label not in PERSISTENT]
     changed = [{k for k in transient if _shrunk_primitive(ints[k], n) != ints[k]} for n in samples]
     for i in range(1, depth + 1):
@@ -451,8 +454,7 @@ def certificate(
         # onto the limit's non-loops itself.
         weak_ok = weak_map(level_om.restrict(shared.ground), shared)
         # delta is c_i at height 1: the ledger has computed this cross-ratio.
-        delta = perspective_normalize(arrangement.elements[cols[6]][1])
-        limit_cr = cross_ratio(seed.alpha, delta, seed.gamma, seed.beta)
+        limit_cr = cross_ratio(seed.alpha, plane[cols[6]], seed.gamma, seed.beta)
         records.append(
             LevelRecord(
                 i=i,
@@ -473,7 +475,7 @@ def certificate(
     return CertificateReport(
         seed=seed,
         depth=depth,
-        samples=tuple(samples),
+        samples=samples,
         records=tuple(records),
         limit_fingerprint=limit_fingerprint,
         checks=checks,

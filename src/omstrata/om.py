@@ -43,21 +43,21 @@ of loops only that keeps every row takes over its source's chirotope.
 Signs never change under positive per-element rescaling, so all sign
 computations run on integer copies of the vectors, which keeps the
 arithmetic in plain ints and makes fingerprints bit-stable.  Every sign
-reader (``om_of``, ``chirotope_of``, ``is_spanning`` and ``LineTable``)
+reader of an arrangement (``om_of``, ``chirotope_of`` and ``is_spanning``)
 reads one integer view, ``integer_vectors``: positive integer multiples of
 the vectors.  An arrangement of ``Fraction``s computes them once as its
 primitive vectors, which are canonical, and keeps them.  An arrangement
 made from integers, integer vectors over one positive denominator
 (``LabeledArrangement._of_integers``: the Grassmann projection's, and the
 column and family arrangements of denominator 1), keeps its labels and
-those integers as given: no reader takes a gcd of them but a line table's
-class keys.  It builds its ``Fraction`` elements only on their first read;
-``==``, ``hash``, ``repr``, copies and pickles read them, so they match an
-arrangement built from the same Fractions.  ``om_of`` is a function of the
-labels and the signs alone, and each call enumerates its lines afresh.  The
-lines decide the rank (rank 3 lies on three or more, rank 2 on one, lower
-rank on none), so ``om_of`` and a line table's read raise NotSpanning on
-fewer than two, with no rank scan.
+those integers as given: no reader takes a gcd of them.  It builds its
+``Fraction`` elements only on their first read; ``==``, ``hash``,
+``repr``, copies and pickles read them, so they match an arrangement built
+from the same Fractions.  ``om_of`` is a function of the labels and the
+signs alone, and each call enumerates its lines afresh.  The lines decide
+the rank (rank 3 lies on three or more, rank 2 on one, lower rank on
+none), so ``om_of`` and a line table's read raise NotSpanning on fewer
+than two, with no rank scan.
 
 The enumeration decides most signs on coordinates truncated to W =
 ``_WINDOW`` = 64 bits, as a filtered geometric predicate does, but in
@@ -75,21 +75,25 @@ them exact zeros, and N'' decides 14,283 of the 19,697 lines; on the
 Grassmann projections (about 800 to 1,800 bits) it decides every line.
 The rows are those of full-width products throughout.
 
-A ``LineTable`` enumerates the lines of one arrangement once and reads
-the oriented matroid of any list of its columns (``LineTable.read``): that
-is ``om_of`` of the arrangement of those columns' vectors.  The table
-orders its lines once by their making column, the column j of the pair
-(i, j) that makes each line in the walk.  That pair is the line's first
-live column i and the first column after i not parallel to it, so a line
-holds two points that are not parallel among columns 0..m-1 exactly when
-its making column is below m: a list of columns that is a permutation of
+A ``LineTable`` is built from a configuration's plane points, one column
+each.  It lifts each point once (``_lift``: primitive, z > 0, no gcd),
+keeps the lifts as ``vectors``, enumerates their lines once and reads the
+oriented matroid of any list of its columns (``LineTable.read``): that is
+``om_of`` of those columns' points lifted to height 1.  A lift is never
+zero and two lifts are parallel only when their points coincide, so a
+table has no loops, and no antiparallel or non-primitive vectors.  The
+table orders its lines once by their making column, the column j of the
+pair (i, j) that makes each line in the walk.  That pair is the line's
+first column i and its first column after i whose point is not i's, so a
+line holds two distinct points among columns 0..m-1 exactly when its
+making column is below m: a list of columns that is a permutation of
 0..m-1 reads the table's first lines, one slice.  Other lists read the
-lines through pairs of their projective classes, each class read as its
-first column: two vectors that are not parallel lie on exactly one line
-(BLSWZ ch. 3), which the enumeration indexes by their columns.  Either way
-the lines' rows are restricted to the listed columns.  The certificate
-builds one table from the whole family, so one enumeration serves every
-level, each a permutation of a prefix of the columns, and every limit's
+lines through pairs of their distinct points, each point read as its first
+column: two distinct points lie on exactly one line, which the enumeration
+indexes by their columns.  Either way the lines' rows are restricted to
+the listed columns.  The certificate builds one table from the whole
+family's points in label order, so one enumeration serves every level,
+each a permutation of a prefix of the columns, and every limit's
 non-loops, read through the index.
 
 Rows are restricted to columns by runs (``_project``): the columns are cut
@@ -115,7 +119,8 @@ from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GroundSetMismatch, NotSpanning
-from .geometry import IntVec, Vector3, _cross, _det3, _gram_adjugate, _primitive, _sign
+from .geometry import (IntVec, PlanePoint, Vector3, _cross, _det3, _gram_adjugate, _lift,
+                       _primitive, _sign)
 from .labels import Label, label_key, label_keys, sort_labels
 
 Sign = int  # -1, 0, +1
@@ -204,15 +209,6 @@ class LabeledArrangement:
         object.__setattr__(self, "elements", tuple(e for _, e in sorted(zip(keys, elems))))
 
     @classmethod
-    def _of(cls, elements: tuple[tuple[Label, Vector3], ...]) -> "LabeledArrangement":
-        """The arrangement of ``elements``, whose labels are already valid,
-        distinct and in label order: a restriction or rescaling of an
-        arrangement keeps its order and needs no sort."""
-        arrangement = object.__new__(cls)
-        object.__setattr__(arrangement, "elements", elements)
-        return arrangement
-
-    @classmethod
     def _of_integers(cls, labels: tuple[Label, ...], numerators: Sequence[IntVec],
                      denominator: int) -> "LabeledArrangement":
         """The arrangement of the vectors ``numerators[k] / denominator`` on
@@ -261,11 +257,11 @@ class LabeledArrangement:
     @cached_property
     def integer_vectors(self) -> tuple[IntVec, ...]:
         """Positive integer multiples of the vectors, which carry every sign
-        of the arrangement (``om_of``, ``chirotope_of``, ``is_spanning`` and
-        ``LineTable`` read them): the numerators of an arrangement made from
-        integers, as given, else the primitive vectors of the elements.
-        Computed on first use and kept, outside ``==``, ``hash``, ``repr``,
-        copies and pickles."""
+        of the arrangement (``om_of``, ``chirotope_of`` and ``is_spanning``
+        read them): the numerators of an arrangement made from integers, as
+        given, else the primitive vectors of the elements.  Computed on
+        first use and kept, outside ``==``, ``hash``, ``repr``, copies and
+        pickles."""
         return tuple(_primitive(v.x, v.y, v.z) for _, v in self.elements)
 
     def __getstate__(self) -> dict:
@@ -279,7 +275,7 @@ class LabeledArrangement:
     def restrict(self, labels: Iterable[Label]) -> "LabeledArrangement":
         """Sub-arrangement on the given labels."""
         keep = _present(labels, self.labels)
-        return LabeledArrangement._of(tuple((l, v) for l, v in self.elements if l in keep))
+        return LabeledArrangement((l, v) for l, v in self.elements if l in keep)
 
     def rescaled(self, factors: Mapping[Label, Fraction]) -> "LabeledArrangement":
         """Per-element positive rescaling (signs of all covectors preserved).
@@ -289,8 +285,8 @@ class LabeledArrangement:
         for label, f in factors.items():
             if type(f) not in (int, Fraction) or f <= 0:
                 raise ValueError(f"scale for {label!r} must be a positive int or Fraction, got {f!r}")
-        return LabeledArrangement._of(
-            tuple((l, v.scaled(factors[l]) if l in factors else v) for l, v in self.elements)
+        return LabeledArrangement(
+            (l, v.scaled(factors[l]) if l in factors else v) for l, v in self.elements
         )
 
     def __len__(self) -> int:
@@ -677,50 +673,49 @@ def om_of(arrangement: LabeledArrangement) -> OrientedMatroid:
 
 
 class LineTable:
-    """The lines of one arrangement, enumerated once; the oriented matroid
-    of any list of its columns, and whether it spans, is read off them in
-    one pass (``read``; see the module docstring).
+    """The lines of one configuration of plane points, enumerated once; the
+    oriented matroid of any list of its columns, and whether it spans, is
+    read off them in one pass (``read``; see the module docstring).
 
-    The table keeps the enumeration's rows and pair index, the rows again
-    with their lines sorted by making column (a stable sort) and those
-    columns in that order, and each column's first column of its
-    projective class, ``None`` for a loop.  A class is keyed by the
-    primitive vector of its members that is above zero, so non-primitive,
-    parallel and antiparallel integer vectors share one key.  The table
+    ``vectors`` holds each point's lift (``_lift``), in column order.  The
+    table keeps the enumeration's rows and pair index, the rows again with
+    their lines sorted by making column (a stable sort) and those columns
+    in that order, and each column's first column with the same point.
+    Equal points have equal lifts, so the lifts key the points.  The table
     does not change after it is built.
     """
 
-    __slots__ = ("_rows", "_line_of", "_prefix", "_made", "_first")
+    __slots__ = ("vectors", "_rows", "_line_of", "_prefix", "_made", "_first")
 
-    def __init__(self, arrangement: LabeledArrangement):
-        vectors = arrangement.integer_vectors
-        self._rows, self._line_of, made = _enumerate_lines(vectors)
+    def __init__(self, points: Sequence[PlanePoint]):
+        self.vectors = tuple(map(_lift, points))
+        self._rows, self._line_of, made = _enumerate_lines(self.vectors)
         order = sorted(range(len(made)), key=made.__getitem__)
         self._prefix = [row for line in order for row in self._rows[2 * line:2 * line + 2]]
         self._made = sorted(made)
-        first: dict[IntVec, int] = {}  # a class is keyed by its primitive member above zero
-        self._first = [None if p == (0, 0, 0) else first.setdefault(max(p, (-p[0], -p[1], -p[2])), k)
-                       for k, p in enumerate(_primitive(*v) for v in vectors)]
+        first: dict[IntVec, int] = {}  # equal points have equal lifts
+        self._first = [first.setdefault(v, k) for k, v in enumerate(self.vectors)]
 
     def read(self, labels: tuple[Label, ...], cols: Sequence[int]) -> OrientedMatroid:
         """The oriented matroid on ``labels``, in label order, of the columns
         ``cols``, one per label: ``om_of`` of the arrangement of those
-        columns' vectors.  Raises ValueError when a column is outside the
-        table or the labels are not one per column, then NotSpanning when
-        the columns lie on fewer than two lines.
+        columns' points lifted to height 1.  Raises ValueError when a column
+        is outside the table or the labels are not one per column, then
+        NotSpanning when the columns lie on fewer than two lines.
 
-        Columns that are a permutation of 0..m-1 lie on two or more points
-        of exactly the lines made before column m (module docstring): the
-        table's first rows in making-column order, one slice.  Other columns look up the lines through each pair
-        of their first columns, which are never parallel; a column read
-        twice reads alike, and a loop reads its own all-``0`` column."""
+        Columns that are a permutation of 0..m-1 lie on two or more
+        distinct points of exactly the lines made before column m (module
+        docstring): the table's first rows in making-column order, one
+        slice.  Other columns look up the lines through each pair of their
+        first columns, whose points are distinct; a column read twice, or
+        two columns of one point, read alike."""
         n, m, top = len(self._first), len(cols), max(cols, default=-1)
         if len(labels) != m or m and (min(cols) < 0 or top >= n):
             raise ValueError(f"{len(labels)} labels for {m} columns, which must lie in 0..{n - 1}")
         if top == m - 1 and len(set(cols)) == m:
             on = self._prefix[:2 * bisect_left(self._made, m)]
         else:
-            firsts = sorted(set(map(self._first.__getitem__, cols)) - {None})
+            firsts = sorted(set(map(self._first.__getitem__, cols)))
             lines = set(map(itemgetter(0), map(self._line_of.__getitem__, combinations(firsts, 2))))
             on = [row for line in lines for row in self._rows[2 * line:2 * line + 2]]
         if len(on) < 4:

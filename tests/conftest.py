@@ -10,8 +10,17 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from omstrata import LabeledArrangement, PlanePoint, Projectivity, Vector3, label_key
+from omstrata import (
+    LabeledArrangement,
+    PlanePoint,
+    Projectivity,
+    Vector3,
+    embed_affine,
+    label_key,
+    perspective_normalize,
+)
 from omstrata.linalg import matrix_rank
+from omstrata.om import LineTable
 
 
 def rand_fraction(rng: random.Random, span: int = 9) -> Fraction:
@@ -105,10 +114,20 @@ def as_rows(sign_tuples) -> set[str]:
     return {as_row(signs) for signs in sign_tuples}
 
 
-def table_read(table, source, arrangement=None):
-    """``table.read`` of the columns of ``arrangement`` (by default
-    ``source``) in ``source``, the arrangement ``table`` was built from,
-    which holds each of its integer vectors: ``om_of(arrangement)``."""
-    arrangement = source if arrangement is None else arrangement
-    column = {v: k for k, v in enumerate(source.integer_vectors)}
+def height_one(points) -> LabeledArrangement:
+    """The plane points lifted to height 1, labeled 0..n-1 in their order."""
+    return LabeledArrangement(enumerate(map(embed_affine, points)))
+
+
+def table_of(arrangement: LabeledArrangement) -> LineTable:
+    """The line table of the plane points of a height-1 arrangement, in its
+    column order."""
+    return LineTable([perspective_normalize(v) for _, v in arrangement.elements])
+
+
+def table_read(table, arrangement):
+    """``table.read`` of the columns whose lifts are the integer vectors of
+    ``arrangement``, points of the table lifted to height 1:
+    ``om_of(arrangement)``."""
+    column = {v: k for k, v in enumerate(table.vectors)}
     return table.read(arrangement.labels, [column[v] for v in arrangement.integer_vectors])

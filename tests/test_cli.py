@@ -1,7 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import omstrata
 from omstrata import LabeledArrangement, Vector3, build, default_seed
 from omstrata.cli import PERTURB_ADVICE, _build_parser, main
 from omstrata.construction import DEFAULT_SAMPLES
@@ -322,3 +325,14 @@ class TestParserReuse:
                 main(["--version"])
             assert exc.value.code == 0
             assert capsys.readouterr().out.startswith("omstrata ")
+
+
+class TestVersion:
+    def test_pyproject_version_is_the_package_version(self):
+        # The report's tool.version is read from _version.py, and
+        # pyproject.toml holds a second copy.  It is read with a regex, as
+        # Python 3.10 has no tomllib.
+        text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+        project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+        versions = re.findall(r'^version = "([^"]*)"$', project, re.MULTILINE)
+        assert versions == [omstrata.__version__]

@@ -48,6 +48,7 @@ from conftest import (
     as_rows,
     rand_positive_fraction,
     rand_spanning_arrangement,
+    table_of,
     table_read,
 )
 
@@ -533,13 +534,12 @@ class TestCertificate:
 
     def test_levels_and_limits_read_the_deepest_lines(self):
         family = build(default_seed(), 20)
-        deepest = delta_arrangement(family, 20)
-        table = LineTable(deepest)
+        table = table_of(delta_arrangement(family, 20))
         for i in range(1, 21):
             marked = delta_arrangement(family, i)
             for arr in (marked, nonzero_part(limit_arrangement(marked))):
                 ints = arr.integer_vectors
-                assert set(table_read(table, deepest, arr).rows) == as_rows(all_pairs_cocircuit_tuples(ints))
+                assert set(table_read(table, arr).rows) == as_rows(all_pairs_cocircuit_tuples(ints))
 
     def test_level_columns_read_each_level_as_a_prefix(self):
         # On the whole family's arrangement, where c_20 keeps its label, the
@@ -549,7 +549,7 @@ class TestCertificate:
         # pair lookup (the index is emptied), and the limit reads the pairs.
         family = build(default_seed(), 20)
         arrangement = family.arrangement()
-        table, prefix_only = LineTable(arrangement), LineTable(arrangement)
+        table, prefix_only = table_of(arrangement), table_of(arrangement)
         prefix_only._line_of = {}
         labels = arrangement.labels
         for i in range(1, 21):
@@ -573,8 +573,9 @@ class TestCertificate:
         assert sizes == [25]
 
     def test_depth_6_builds_only_the_deepest_level(self, monkeypatch):
-        # Every level is read off the columns of the whole family's one
-        # arrangement, where c_6 keeps its own label: no level is marked.
+        # Every level is read off the columns of the table of the whole
+        # family's points, where c_6 keeps its own label: no level is marked,
+        # and no arrangement of the family is built.
         levels, built = [], []
         delta = construction.delta_arrangement
         monkeypatch.setattr(construction, "delta_arrangement",
@@ -583,7 +584,7 @@ class TestCertificate:
         monkeypatch.setattr(construction.ConfigurationFamily, "arrangement",
                             lambda family: built.append(family.depth) or arrangement(family))
         assert certificate(default_seed(), 6).passed
-        assert levels == [] and built == [6]
+        assert levels == [] and built == []
 
     def test_depth_6_rescales_once_per_sample(self, monkeypatch):
         # Check (c) decides each non-persistent column once per sample, on
@@ -640,18 +641,47 @@ class TestCertificate:
         assert replace(report.checks, stratum_constancy=True).all_pass()
 
     def test_check_c_builds_no_fraction_arrangement(self, monkeypatch):
-        # Check (c) reads the integer vectors the certificate holds: with the
-        # Fraction rescalings made to raise, the report is the same.
+        # Check (c) reads the lifts of the table, which is built from the
+        # family's plane points: with the Fraction rescalings, every
+        # arrangement, every vector and the primitive-vector gcd made to
+        # raise, the report is the same.
         expected = document_to_json(render_report(certificate(default_seed(), 6)))
 
         def refuse(*args):
-            raise AssertionError("check (c) rescaled Fractions")
+            raise AssertionError("an arrangement, a Vector3 or a primitive vector")
 
         monkeypatch.setattr(construction, "scale_degeneration", refuse)
         monkeypatch.setattr(Vector3, "scaled", refuse)
+        monkeypatch.setattr(Vector3, "__init__", refuse)
+        monkeypatch.setattr(om_module.LabeledArrangement, "__init__", refuse)
+        monkeypatch.setattr(om_module, "_primitive", refuse)
         report = certificate(default_seed(), 6)
         assert report.passed
         assert document_to_json(render_report(report)) == expected
+        assert not hasattr(construction, "perspective_normalize")
+
+    def test_the_table_lifts_are_the_arrangement_integer_vectors(self, monkeypatch):
+        # The certificate's table holds the family's points in label order:
+        # its lifts are the integer vectors of the family's arrangement.
+        tables = []
+
+        class Recorded(LineTable):
+            def __init__(self, points):
+                super().__init__(points)
+                tables.append(self)
+
+        monkeypatch.setattr(construction, "LineTable", Recorded)
+        assert certificate(default_seed(), 20, [1]).passed
+        arrangement = build(default_seed(), 20).arrangement()
+        assert len(tables) == 1 and tables[0].vectors == arrangement.integer_vectors
+
+    def test_samples_may_be_any_iterable(self):
+        expected = certificate(default_seed(), 2, [1, 2])
+        assert certificate(default_seed(), 2, iter([1, 2])) == expected
+        assert certificate(default_seed(), 2, (n for n in (1, 2))) == expected
+        for samples in (iter([]), iter([2, 2]), iter([0])):
+            with pytest.raises(ValueError, match="^samples must be distinct positive integers"):
+                certificate(default_seed(), 2, samples)
 
     def test_deterministic_reports(self):
         first = certificate(default_seed(), 3, [1, 4])
@@ -752,9 +782,9 @@ print(document_to_json(render_report(certificate(seed, 20))))
 
 class TestArrangementsBuiltInOrder:
     """Restricting, rescaling and the limit keep the elements in label
-    order, so their arrangements are built without a sort: the sorting
-    constructor on the same elements is the reference, and for the samples
-    so is the rescaling by ``Vector3.scaled``."""
+    order: the sorting constructor on the same elements, reversed, is the
+    reference, and for the samples so is the rescaling by
+    ``Vector3.scaled``."""
 
     @pytest.mark.parametrize("seed", [default_seed(), WALL_SEED], ids=["default", "wall"])
     def test_every_level_to_depth_20(self, seed):
@@ -816,8 +846,8 @@ class TestHistoryIndependence:
         levels = [delta_arrangement(family, i) for i in range(1, 7)]
         arrangements = levels + [nonzero_part(limit_arrangement(m)) for m in levels]
         reference = [om_of(arr).fingerprint() for arr in arrangements]
-        table = LineTable(levels[-1])
-        read = (lambda arr: table_read(table, levels[-1], arr)) if source == "table" else om_of
+        table = table_of(levels[-1])
+        read = (lambda arr: table_read(table, arr)) if source == "table" else om_of
         other = rand_spanning_arrangement(random.Random(97), 30)
         other_reference = om_of(other).fingerprint()
         wrong, errors = [], []

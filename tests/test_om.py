@@ -16,6 +16,7 @@ from omstrata import (
     LabeledArrangement,
     NotSpanning,
     OrientedMatroid,
+    PlanePoint,
     SignVector,
     Subspace,
     Vector3,
@@ -26,6 +27,7 @@ from omstrata import (
     covectors_of,
     default_seed,
     delta_arrangement,
+    embed_affine,
     family_om,
     limit_arrangement,
     om_equal,
@@ -50,10 +52,13 @@ from conftest import (
     all_pairs_cocircuit_tuples,
     as_row,
     as_rows,
+    height_one,
+    rand_point,
     rand_positive_fraction,
     rand_spanning_arrangement,
     sampled_sign_patterns,
     sign_of,
+    table_of,
     table_read,
 )
 
@@ -575,7 +580,8 @@ def refuse(*args):
 def rand_columns(rng: random.Random, ints) -> list[int]:
     """Columns of ``ints`` drawn with repetition and in any order: mostly
     from all non-zero ones, sometimes from one plane (rank 2) or one
-    projective class (rank 1), sometimes none, plus up to two loops."""
+    projective class (rank 1), sometimes none, plus up to two loops if
+    ``ints`` has any."""
     live = [k for k, v in enumerate(ints) if any(v)]
     loops = [k for k, v in enumerate(ints) if not any(v)]
     kind = rng.random()
@@ -590,7 +596,7 @@ def rand_columns(rng: random.Random, ints) -> list[int]:
     else:
         pool = live
     cols = [rng.choice(pool) for _ in range(rng.randint(0, 10) if pool else 0)]
-    cols += [rng.choice(loops) for _ in range(rng.randint(0, 2))]
+    cols += [rng.choice(loops) for _ in range(rng.randint(0, 2) if loops else 0)]
     rng.shuffle(cols)
     return cols
 
@@ -599,53 +605,90 @@ def arrangement_of(ints) -> LabeledArrangement:
     return LabeledArrangement(enumerate(Vector3(*v) for v in ints))
 
 
+def rand_grid_points(rng: random.Random, size: int) -> list[PlanePoint]:
+    """Points on a grid of halves, so that many triples are collinear and
+    some points coincide, plus coincident copies of some of them, shuffled."""
+    points = [PlanePoint(F(rng.randint(-4, 4), 2), F(rng.randint(-4, 4), 2)) for _ in range(size)]
+    points += [p for p in points if rng.random() < 0.3]
+    rng.shuffle(points)
+    return points
+
+
+def rand_degenerate_points(rng: random.Random, size: int) -> list[PlanePoint]:
+    """Random points, their lifts spanning, plus coincident copies of some
+    of them, shuffled."""
+    while True:
+        points = [rand_point(rng, rng.choice((2, 9))) for _ in range(size)]
+        if height_one(points).is_spanning():
+            break
+    points += [p for p in points if rng.random() < 0.3]
+    rng.shuffle(points)
+    return points
+
+
+SQUARE_POINTS = (PlanePoint(0, 0), PlanePoint(1, 0), PlanePoint(0, 1), PlanePoint(1, 1))
+SQUARE = LabeledArrangement((k + 1, embed_affine(p)) for k, p in enumerate(SQUARE_POINTS))
+
+
 class TestLineProjection:
-    """A line table reads the oriented matroid of any list of its columns
-    off its lines, and raises NotSpanning when the columns lie on fewer
-    than two of them, as module ``om_of`` does on their vectors and as
-    ``is_spanning`` says; the all-pairs loop and Fraction elimination are
-    the references."""
+    """A line table of plane points reads the oriented matroid of any list
+    of its columns off its lines, and raises NotSpanning when the columns
+    lie on fewer than two of them, as module ``om_of`` does on their points
+    lifted to height 1 and as ``is_spanning`` says; the all-pairs loop and
+    Fraction elimination are the references.  ``om_of`` meets loops and
+    parallel, antiparallel and non-primitive vectors as well."""
 
     @staticmethod
-    def assert_reads_match(rng, ints, source, arrangement_of):
-        """300 reads of random columns of ``source``, whose integer vectors
-        are ``ints``, against ``om_of`` of the arrangement of their vectors
-        that ``arrangement_of`` makes, labeled 0..m-1."""
-        table = LineTable(source)
-        ranks, counts = set(), {"antiparallel": 0, "repeated": 0, "backward": 0, "empty": 0}
+    def assert_reads_match(rng, ints, arrangement_of, table=None) -> dict[str, int]:
+        """300 reads of random columns of ``ints`` against the all-pairs
+        reference: ``om_of`` of the arrangement that ``arrangement_of`` makes
+        of those columns, labeled 0..m-1, and the read of ``table``, when
+        given, whose lifts are ``ints``.  Returns the counts of the kinds of
+        column lists read."""
+        ranks = set()
+        counts = {"parallel": 0, "antiparallel": 0, "repeated": 0, "backward": 0, "empty": 0}
         for _ in range(300):
             cols = rand_columns(rng, ints)
             sub = [ints[k] for k in cols]
-            arr, labels = arrangement_of(sub), tuple(range(len(cols)))
+            arr, labels = arrangement_of(cols), tuple(range(len(cols)))
             rank = matrix_rank(sub)
             ranks.add(rank)
             assert arr.is_spanning() == (rank == 3)
+            reads = [lambda: om_of(arr)] + ([lambda: table.read(labels, cols)] if table else [])
             if rank == 3:
                 reference = as_rows(all_pairs_cocircuit_tuples(sub))
-                assert set(table.read(labels, cols).rows) == set(om_of(arr).rows) == reference
+                assert [set(read().rows) for read in reads] == [reference] * len(reads)
             else:
-                for read in (lambda: table.read(labels, cols), lambda: om_of(arr)):
+                for read in reads:
                     with pytest.raises(NotSpanning, match="^arrangement does not span rank 3$"):
                         read()
             classes = [om_module._primitive(*v) for v in sub]
+            live = {k for k in cols if any(ints[k])}
+            counts["parallel"] += len({max(v, negated(v)) for v in classes if any(v)}) < len(live)
             counts["antiparallel"] += any(negated(v) in classes for v in classes if any(v))
             counts["repeated"] += len(set(cols)) < len(cols)
             counts["backward"] += any(b < a for a, b in zip(cols, cols[1:]))
             counts["empty"] += not cols
         assert ranks == {0, 1, 2, 3}
-        assert min(counts.values()) > 0 and counts["antiparallel"] > 50, counts
+        assert counts["parallel"] > 50, counts
+        return counts
 
     def test_sub_arrangements_match_all_pairs(self):
+        # grid points with coincident copies: a class of coincident points
+        # is read as its first column
         rng = random.Random(79)
-        grid = rand_grid_arrangement(rng, 14).integer_vectors
-        # antiparallel copies of some vectors, a repeat and a loop
-        full = grid + tuple(negated(v) for v in grid[:5]) + grid[:2] + ((0, 0, 0),)
-        self.assert_reads_match(rng, full, arrangement_of(full), arrangement_of)
+        points = rand_grid_points(rng, 14)
+        table = LineTable(points)
+        assert len(set(points)) < len(points)
+        counts = self.assert_reads_match(
+            rng, table.vectors, lambda cols: height_one([points[k] for k in cols]), table
+        )
+        assert counts["antiparallel"] == 0
+        assert min(counts[kind] for kind in ("repeated", "backward", "empty")) > 0, counts
 
     def test_integer_table_reads_match_all_pairs(self):
-        # numerators with common factors, a parallel pair at two scales,
-        # antiparallel pairs and a loop: a class's columns share one key only
-        # once each vector is divided by its gcd
+        # om_of on numerators with common factors, a parallel pair at two
+        # scales, antiparallel pairs and a loop, read as given
         rng = random.Random(89)
         grid = rand_grid_arrangement(rng, 12).integer_vectors
         u = next(v for v in grid if any(v))
@@ -657,34 +700,36 @@ class TestLineProjection:
         integers = LabeledArrangement._of_integers
         source = integers(tuple(range(len(ints))), ints, 7)
         assert source.integer_vectors == tuple(ints)
-        self.assert_reads_match(rng, ints, source, lambda sub: integers(tuple(range(len(sub))), sub, 7))
+        counts = self.assert_reads_match(
+            rng, ints, lambda cols: integers(tuple(range(len(cols))), [ints[k] for k in cols], 7)
+        )
+        assert min(counts.values()) > 0 and counts["antiparallel"] > 50, counts
 
     def test_prefix_reads_match_om_of(self):
-        # Every prefix of small degenerate arrangements, read in column order
+        # Every prefix of small degenerate point lists, read in column order
         # and shuffled: columns that are a permutation of 0..m-1 read the
         # table's first rows, with no pair lookup (the index is emptied).
-        # The first fixed arrangement starts with a rank-2 run: the plane
-        # z = 0 with a loop, a parallel pair at two scales and an
-        # antiparallel pair, so its prefixes up to 7 columns span nothing.
-        plane = ((1, 0, 0), (0, 0, 0), (0, 1, 0), (2, 4, 0), (1, 2, 0), (-3, -6, 0), (1, 1, 0),
-                 (0, 0, 1), (1, 1, 1), (2, 2, 1), (-1, 0, 0))
+        # The fixed list starts with a collinear run with coincident copies,
+        # so its prefixes up to 6 columns span nothing.
+        line = (PlanePoint(1, 0), PlanePoint(0, 0), PlanePoint(2, 0), PlanePoint(1, 0),
+                PlanePoint(0, 0), PlanePoint(F(1, 2), 0))
         rng = random.Random(131)
-        sources = [arrangement_of(plane)]
-        sources += [rand_degenerate_arrangement(rng, rng.randint(3, 6)) for _ in range(20)]
-        sources += [rand_grid_arrangement(rng, rng.randint(3, 8)) for _ in range(20)]
-        counts = {"spans": 0, "rank 2": 0, "loop": 0, "parallel": 0, "antiparallel": 0}
-        for source in sources:
-            ints = source.integer_vectors
-            table = LineTable(source)
+        sources = [list(line) + [PlanePoint(0, 1), PlanePoint(1, 1), PlanePoint(2, 2), PlanePoint(0, 1)]]
+        sources += [rand_degenerate_points(rng, rng.randint(3, 6)) for _ in range(20)]
+        sources += [rand_grid_points(rng, rng.randint(3, 8)) for _ in range(20)]
+        counts = {"spans": 0, "rank 2": 0, "coincident": 0}
+        for points in sources:
+            table = LineTable(points)
+            ints = table.vectors
             rows, _, made = om_module._enumerate_lines(ints)
             order = sorted(range(len(made)), key=made.__getitem__)
             assert table._made == sorted(made) == [made[line] for line in order]
             assert table._prefix == [row for line in order for row in rows[2 * line:2 * line + 2]]
             table._line_of = {}
-            for m in range(len(ints) + 1):
+            for m in range(len(points) + 1):
                 for cols in (list(range(m)), rng.sample(range(m), m)):
-                    sub = [ints[k] for k in cols]
-                    arr, labels = arrangement_of(sub), tuple(range(m))
+                    sub = [points[k] for k in cols]
+                    arr, labels = height_one(sub), tuple(range(m))
                     if arr.is_spanning():
                         assert table.read(labels, cols) == om_of(arr)
                         counts["spans"] += 1
@@ -692,32 +737,33 @@ class TestLineProjection:
                         for read in (lambda: table.read(labels, cols), lambda: om_of(arr)):
                             with pytest.raises(NotSpanning, match="^arrangement does not span rank 3$"):
                                 read()
-                        counts["rank 2"] += m > 2 and matrix_rank(sub) == 2
-                    classes = [om_module._primitive(*v) for v in sub]
-                    counts["loop"] += (0, 0, 0) in classes
-                    counts["parallel"] += len(set(classes) - {(0, 0, 0)}) < sum(map(any, classes))
-                    counts["antiparallel"] += any(negated(v) in classes for v in classes if any(v))
+                        counts["rank 2"] += m > 2 and matrix_rank([ints[k] for k in cols]) == 2
+                    counts["coincident"] += len(set(sub)) < m
         assert min(counts.values()) > 20, counts
 
     def test_an_empty_read_spans_nothing(self):
-        table = LineTable(BASIS4)
+        table = LineTable(SQUARE_POINTS)
         for cols in ((), [], range(0)):
             with pytest.raises(NotSpanning, match="^arrangement does not span rank 3$"):
                 table.read((), cols)
 
     def test_antiparallel_pair_alone_on_a_line_spans_nothing(self):
         # e3 and -e3 lie on the line x = 0 with e2, and on y = 0 with e1; the
-        # columns without e2 lie in y = 0, its one line
+        # columns without e2 lie in y = 0, its one line.  A coincident pair
+        # of points with one more point lies on one line as well.
         vectors = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1))
-        table = LineTable(arrangement_of(vectors))
         sub = (2, 0, 3)
         assert as_rows(all_pairs_cocircuit_tuples([vectors[k] for k in sub])) == {"000"}
+        table = LineTable((PlanePoint(1, 0), PlanePoint(0, 1), PlanePoint(0, 0), PlanePoint(0, 0)))
         for spans_nothing in (sub, (2, 3)):
-            with pytest.raises(NotSpanning):
-                table.read(tuple(range(len(spans_nothing))), spans_nothing)
+            labels = tuple(range(len(spans_nothing)))
+            for read in (lambda: om_of(arrangement_of([vectors[k] for k in spans_nothing])),
+                         lambda: table.read(labels, spans_nothing)):
+                with pytest.raises(NotSpanning):
+                    read()
 
     def test_a_column_outside_the_table_raises(self):
-        table = LineTable(BASIS4)
+        table = LineTable(SQUARE_POINTS)
         # the first three lie on fewer than two lines, and raise ValueError
         # before NotSpanning
         for labels, cols in (((1, 2), (0, 4)), ((1, 2), (0, -1)), ((1,), (0, 1)),
@@ -725,21 +771,21 @@ class TestLineProjection:
                              ((1, 2, 3), (0, 1, 2, 3)), ((1, 2, 3, 4, 5), (0, 1, 2, 3))):
             with pytest.raises(ValueError, match=r"^\d labels for \d columns, which must lie in 0\.\.3$"):
                 table.read(labels, cols)
-        assert table.read((1, 2, 3), (0, 1, 2)) == om_of(BASIS)
+        assert table.read((1, 2, 3), (0, 1, 2)) == om_of(SQUARE.restrict((1, 2, 3)))
         with pytest.raises(NotSpanning):
             table.read((1, 2), (0, 3))
 
     def test_projected_om_of_equals_a_fresh_enumeration(self):
         rng = random.Random(83)
-        full = rand_degenerate_arrangement(rng, 9)
-        table = LineTable(full)
+        points = rand_degenerate_points(rng, 9)
+        full, table = height_one(points), LineTable(points)
         assert table_read(table, full) == om_of(full)
         for _ in range(30):
             labels = rng.sample(full.labels, rng.randint(4, len(full)))
             sub = full.restrict(labels)
             if not sub.is_spanning():
                 continue
-            projected = table_read(table, full, sub)
+            projected = table_read(table, sub)
             assert projected == om_of(sub)
             assert projected.fingerprint() == om_of(sub).fingerprint()
 
@@ -751,38 +797,38 @@ class TestOmOfReadsPrimitiveVectors:
     def test_rescaled_copy_reads_alike(self):
         rng = random.Random(73)
         arr = rand_degenerate_arrangement(rng, 6)
-        factors = {label: rand_positive_fraction(rng) for label in arr.labels}
-        rescaled = arr.rescaled(factors)
-        first = table_read(LineTable(arr), arr)
-        assert table_read(LineTable(rescaled), rescaled) == first
+        assert om_of(arr.rescaled({label: rand_positive_fraction(rng) for label in arr.labels})) == om_of(arr)
+        # a table of points reads what om_of reads on a rescaling of their lifts
+        points = rand_degenerate_points(rng, 6)
+        plane = height_one(points)
+        rescaled = plane.rescaled({label: rand_positive_fraction(rng) for label in plane.labels})
+        first = table_read(LineTable(points), plane)
         fresh = om_of(rescaled)
-        assert fresh == first == om_of(arr)
+        assert fresh == first == om_of(plane)
         assert fresh.fingerprint() == first.fingerprint()
 
     def test_shuffled_copy_reads_alike(self):
-        first = LineTable(BASIS4).read(BASIS4.labels, (0, 1, 2, 3))
-        shuffled = LabeledArrangement(reversed(BASIS4.elements))
-        assert LineTable(shuffled).read(shuffled.labels, (0, 1, 2, 3)) == first
+        first = LineTable(SQUARE_POINTS).read(SQUARE.labels, (0, 1, 2, 3))
+        shuffled = LabeledArrangement(reversed(SQUARE.elements))
+        assert LineTable(SQUARE_POINTS[::-1]).read(shuffled.labels, (3, 2, 1, 0)) == first
         assert om_of(shuffled) == first
 
     def test_negated_element_reads_differently(self):
         flipped = LabeledArrangement(
             (label, v.scaled(-1) if label == 4 else v) for label, v in BASIS4.elements
         )
-        table = LineTable(LabeledArrangement(list(BASIS4.elements) + [(5, ONES.scaled(-1))]))
-        first = table.read(BASIS4.labels, (0, 1, 2, 3))
-        negated_read = table.read(flipped.labels, (0, 1, 2, 4))
-        assert not om_equal(first, negated_read)
-        assert negated_read == om_of(flipped)
+        negated_read = om_of(flipped)
+        assert not om_equal(om_of(BASIS4), negated_read)
+        assert set(negated_read.rows) == as_rows(all_pairs_cocircuit_tuples(flipped.integer_vectors))
 
     def test_labels_are_part_of_the_key(self):
-        relabeled = LabeledArrangement((label + 4, v) for label, v in BASIS4.elements)
-        first, second = om_of(BASIS4), om_of(relabeled)
+        relabeled = LabeledArrangement((label + 4, v) for label, v in SQUARE.elements)
+        first, second = om_of(SQUARE), om_of(relabeled)
         assert first.ground == (1, 2, 3, 4)
         assert second.ground == (5, 6, 7, 8)
         assert sorted(first.rows) == sorted(second.rows)
-        table = LineTable(BASIS4)
-        assert table.read(BASIS4.labels, (0, 1, 2, 3)) == first
+        table = LineTable(SQUARE_POINTS)
+        assert table.read(SQUARE.labels, (0, 1, 2, 3)) == first
         assert table.read(relabeled.labels, (0, 1, 2, 3)) == second
 
     def test_vectors_are_kept_outside_equality_and_state(self, monkeypatch):
@@ -791,7 +837,6 @@ class TestOmOfReadsPrimitiveVectors:
         # each constructor, called anew so that every arrangement starts unread
         makers = {
             "__init__": lambda: LabeledArrangement(reversed(DEGEN4.elements)),
-            "_of": lambda: LabeledArrangement._of(DEGEN4.elements),
             "restrict": lambda: DEGEN4.restrict([1, 2, 4]),
             "rescaled": lambda: DEGEN4.rescaled({1: F(3, 2), 4: 5}),
             "scale_degeneration": lambda: scale_degeneration(marked, 7),
@@ -824,7 +869,7 @@ class TestOmOfReadsPrimitiveVectors:
 
     def test_rank_two_raises_on_every_call(self):
         rank2 = LabeledArrangement([(1, E1), (2, E2), (3, Vector3(1, 1, 0))])
-        table = LineTable(rank2)
+        table = LineTable((PlanePoint(0, 0), PlanePoint(1, 1), PlanePoint(2, 2)))
         for _ in range(3):
             with pytest.raises(NotSpanning):
                 om_of(rank2)
@@ -854,7 +899,6 @@ class TestArrangementOfIntegers:
         assert arr.labels == tuple(range(1, 8)) and len(arr) == 7 and arr.is_spanning()
         om_of(arr)
         chirotope_of(arr)
-        LineTable(arr).read(arr.labels, range(7))
         assert arr.integer_vectors[3] == (0, 0, 0)
         assert "elements" not in vars(arr) and "_denominator" in vars(arr)
         elements = arr.elements
@@ -901,7 +945,6 @@ class TestArrangementOfIntegers:
                 "om_of": lambda a: om_of(a) if a.is_spanning() else None,
                 "chirotope_of": chirotope_of,
                 "is_spanning": lambda a: a.is_spanning(),
-                "LineTable": lambda a: LineTable(a).read(labels, range(size)) if a.is_spanning() else None,
             }
             expected = {"==": True, "copy": pickle.dumps(eager), "deepcopy": pickle.dumps(eager)}
             for name, read in reads.items():
@@ -1182,7 +1225,7 @@ class TestOrientedMatroid:
     def test_supports_match_one_mask_per_row(self):
         family = build(default_seed(), 20)
         arr = delta_arrangement(family, 20)
-        read = table_read(LineTable(arr), arr)
+        read = table_read(table_of(arr), arr)
         assert len(read.rows) > 2000
         cases = [
             OrientedMatroid._of((1, 2, 3), ()),
@@ -1287,7 +1330,7 @@ class TestOrientedMatroid:
         makers = {
             "__init__": lambda: OrientedMatroid(level.ground, level.cocircuits),
             "om_of": lambda: om_of(marked),
-            "LineTable.read": lambda: table_read(LineTable(marked), marked, marked.restrict(PERSISTENT)),
+            "LineTable.read": lambda: table_read(table_of(marked), marked.restrict(PERSISTENT)),
             "restrict": lambda: level.restrict(PERSISTENT),
             "rank_zero": lambda: OrientedMatroid.rank_zero(level.ground),
             "parse_om": lambda: parse_om(render_om(level)),
@@ -1358,16 +1401,16 @@ class TestRowsSortedOnce:
         rng = random.Random(157)
         family = build(default_seed(), 20)
         deepest = delta_arrangement(family, 20)
-        table = LineTable(deepest)
+        table = table_of(deepest)
         for i in range(1, 21):
             marked = delta_arrangement(family, i)
             persistent = marked.restrict(PERSISTENT)
             level = om_of(marked)
             made = {
                 "om_of": level,
-                "LineTable.read": table_read(table, deepest, marked),
+                "LineTable.read": table_read(table, marked),
                 "persistent om_of": om_of(persistent),
-                "persistent LineTable.read": table_read(table, deepest, persistent),
+                "persistent LineTable.read": table_read(table, persistent),
                 "restrict": level.restrict(PERSISTENT),
                 "restrict at random": level.restrict(rng.sample(level.ground, rng.randint(0, len(marked)))),
                 "limit delete_loops": om_of(limit_arrangement(marked)).delete_loops(),
@@ -1383,15 +1426,16 @@ class TestRowsSortedOnce:
         rng = random.Random(163)
         for _ in range(200):
             arr = rand_degenerate_arrangement(rng, rng.randint(3, 7))
+            points = rand_degenerate_points(rng, rng.randint(3, 7))
+            plane, table = height_one(points), LineTable(points)
             matroid = om_of(arr)
-            table = LineTable(arr)
-            made = {"om_of": matroid, "LineTable.read": table_read(table, arr)}
+            made = {"om_of": matroid, "LineTable.read": table_read(table, plane)}
             for k in range(3):
                 labels = rng.sample(arr.labels, rng.randint(0, len(arr)))
                 made[f"restrict {k}"] = matroid.restrict(labels)
-                sub = arr.restrict(labels)
+                sub = plane.restrict(rng.sample(plane.labels, rng.randint(0, len(plane))))
                 if sub.is_spanning():
-                    made[f"LineTable.read {k}"] = table_read(table, arr, sub)
+                    made[f"LineTable.read {k}"] = table_read(table, sub)
             for name, made_om in [*made.items(), *remade(matroid)]:
                 assert_rows_sorted(made_om, name)
 
