@@ -43,7 +43,7 @@ def _load_json(path: str):
         raise SchemaError(path, f"cannot read file: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
         raise SchemaError(path, f"invalid JSON: {exc}") from exc
 
 

@@ -53,14 +53,14 @@ SEED_LABELS = ("alpha", "beta", "gamma", "omega", "nu", "a", "b1")
 # The certificate enumerates the lines of the whole family once: at most the
 # C(n, 3) triple signs of its n = 3 * depth + 7 points, each computed once, on
 # coordinates that grow with depth (480 bits at depth 80), most of them read
-# off the coordinates' leading 64 bits.  The table orders its lines by the
-# column that makes each one, so a level, a permutation of columns 0..m-1,
-# reads its lines as the table's first rows and projects them onto its
+# off the coordinates' leading 64 bits.  The table files each line's rows
+# under the column that makes it, so a level, a permutation of columns
+# 0..m-1, reads the rows filed under its columns and projects them onto its
 # columns, one slice per run of consecutive columns, done in C; a limit looks
 # up the lines through the pairs of its eight persistent points.  Depth 80 is
-# the largest run it is meant for: 2.3-3.7 s and 51.4-51.7 MiB peak RSS in six
-# single runs, each a fresh process, on a 2-vCPU shared host under CPython
-# 3.11.7.  ``build`` has no such bound.
+# the largest run it is meant for: 2.9-3.8 s and 50.3-50.4 MiB peak RSS in
+# four single runs, each a fresh process, on a 2-vCPU shared host under
+# CPython 3.11.7.  ``build`` has no such bound.
 MAX_CERTIFICATE_DEPTH = 80
 
 # The rescaling denominators a certificate samples when none are given.
@@ -415,9 +415,6 @@ def certificate(
     except (NotCollinear, DegeneratePoints) as exc:
         raise SeedRejected("cross_ratio_ledger", f"{type(exc).__name__}: {exc}") from exc
 
-    points = dict(family.points)
-    c_points = [points[indexed("c", i)] for i in range(1, depth + 1)]
-    c_distinct = len(set(c_points)) == depth
     cr_values = [value for _, value in ledger]
 
     records: list[LevelRecord] = []
@@ -425,10 +422,12 @@ def certificate(
     limit_fingerprint = ""
     limits_equal = True
     # Every level is read off the lines of the whole family's points, in
-    # label order, by its columns there, a permutation of 0..3i + 6 and so a
-    # prefix of the table's rows, and its limit's non-loops by its first
-    # eight.
+    # label order, by its columns there, a permutation of 0..3i + 6 and so
+    # the rows filed under those columns, and its limit's non-loops by its
+    # first eight.
     labels, plane = zip(*sorted(family.points, key=lambda item: label_key(item[0])))
+    # (a) on the c_i, column 3i + 4 each (``_level_columns``)
+    c_distinct = len({plane[3 * i + 4] for i in range(1, depth + 1)}) == depth
     table = LineTable(plane)
     ints = table.vectors
     # Per sample, the non-persistent columns whose rescaled primitive vector

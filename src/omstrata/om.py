@@ -81,19 +81,21 @@ keeps the lifts as ``vectors``, enumerates their lines once and reads the
 oriented matroid of any list of its columns (``LineTable.read``): that is
 ``om_of`` of those columns' points lifted to height 1.  A lift is never
 zero and two lifts are parallel only when their points coincide, so a
-table has no loops, and no antiparallel or non-primitive vectors.  The
-table orders its lines once by their making column, the column j of the
-pair (i, j) that makes each line in the walk.  That pair is the line's
-first column i and its first column after i whose point is not i's, so a
-line holds two distinct points among columns 0..m-1 exactly when its
-making column is below m: a list of columns that is a permutation of
-0..m-1 reads the table's first lines, one slice.  Other lists read the
-lines through pairs of their distinct points, each point read as its first
-column: two distinct points lie on exactly one line, which the enumeration
-indexes by their columns.  Either way the lines' rows are restricted to
-the listed columns.  The certificate builds one table from the whole
-family's points in label order, so one enumeration serves every level,
-each a permutation of a prefix of the columns, and every limit's
+table has no loops, and no antiparallel or non-primitive vectors.  A line
+is its row and that row's negation, and nothing else: the enumeration
+files the two under the line's making column, the column j of the pair
+(i, j) that makes it in the walk, and its pair index holds them in the
+entry of every pair on the line.  That pair is the line's first column i
+and its first column after i whose point is not i's, so a line holds two
+distinct points among columns 0..m-1 exactly when its making column is
+below m: a list of columns that is a permutation of 0..m-1 reads the rows
+filed under columns 0..m-1.  Other lists read the rows of the lines
+through pairs of their distinct points, each point read as its first
+column: two distinct points lie on exactly one line, whose rows the index
+holds under their columns.  Either way the rows are restricted to the
+listed columns, and sorted.  The certificate builds one table from the
+whole family's points in label order, so one enumeration serves every
+level, each a permutation of a prefix of the columns, and every limit's
 non-loops, read through the index.
 
 Rows are restricted to columns by runs (``_project``): the columns are cut
@@ -109,12 +111,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -522,11 +523,12 @@ def _truncated(v: IntVec) -> IntVec:
     return (v[0] >> shift, v[1] >> shift, v[2] >> shift) if shift > 0 else v
 
 
-def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[list[str], dict[tuple[int, int], tuple], list[int]]:
-    """Both rows of every line (rank-2 flat) of the arrangement, in pairs
-    (line ``l`` has rows ``2l`` and ``2l + 1``), the index of the line
-    through each pair of columns that are not parallel (see below), and the
-    column ``j`` of the pair ``(i, j)`` that makes each line.
+def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[list[list[str]], dict[tuple[int, int], tuple]]:
+    """Both rows of every line (rank-2 flat) of the arrangement, filed under
+    its making column, the column ``j`` of the pair ``(i, j)`` that makes it
+    (``made[j]``: row, negation, row, negation, ... in walk order), and the
+    index of the line through each pair of columns that are not parallel
+    (see below).
 
     The pairs ``i < j`` are walked in order, and the first independent pair
     on a line makes its row, ``k -> sign det(v_i, v_j, v_k)``, so each line
@@ -581,20 +583,20 @@ def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[list[str], dict[tuple[in
     A pair on a known line has ``v_a x v_b = t * N`` for the line's normal
     N, so the coordinate where N leads decides both whether ``t`` is zero
     (the pair is parallel) and its sign.  So the index maps each pair
-    ``i < j`` of non-zero vectors on a line to ``(line, c, up)``: that
-    coordinate ``c`` and whether N is positive there, not N itself.  Each
-    line indexes its pairs when it is made; a parallel pair's entry means
+    ``i < j`` of non-zero vectors on a line to ``(c, up, row, negation)``:
+    that coordinate ``c``, whether N is positive there (not N itself), and
+    the line's two rows, the first the one whose normal is N.  Each line
+    indexes its pairs when it is made; a parallel pair's entry means
     nothing, and the walk reads only its ``t``, which is zero.
     """
     n = len(ints)
     zero = "0" * n
     cut = tuple(map(_truncated, ints))
     slack = 0 if cut == ints else _SLACK  # a 0 slack decides every sign
-    rows: list[str] = []
-    made: list[int] = []
+    made: list[list[str]] = [[] for _ in ints]
     live = [v != (0, 0, 0) for v in ints]
     pair_zeros = 2 + live.count(False)  # the zeros of a row whose line holds just its pair
-    line_of: dict[tuple[int, int], tuple[int, int, bool]] = {}
+    line_of: dict[tuple[int, int], tuple[int, bool, str, str]] = {}
     before: list[list[str]] = [[] for _ in range(n)]  # before[b][a] = S(a, b)
     for i, (x1, y1, z1) in enumerate(ints):
         head, before[i] = before[i], []
@@ -602,11 +604,10 @@ def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[list[str], dict[tuple[in
         for j, (x2, y2, z2) in enumerate(ints[i + 1:], i + 1):
             known = line_of.get((i, j))
             if known is not None:
-                line, c, up = known
+                c, up, row, negation = known
                 t = y1 * z2 - z1 * y2 if c == 0 else z1 * x2 - x1 * z2 if c == 1 else x1 * y2 - y1 * x2
-                row = rows[2 * line + ((t > 0) != up)] if t else zero
+                row = zero if not t else row if (t > 0) == up else negation
             else:
-                line = len(rows) >> 1
                 p = None  # N = (p, q, r), computed only when N'' leaves a sign undecided
                 # two shifted vectors take N'' = v'_i x v'_j first: when
                 # |N''_0| >= E, N_0 is not zero and has the sign of N''_0
@@ -614,14 +615,13 @@ def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[list[str], dict[tuple[in
                         and abs((cross := _cross(cut[i], cut[j]))[0]) >= _PAIR):
                     nx, ny, nz = cross
                     bound = _PAIR_SLACK
-                    entry = (line, 0, nx > 0)
+                    c, up = 0, nx > 0
                 else:
                     p, q, r = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
                     nx, ny, nz = _truncated((p, q, r)) if slack else (p, q, r)
                     bound = slack
-                    entry = ((line, 0, p > 0) if p else (line, 1, q > 0) if q
-                             else (line, 2, r > 0) if r else None)
-                if entry is not None:
+                    c, up = (0, p > 0) if p else (1, q > 0) if q else (2, r > 0) if r else (None, None)
+                if c is not None:  # N is not zero
                     at = itemgetter(j)
                     # 2, 1 or 0 where n.v'_k is >= bound, under it in size, <= -bound
                     signs = bytearray([((d := nx * x + ny * y + nz * z) > -bound) + (d >= bound)
@@ -637,6 +637,8 @@ def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[list[str], dict[tuple[in
                     row = ("".join(map(at, head)) + "0"
                            + "".join(map(at, after)).translate(_NEGATE) + "0"
                            + signs.translate(_SIGN_BYTES).decode("ascii"))
+                    negation = row.translate(_NEGATE)
+                    entry = (c, up, row, negation)
                     if row.count("0") == pair_zeros:
                         line_of[i, j] = entry
                     else:
@@ -647,13 +649,12 @@ def _enumerate_lines(ints: tuple[IntVec, ...]) -> tuple[list[str], dict[tuple[in
                                 zeros.append(k)
                             k = row.find("0", k + 1)
                         line_of.update(dict.fromkeys(combinations(zeros, 2), entry))
-                    rows += (row, row.translate(_NEGATE))
-                    made.append(j)
+                    made[j] += row, negation
                 else:
                     row = zero
             after.append(row)
             before[j].append(row)
-    return rows, line_of, made
+    return made, line_of
 
 
 def om_of(arrangement: LabeledArrangement) -> OrientedMatroid:
@@ -666,7 +667,7 @@ def om_of(arrangement: LabeledArrangement) -> OrientedMatroid:
     finds fewer than two lines, which is when the arrangement does not span
     rank 3.
     """
-    rows = _enumerate_lines(arrangement.integer_vectors)[0]
+    rows = list(chain.from_iterable(_enumerate_lines(arrangement.integer_vectors)[0]))
     if len(rows) < 4:
         raise NotSpanning("arrangement does not span rank 3")
     return OrientedMatroid._of(arrangement.labels, rows)
@@ -678,21 +679,18 @@ class LineTable:
     read off them in one pass (``read``; see the module docstring).
 
     ``vectors`` holds each point's lift (``_lift``), in column order.  The
-    table keeps the enumeration's rows and pair index, the rows again with
-    their lines sorted by making column (a stable sort) and those columns
-    in that order, and each column's first column with the same point.
-    Equal points have equal lifts, so the lifts key the points.  The table
-    does not change after it is built.
+    table keeps the enumeration's rows, each line's two filed under its
+    making column, its pair index, whose entries hold their line's rows,
+    and each column's first column with the same point.  Equal points have
+    equal lifts, so the lifts key the points.  The table does not change
+    after it is built.
     """
 
-    __slots__ = ("vectors", "_rows", "_line_of", "_prefix", "_made", "_first")
+    __slots__ = ("vectors", "_made", "_line_of", "_first")
 
     def __init__(self, points: Sequence[PlanePoint]):
         self.vectors = tuple(map(_lift, points))
-        self._rows, self._line_of, made = _enumerate_lines(self.vectors)
-        order = sorted(range(len(made)), key=made.__getitem__)
-        self._prefix = [row for line in order for row in self._rows[2 * line:2 * line + 2]]
-        self._made = sorted(made)
+        self._made, self._line_of = _enumerate_lines(self.vectors)
         first: dict[IntVec, int] = {}  # equal points have equal lifts
         self._first = [first.setdefault(v, k) for k, v in enumerate(self.vectors)]
 
@@ -704,20 +702,21 @@ class LineTable:
         NotSpanning when the columns lie on fewer than two lines.
 
         Columns that are a permutation of 0..m-1 lie on two or more
-        distinct points of exactly the lines made before column m (module
-        docstring): the table's first rows in making-column order, one
-        slice.  Other columns look up the lines through each pair of their
-        first columns, whose points are distinct; a column read twice, or
+        distinct points of exactly the lines made by columns below m
+        (module docstring): the rows filed under those columns.  Other
+        columns take the rows of the index entries of each pair of their
+        first columns, whose points are distinct, as a set, so that a line
+        through several such pairs is read once; a column read twice, or
         two columns of one point, read alike."""
         n, m, top = len(self._first), len(cols), max(cols, default=-1)
         if len(labels) != m or m and (min(cols) < 0 or top >= n):
             raise ValueError(f"{len(labels)} labels for {m} columns, which must lie in 0..{n - 1}")
         if top == m - 1 and len(set(cols)) == m:
-            on = self._prefix[:2 * bisect_left(self._made, m)]
+            on = list(chain.from_iterable(self._made[:m]))
         else:
             firsts = sorted(set(map(self._first.__getitem__, cols)))
-            lines = set(map(itemgetter(0), map(self._line_of.__getitem__, combinations(firsts, 2))))
-            on = [row for line in lines for row in self._rows[2 * line:2 * line + 2]]
+            on = {row for entry in map(self._line_of.__getitem__, combinations(firsts, 2))
+                  for row in entry[2:]}
         if len(on) < 4:
             raise NotSpanning("arrangement does not span rank 3")
         return OrientedMatroid._of(labels, _project(on, cols))

@@ -70,8 +70,12 @@ def _pattern(source: str) -> re.Pattern:
 
 def _validate(value: Any, ref: str, path: str) -> None:
     """Check ``value`` against the shipped schema ``ref``: a file name,
-    optionally followed by ``#`` and a JSON pointer into the file."""
-    _check(value, {"$ref": ref}, path, "")
+    optionally followed by ``#`` and a JSON pointer into the file.  A value
+    nested too deeply to check is malformed: SchemaError at ``path``."""
+    try:
+        _check(value, {"$ref": ref}, path, "")
+    except RecursionError:
+        raise SchemaError(path, "nested too deeply to check") from None
 
 
 def _check(value: Any, schema: dict, path: str, base: str) -> None:
@@ -440,7 +444,7 @@ def document_to_json(document: ReportDocument) -> str:
 def document_from_json(text: str) -> ReportDocument:
     try:
         value = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
         raise SchemaError("$", f"not a JSON document: {exc}") from None
     _validate(value, "report.v1.schema.json", "$")
     payload = value["report"]

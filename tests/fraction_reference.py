@@ -87,17 +87,17 @@ def build_points(seed, depth: int):
 
 
 def slow_lines(ints):
-    """The rows, the pair index and the making columns of
-    ``om._enumerate_lines`` with a full-width product for every triple.
+    """The rows filed by making column and the pair index of
+    ``om._enumerate_lines``, with a full-width product for every triple.
 
     The pairs ``i < j`` are walked in order; a pair not yet indexed whose
     cross product N is non-zero makes a line: the row of the n signs
-    ``sign(N . v_k)`` and its negation, and ``j`` is its making column.
-    Every pair of non-zero vectors in the row's zero set is then indexed to
-    ``(line, c, up)``, with ``c`` the first coordinate where N is non-zero
-    and ``up`` whether N is positive there; a later line may index a
-    parallel pair again."""
-    rows, line_of, made = [], {}, []
+    ``sign(N . v_k)`` and its negation, appended to ``made[j]``, for ``j``
+    is its making column.  Every pair of non-zero vectors in the row's zero
+    set is then indexed to ``(c, up, row, negation)``, with ``c`` the first
+    coordinate where N is non-zero and ``up`` whether N is positive there;
+    a later line may index a parallel pair again."""
+    made, line_of = [[] for _ in ints], {}
     live = [k for k, v in enumerate(ints) if any(v)]
     for i, j in combinations(range(len(ints)), 2):
         (x1, y1, z1), (x2, y2, z2) = ints[i], ints[j]
@@ -106,12 +106,12 @@ def slow_lines(ints):
             continue
         dots = [normal[0] * x + normal[1] * y + normal[2] * z for x, y, z in ints]
         row = "".join("+" if d > 0 else "-" if d < 0 else "0" for d in dots)
+        negation = row.translate(str.maketrans("+-", "-+"))
         c = next(k for k, x in enumerate(normal) if x)
-        entry = (len(rows) // 2, c, normal[c] > 0)
+        entry = (c, normal[c] > 0, row, negation)
         line_of.update(dict.fromkeys(combinations([k for k in live if not dots[k]], 2), entry))
-        rows += (row, row.translate(str.maketrans("+-", "-+")))
-        made.append(j)
-    return rows, line_of, made
+        made[j] += [row, negation]
+    return made, line_of
 
 
 def slow_deletion(ground, rows, labels):

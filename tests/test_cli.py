@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,6 +52,16 @@ class TestSeedValidate:
     def test_missing_file(self, capsys):
         assert main(["seed", "validate", "--file", "/nonexistent/seed.json"]) == 1
 
+    def test_module_exits_with_the_status_of_main(self, tmp_path):
+        src = Path(omstrata.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json", encoding="utf-8")
+        for args, status in ((["seed", "validate"], 0), (["seed", "validate", "--file", str(broken)], 1)):
+            done = subprocess.run([sys.executable, "-m", "omstrata.cli", *args], capture_output=True,
+                                  text=True, timeout=120, env=env)
+            assert done.returncode == status, done.stderr
+
 
 class TestBuild:
     def test_writes_family(self, tmp_path, capsys):
@@ -75,6 +88,14 @@ class TestOmCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ground_set"][0] == "alpha"
         assert all(set(s) <= set("+-0") for s in doc["cocircuits"])
+
+    def test_deeply_nested_file(self, tmp_path, capsys):
+        # json.loads raises RecursionError, not JSONDecodeError, on this
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert main(["om", "of", "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid JSON: ") and err.count("\n") == 1
 
     def test_om_of_to_file_prints_fingerprint(self, tmp_path, capsys):
         arr = arrangement_file(tmp_path, "arr.json", 0)

@@ -157,6 +157,7 @@ class TestLines:
     def test_horizontal(self):
         line = line_through(PlanePoint(0, 1), PlanePoint(1, 1))
         assert (line.a, line.b, line.c) == (0, 1, -1)
+        assert repr(line) == "Line2(0x + 1y + -1 = 0)"
 
     def test_coincident_points_rejected(self):
         with pytest.raises(CoincidentPoints) as exc:

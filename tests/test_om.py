@@ -5,7 +5,7 @@ import pickle
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd
 from operator import itemgetter, mul
 
@@ -168,6 +168,16 @@ class TestChirotope:
         )
         assert chirotope_of(arr)[(1, 2, 3)] == 1
 
+    def test_equal_chirotopes_hash_alike(self):
+        # the non-zero signs are a dict, hashed as the set of its items
+        first = chirotope_of(BASIS4)
+        reordered = om_module.Chirotope(first.ground, dict(reversed(first.nonzero.items())))
+        assert list(reordered.nonzero) != list(first.nonzero)
+        assert reordered == first and hash(reordered) == hash(first)
+        assert {first, reordered} == {first} and reordered in {first}
+        flipped = om_module.Chirotope(first.ground, {t: -s for t, s in first.nonzero.items()})
+        assert len({first, reordered, flipped, chirotope_of(BASIS)}) == 3
+
 
 class TestCocircuits:
     def test_basis_has_six(self):
@@ -246,8 +256,8 @@ def rand_large_map(rng: random.Random, ints):
 
 
 def assert_lines_in_pair_order(ints):
-    """The kernel's rows, pair index and making columns are the slow exact
-    kernel's, rows in order."""
+    """The kernel's rows by making column and its pair index are the slow
+    exact kernel's, each column's rows in order."""
     assert om_module._enumerate_lines(ints) == ref.slow_lines(ints)
 
 
@@ -275,7 +285,7 @@ class TestCocircuitKernel:
                 kinds["parallel"] += len({max(v, negated(v)) for v in nonzero}) < len(nonzero)
                 kinds["loop"] += len(nonzero) < len(small)
                 for vectors in (small, large):
-                    assert set(om_module._enumerate_lines(vectors)[0]) == reference
+                    assert set(chain.from_iterable(om_module._enumerate_lines(vectors)[0])) == reference
                     assert_lines_in_pair_order(vectors)
                 if small is ints and arr.is_spanning():
                     assert set(om_of(arr).rows) == reference
@@ -387,7 +397,8 @@ class TestTruncatedKernel:
         assert exact and abs(cut) < om_module._SLACK
         for flip in (1, -1):
             ints = (v1, v2, tuple(flip * c for c in v3))
-            assert om_module._enumerate_lines(ints)[0][0][2] == ("+" if flip * exact > 0 else "-")
+            # the first line is made by the pair (0, 1), under column 1
+            assert om_module._enumerate_lines(ints)[0][1][0][2] == ("+" if flip * exact > 0 else "-")
             assert_lines_in_pair_order(ints)
 
     def test_short_vectors_keep_full_width_products(self, monkeypatch):
@@ -708,7 +719,8 @@ class TestLineProjection:
     def test_prefix_reads_match_om_of(self):
         # Every prefix of small degenerate point lists, read in column order
         # and shuffled: columns that are a permutation of 0..m-1 read the
-        # table's first rows, with no pair lookup (the index is emptied).
+        # rows filed under columns 0..m-1, with no pair lookup (the index is
+        # emptied).
         # The fixed list starts with a collinear run with coincident copies,
         # so its prefixes up to 6 columns span nothing.
         line = (PlanePoint(1, 0), PlanePoint(0, 0), PlanePoint(2, 0), PlanePoint(1, 0),
@@ -721,10 +733,8 @@ class TestLineProjection:
         for points in sources:
             table = LineTable(points)
             ints = table.vectors
-            rows, _, made = om_module._enumerate_lines(ints)
-            order = sorted(range(len(made)), key=made.__getitem__)
-            assert table._made == sorted(made) == [made[line] for line in order]
-            assert table._prefix == [row for line in order for row in rows[2 * line:2 * line + 2]]
+            made, line_of = om_module._enumerate_lines(ints)
+            assert table._made == made and table._line_of == line_of
             table._line_of = {}
             for m in range(len(points) + 1):
                 for cols in (list(range(m)), rng.sample(range(m), m)):
@@ -2056,6 +2066,15 @@ class TestSignVectorApi:
         assert hash(v) == hash(SignVector((1, 2, 3), [1, 0, -1]))
         assert v != SignVector((1, 2, 4), (1, 0, -1))
         assert v.to_string() == "+0-" and v.signs == (1, 0, -1)
+        assert repr(v) == "SignVector(+0-)"
+
+    def test_values_of_other_types_compare_unequal(self):
+        v, m = SignVector((1, 2, 3), (1, 0, -1)), om_of(SQUARE)
+        for other in ("+0-", (1, 0, -1), None):
+            assert v != other and not v == other
+        for other in (m.rows, (m.ground, m.rows), m.canonical_json(), None):
+            assert m != other and not m == other
+        assert v != m and m != v
 
 
 def tuple_restrict(matroid: OrientedMatroid, labels) -> set[tuple[int, ...]]:

@@ -28,6 +28,7 @@ from omstrata import (
 from omstrata.serialization import (
     _check,
     _conforms,
+    _validate,
     document_from_json,
     document_to_json,
     dump_json,
@@ -349,6 +350,25 @@ class TestReportSchemaErrors:
         with pytest.raises(SchemaError) as exc:
             document_from_json("{not json")
         assert exc.value.path == "$"
+
+    def test_text_nested_too_deeply(self):
+        with pytest.raises(SchemaError) as exc:
+            document_from_json("[" * 100_000 + "]" * 100_000)
+        assert exc.value.path == "$"
+
+    def test_value_nested_too_deeply_to_check(self):
+        # a nesting that the schema check cannot recurse through, in a
+        # field that the report schema allows: a SchemaError at the
+        # document's path, not a RecursionError
+        doc = _report_json()
+        deep: list = []
+        for _ in range(sys.getrecursionlimit()):
+            deep = [deep]
+        doc["tool"]["x"] = deep
+        with pytest.raises(SchemaError) as exc:
+            _validate(doc, "report.v1.schema.json", "$")
+        assert exc.value.path == "$"
+        assert str(exc.value) == "$: nested too deeply to check"
 
     def test_untouched_document_parses(self):
         doc = _report_json()
