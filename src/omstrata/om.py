@@ -14,19 +14,22 @@ takes dot products only with the vectors after its pair.  Covectors are
 recovered on demand as the compositions of cocircuits, one cocircuit at a
 time, and basis signs (the chirotope) by a walk over the cocircuits.
 
-A row read as a binary number gives a bitmask: ``row.translate(table)`` to
+Every row is non-zero, as the cocircuit axioms ask (BLSWZ ch. 3): the
+public constructor raises ValueError for an all-zero sign vector, and every
+producer in the library makes none (``OrientedMatroid._of``).  A row read
+as a binary number gives its one bitmask, its support: ``row.translate`` to
 ``1``/``0`` and then ``int(..., 2)``, so ground position k is bit ``w-1-k``
-of a width-w row.  Supports, loops and the zero sets of rows are read that
-way.  A covector is one int, its key: the row's characters as the hex
-digits ``2 neg + pos``, read in base 16, so a row becomes a key by one
-``translate`` and one ``int``, and back by one ``hex`` and one
-``translate``.  With ``ones`` the bit 0 of every digit, a key's zero set is
-``ones & ~(key | key >> 1)`` and composition is ``key | c & free * 3``.
-The closure composes each layer's new covectors grouped by zero set, and
-reads each zero set's restrictions of the cocircuits once
-(``_covector_masks``).  Each oriented matroid enumerates its covector keys
-once and keeps them, as it keeps its chirotope; ``covectors_of`` and
-``strong_map`` both read that one set.
+of a width-w row.  A row's zero set is the complement of its support, and
+the loops are the positions in every zero set.  A covector is one int, its
+key: the row's characters as the hex digits ``2 neg + pos``, read in base
+16, so a row becomes a key by one ``translate`` and one ``int``, and back
+by one ``hex`` and one ``translate``.  With ``ones`` the bit 0 of every
+digit, a key's zero set is ``ones & ~(key | key >> 1)`` and composition is
+``key | c & free * 3``.  The closure composes each layer's new covectors
+grouped by zero set, and reads each zero set's restrictions of the
+cocircuits once (``_covector_masks``).  Each oriented matroid enumerates
+its covector keys once and keeps them, as it keeps its chirotope;
+``covectors_of`` and ``strong_map`` both read that one set.
 
 ``SignVector`` is the value type of the sign-vector API (``cocircuits`` and
 ``covectors_of``): a ``-0+`` string with its labels.  Those objects are
@@ -116,7 +119,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import chain, combinations, repeat
-from operator import and_, itemgetter, or_
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GroundSetMismatch, NotSpanning
@@ -130,9 +133,8 @@ _CHAR_SIGNS = {"+": 1, "-": -1, "0": 0}
 _FLIP = {"+": "-", "-": "+"}
 _SIGN_BYTES = bytes.maketrans(b"\x00\x01\x02", b"-0+")  # sign + 1 -> character
 _NEGATE = str.maketrans("+-", "-+")
-# A row's characters -> binary digits of one of its bitmasks.
+# A row's characters -> binary digits of its support bitmask.
 _SUPPORT = str.maketrans("-0+", "101")
-_ZEROS = str.maketrans("-0+", "010")
 # A row's characters <-> the hex digits 2 neg + pos of its covector key.
 _HEX_DIGITS = str.maketrans("-0+", "201")
 _HEX_SIGNS = str.maketrans("012", "0+-")
@@ -155,17 +157,10 @@ _PAIR_SLACK = _slack(2 * _WINDOW + 1, _PAIR)  # n = v'_i x v'_j as it is
 _ROW_CHUNK = 2048  # rows per piece of ``OrientedMatroid._json_pieces``
 
 
-def _mask(row: str, digits: dict) -> int:
-    """The bitmask of ``row`` under a ``-0+`` to binary-digit table."""
-    return int(row.translate(digits) or "0", 2)
-
-
-def _supports(rows: Sequence[str], width: int) -> list[int]:
-    """The support bitmasks of rows of width ``width``, in order: the rows
-    are joined by line breaks and translated to binary digits once, and
+def _supports(rows: Sequence[str]) -> list[int]:
+    """The support bitmasks of the rows, which are not empty, in order: the
+    rows are joined by line breaks and translated to binary digits once, and
     each row's digits are read in base 2."""
-    if not width:  # empty rows, whose masks are 0
-        return [0] * len(rows)
     return list(map(int, "\n".join(rows).translate(_SUPPORT).split(), repeat(2)))
 
 
@@ -248,12 +243,6 @@ class LabeledArrangement:
         """The labels in order: computed on first use and kept, outside
         ``==``, ``hash``, ``repr``, copies and pickles."""
         return tuple(label for label, _ in self.elements)
-
-    def vector(self, label: Label) -> Vector3:
-        for lab, vec in self.elements:
-            if lab == label:
-                return vec
-        raise KeyError(label)
 
     @cached_property
     def integer_vectors(self) -> tuple[IntVec, ...]:
@@ -367,19 +356,26 @@ class OrientedMatroid:
     """
 
     def __init__(self, ground: tuple[Label, ...], cocircuits: Iterable[SignVector]):
-        """Raises ValueError when a cocircuit's labels are not ``ground``."""
+        """Raises ValueError when a cocircuit's labels are not ``ground``, or
+        when a cocircuit is all zero: every row is non-zero."""
         rows = []
         for cc in cocircuits:
             if cc._labels != ground:
                 raise ValueError(f"cocircuit labels {cc._labels} are not the ground set {ground}")
+            if not cc._row.strip("0"):
+                raise ValueError("a cocircuit needs a non-zero sign")
             rows.append(cc._row)
         self.ground = ground
         self.rows = tuple(sorted(set(rows)))
 
     @classmethod
     def _of(cls, ground: tuple[Label, ...], rows: Iterable[str]) -> "OrientedMatroid":
-        """The oriented matroid with these cocircuit rows, which are distinct:
-        they are sorted here, once."""
+        """The oriented matroid with these cocircuit rows, which are distinct
+        and non-zero: they are sorted here, once, and not checked.  Every
+        producer in the library meets that rule: ``om_of`` and
+        ``LineTable.read`` raise NotSpanning before a rank-2 arrangement's
+        zero row could reach here, ``restrict`` drops zero restrictions,
+        ``rank_zero`` has no rows, and ``parse_om`` rejects a zero row."""
         matroid = object.__new__(cls)
         matroid.ground = ground
         matroid.rows = tuple(sorted(rows))
@@ -390,11 +386,12 @@ class OrientedMatroid:
 
     @cached_property
     def loops(self) -> frozenset[Label]:
-        """The elements zero in every cocircuit."""
+        """The elements zero in every cocircuit: the positions in the zero
+        set, the complement of the support, of every row."""
         width = len(self.ground)
-        zeros = (1 << width) - 1
+        zeros = full = (1 << width) - 1
         for row in self.rows:
-            zeros &= _mask(row, _ZEROS)
+            zeros &= full ^ int(row.translate(_SUPPORT), 2)
             if not zeros:
                 break
         return frozenset(l for k, l in enumerate(self.ground) if zeros >> (width - 1 - k) & 1)
@@ -442,7 +439,7 @@ class OrientedMatroid:
         """The support bitmasks of the cocircuits, read in one pass
         (``_supports``).  In rank 3 they determine the underlying matroid
         (BLSWZ ch. 3)."""
-        return frozenset(_supports(self.rows, len(self.ground)))
+        return frozenset(_supports(self.rows))
 
     def restrict(self, labels: Iterable[Label]) -> "OrientedMatroid":
         """The deletion onto ``labels``, ground order kept: the empty oriented
@@ -464,7 +461,7 @@ class OrientedMatroid:
         keep = [i for i, l in enumerate(self.ground) if l in keep_set]
         ground = tuple(self.ground[i] for i in keep)
         projected = list(set(_project(self.rows, keep)))
-        masks = _supports(projected, len(keep))
+        masks = _supports(projected)
         # Smallest supports first: a support is minimal unless it contains
         # one found before, m with m | mask == mask.
         minimal: set[int] = set()
@@ -667,10 +664,10 @@ def om_of(arrangement: LabeledArrangement) -> OrientedMatroid:
     finds fewer than two lines, which is when the arrangement does not span
     rank 3.
     """
-    rows = list(chain.from_iterable(_enumerate_lines(arrangement.integer_vectors)[0]))
-    if len(rows) < 4:
+    made = _enumerate_lines(arrangement.integer_vectors)[0]
+    if sum(map(len, made)) < 4:
         raise NotSpanning("arrangement does not span rank 3")
-    return OrientedMatroid._of(arrangement.labels, rows)
+    return OrientedMatroid._of(arrangement.labels, chain.from_iterable(made))
 
 
 class LineTable:
@@ -739,8 +736,29 @@ def _chirotope_from_cocircuits(matroid: OrientedMatroid) -> Chirotope:
     through chi(i, k, j) = -chi(i, j, k) = -chi(j, k, i).  Signs stay
     characters of the rows until they are stored.  In rank 1 or 2 a walk
     can start only from a parallel pair (two non-loops in one zero set), and
-    it then fails or finds no basis triple; only then is the rank decided,
-    so that the error names it: a ``_LowRank`` in rank 1 or 2.
+    it then fails; only then is the rank decided, so that the error names
+    it: a ``_LowRank`` in rank 1 or 2.
+
+    A walk that raises nothing assigns every independent pair, as the rows
+    are non-zero.  Let V be the assigned pairs: each was walked, so for
+    (x, y) in V and each k with row_xy[k] != 0, (x, k) and (y, k) are in V.
+    Take an independent pair (a, b) outside V, L its row and L[k] != 0.
+    (i) If a is in some (a, y) of V, then row_ay[b] = 0, so row_ay = +-L,
+    the one row through a and b; so row_ay[k] != 0 and (a, k) is in V.
+    Were row_ak[b] = 0, row_ak would be +-L, but it is 0 at k and L is not;
+    so row_ak[b] != 0 and (a, b) is in V.  The same holds for b.  (ii) Else
+    the start pair (i, j)'s row is 0 at a and at b, so it is +-L, and (i, k)
+    is in V.  Its row is not 0 at both a and b, as it is 0 at k, which
+    puts a or b in a pair of V: case (i).  So the walk needs no check that
+    it reached every pair.
+
+    The walk checks each assigned row at the positions after its pair, each
+    non-zero one against the two other pairs of its triple.  A triple found
+    so accounts for three verified non-zero entries, distinct triples for
+    distinct entries, so the entries must number three per triple.  Any
+    other non-zero entry lies before its pair, and its triple is one the
+    rows disagree on.  A walk that finds no triple fails so too, as its
+    start row is non-zero.
     """
     ground = matroid.ground
 
@@ -781,8 +799,6 @@ def _chirotope_from_cocircuits(matroid: OrientedMatroid) -> Chirotope:
                     raise fail(f"cocircuits disagree on {ground[i], ground[j], ground[k]}")
                 rows[a, b] = other if other[r] == want else other.translate(_NEGATE)
                 queue.append((a, b))
-    if len(rows) < len(line_of):
-        raise fail("the basis triples do not connect every independent pair")
 
     zero = "0" * len(ground)
     nonzero: dict[tuple[Label, Label, Label], Sign] = {}
@@ -793,8 +809,12 @@ def _chirotope_from_cocircuits(matroid: OrientedMatroid) -> Chirotope:
                 if rows.get((i, k), zero)[j] != _FLIP[s] or rows.get((j, k), zero)[i] != s:
                     raise fail(f"cocircuits disagree on {ground[i], ground[j], ground[k]}")
                 nonzero[ground[i], ground[j], ground[k]] = _CHAR_SIGNS[s]
-    if not nonzero:  # a walk from one parallel pair that no later element checks
-        raise fail("the cocircuits carry no basis triple")
+    if len(rows) * len(ground) - "".join(rows.values()).count("0") != 3 * len(nonzero):
+        for (i, j), row in rows.items():
+            for k, s in enumerate(row):
+                triple = tuple(ground[x] for x in sorted((i, j, k)))
+                if s != "0" and triple not in nonzero:
+                    raise fail(f"cocircuits disagree on {triple}")
     return Chirotope(ground, nonzero)
 
 
@@ -875,12 +895,13 @@ def strong_map(source: OrientedMatroid, target: OrientedMatroid) -> bool:
 
 def _spans_rank_three(matroid: OrientedMatroid) -> bool:
     """Whether some non-loop lies in the zero sets of two cocircuit pairs, that
-    is on two lines: true in rank 3, false in ranks 0 to 2.  The loops are
-    the positions zero in every row, so two zero sets share a non-loop when
-    their intersection is more than the loops."""
-    zero_sets = {_mask(row, _ZEROS) for row in matroid.rows}
-    loops = reduce(and_, zero_sets, (1 << len(matroid.ground)) - 1)
-    return any(a & b != loops for a, b in combinations(zero_sets, 2))
+    is on two lines: true in rank 3, false in ranks 0 to 2.  A zero set is
+    the complement of a support and the non-loops are the union of all the
+    supports, so two zero sets share a non-loop when the union of their two
+    supports is less than that."""
+    supports = set(_supports(matroid.rows))
+    live = reduce(or_, supports, 0)
+    return any(a | b != live for a, b in combinations(supports, 2))
 
 
 def weak_map(source: OrientedMatroid, target: OrientedMatroid) -> bool:

@@ -17,14 +17,14 @@ from omstrata.serialization import render_arrangement, render_seed
 @pytest.fixture
 def seed_file(tmp_path):
     path = tmp_path / "seed.json"
-    path.write_text(json.dumps(render_seed(default_seed())))
+    path.write_text(json.dumps(render_seed(default_seed())), encoding="utf-8")
     return path
 
 
 def arrangement_file(tmp_path, name, depth):
     arrangement = build(default_seed(), depth).arrangement()
     path = tmp_path / name
-    path.write_text(json.dumps(render_arrangement(arrangement)))
+    path.write_text(json.dumps(render_arrangement(arrangement)), encoding="utf-8")
     return path
 
 
@@ -40,13 +40,13 @@ class TestSeedValidate:
         doc = render_seed(default_seed())
         doc["omega"] = ["2", "0"]
         path = tmp_path / "bad_seed.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["seed", "validate", "--file", str(path)]) == 2
         assert "invalid (apex)" in capsys.readouterr().out
 
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_text("{not json", encoding="utf-8")
         assert main(["seed", "validate", "--file", str(path)]) == 1
 
     def test_missing_file(self, capsys):
@@ -59,7 +59,7 @@ class TestSeedValidate:
         broken.write_text("{not json", encoding="utf-8")
         for args, status in ((["seed", "validate"], 0), (["seed", "validate", "--file", str(broken)], 1)):
             done = subprocess.run([sys.executable, "-m", "omstrata.cli", *args], capture_output=True,
-                                  text=True, timeout=120, env=env)
+                                  text=True, encoding="utf-8", timeout=120, env=env)
             assert done.returncode == status, done.stderr
 
 
@@ -67,7 +67,7 @@ class TestBuild:
     def test_writes_family(self, tmp_path, capsys):
         out = tmp_path / "family.json"
         assert main(["build", "--depth", "2", "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["depth"] == 2
         assert len(doc["points"]) == 13
 
@@ -135,7 +135,7 @@ class TestOmCommands:
             vectors = [(1, 0, 0), (0, 1, 0), (0, 0, 1), fourth]
             arr = tmp_path / f"{name}.json"
             arr.write_text(json.dumps(render_arrangement(LabeledArrangement(
-                (label, Vector3(*v)) for label, v in enumerate(vectors, 1)))))
+                (label, Vector3(*v)) for label, v in enumerate(vectors, 1)))), encoding="utf-8")
             om_file = tmp_path / f"{name}.om.json"
             assert main(["om", "of", "--in", str(arr), "--out", str(om_file)]) == 0
             files[name] = (arr, om_file)
@@ -146,13 +146,25 @@ class TestOmCommands:
                 assert main(["om", "weak-map", str(files[a][kind]), str(files[b][kind])]) == 0
                 assert capsys.readouterr().out.strip() == expected
 
+    def test_om_weak_map_of_contradicting_rows_is_input_error(self, tmp_path, capsys):
+        # the one row through 1 and 4, 0+-0, is non-zero at 3, but no other
+        # row gives (1, 3, 4) a basis sign
+        rows = ["++0-", "+0-0", "+00-", "0+-0", "0+0-", "000+"]
+        om_file = tmp_path / "om.json"
+        om_file.write_text(json.dumps({"ground_set": [1, 2, 3, 4], "cocircuits": rows + [
+            row.translate(str.maketrans("+-", "-+")) for row in rows]}), encoding="utf-8")
+        assert main(["om", "weak-map", str(om_file), str(om_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cocircuits disagree on (1, 3, 4)\n"
+
     def test_cocircuits_not_closed_under_negation_are_input_error(self, tmp_path, capsys):
         arr = arrangement_file(tmp_path, "a.json", 0)
         om_file = tmp_path / "om.json"
         assert main(["om", "of", "--in", str(arr), "--out", str(om_file)]) == 0
-        doc = json.loads(om_file.read_text())
+        doc = json.loads(om_file.read_text(encoding="utf-8"))
         doc["cocircuits"] = [cc for cc in doc["cocircuits"] if cc.lstrip("0")[0] == "+"]
-        om_file.write_text(json.dumps(doc))
+        om_file.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         assert main(["om", "equal", str(om_file), str(om_file)]) == 1
         assert "negation" in capsys.readouterr().err
@@ -161,9 +173,9 @@ class TestOmCommands:
         arr = arrangement_file(tmp_path, "a.json", 0)
         om_file = tmp_path / "om.json"
         assert main(["om", "of", "--in", str(arr), "--out", str(om_file)]) == 0
-        doc = json.loads(om_file.read_text())
+        doc = json.loads(om_file.read_text(encoding="utf-8"))
         doc["zeta"] = 1
-        om_file.write_text(json.dumps(doc))
+        om_file.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         assert main(["om", "equal", str(om_file), str(arr)]) == 1
         assert "unknown field 'zeta'" in capsys.readouterr().err
@@ -180,7 +192,7 @@ class TestMu:
         path.write_text(json.dumps({
             "ambient": 4,
             "basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"]],
-        }))
+        }), encoding="utf-8")
         assert main(["mu", "--subspace", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["ground_set"] == [1, 2, 3, 4]
@@ -190,7 +202,7 @@ class TestMu:
         path.write_text(json.dumps({
             "ambient": 4,
             "basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["1", "1", "0", "0"]],
-        }))
+        }), encoding="utf-8")
         assert main(["mu", "--subspace", str(path)]) == 1
 
 
@@ -203,7 +215,7 @@ class TestCertificate:
             "--out", str(out), "--svg-dir", str(figs),
         ])
         assert code == 0
-        doc = json.loads(out.read_text())
+        doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["report"]["pass"] is True
         assert sorted(p.name for p in figs.iterdir()) == ["A0.svg", "A1.svg", "A2.svg"]
         assert "overall: PASS" in capsys.readouterr().out
@@ -212,7 +224,7 @@ class TestCertificate:
         doc = render_seed(default_seed())
         doc["gamma"] = ["4", "1"]
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["certificate", "--depth", "2", "--seed", str(path)]) == 2
         assert "seed rejected" in capsys.readouterr().err
 
@@ -221,7 +233,7 @@ class TestCertificate:
         doc = render_seed(default_seed())
         doc["a"] = ["21/5", "1"]
         path = tmp_path / "seed.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "r.json"
         assert main(["certificate", "--depth", "3", "--seed", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -233,7 +245,7 @@ class TestCertificate:
         doc = render_seed(default_seed())
         doc["zeta"] = ["1", "2"]
         path = tmp_path / "seed.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "report.json"
         assert main(["certificate", "--depth", "1", "--seed", str(path), "--out", str(out)]) == 1
         assert "unknown field 'zeta'" in capsys.readouterr().err
@@ -243,14 +255,14 @@ class TestCertificate:
         doc = render_seed(default_seed())
         doc["nu"] = ["3", "2"]
         seed_path = tmp_path / "wall.json"
-        seed_path.write_text(json.dumps(doc))
+        seed_path.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "report.json"
         code = main([
             "certificate", "--depth", "5", "--samples", "1,2",
             "--seed", str(seed_path), "--out", str(out),
         ])
         assert code == 2
-        assert json.loads(out.read_text())["report"]["pass"] is False
+        assert json.loads(out.read_text(encoding="utf-8"))["report"]["pass"] is False
 
     def test_bad_samples(self, capsys):
         assert main(["certificate", "--depth", "1", "--samples", "1,x"]) == 1
@@ -263,12 +275,12 @@ class TestCertificate:
     def test_samples_with_spaces(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["certificate", "--depth", "1", "--samples", " 1 , 2 ", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["report"]["samples"] == [1, 2]
+        assert json.loads(out.read_text(encoding="utf-8"))["report"]["samples"] == [1, 2]
 
     def test_default_samples_are_the_library_default(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["certificate", "--depth", "1", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["report"]["samples"] == list(DEFAULT_SAMPLES)
+        assert json.loads(out.read_text(encoding="utf-8"))["report"]["samples"] == list(DEFAULT_SAMPLES)
 
     def test_empty_samples(self, capsys):
         assert main(["certificate", "--depth", "1", "--samples", ","]) == 1
@@ -294,7 +306,7 @@ class TestUnwritableOutput:
         subspace.write_text(json.dumps({
             "ambient": 4,
             "basis": [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"]],
-        }))
+        }), encoding="utf-8")
         args = {
             "build": ["build", "--depth", "1"],
             "om of": ["om", "of", "--in", str(arrangement_file(tmp_path, "arr.json", 0))],
@@ -310,11 +322,11 @@ class TestUnwritableOutput:
 
     def test_svg_dir_naming_a_file(self, tmp_path, capsys):
         taken = tmp_path / "figs"
-        taken.write_text("not a directory")
+        taken.write_text("not a directory", encoding="utf-8")
         out = tmp_path / "report.json"
         assert main(["certificate", "--depth", "1", "--out", str(out), "--svg-dir", str(taken)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
-        assert taken.read_text() == "not a directory"
+        assert taken.read_text(encoding="utf-8") == "not a directory"
 
 
 class TestParserReuse:
@@ -323,7 +335,7 @@ class TestParserReuse:
     def test_successive_calls_answer_independently(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["certificate", "--depth", "1", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["report"]["depth"] == 1
+        assert json.loads(out.read_text(encoding="utf-8"))["report"]["depth"] == 1
         capsys.readouterr()
         assert main(["build", "--depth", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["depth"] == 1
@@ -333,7 +345,7 @@ class TestParserReuse:
             arrangement = LabeledArrangement(
                 [(1, Vector3(1, 0, 0)), (2, Vector3(0, 1, 0)), (3, Vector3(0, 0, 1)), (4, last)]
             )
-            path.write_text(json.dumps(render_arrangement(arrangement)))
+            path.write_text(json.dumps(render_arrangement(arrangement)), encoding="utf-8")
         assert main(["om", "equal", str(basis), str(basis)]) == 0
         assert capsys.readouterr().out.strip() == "true"
         assert main(["om", "equal", str(basis), str(degenerate)]) == 0
@@ -353,7 +365,7 @@ class TestVersion:
         # The report's tool.version is read from _version.py, and
         # pyproject.toml holds a second copy.  It is read with a regex, as
         # Python 3.10 has no tomllib.
-        text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+        text = (Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
         project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
         versions = re.findall(r'^version = "([^"]*)"$', project, re.MULTILINE)
         assert versions == [omstrata.__version__]

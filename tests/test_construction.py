@@ -349,7 +349,7 @@ class TestDeltaArrangement:
         marked = delta_arrangement(family, 1)
         assert "delta" in marked.labels
         assert "c1" not in marked.labels
-        assert marked.vector("delta") == Vector3(F(23, 10), 0, 1)
+        assert dict(marked.elements)["delta"] == Vector3(F(23, 10), 0, 1)
 
     def test_ground_set_in_global_order(self):
         family = build(default_seed(), 2)
@@ -364,7 +364,7 @@ class TestDeltaArrangement:
         from omstrata import perspective_normalize
         for i in range(1, 5):
             marked = delta_arrangement(family, i)
-            delta = perspective_normalize(marked.vector("delta"))
+            delta = perspective_normalize(dict(marked.elements)["delta"])
             assert collinear(family.seed.alpha, delta, family.seed.beta)
 
     def test_index_out_of_range(self):
@@ -397,9 +397,9 @@ class TestDegenerations:
         scaled = scale_degeneration(marked, 8)
         for label, vector in scaled.elements:
             if label in PERSISTENT:
-                assert vector == marked.vector(label)
+                assert vector == dict(marked.elements)[label]
             else:
-                assert vector == marked.vector(label).scaled(F(1, 8))
+                assert vector == dict(marked.elements)[label].scaled(F(1, 8))
 
     @pytest.mark.parametrize("n", [True, 2.0, F(2), 0, -1])
     def test_an_n_that_is_not_a_positive_int_raises(self, n):
@@ -421,7 +421,7 @@ class TestDegenerations:
         limit = limit_arrangement(marked)
         for label, vector in limit.elements:
             if label in PERSISTENT:
-                assert vector == marked.vector(label)
+                assert vector == dict(marked.elements)[label]
             else:
                 assert vector.is_zero()
 
@@ -818,7 +818,7 @@ class TestHistoryIndependence:
         env = {**os.environ, "PYTHONPATH": str(src)}
         fresh = {
             name: subprocess.run([sys.executable, "-c", FRESH_REPORT, name], capture_output=True,
-                                 text=True, timeout=120, check=True, env=env).stdout
+                                 text=True, encoding="utf-8", timeout=120, check=True, env=env).stdout
             for name in ("default", "wall")
         }
         seeds = {"default": default_seed(), "wall": WALL_SEED}

@@ -84,6 +84,7 @@ def test_fresh_import_frees_the_previous_one():
     # which keeps every earlier import's classes and module globals alive.
     src = Path(omstrata.__file__).parent.parent
     done = subprocess.run([sys.executable, "-c", FRESH_IMPORTS], capture_output=True, text=True,
-                          timeout=120, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+                          encoding="utf-8", timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
     counts = json.loads(done.stdout)
     assert len(set(counts)) == 1, counts

@@ -79,7 +79,7 @@ def reference_records(seed, depth: int, samples=DEFAULT_SAMPLES) -> list[LevelRe
         # The limit's loops are its zero vectors, zero in every row: the
         # deletion of the loops drops their columns.
         live = [k for k, (_, v) in enumerate(limit.elements) if v != ZERO]
-        delta = limit.vector("delta")
+        delta = dict(limit.elements)["delta"]
         records.append(LevelRecord(
             i=i,
             cr=ref.cross_ratio(seed.alpha, located[c_label], seed.gamma, seed.beta),

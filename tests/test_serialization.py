@@ -456,10 +456,10 @@ class TestShippedSchemas:
         schema_dir = SCHEMA_DIR
         registry = Registry()
         for path in schema_dir.glob("*.schema.json"):
-            resource = Resource.from_contents(json.loads(path.read_text()))
+            resource = Resource.from_contents(json.loads(path.read_text(encoding="utf-8")))
             registry = registry.with_resource(path.name, resource)
             registry = registry.with_resource(resource.contents["$id"], resource)
-        schema = json.loads((schema_dir / name).read_text())
+        schema = json.loads((schema_dir / name).read_text(encoding="utf-8"))
         return jsonschema.Draft202012Validator(schema, registry=registry)
 
     def test_seed_document(self):
@@ -505,7 +505,7 @@ class TestShippedSchemas:
             (tmp_path / path.relative_to(root)).write_bytes(path.read_bytes())
         build = "from setuptools import build_meta; print(build_meta.build_sdist('dist'))"
         done = subprocess.run([sys.executable, "-c", build], cwd=tmp_path, capture_output=True,
-                              text=True, timeout=120, check=True)
+                              text=True, encoding="utf-8", timeout=120, check=True)
         with tarfile.open(tmp_path / "dist" / done.stdout.split()[-1]) as sdist:
             shipped = {Path(name).name for name in sdist.getnames() if "/schemas/" in name}
         assert shipped == {path.name for path in SCHEMA_DIR.glob("*.schema.json")}
@@ -641,7 +641,7 @@ class TestValidatorCoversSchemas:
 
     @pytest.mark.parametrize("name", sorted(p.name for p in SCHEMA_DIR.glob("*.schema.json")))
     def test_only_implemented_keywords(self, name):
-        for schema in _subschemas(json.loads((SCHEMA_DIR / name).read_text())):
+        for schema in _subschemas(json.loads((SCHEMA_DIR / name).read_text(encoding="utf-8"))):
             assert isinstance(schema, dict), f"{name}: boolean schema {schema}"
             assert set(schema) <= self.IMPLEMENTED | self.ANNOTATIONS, name
             assert schema.get("type", "object") in self.TYPES, name
@@ -652,7 +652,7 @@ class TestValidatorCoversSchemas:
         values = ["1/2", "-3", "b3", "alpha", "x", "", 0, 7, -2, True, False, None,
                   [], ["1", "2"], {}, {"x": 1}, 1.0, 2.5]
         options = [(option, path.name) for path in sorted(SCHEMA_DIR.glob("*.schema.json"))
-                   for schema in _subschemas(json.loads(path.read_text()))
+                   for schema in _subschemas(json.loads(path.read_text(encoding="utf-8")))
                    for option in schema.get("oneOf", ())]
         assert options
         for option, base in options:
